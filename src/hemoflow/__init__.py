@@ -17,7 +17,6 @@ from .errors import (
     InsufficientDataError,
     LabelingError,
     MeshError,
-    NumericalError,
     SequenceError,
     ValidationError,
 )
@@ -38,7 +37,7 @@ __all__ = [
     "__version__",
     "HemoflowError", "ValidationError", "InsufficientDataError",
     "ExtrapolationError", "FitError", "MeshError", "GeometryError",
-    "LabelingError", "SequenceError", "NumericalError",
+    "LabelingError", "SequenceError",
     "SHEAR_RATE_FLOOR", "BASE_CURVES", "LITERATURE_NEWTONIAN",
     "ViscositySample", "PowerLawParams", "fit_power_law",
     "apparent_viscosity", "newtonian_equivalent", "interpolate_hct",

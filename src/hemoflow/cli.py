@@ -1,12 +1,9 @@
-"""Command-line pipeline driver.
+"""Command-line interface: argument parsing and one handler per subcommand.
 
-Subcommands wrap the library stages (rheology fit, flow synthesis, MR
-signal synthesis, reconstruction, biomarker estimation, model
-comparison, reporting), and ``run`` chains them end to end from one INI
-config file. Sequence parameters appear in the config in scanner units
-(mm, ms, kHz, mT/m) and are converted to SI internally; the slew rate
-is given in T/m/s. Every key has a baked-in default, so ``hemoflow
-run`` with an empty config performs the full pipe-phantom demo.
+Each subcommand runs one or more stages of :mod:`hemoflow.pipeline`, which
+write the same artifacts as ``hemoflow run``; the rendering lives in
+:mod:`hemoflow.report`. ``load_config`` and ``run_pipeline`` are
+re-exported here for callers of the earlier API.
 
 Exit codes: 0 success, 2 invalid input or config, 3 numerical failure.
 """
@@ -14,790 +11,25 @@ Exit codes: 0 success, 2 invalid input or config, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
-import configparser
-import csv
-import hashlib
-import json
 import logging
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
-import numpy as np
-import scipy
-
-from . import __version__
 from .errors import HemoflowError, ValidationError
-from .flowfields import FlowWaveform, flow_rate, poiseuille_power_law, \
-    pulsatile_scale
-from .hemodynamics import SegmentStats, compare_models, energy_loss_rate, \
-    export_fields_vtk, interpolate_to_mesh, osi, recover_gradients, \
-    segment_stats, shear_rate, wss
-from .mesh import CutPlane, generate_pipe_mesh, load_mesh, nodal_volumes, \
-    segment_labels, segment_names, wall_normals
-from .mri import SequenceParams, add_noise, load_images, load_kspace, \
-    phase_to_velocity, reconstruct, save_images, save_kspace, \
-    sequence_timings, synthesize_frame
-from .phantoms import MMHG, REFERENCE_OUTLET, demo_outlet_flow, inlet_waveform
-from .rheology import PowerLawParams, apparent_viscosity, fit_for_hct, \
-    newtonian_equivalent
-from .windkessel import WindkesselParams, simulate_windkessel
+from .hemodynamics import write_comparison_csv
+from .mri import load_images, load_kspace, phase_to_velocity, reconstruct, \
+    save_images
+from .phantoms import MMHG, REFERENCE_OUTLET, demo_outlet_flow
+from .pipeline import DEFAULTS, RunConfig, build_comparison, fit_models, \
+    load_config, read_comparison_csv, read_stats_csv, render_config, \
+    run_pipeline, stage_estimate, stage_flow, stage_mesh, stage_mri, \
+    systolic_frame, write_rheology_json, write_windkessel_csv
+from .report import write_report
+from .windkessel import simulate_windkessel
+
+__all__ = ["main", "load_config", "run_pipeline"]
 
 log = logging.getLogger("hemoflow")
-
-QUANTITIES = ("wss", "osi", "el_rate")
-
-# Effective configuration: every key below has a default, so any subset
-# may appear in the file. Unknown sections or keys are rejected by name.
-DEFAULTS = {
-    "paths": {
-        "output_dir": "hemoflow_out",
-        "mesh": "",
-    },
-    "pipe": {
-        "radius_m": "0.01",
-        "length_m": "0.1",
-        "resolution": "0",
-    },
-    "rheology": {
-        "hct": "45",
-        "shear_floor": "0.1",
-        "fit1_range": "12, 123",
-        "fit2_range": "0, 2800",
-        "literature_pa_s": "3.0e-3, 3.5e-3, 4.0e-3, 4.5e-3",
-    },
-    "flow": {
-        "pressure_drop_pa": "15.8",
-        "cardiac_period_s": "0.937",
-        "cardiac_phases": "8",
-    },
-    "sequence": {
-        "venc_m_s": "0.8",
-        "matrix": "11, 11, 36",
-        "voxel_mm": "3, 3, 3",
-        "oversampling": "2",
-        "time_spacing_ms": "32.0",
-        "t2_star_ms": "254.0",
-        "adc_bandwidth_khz": "64.0",
-        "slew_rate_t_m_s": "195.0",
-        "max_gradient_mt_m": "30.0",
-        "fov_center_mm": "0, 0, 50",
-        "quadrature": "4",
-    },
-    "noise": {
-        "sigma_fraction": "0.002",
-        "seed": "1234",
-    },
-    "segments": {
-        "cuts_m": "0.025, 0.05, 0.075",
-    },
-    "windkessel": {
-        "proximal_resistance_cgs": "274.0",
-        "distal_resistance_cgs": "5675.0",
-        "compliance_cgs": "5.08e-4",
-        "initial_pressure_mmhg": "80.5",
-        "cycles": "10",
-        "steps_per_cycle": "1000",
-    },
-    "comparison": {
-        "reference": "power_law",
-        "models": "newtonian_fit1, literature_3.5e-03",
-    },
-}
-
-
-def _floats(text: str, count: int | None = None) -> list[float]:
-    try:
-        values = [float(part) for part in text.split(",")]
-    except ValueError as exc:
-        raise ValidationError(f"cannot parse {text!r} as numbers") from exc
-    if count is not None and len(values) != count:
-        raise ValidationError(f"expected {count} values, got {text!r}")
-    return values
-
-
-@dataclass
-class RunConfig:
-    """Parsed and validated pipeline configuration."""
-
-    text: str
-    output_dir: Path
-    mesh_path: Path | None
-    pipe_radius: float
-    pipe_length: float
-    pipe_resolution: int
-    hct: float
-    shear_floor: float
-    fit1_range: tuple[float, float]
-    fit2_range: tuple[float, float]
-    literature: list[float]
-    pressure_drop: float
-    period: float
-    phases: int
-    sequence: SequenceParams
-    quadrature: int
-    sigma_fraction: float
-    seed: int
-    cuts: list[float]
-    windkessel: WindkesselParams
-    wk_cycles: int
-    wk_steps: int
-    reference_model: str
-    alternative_models: list[str]
-
-    @property
-    def config_hash(self) -> str:
-        return hashlib.sha256(self.text.encode()).hexdigest()
-
-
-def _render_config(values: dict, with_output_dir: bool = True) -> str:
-    # the artifact location is not part of the pipeline's identity, so
-    # the hashed effective config can omit it (with_output_dir=False)
-    lines = []
-    for section, keys in values.items():
-        lines.append(f"[{section}]")
-        for key in keys:
-            if not with_output_dir and (section, key) == ("paths",
-                                                          "output_dir"):
-                continue
-            lines.append(f"{key} = {keys[key]}")
-        lines.append("")
-    return "\n".join(lines)
-
-
-def _check_model_name(name: str) -> None:
-    if name in ("power_law", "newtonian_fit1", "newtonian_fit2"):
-        return
-    if name.startswith("literature_"):
-        try:
-            float(name[len("literature_"):])
-            return
-        except ValueError:
-            pass
-    raise ValidationError(
-        f"unknown viscosity model {name!r}; use power_law, newtonian_fit1, "
-        "newtonian_fit2, or literature_<viscosity in Pa s>")
-
-
-def load_config(path: str | Path | None = None,
-                overrides: dict | None = None) -> RunConfig:
-    """Merge a config file over the defaults and validate it strictly."""
-    merged = {section: dict(keys) for section, keys in DEFAULTS.items()}
-    if path is not None:
-        parser = configparser.ConfigParser(interpolation=None)
-        try:
-            with open(path) as fh:
-                parser.read_file(fh)
-        except (OSError, configparser.Error) as exc:
-            raise ValidationError(f"cannot read config {path}: {exc}") from exc
-        for section in parser.sections():
-            if section not in merged:
-                raise ValidationError(f"unknown config section [{section}]")
-            for key, value in parser.items(section):
-                if key not in merged[section]:
-                    raise ValidationError(
-                        f"unknown config key {key!r} in [{section}]")
-                merged[section][key] = value.strip()
-    for (section, key), value in (overrides or {}).items():
-        merged[section][key] = str(value)
-
-    try:
-        return _typed_config(merged)
-    except ValueError as exc:
-        raise ValidationError(f"invalid config value: {exc}") from exc
-
-
-def _typed_config(merged: dict) -> RunConfig:
-    mesh_value = merged["paths"]["mesh"].strip()
-    mesh_path = Path(mesh_value) if mesh_value else None
-    if mesh_path is not None and not mesh_path.is_file():
-        raise ValidationError(f"mesh file {mesh_path} does not exist")
-
-    phases = int(merged["flow"]["cardiac_phases"])
-    seq = merged["sequence"]
-    sequence = SequenceParams(
-        venc=float(seq["venc_m_s"]),
-        matrix=tuple(int(v) for v in _floats(seq["matrix"], 3)),
-        voxel=tuple(v * 1e-3 for v in _floats(seq["voxel_mm"], 3)),
-        oversampling=int(seq["oversampling"]),
-        cardiac_phases=phases,
-        time_spacing=float(seq["time_spacing_ms"]) * 1e-3,
-        t2_star=float(seq["t2_star_ms"]) * 1e-3,
-        adc_bandwidth=float(seq["adc_bandwidth_khz"]) * 1e3,
-        slew_rate=float(seq["slew_rate_t_m_s"]),
-        max_gradient=float(seq["max_gradient_mt_m"]) * 1e-3,
-        fov_center=tuple(v * 1e-3 for v in _floats(seq["fov_center_mm"], 3)),
-    )
-    quadrature = int(seq["quadrature"])
-
-    wk = merged["windkessel"]
-    wk_params = WindkesselParams(
-        proximal_resistance=float(wk["proximal_resistance_cgs"]),
-        distal_resistance=float(wk["distal_resistance_cgs"]),
-        compliance=float(wk["compliance_cgs"]),
-        initial_distal_pressure=float(wk["initial_pressure_mmhg"]) * MMHG,
-    )
-
-    reference = merged["comparison"]["reference"].strip()
-    alternatives = [m.strip() for m in
-                    merged["comparison"]["models"].split(",") if m.strip()]
-    for name in [reference, *alternatives]:
-        _check_model_name(name)
-
-    cuts = _floats(merged["segments"]["cuts_m"])
-    if sorted(cuts) != cuts:
-        raise ValidationError("segment cuts must increase along the axis")
-
-    return RunConfig(
-        text=_render_config(merged, with_output_dir=False),
-        output_dir=Path(merged["paths"]["output_dir"]),
-        mesh_path=mesh_path,
-        pipe_radius=float(merged["pipe"]["radius_m"]),
-        pipe_length=float(merged["pipe"]["length_m"]),
-        pipe_resolution=int(merged["pipe"]["resolution"]),
-        hct=float(merged["rheology"]["hct"]),
-        shear_floor=float(merged["rheology"]["shear_floor"]),
-        fit1_range=tuple(_floats(merged["rheology"]["fit1_range"], 2)),
-        fit2_range=tuple(_floats(merged["rheology"]["fit2_range"], 2)),
-        literature=_floats(merged["rheology"]["literature_pa_s"]),
-        pressure_drop=float(merged["flow"]["pressure_drop_pa"]),
-        period=float(merged["flow"]["cardiac_period_s"]),
-        phases=phases,
-        sequence=sequence,
-        quadrature=quadrature,
-        sigma_fraction=float(merged["noise"]["sigma_fraction"]),
-        seed=int(merged["noise"]["seed"]),
-        cuts=cuts,
-        windkessel=wk_params,
-        wk_cycles=int(wk["cycles"]),
-        wk_steps=int(wk["steps_per_cycle"]),
-        reference_model=reference,
-        alternative_models=alternatives,
-    )
-
-
-# =========================================================================
-# Model matrix
-# =========================================================================
-
-def fit_models(cfg: RunConfig):
-    """Power-law fit at the configured hematocrit plus Newtonian fits."""
-    pl = fit_for_hct(cfg.hct)
-    fits = {
-        "newtonian_fit1": newtonian_equivalent(pl, cfg.fit1_range),
-        "newtonian_fit2": newtonian_equivalent(pl, cfg.fit2_range),
-    }
-    return pl, fits
-
-
-def resolve_model(name: str, pl: PowerLawParams, fits: dict):
-    """Map a model name to a viscosity (PowerLawParams or Pa s float)."""
-    _check_model_name(name)
-    if name == "power_law":
-        return pl
-    if name in fits:
-        return fits[name]
-    return float(name[len("literature_"):])
-
-
-# =========================================================================
-# Pipeline stages
-# =========================================================================
-
-def _stage_mesh(cfg: RunConfig):
-    if cfg.mesh_path is not None:
-        log.info("loading mesh %s", cfg.mesh_path)
-        return load_mesh(cfg.mesh_path)
-    log.info("generating pipe mesh (R=%g m, L=%g m, resolution %d)",
-             cfg.pipe_radius, cfg.pipe_length, cfg.pipe_resolution)
-    return generate_pipe_mesh(cfg.pipe_radius, cfg.pipe_length,
-                              resolution=cfg.pipe_resolution)
-
-
-def _stage_flow(cfg: RunConfig, mesh, pl: PowerLawParams):
-    """Pulsatile power-law pipe field sampled at the cardiac phases."""
-    steady = poiseuille_power_law(mesh, pl, cfg.pressure_drop)
-    peak_speed = np.linalg.norm(steady.values[0], axis=1).max()
-    shape = inlet_waveform()
-    frame_times = np.arange(cfg.phases) / cfg.phases * cfg.period
-    scaled = FlowWaveform(
-        times=frame_times,
-        values=peak_speed * shape.value_at(frame_times / cfg.period
-                                           * shape.period),
-        period=cfg.period)
-    field = pulsatile_scale(steady, scaled)
-    mid = CutPlane(point=(0.0, 0.0, cfg.pipe_length / 2.0),
-                   normal=(0.0, 0.0, 1.0))
-    flows = flow_rate(field, mesh, mid)
-    log.info("flow: peak velocity %.3f m/s, peak flow %.1f ml/s",
-             peak_speed, flows.max() * 1e6)
-    return field, flows
-
-
-def _write_flow_csv(field, flows, path: Path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["time_s", "flow_m3_s", "flow_ml_s"])
-        for t, q in zip(field.times, flows):
-            writer.writerow([f"{t:.10g}", f"{q:.10g}", f"{q * 1e6:.10g}"])
-
-
-def _stage_windkessel(cfg: RunConfig, field, flows, path: Path):
-    wave = FlowWaveform(times=field.times.copy(), values=flows * 1e6,
-                        period=cfg.period)
-    trace = simulate_windkessel(cfg.windkessel, wave, n_cycles=cfg.wk_cycles,
-                                steps_per_cycle=cfg.wk_steps)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["time_s", "flow_ml_s", "pressure_mmhg",
-                         "distal_pressure_mmhg"])
-        for t, q, p, pd in zip(trace.times, trace.flow, trace.pressure,
-                               trace.distal_pressure):
-            writer.writerow([f"{t:.10g}", f"{q:.10g}",
-                             f"{p / MMHG:.10g}", f"{pd / MMHG:.10g}"])
-    log.info("windkessel: pressure %.1f-%.1f mmHg, mean %.1f mmHg",
-             trace.pressure.min() / MMHG, trace.pressure.max() / MMHG,
-             trace.mean_pressure() / MMHG)
-    return trace
-
-
-def _stage_mri(cfg: RunConfig, mesh, field, out: Path | None):
-    """Synthesize, perturb, reconstruct, and decode every cardiac phase."""
-    m0 = np.ones(mesh.n_vertices)
-    timings = sequence_timings(cfg.sequence)
-    log.info("sequence: TE %.3f ms, readout gradient %.2f mT/m",
-             timings.echo_time * 1e3, timings.readout_gradient * 1e3)
-    decoded = []
-    for frame in range(field.n_frames):
-        k = synthesize_frame(mesh, m0, field, cfg.sequence, frame=frame,
-                             quadrature=cfg.quadrature)
-        k = add_noise(k, cfg.sigma_fraction, seed=cfg.seed + frame)
-        img = reconstruct(k)
-        if out is not None:
-            save_kspace(k, out / f"kspace_phase{frame:03d}.json")
-            save_images(img, out / f"images_phase{frame:03d}.json")
-        decoded.append(phase_to_velocity(img))
-        log.info("phase %d/%d synthesized and decoded", frame + 1,
-                 field.n_frames)
-    return decoded
-
-
-def _stage_estimate(cfg: RunConfig, mesh, decoded, out: Path):
-    """Biomarkers for every model in the comparison matrix, plus exports."""
-    order = np.argsort([d.frame_time for d in decoded])
-    decoded = [decoded[i] for i in order]
-    times = np.array([d.frame_time for d in decoded])
-    if times.size < 2 or np.any(np.diff(times) <= 0):
-        raise ValidationError("need at least two distinct cardiac phases")
-
-    planes = [CutPlane(point=(0.0, 0.0, z), normal=(0.0, 0.0, 1.0))
-              for z in cfg.cuts]
-    labels = segment_labels(mesh, planes)
-    names = list(segment_names(len(cfg.cuts) + 1))
-    wall_idx, wall_norm = wall_normals(mesh)
-    wall_labels = labels[wall_idx]
-    volumes = nodal_volumes(mesh)
-
-    vertex_speeds = []
-    gradients = []
-    for d in decoded:
-        u = interpolate_to_mesh(d, mesh).values[0]
-        vertex_speeds.append(u)
-        gradients.append(recover_gradients(mesh, u))
-
-    pl, fits = fit_models(cfg)
-    models = {name: resolve_model(name, pl, fits)
-              for name in dict.fromkeys([cfg.reference_model,
-                                         *cfg.alternative_models])}
-
-    blocks: list[SegmentStats] = []
-    tractions: dict[str, list[np.ndarray]] = {name: [] for name in models}
-    wall_mags: dict[str, list[np.ndarray]] = {name: [] for name in models}
-    for name, viscosity in models.items():
-        for frame, G in enumerate(gradients):
-            traction, mag = wss(G[wall_idx], wall_norm, viscosity)
-            tractions[name].append(traction)
-            wall_mags[name].append(mag)
-            blocks.append(segment_stats(mag, wall_labels, names,
-                                        parameter=f"wss:{name}", frame=frame))
-            el = energy_loss_rate(G, viscosity, volumes)
-            blocks.append(segment_stats(el, labels, names,
-                                        parameter=f"el_rate:{name}",
-                                        frame=frame))
-        osi_values = osi(np.stack(tractions[name]), times, cfg.period)
-        blocks.append(segment_stats(osi_values, wall_labels, names,
-                                    parameter=f"osi:{name}", frame=None))
-
-    keyed = {(b.parameter, b.frame): b for b in blocks}
-    systolic = _systolic_frame(keyed, cfg.reference_model)
-    log.info("systolic frame %d (t = %.3f s)", systolic, times[systolic])
-
-    G_sys = gradients[systolic]
-    visc_ref = models[cfg.reference_model]
-    traction_sys = tractions[cfg.reference_model][systolic]
-    full_traction = np.zeros((mesh.n_vertices, 3))
-    full_traction[wall_idx] = traction_sys
-    full_mag = np.zeros(mesh.n_vertices)
-    full_mag[wall_idx] = wall_mags[cfg.reference_model][systolic]
-    full_osi = np.zeros(mesh.n_vertices)
-    full_osi[wall_idx] = osi(np.stack(tractions[cfg.reference_model]),
-                             times, cfg.period)
-    rates = shear_rate(G_sys)
-    if isinstance(visc_ref, PowerLawParams):
-        mu_map = apparent_viscosity(visc_ref, rates, floor=cfg.shear_floor)
-    else:
-        mu_map = np.full(mesh.n_vertices, visc_ref)
-    export_fields_vtk(mesh, {
-        "velocity": vertex_speeds[systolic],
-        "wss_vector": full_traction,
-        "wss_mag": full_mag,
-        "osi": full_osi,
-        "el_rate": energy_loss_rate(G_sys, visc_ref, volumes),
-        "mu_apparent": mu_map,
-    }, out / "fields_systole.vtk")
-    return blocks, systolic
-
-
-def _write_stats_csv(blocks, path: Path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["segment", "frame", "param", "count", "mean", "std"])
-        for block in blocks:
-            for row in block.as_rows():
-                writer.writerow([
-                    row["segment"],
-                    "" if row["frame"] is None else row["frame"],
-                    row["param"], row["count"],
-                    "" if row["mean"] is None else f"{row['mean']:.10g}",
-                    "" if row["std"] is None else f"{row['std']:.10g}"])
-
-
-def _read_stats_csv(path: str | Path) -> dict:
-    """Stats CSV back into SegmentStats keyed by (param, frame)."""
-    blocks: dict[tuple, SegmentStats] = {}
-    try:
-        with open(path, newline="") as fh:
-            rows = list(csv.DictReader(fh))
-    except OSError as exc:
-        raise ValidationError(f"cannot read stats file {path}: {exc}") from exc
-    for row in rows:
-        try:
-            frame = int(row["frame"]) if row["frame"] else None
-            key = (row["param"], frame)
-            block = blocks.get(key)
-            if block is None:
-                block = SegmentStats(parameter=row["param"], segments=[],
-                                     counts=[], means=[], stds=[],
-                                     frame=frame)
-                blocks[key] = block
-            block.segments.append(row["segment"])
-            block.counts.append(int(row["count"]))
-            block.means.append(float(row["mean"]) if row["mean"] else None)
-            block.stds.append(float(row["std"]) if row["std"] else None)
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ValidationError(
-                f"{path}: malformed stats row {row!r}: {exc}") from exc
-    if not blocks:
-        raise ValidationError(f"{path}: no statistics rows found")
-    return blocks
-
-
-def _systolic_frame(blocks: dict, reference: str) -> int:
-    """Frame with the highest cross-segment mean reference WSS."""
-    best, best_frame = -np.inf, None
-    for (param, frame), block in blocks.items():
-        if param == f"wss:{reference}" and frame is not None:
-            mean = block.cross_mean
-            if mean is not None and mean > best:
-                best, best_frame = mean, frame
-    if best_frame is None:
-        raise ValidationError(
-            f"stats contain no per-frame wss:{reference} rows")
-    return best_frame
-
-
-def _build_comparison(blocks: dict, reference: str, alternatives: list,
-                      systolic: int) -> list[dict]:
-    rows = []
-    for quantity in QUANTITIES:
-        frame = None if quantity == "osi" else systolic
-        ref_key = (f"{quantity}:{reference}", frame)
-        if ref_key not in blocks:
-            raise ValidationError(f"stats lack {ref_key[0]} at frame {frame}")
-        for alt_name in alternatives:
-            alt_key = (f"{quantity}:{alt_name}", frame)
-            if alt_key not in blocks:
-                raise ValidationError(
-                    f"stats lack {alt_key[0]} at frame {frame}")
-            for row in compare_models(blocks[ref_key], blocks[alt_key]):
-                row["param"] = quantity
-                row["reference_model"] = reference
-                row["alternative_model"] = alt_name
-                rows.append(row)
-    return rows
-
-
-def _write_comparison_csv(rows: list[dict], path: Path) -> None:
-    def fmt(value):
-        return "" if value is None else f"{value:.10g}"
-
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["segment", "frame", "param", "reference_model",
-                         "alternative_model", "reference_mean",
-                         "alternative_mean", "absolute_difference",
-                         "relative_difference_pct"])
-        for row in rows:
-            writer.writerow([
-                row["segment"],
-                "" if row["frame"] is None else row["frame"],
-                row["param"], row["reference_model"],
-                row["alternative_model"], fmt(row["reference_mean"]),
-                fmt(row["alternative_mean"]),
-                fmt(row["absolute_difference"]),
-                fmt(row["relative_difference_pct"])])
-
-
-def _read_comparison_csv(path: str | Path) -> list[dict]:
-    try:
-        with open(path, newline="") as fh:
-            raw = list(csv.DictReader(fh))
-    except OSError as exc:
-        raise ValidationError(f"cannot read comparison {path}: {exc}") from exc
-    rows = []
-    for row in raw:
-        rows.append({
-            "segment": row["segment"],
-            "frame": int(row["frame"]) if row["frame"] else None,
-            "param": row["param"],
-            "reference_model": row["reference_model"],
-            "alternative_model": row["alternative_model"],
-            "reference_mean": float(row["reference_mean"])
-            if row["reference_mean"] else None,
-            "alternative_mean": float(row["alternative_mean"])
-            if row["alternative_mean"] else None,
-            "absolute_difference": float(row["absolute_difference"])
-            if row["absolute_difference"] else None,
-            "relative_difference_pct": float(row["relative_difference_pct"])
-            if row["relative_difference_pct"] else None,
-        })
-    return rows
-
-
-# =========================================================================
-# Report rendering
-# =========================================================================
-
-_UNITS = {"wss": "Pa", "osi": "-", "el_rate": "uW"}
-_PALETTE = ("#4878a8", "#e49444", "#5ca05c", "#c24f4f", "#8f7ac2",
-            "#937860")
-
-
-def _report_tables(blocks: dict, systolic: int) -> str:
-    lines = ["# Hemodynamic summary", ""]
-    for quantity in QUANTITIES:
-        frame = None if quantity == "osi" else systolic
-        picked = {param.split(":", 1)[1]: block
-                  for (param, frame_key), block in blocks.items()
-                  if param.startswith(f"{quantity}:") and frame_key == frame}
-        if not picked:
-            continue
-        when = "cycle" if frame is None else f"frame {frame}"
-        lines.append(f"## {quantity} [{_UNITS[quantity]}] ({when})")
-        lines.append("")
-        models = list(picked)
-        segments = picked[models[0]].segments
-        lines.append("| segment | " + " | ".join(models) + " |")
-        lines.append("|" + "---|" * (len(models) + 1))
-        for i, segment in enumerate(segments):
-            cells = []
-            for model in models:
-                block = picked[model]
-                if block.means[i] is None:
-                    cells.append("n/a")
-                else:
-                    cells.append(f"{block.means[i]:.4g} +/- "
-                                 f"{block.stds[i]:.4g}")
-            lines.append(f"| {segment} | " + " | ".join(cells) + " |")
-        lines.append("")
-    return "\n".join(lines)
-
-
-def _comparison_table(rows: list[dict]) -> str:
-    lines = ["## Model differences (alternative vs reference)", "",
-             "| param | segment | alternative | absolute | relative % |",
-             "|---|---|---|---|---|"]
-    for row in rows:
-        absolute = row["absolute_difference"]
-        relative = row["relative_difference_pct"]
-        lines.append(
-            f"| {row['param']} | {row['segment']} | "
-            f"{row['alternative_model']} | "
-            f"{'n/a' if absolute is None else f'{absolute:+.4g}'} | "
-            f"{'n/a' if relative is None else f'{relative:+.2f}'} |")
-    lines.append("")
-    return "\n".join(lines)
-
-
-def _svg_report(blocks: dict, systolic: int) -> str:
-    """Grouped mean+-std bar charts, one panel per quantity."""
-    panel_w, panel_h, margin = 640, 190, 48
-    panels = []
-    y0 = 0
-    for quantity in QUANTITIES:
-        frame = None if quantity == "osi" else systolic
-        picked = {param.split(":", 1)[1]: block
-                  for (param, frame_key), block in blocks.items()
-                  if param.startswith(f"{quantity}:") and frame_key == frame}
-        if not picked:
-            continue
-        models = list(picked)
-        segments = picked[models[0]].segments
-        tops = [block.means[i] + (block.stds[i] or 0.0)
-                for block in picked.values()
-                for i in range(len(segments)) if block.means[i] is not None]
-        vmax = max(tops) if tops else 1.0
-        vmax = vmax if vmax > 0 else 1.0
-        plot_w = panel_w - 2 * margin
-        plot_h = panel_h - 60
-        group_w = plot_w / len(segments)
-        bar_w = min(26.0, group_w / (len(models) + 1))
-        parts = [f'<g transform="translate(0,{y0})">',
-                 f'<text x="{margin}" y="18" font-size="15" '
-                 f'font-weight="bold">{quantity} [{_UNITS[quantity]}]'
-                 f'{"" if frame is None else f" at frame {frame}"}</text>',
-                 f'<line x1="{margin}" y1="{30 + plot_h}" '
-                 f'x2="{margin + plot_w}" y2="{30 + plot_h}" '
-                 'stroke="#444"/>']
-        for s, segment in enumerate(segments):
-            gx = margin + s * group_w
-            for mi, model in enumerate(models):
-                block = picked[model]
-                mean = block.means[s]
-                if mean is None:
-                    continue
-                h = max(0.0, mean / vmax * plot_h)
-                x = gx + (mi + 1) * (group_w - bar_w * len(models)) \
-                    / (len(models) + 1) + mi * bar_w
-                y = 30 + plot_h - h
-                color = _PALETTE[mi % len(_PALETTE)]
-                parts.append(f'<rect x="{x:.1f}" y="{y:.1f}" '
-                             f'width="{bar_w:.1f}" height="{h:.1f}" '
-                             f'fill="{color}"/>')
-                std = block.stds[s] or 0.0
-                if std > 0:
-                    eh = std / vmax * plot_h
-                    cx = x + bar_w / 2
-                    parts.append(
-                        f'<line x1="{cx:.1f}" y1="{max(30, y - eh):.1f}" '
-                        f'x2="{cx:.1f}" y2="{min(30 + plot_h, y + eh):.1f}" '
-                        'stroke="#222" stroke-width="1.2"/>')
-            parts.append(f'<text x="{gx + group_w / 2:.1f}" '
-                         f'y="{30 + plot_h + 16}" font-size="12" '
-                         f'text-anchor="middle">{segment}</text>')
-        parts.append(f'<text x="{margin}" y="{30 + plot_h + 34}" '
-                     f'font-size="11" fill="#333">max {vmax:.4g} '
-                     f'{_UNITS[quantity]}; models: '
-                     + ", ".join(f"{m} ({_PALETTE[i % len(_PALETTE)]})"
-                                 for i, m in enumerate(models))
-                     + "</text>")
-        parts.append("</g>")
-        panels.append("\n".join(parts))
-        y0 += panel_h
-    body = "\n".join(panels)
-    return (f'<svg xmlns="http://www.w3.org/2000/svg" width="{panel_w}" '
-            f'height="{max(y0, 1)}" font-family="sans-serif">\n'
-            f'<rect width="100%" height="100%" fill="white"/>\n'
-            f"{body}\n</svg>\n")
-
-
-def _stage_report(blocks: dict, comparison: list[dict] | None, systolic: int,
-                  out: Path) -> None:
-    text = _report_tables(blocks, systolic)
-    if comparison:
-        text += "\n" + _comparison_table(comparison)
-    (out / "report.md").write_text(text)
-    (out / "report.svg").write_text(_svg_report(blocks, systolic))
-    log.info("report written to %s", out)
-
-
-# =========================================================================
-# Manifest
-# =========================================================================
-
-def _write_manifest(cfg: RunConfig, out: Path) -> None:
-    artifacts = {}
-    for path in sorted(out.rglob("*")):
-        if path.is_file() and path.name != "manifest.json":
-            digest = hashlib.sha256(path.read_bytes()).hexdigest()
-            artifacts[path.relative_to(out).as_posix()] = {
-                "sha256": digest, "bytes": path.stat().st_size}
-    manifest = {
-        "config_sha256": cfg.config_hash,
-        "package": {"name": "hemoflow", "version": __version__},
-        "dependencies": {"numpy": np.__version__, "scipy": scipy.__version__},
-        "seed": cfg.seed,
-        "artifacts": artifacts,
-    }
-    (out / "manifest.json").write_text(
-        json.dumps(manifest, indent=2, sort_keys=True) + "\n")
-
-
-# =========================================================================
-# Orchestration
-# =========================================================================
-
-def run_pipeline(cfg: RunConfig) -> Path:
-    """Every stage in sequence; returns the artifact directory."""
-    out = cfg.output_dir
-    out.mkdir(parents=True, exist_ok=True)
-    (out / "config.ini").write_text(cfg.text)
-
-    stage = "rheology"
-    try:
-        pl, fits = fit_models(cfg)
-        log.info("rheology: m=%.4e, n=%.4f, fit1=%.4e, fit2=%.4e Pa s",
-                 pl.m, pl.n, fits["newtonian_fit1"], fits["newtonian_fit2"])
-        (out / "rheology.json").write_text(json.dumps({
-            "hct": cfg.hct, "m": pl.m, "n": pl.n,
-            "newtonian_fit1": fits["newtonian_fit1"],
-            "newtonian_fit2": fits["newtonian_fit2"],
-            "fit1_range": list(cfg.fit1_range),
-            "fit2_range": list(cfg.fit2_range),
-            "literature": cfg.literature}, indent=2, sort_keys=True) + "\n")
-
-        stage = "mesh"
-        mesh = _stage_mesh(cfg)
-
-        stage = "flow"
-        field, flows = _stage_flow(cfg, mesh, pl)
-        _write_flow_csv(field, flows, out / "flow.csv")
-
-        stage = "windkessel"
-        _stage_windkessel(cfg, field, flows, out / "windkessel.csv")
-
-        stage = "mri"
-        decoded = _stage_mri(cfg, mesh, field, out)
-
-        stage = "estimate"
-        blocks, systolic = _stage_estimate(cfg, mesh, decoded, out)
-        _write_stats_csv(blocks, out / "stats.csv")
-
-        stage = "compare"
-        keyed = {(b.parameter, b.frame): b for b in blocks}
-        comparison = _build_comparison(keyed, cfg.reference_model,
-                                       cfg.alternative_models, systolic)
-        _write_comparison_csv(comparison, out / "comparison.csv")
-
-        stage = "report"
-        _stage_report(keyed, comparison, systolic, out)
-    except HemoflowError as exc:
-        raise type(exc)(f"[stage {stage}] {exc}") from exc
-
-    _write_manifest(cfg, out)
-    log.info("pipeline complete: %s", out)
-    return out
-
 
 # =========================================================================
 # Subcommands
@@ -826,7 +58,7 @@ def cmd_init_demo(args) -> int:
     path = Path(args.out)
     if path.exists() and not args.force:
         raise ValidationError(f"{path} exists; pass --force to overwrite")
-    path.write_text(_render_config(DEFAULTS))
+    path.write_text(render_config(DEFAULTS))
     print(path)
     return 0
 
@@ -835,22 +67,19 @@ def cmd_fit_rheology(args) -> int:
     cfg = _config_from_args(args)
     if args.hct is not None:
         cfg.hct = args.hct
-    pl, fits = fit_models(cfg)
+    fitted = fit_models(cfg)
+    pl = fitted["power_law"]
     print(f"hct = {cfg.hct:g}")
     print(f"m = {pl.m:.6g} Pa s^n")
     print(f"n = {pl.n:.6g}")
     lo1, hi1 = cfg.fit1_range
     lo2, hi2 = cfg.fit2_range
     print(f"newtonian_fit1 ({lo1:g}-{hi1:g} 1/s) = "
-          f"{fits['newtonian_fit1']:.6g} Pa s")
+          f"{fitted['newtonian_fit1'].m:.6g} Pa s")
     print(f"newtonian_fit2 ({lo2:g}-{hi2:g} 1/s) = "
-          f"{fits['newtonian_fit2']:.6g} Pa s")
+          f"{fitted['newtonian_fit2'].m:.6g} Pa s")
     if args.params_out:
-        Path(args.params_out).write_text(json.dumps({
-            "hct": cfg.hct, "m": pl.m, "n": pl.n,
-            "newtonian_fit1": fits["newtonian_fit1"],
-            "newtonian_fit2": fits["newtonian_fit2"]},
-            indent=2, sort_keys=True) + "\n")
+        write_rheology_json(cfg, fitted, Path(args.params_out))
     return 0
 
 
@@ -865,24 +94,16 @@ def cmd_windkessel(args) -> int:
     print(f"pressure range = {trace.pressure.min() / MMHG:.2f} to "
           f"{trace.pressure.max() / MMHG:.2f} mmHg")
     if args.trace_out:
-        with open(args.trace_out, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["time_s", "flow_ml_s", "pressure_mmhg",
-                             "distal_pressure_mmhg"])
-            for t, q, p, pd in zip(trace.times, trace.flow, trace.pressure,
-                                   trace.distal_pressure):
-                writer.writerow([f"{t:.10g}", f"{q:.10g}",
-                                 f"{p / MMHG:.10g}", f"{pd / MMHG:.10g}"])
+        write_windkessel_csv(trace, Path(args.trace_out))
     return 0
 
 
 def cmd_synth_mri(args) -> int:
     cfg = _config_from_args(args, need_out=True)
-    pl, _ = fit_models(cfg)
-    mesh = _stage_mesh(cfg)
-    field, flows = _stage_flow(cfg, mesh, pl)
-    _write_flow_csv(field, flows, cfg.output_dir / "flow.csv")
-    _stage_mri(cfg, mesh, field, cfg.output_dir)
+    mesh = stage_mesh(cfg)
+    field, _ = stage_flow(cfg, mesh, fit_models(cfg)["power_law"],
+                          cfg.output_dir)
+    stage_mri(cfg, mesh, field, cfg.output_dir)
     print(cfg.output_dir)
     return 0
 
@@ -912,24 +133,24 @@ def cmd_estimate(args) -> int:
     if not files:
         raise ValidationError(f"no images_*.json files in {source}")
     decoded = [phase_to_velocity(load_images(path)) for path in files]
-    mesh = _stage_mesh(cfg)
-    blocks, systolic = _stage_estimate(cfg, mesh, decoded, cfg.output_dir)
-    _write_stats_csv(blocks, cfg.output_dir / "stats.csv")
-    keyed = {(b.parameter, b.frame): b for b in blocks}
-    comparison = _build_comparison(keyed, cfg.reference_model,
-                                   cfg.alternative_models, systolic)
-    _write_comparison_csv(comparison, cfg.output_dir / "comparison.csv")
+    mesh = stage_mesh(cfg)
+    stage_estimate(cfg, fit_models(cfg), mesh, decoded, cfg.output_dir)
     print(cfg.output_dir)
     return 0
 
 
-def cmd_compare(args) -> int:
-    blocks = _read_stats_csv(args.stats)
+def _stats_and_systole(args):
+    blocks = read_stats_csv(args.stats)
     systolic = args.frame if args.frame is not None \
-        else _systolic_frame(blocks, args.reference)
-    rows = _build_comparison(blocks, args.reference, args.alternative,
-                             systolic)
-    _write_comparison_csv(rows, Path(args.out))
+        else systolic_frame(blocks, args.reference)
+    return blocks, systolic
+
+
+def cmd_compare(args) -> int:
+    blocks, systolic = _stats_and_systole(args)
+    rows = build_comparison(blocks, args.reference, args.alternative,
+                            systolic)
+    write_comparison_csv(rows, Path(args.out))
     for row in rows:
         relative = row["relative_difference_pct"]
         print(f"{row['param']:8s} {row['segment']:12s} "
@@ -939,14 +160,12 @@ def cmd_compare(args) -> int:
 
 
 def cmd_report(args) -> int:
-    blocks = _read_stats_csv(args.stats)
-    systolic = args.frame if args.frame is not None \
-        else _systolic_frame(blocks, args.reference)
-    comparison = _read_comparison_csv(args.comparison) \
+    blocks, systolic = _stats_and_systole(args)
+    comparison = read_comparison_csv(args.comparison) \
         if args.comparison else None
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    _stage_report(blocks, comparison, systolic, out)
+    write_report(blocks, comparison, systolic, out)
     print(out)
     return 0
 

@@ -47,7 +47,3 @@ class LabelingError(HemoflowError):
 
 class SequenceError(HemoflowError):
     """Requested MR sequence cannot be realized within hardware limits."""
-
-
-class NumericalError(HemoflowError):
-    """A numerical routine produced an invalid result."""

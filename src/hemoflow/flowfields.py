@@ -20,7 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import GeometryError, ValidationError
-from .mesh import CutPlane, TetMesh, _mesh_lines, _VtkTokens
+from .mesh import CutPlane, TetMesh, _mesh_lines, _read_vtk
 from .rheology import PowerLawParams
 
 __all__ = [
@@ -323,34 +323,8 @@ def save_velocity_frame_vtk(mesh: TetMesh, velocities: np.ndarray,
 
 def load_velocity_frame_vtk(path: str | Path) -> tuple[float, np.ndarray]:
     """Read the frame time and velocity vectors from a VTK frame file."""
-    path = Path(path)
-    try:
-        text = path.read_text()
-    except OSError as exc:
-        raise ValidationError(f"cannot read {path}: {exc}") from exc
-    tk = _VtkTokens(text, path)
-    time = 0.0
-    if tk.title.startswith("hemoflow "):
-        try:
-            time = float(json.loads(tk.title[9:]).get("frame_time", 0.0))
-        except json.JSONDecodeError:
-            pass
-    velocities = None
-    n_points = None
-    while tk.pos < len(tk.tokens):
-        tok = tk.next().upper()
-        if tok == "POINTS":
-            n_points = int(tk.next())
-            tk.next()
-            tk.floats(3 * n_points)
-        elif tok == "VECTORS":
-            name = tk.next()
-            tk.next()
-            if n_points is None:
-                raise ValidationError(f"{path}: VECTORS before POINTS")
-            data = tk.floats(3 * n_points).reshape(-1, 3)
-            if name == "velocity":
-                velocities = data
+    metadata, _, _, _, data = _read_vtk(Path(path))
+    velocities = data.get(("point", "velocity"))
     if velocities is None:
         raise ValidationError(f"{path}: no velocity point vectors found")
-    return time, velocities
+    return float(metadata.get("frame_time", 0.0)), velocities

@@ -4,9 +4,10 @@ From a per-vertex velocity field this module recovers velocity
 gradients (lumped L2 projection of the element gradients), evaluates
 wall shear stress as the viscous traction 2 mu eps n at wall vertices,
 the oscillatory shear index over a cardiac cycle, and the nodal rate of
-viscous energy loss. Every quantity accepts either a constant Newtonian
-viscosity (Pa s) or a power-law model evaluated at the local shear
-rate, so model comparisons share identical velocity gradients.
+viscous energy loss. Every quantity takes a power-law model evaluated
+at the local shear rate, so model comparisons share identical velocity
+gradients; a constant Newtonian viscosity (Pa s) is accepted as the
+power law with that consistency index and n = 1.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from scipy.interpolate import RegularGridInterpolator
 from .errors import GeometryError, ValidationError
 from .flowfields import VelocityField
 from .mesh import TetMesh, _mesh_lines, nodal_volumes, tet_volumes
-from .rheology import SHEAR_RATE_FLOOR, PowerLawParams, apparent_viscosity
+from .rheology import PowerLawParams, apparent_viscosity
 
 __all__ = [
     "recover_gradients",
@@ -75,20 +76,16 @@ def shear_rate(gradients: np.ndarray) -> np.ndarray:
     return np.sqrt(2.0 * np.einsum("...ij,...ij->...", strain, strain))
 
 
-def viscosity_at(viscosity, gradients: np.ndarray,
-                 floor: float = SHEAR_RATE_FLOOR) -> np.ndarray:
+def viscosity_at(viscosity, gradients: np.ndarray) -> np.ndarray:
     """Viscosity evaluated per gradient tensor.
 
-    A float is broadcast (Newtonian); a power-law model is evaluated at
-    the local shear rate with the low-shear floor.
+    The power-law model is evaluated at the local shear rate, clamped
+    below at ``SHEAR_RATE_FLOOR``. A float mu (Pa s) is the Newtonian
+    curve m = mu, n = 1, which gives exactly mu everywhere.
     """
-    rates = shear_rate(gradients)
-    if isinstance(viscosity, PowerLawParams):
-        return apparent_viscosity(viscosity, rates, floor=floor)
-    mu = float(viscosity)
-    if mu <= 0:
-        raise ValidationError("viscosity must be positive")
-    return np.full(rates.shape, mu)
+    if not isinstance(viscosity, PowerLawParams):
+        viscosity = PowerLawParams(m=float(viscosity), n=1.0)
+    return apparent_viscosity(viscosity, shear_rate(gradients))
 
 
 def wss(gradients: np.ndarray, normals: np.ndarray,
@@ -341,16 +338,23 @@ def write_stats_csv(stats: Sequence[SegmentStats], path: str | Path) -> None:
 
 
 def write_comparison_csv(rows: Sequence[dict], path: str | Path) -> None:
-    """Write model-comparison rows produced by compare_models as CSV."""
+    """Write model-comparison rows produced by compare_models as CSV.
+
+    The model-name columns are blank for rows that do not name their
+    models (bare ``compare_models`` output).
+    """
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["segment", "frame", "param", "reference_mean",
+        writer.writerow(["segment", "frame", "param", "reference_model",
+                         "alternative_model", "reference_mean",
                          "alternative_mean", "absolute_difference",
                          "relative_difference_pct"])
         for row in rows:
             writer.writerow([row["segment"],
                              "" if row["frame"] is None else row["frame"],
-                             row["param"], _fmt(row["reference_mean"]),
+                             row["param"], row.get("reference_model", ""),
+                             row.get("alternative_model", ""),
+                             _fmt(row["reference_mean"]),
                              _fmt(row["alternative_mean"]),
                              _fmt(row["absolute_difference"]),
                              _fmt(row["relative_difference_pct"])])

@@ -549,16 +549,13 @@ class _VtkTokens:
         return out
 
 
-def load_mesh(path: str | Path) -> TetMesh:
-    """Read a VTK legacy ASCII unstructured grid written by this package.
+def _read_vtk(path: Path):
+    """Parse a VTK legacy ASCII unstructured grid written by this package.
 
-    Tetrahedra (cell type 10) become the volume mesh; triangles (type 5)
-    must carry a ``boundary_label`` cell-data array. The mesh is
-    validated on load: inverted tetrahedra are repaired with a warning,
-    the boundary must be closed and match the stored triangles, and the
-    triangles are re-oriented inward regardless of stored winding.
+    Returns the title metadata, the vertices, the cells with their VTK
+    types, and the data arrays keyed by ('cell' | 'point', name). Integer
+    scalars are read as int64, everything else as float64.
     """
-    path = Path(path)
     try:
         text = path.read_text()
     except OSError as exc:
@@ -594,15 +591,7 @@ def load_mesh(path: str | Path) -> TetMesh:
         raise MeshError(f"{path}: CELL_TYPES count mismatch")
     types = tk.ints(n_cells)
 
-    tets = [c for c, t in zip(cells, types) if t == 10]
-    tris = [c for c, t in zip(cells, types) if t == 5]
-    if len(tets) + len(tris) != n_cells:
-        bad = sorted(set(types) - {5, 10})
-        raise MeshError(f"{path}: unsupported cell types {bad}")
-    if not tets:
-        raise MeshError(f"{path}: no tetrahedra found")
-
-    labels = None
+    data = {}
     section = None
     count = 0
     while tk.pos < len(tk.tokens):
@@ -617,26 +606,45 @@ def load_mesh(path: str | Path) -> TetMesh:
                 raise MeshError(f"{path}: POINT_DATA count mismatch")
         elif tok == "SCALARS" and section is not None:
             name = tk.next()
-            tk.next()  # data type
+            kind = tk.next()
             if tk.tokens[tk.pos].isdigit():
                 tk.next()  # optional component count
             tk.expect("LOOKUP_TABLE")
             tk.next()
-            if section == "cell" and name == "boundary_label":
-                labels = tk.ints(count)
-            else:
-                tk.floats(count)
+            data[section, name] = tk.ints(count) if kind == "int" \
+                else tk.floats(count)
         elif tok == "VECTORS" and section is not None:
-            tk.next()  # name
+            name = tk.next()
             tk.next()  # data type
-            tk.floats(3 * count)
+            data[section, name] = tk.floats(3 * count).reshape(-1, 3)
         else:
             raise MeshError(f"{path}: unsupported section {tok}")
+    return metadata, vertices, cells, types, data
+
+
+def load_mesh(path: str | Path) -> TetMesh:
+    """Read a VTK legacy ASCII unstructured grid written by this package.
+
+    Tetrahedra (cell type 10) become the volume mesh; triangles (type 5)
+    must carry a ``boundary_label`` cell-data array. The mesh is
+    validated on load: inverted tetrahedra are repaired with a warning,
+    the boundary must be closed and match the stored triangles, and the
+    triangles are re-oriented inward regardless of stored winding.
+    """
+    path = Path(path)
+    metadata, vertices, cells, types, data = _read_vtk(path)
+    tets = [c for c, t in zip(cells, types) if t == 10]
+    tris = [c for c, t in zip(cells, types) if t == 5]
+    if len(tets) + len(tris) != len(cells):
+        bad = sorted(set(types) - {5, 10})
+        raise MeshError(f"{path}: unsupported cell types {bad}")
+    if not tets:
+        raise MeshError(f"{path}: no tetrahedra found")
+    labels = data.get(("cell", "boundary_label"))
     if labels is None:
         raise MeshError(f"{path}: missing boundary_label cell data")
 
-    type_order = np.asarray(types)
-    tri_labels = labels[type_order == 5]
+    tri_labels = labels[types == 5]
     mesh = TetMesh(vertices=vertices,
                    tets=np.array(tets, dtype=np.int64).reshape(-1, 4),
                    boundary_faces=np.array(tris, dtype=np.int64).reshape(-1, 3),

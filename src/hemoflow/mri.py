@@ -21,7 +21,8 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import asdict, dataclass
+from contextlib import contextmanager
+from dataclasses import asdict, dataclass, fields
 from math import ceil, sqrt
 from pathlib import Path
 from typing import Mapping
@@ -76,8 +77,6 @@ class SequenceParams:
     matrix: tuple[int, int, int] = (56, 30, 113)
     voxel: tuple[float, float, float] = (0.002, 0.002, 0.002)  # m
     oversampling: int = 2
-    cardiac_phases: int = 30
-    time_spacing: float = 32.0e-3                  # s
     t2_star: float = 254.0e-3                      # s
     adc_bandwidth: float = 128.0e3                 # Hz
     slew_rate: float = 195.0                       # T/m/s
@@ -91,8 +90,6 @@ class SequenceParams:
         if len(self.voxel) != 3 or any(v <= 0 for v in self.voxel):
             raise ValidationError("voxel sizes must be positive")
         positive = {"venc": self.venc, "oversampling": self.oversampling,
-                    "cardiac_phases": self.cardiac_phases,
-                    "time_spacing": self.time_spacing,
                     "t2_star": self.t2_star,
                     "adc_bandwidth": self.adc_bandwidth,
                     "slew_rate": self.slew_rate,
@@ -506,6 +503,9 @@ def phase_to_velocity(img: ImageVolume,
 _KSPACE_FORMAT = "hemoflow-kspace"
 _IMAGE_FORMAT = "hemoflow-images"
 
+# sequence parameters that sidecars carried before they were removed
+_RETIRED_PARAMS = ("cardiac_phases", "time_spacing")
+
 
 def _save_container(fmt, grids, params, frame_time, path, extra):
     path = Path(path)
@@ -527,6 +527,16 @@ def _save_container(fmt, grids, params, frame_time, path, extra):
     path.write_text(json.dumps(sidecar, indent=2) + "\n")
 
 
+@contextmanager
+def _sidecar_entries(path):
+    """Report a missing, unknown or bad sidecar entry as a ValidationError."""
+    try:
+        yield
+    except (AttributeError, KeyError, TypeError, ValueError,
+            ValidationError) as exc:
+        raise ValidationError(f"{path}: malformed sidecar: {exc!r}") from exc
+
+
 def _load_container(fmt, path):
     path = Path(path)
     try:
@@ -535,13 +545,19 @@ def _load_container(fmt, path):
         raise ValidationError(f"cannot read sidecar {path}: {exc}") from exc
     if sidecar.get("format") != fmt:
         raise ValidationError(f"{path}: not a {fmt} sidecar")
-    pdict = dict(sidecar["params"])
-    for key in ("matrix", "voxel", "fov_center"):
-        pdict[key] = tuple(pdict[key])
-    params = SequenceParams(**pdict)
-    dims = tuple(sidecar["dims"])
-    raw = np.fromfile(path.parent / sidecar["data_file"], dtype=np.complex64)
-    encodes = sidecar["encodes"]
+    with _sidecar_entries(path):
+        pdict = {key: value for key, value in sidecar["params"].items()
+                 if key not in _RETIRED_PARAMS}
+        missing = {f.name for f in fields(SequenceParams)} - set(pdict)
+        if missing:
+            raise KeyError(", ".join(sorted(missing)))
+        for key in ("matrix", "voxel", "fov_center"):
+            pdict[key] = tuple(pdict[key])
+        params = SequenceParams(**pdict)
+        dims = tuple(sidecar["dims"])
+        encodes = sidecar["encodes"]
+        data_file = path.parent / sidecar["data_file"]
+    raw = np.fromfile(data_file, dtype=np.complex64)
     per_encode = int(np.prod(dims))
     if raw.size != per_encode * len(encodes):
         raise ValidationError(
@@ -561,10 +577,11 @@ def save_kspace(k: KSpaceData, path: str | Path) -> None:
 
 def load_kspace(path: str | Path) -> KSpaceData:
     grids, params, sidecar = _load_container(_KSPACE_FORMAT, path)
-    return KSpaceData(signals=grids,
-                      sample_times=np.asarray(sidecar["sample_times"]),
-                      params=params, frame_time=sidecar["frame_time"],
-                      seed=sidecar.get("seed"))
+    with _sidecar_entries(path):
+        return KSpaceData(signals=grids,
+                          sample_times=np.asarray(sidecar["sample_times"]),
+                          params=params, frame_time=sidecar["frame_time"],
+                          seed=sidecar.get("seed"))
 
 
 def save_images(img: ImageVolume, path: str | Path) -> None:
@@ -575,5 +592,6 @@ def save_images(img: ImageVolume, path: str | Path) -> None:
 
 def load_images(path: str | Path) -> ImageVolume:
     grids, params, sidecar = _load_container(_IMAGE_FORMAT, path)
-    return ImageVolume(volumes=grids, params=params,
-                       frame_time=sidecar["frame_time"])
+    with _sidecar_entries(path):
+        return ImageVolume(volumes=grids, params=params,
+                           frame_time=sidecar["frame_time"])

@@ -1,0 +1,614 @@
+"""The end-to-end pipeline: configuration, stages and the run manifest.
+
+``run_pipeline`` chains the library stages (rheology fit, mesh, flow
+synthesis, windkessel, MR signal synthesis and reconstruction, biomarker
+estimation, model comparison, reporting) from one INI config file.
+Sequence parameters appear in the config in scanner units (mm, ms, kHz,
+mT/m) and are converted to SI internally; the slew rate is given in
+T/m/s. Every key has a baked-in default, so an empty config performs
+the full pipe-phantom demo.
+
+Each stage writes its own artifacts, so a subcommand that runs one
+stage writes the same files as a run.
+"""
+
+from __future__ import annotations
+
+import configparser
+import csv
+import hashlib
+import json
+import logging
+from dataclasses import dataclass
+from pathlib import Path
+
+import numpy as np
+import scipy
+
+from . import __version__
+from .errors import HemoflowError, ValidationError
+from .flowfields import FlowWaveform, flow_rate, poiseuille_power_law, \
+    pulsatile_scale
+from .hemodynamics import SegmentStats, compare_models, energy_loss_rate, \
+    export_fields_vtk, interpolate_to_mesh, osi, recover_gradients, \
+    segment_stats, viscosity_at, wss, write_comparison_csv, write_stats_csv
+from .mesh import CutPlane, generate_pipe_mesh, load_mesh, nodal_volumes, \
+    segment_labels, segment_names, wall_normals
+from .mri import SequenceParams, add_noise, phase_to_velocity, reconstruct, \
+    save_images, save_kspace, sequence_timings, synthesize_frame
+from .phantoms import MMHG, inlet_waveform
+from .report import QUANTITIES, write_report
+from .rheology import PowerLawParams, fit_for_hct, newtonian_equivalent
+from .windkessel import WindkesselParams, simulate_windkessel
+
+log = logging.getLogger("hemoflow")
+
+# Effective configuration: every key below has a default, so any subset
+# may appear in the file. Unknown sections or keys are rejected by name.
+DEFAULTS = {
+    "paths": {
+        "output_dir": "hemoflow_out",
+        "mesh": "",
+    },
+    "pipe": {
+        "radius_m": "0.01",
+        "length_m": "0.1",
+        "resolution": "0",
+    },
+    "rheology": {
+        "hct": "45",
+        "fit1_range": "12, 123",
+        "fit2_range": "0, 2800",
+        "literature_pa_s": "3.0e-3, 3.5e-3, 4.0e-3, 4.5e-3",
+    },
+    "flow": {
+        "pressure_drop_pa": "15.8",
+        "cardiac_period_s": "0.937",
+        "cardiac_phases": "8",
+    },
+    "sequence": {
+        "venc_m_s": "0.8",
+        "matrix": "11, 11, 36",
+        "voxel_mm": "3, 3, 3",
+        "oversampling": "2",
+        "t2_star_ms": "254.0",
+        "adc_bandwidth_khz": "64.0",
+        "slew_rate_t_m_s": "195.0",
+        "max_gradient_mt_m": "30.0",
+        "fov_center_mm": "0, 0, 50",
+        "quadrature": "4",
+    },
+    "noise": {
+        "sigma_fraction": "0.002",
+        "seed": "1234",
+    },
+    "segments": {
+        "cuts_m": "0.025, 0.05, 0.075",
+    },
+    "windkessel": {
+        "proximal_resistance_cgs": "274.0",
+        "distal_resistance_cgs": "5675.0",
+        "compliance_cgs": "5.08e-4",
+        "initial_pressure_mmhg": "80.5",
+        "cycles": "10",
+        "steps_per_cycle": "1000",
+    },
+    "comparison": {
+        "reference": "power_law",
+        "models": "newtonian_fit1, literature_3.5e-03",
+    },
+}
+
+
+def _floats(text: str, count: int | None = None) -> list[float]:
+    try:
+        values = [float(part) for part in text.split(",")]
+    except ValueError as exc:
+        raise ValidationError(f"cannot parse {text!r} as numbers") from exc
+    if count is not None and len(values) != count:
+        raise ValidationError(f"expected {count} values, got {text!r}")
+    return values
+
+
+@dataclass
+class RunConfig:
+    """Parsed and validated pipeline configuration."""
+
+    text: str
+    output_dir: Path
+    mesh_path: Path | None
+    pipe_radius: float
+    pipe_length: float
+    pipe_resolution: int
+    hct: float
+    fit1_range: tuple[float, float]
+    fit2_range: tuple[float, float]
+    literature: list[float]
+    pressure_drop: float
+    period: float
+    phases: int
+    sequence: SequenceParams
+    quadrature: int
+    sigma_fraction: float
+    seed: int
+    cuts: list[float]
+    windkessel: WindkesselParams
+    wk_cycles: int
+    wk_steps: int
+    reference_model: str
+    alternative_models: list[str]
+
+    @property
+    def config_hash(self) -> str:
+        return hashlib.sha256(self.text.encode()).hexdigest()
+
+
+def render_config(values: dict, with_output_dir: bool = True) -> str:
+    """INI text of a section -> key -> value mapping."""
+    # the artifact location is not part of the pipeline's identity, so
+    # the hashed effective config can omit it (with_output_dir=False)
+    lines = []
+    for section, keys in values.items():
+        lines.append(f"[{section}]")
+        for key in keys:
+            if not with_output_dir and (section, key) == ("paths",
+                                                          "output_dir"):
+                continue
+            lines.append(f"{key} = {keys[key]}")
+        lines.append("")
+    return "\n".join(lines)
+
+
+def _check_model_name(name: str) -> None:
+    if name in ("power_law", "newtonian_fit1", "newtonian_fit2"):
+        return
+    if name.startswith("literature_"):
+        try:
+            float(name[len("literature_"):])
+            return
+        except ValueError:
+            pass
+    raise ValidationError(
+        f"unknown viscosity model {name!r}; use power_law, newtonian_fit1, "
+        "newtonian_fit2, or literature_<viscosity in Pa s>")
+
+
+def load_config(path: str | Path | None = None,
+                overrides: dict | None = None) -> RunConfig:
+    """Merge a config file over the defaults and validate it strictly."""
+    merged = {section: dict(keys) for section, keys in DEFAULTS.items()}
+    if path is not None:
+        parser = configparser.ConfigParser(interpolation=None)
+        try:
+            with open(path) as fh:
+                parser.read_file(fh)
+        except (OSError, configparser.Error) as exc:
+            raise ValidationError(f"cannot read config {path}: {exc}") from exc
+        for section in parser.sections():
+            if section not in merged:
+                raise ValidationError(f"unknown config section [{section}]")
+            for key, value in parser.items(section):
+                if key not in merged[section]:
+                    raise ValidationError(
+                        f"unknown config key {key!r} in [{section}]")
+                merged[section][key] = value.strip()
+    for (section, key), value in (overrides or {}).items():
+        merged[section][key] = str(value)
+
+    try:
+        return _typed_config(merged)
+    except ValueError as exc:
+        raise ValidationError(f"invalid config value: {exc}") from exc
+
+
+def _typed_config(merged: dict) -> RunConfig:
+    mesh_value = merged["paths"]["mesh"].strip()
+    mesh_path = Path(mesh_value) if mesh_value else None
+    if mesh_path is not None and not mesh_path.is_file():
+        raise ValidationError(f"mesh file {mesh_path} does not exist")
+
+    seq = merged["sequence"]
+    sequence = SequenceParams(
+        venc=float(seq["venc_m_s"]),
+        matrix=tuple(int(v) for v in _floats(seq["matrix"], 3)),
+        voxel=tuple(v * 1e-3 for v in _floats(seq["voxel_mm"], 3)),
+        oversampling=int(seq["oversampling"]),
+        t2_star=float(seq["t2_star_ms"]) * 1e-3,
+        adc_bandwidth=float(seq["adc_bandwidth_khz"]) * 1e3,
+        slew_rate=float(seq["slew_rate_t_m_s"]),
+        max_gradient=float(seq["max_gradient_mt_m"]) * 1e-3,
+        fov_center=tuple(v * 1e-3 for v in _floats(seq["fov_center_mm"], 3)),
+    )
+
+    wk = merged["windkessel"]
+    wk_params = WindkesselParams(
+        proximal_resistance=float(wk["proximal_resistance_cgs"]),
+        distal_resistance=float(wk["distal_resistance_cgs"]),
+        compliance=float(wk["compliance_cgs"]),
+        initial_distal_pressure=float(wk["initial_pressure_mmhg"]) * MMHG,
+    )
+
+    reference = merged["comparison"]["reference"].strip()
+    alternatives = [m.strip() for m in
+                    merged["comparison"]["models"].split(",") if m.strip()]
+    for name in [reference, *alternatives]:
+        _check_model_name(name)
+
+    cuts = _floats(merged["segments"]["cuts_m"])
+    if sorted(cuts) != cuts:
+        raise ValidationError("segment cuts must increase along the axis")
+
+    return RunConfig(
+        text=render_config(merged, with_output_dir=False),
+        output_dir=Path(merged["paths"]["output_dir"]),
+        mesh_path=mesh_path,
+        pipe_radius=float(merged["pipe"]["radius_m"]),
+        pipe_length=float(merged["pipe"]["length_m"]),
+        pipe_resolution=int(merged["pipe"]["resolution"]),
+        hct=float(merged["rheology"]["hct"]),
+        fit1_range=tuple(_floats(merged["rheology"]["fit1_range"], 2)),
+        fit2_range=tuple(_floats(merged["rheology"]["fit2_range"], 2)),
+        literature=_floats(merged["rheology"]["literature_pa_s"]),
+        pressure_drop=float(merged["flow"]["pressure_drop_pa"]),
+        period=float(merged["flow"]["cardiac_period_s"]),
+        phases=int(merged["flow"]["cardiac_phases"]),
+        sequence=sequence,
+        quadrature=int(seq["quadrature"]),
+        sigma_fraction=float(merged["noise"]["sigma_fraction"]),
+        seed=int(merged["noise"]["seed"]),
+        cuts=cuts,
+        windkessel=wk_params,
+        wk_cycles=int(wk["cycles"]),
+        wk_steps=int(wk["steps_per_cycle"]),
+        reference_model=reference,
+        alternative_models=alternatives,
+    )
+
+
+# =========================================================================
+# Model matrix
+# =========================================================================
+
+def fit_models(cfg: RunConfig) -> dict[str, PowerLawParams]:
+    """Power-law fit at the configured hematocrit plus Newtonian fits.
+
+    Every model is a power law; a Newtonian viscosity mu is the curve
+    with m = mu and n = 1.
+    """
+    pl = fit_for_hct(cfg.hct)
+    return {
+        "power_law": pl,
+        "newtonian_fit1": PowerLawParams(
+            m=newtonian_equivalent(pl, cfg.fit1_range), n=1.0),
+        "newtonian_fit2": PowerLawParams(
+            m=newtonian_equivalent(pl, cfg.fit2_range), n=1.0),
+    }
+
+
+def resolve_model(name: str, fitted: dict) -> PowerLawParams:
+    """Map a model name to its viscosity curve, given ``fit_models``."""
+    _check_model_name(name)
+    if name in fitted:
+        return fitted[name]
+    return PowerLawParams(m=float(name[len("literature_"):]), n=1.0)
+
+
+def write_rheology_json(cfg: RunConfig, fitted: dict, path: Path) -> None:
+    pl = fitted["power_law"]
+    log.info("rheology: m=%.4e, n=%.4f, fit1=%.4e, fit2=%.4e Pa s",
+             pl.m, pl.n, fitted["newtonian_fit1"].m,
+             fitted["newtonian_fit2"].m)
+    Path(path).write_text(json.dumps({
+        "hct": cfg.hct, "m": pl.m, "n": pl.n,
+        "newtonian_fit1": fitted["newtonian_fit1"].m,
+        "newtonian_fit2": fitted["newtonian_fit2"].m,
+        "fit1_range": list(cfg.fit1_range),
+        "fit2_range": list(cfg.fit2_range),
+        "literature": cfg.literature}, indent=2, sort_keys=True) + "\n")
+
+
+# =========================================================================
+# Pipeline stages
+# =========================================================================
+
+def stage_mesh(cfg: RunConfig):
+    if cfg.mesh_path is not None:
+        log.info("loading mesh %s", cfg.mesh_path)
+        return load_mesh(cfg.mesh_path)
+    log.info("generating pipe mesh (R=%g m, L=%g m, resolution %d)",
+             cfg.pipe_radius, cfg.pipe_length, cfg.pipe_resolution)
+    return generate_pipe_mesh(cfg.pipe_radius, cfg.pipe_length,
+                              resolution=cfg.pipe_resolution)
+
+
+def stage_flow(cfg: RunConfig, mesh, pl: PowerLawParams, out: Path):
+    """Pulsatile power-law pipe field sampled at the cardiac phases.
+
+    Writes the mid-pipe flow rate per phase to ``flow.csv``.
+    """
+    steady = poiseuille_power_law(mesh, pl, cfg.pressure_drop)
+    peak_speed = np.linalg.norm(steady.values[0], axis=1).max()
+    shape = inlet_waveform()
+    frame_times = np.arange(cfg.phases) / cfg.phases * cfg.period
+    scaled = FlowWaveform(
+        times=frame_times,
+        values=peak_speed * shape.value_at(frame_times / cfg.period
+                                           * shape.period),
+        period=cfg.period)
+    field = pulsatile_scale(steady, scaled)
+    mid = CutPlane(point=(0.0, 0.0, cfg.pipe_length / 2.0),
+                   normal=(0.0, 0.0, 1.0))
+    flows = flow_rate(field, mesh, mid)
+    log.info("flow: peak velocity %.3f m/s, peak flow %.1f ml/s",
+             peak_speed, flows.max() * 1e6)
+    with open(out / "flow.csv", "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["time_s", "flow_m3_s", "flow_ml_s"])
+        for t, q in zip(field.times, flows):
+            writer.writerow([f"{t:.10g}", f"{q:.10g}", f"{q * 1e6:.10g}"])
+    return field, flows
+
+
+def write_windkessel_csv(trace, path: Path) -> None:
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["time_s", "flow_ml_s", "pressure_mmhg",
+                         "distal_pressure_mmhg"])
+        for t, q, p, pd in zip(trace.times, trace.flow, trace.pressure,
+                               trace.distal_pressure):
+            writer.writerow([f"{t:.10g}", f"{q:.10g}",
+                             f"{p / MMHG:.10g}", f"{pd / MMHG:.10g}"])
+
+
+def stage_windkessel(cfg: RunConfig, field, flows, out: Path):
+    wave = FlowWaveform(times=field.times.copy(), values=flows * 1e6,
+                        period=cfg.period)
+    trace = simulate_windkessel(cfg.windkessel, wave, n_cycles=cfg.wk_cycles,
+                                steps_per_cycle=cfg.wk_steps)
+    write_windkessel_csv(trace, out / "windkessel.csv")
+    log.info("windkessel: pressure %.1f-%.1f mmHg, mean %.1f mmHg",
+             trace.pressure.min() / MMHG, trace.pressure.max() / MMHG,
+             trace.mean_pressure() / MMHG)
+    return trace
+
+
+def stage_mri(cfg: RunConfig, mesh, field, out: Path):
+    """Synthesize, perturb, reconstruct, and decode every cardiac phase."""
+    m0 = np.ones(mesh.n_vertices)
+    timings = sequence_timings(cfg.sequence)
+    log.info("sequence: TE %.3f ms, readout gradient %.2f mT/m",
+             timings.echo_time * 1e3, timings.readout_gradient * 1e3)
+    decoded = []
+    for frame in range(field.n_frames):
+        k = synthesize_frame(mesh, m0, field, cfg.sequence, frame=frame,
+                             quadrature=cfg.quadrature)
+        k = add_noise(k, cfg.sigma_fraction, seed=cfg.seed + frame)
+        img = reconstruct(k)
+        save_kspace(k, out / f"kspace_phase{frame:03d}.json")
+        save_images(img, out / f"images_phase{frame:03d}.json")
+        decoded.append(phase_to_velocity(img))
+        log.info("phase %d/%d synthesized and decoded", frame + 1,
+                 field.n_frames)
+    return decoded
+
+
+def stage_estimate(cfg: RunConfig, fitted: dict, mesh, decoded, out: Path):
+    """Biomarkers for every model in the comparison matrix, plus exports.
+
+    Writes ``fields_systole.vtk``, ``stats.csv`` and ``comparison.csv``;
+    returns the statistics keyed by (parameter, frame), the comparison
+    rows and the systolic frame.
+    """
+    order = np.argsort([d.frame_time for d in decoded])
+    decoded = [decoded[i] for i in order]
+    times = np.array([d.frame_time for d in decoded])
+    if times.size < 2 or np.any(np.diff(times) <= 0):
+        raise ValidationError("need at least two distinct cardiac phases")
+
+    planes = [CutPlane(point=(0.0, 0.0, z), normal=(0.0, 0.0, 1.0))
+              for z in cfg.cuts]
+    labels = segment_labels(mesh, planes)
+    names = list(segment_names(len(cfg.cuts) + 1))
+    wall_idx, wall_norm = wall_normals(mesh)
+    wall_labels = labels[wall_idx]
+    volumes = nodal_volumes(mesh)
+
+    vertex_speeds = []
+    gradients = []
+    for d in decoded:
+        u = interpolate_to_mesh(d, mesh).values[0]
+        vertex_speeds.append(u)
+        gradients.append(recover_gradients(mesh, u))
+
+    models = {name: resolve_model(name, fitted)
+              for name in dict.fromkeys([cfg.reference_model,
+                                         *cfg.alternative_models])}
+
+    blocks: list[SegmentStats] = []
+    tractions: dict[str, list[np.ndarray]] = {name: [] for name in models}
+    wall_mags: dict[str, list[np.ndarray]] = {name: [] for name in models}
+    osis: dict[str, np.ndarray] = {}
+    for name, viscosity in models.items():
+        for frame, G in enumerate(gradients):
+            traction, mag = wss(G[wall_idx], wall_norm, viscosity)
+            tractions[name].append(traction)
+            wall_mags[name].append(mag)
+            blocks.append(segment_stats(mag, wall_labels, names,
+                                        parameter=f"wss:{name}", frame=frame))
+            el = energy_loss_rate(G, viscosity, volumes)
+            blocks.append(segment_stats(el, labels, names,
+                                        parameter=f"el_rate:{name}",
+                                        frame=frame))
+        osis[name] = osi(np.stack(tractions[name]), times, cfg.period)
+        blocks.append(segment_stats(osis[name], wall_labels, names,
+                                    parameter=f"osi:{name}", frame=None))
+
+    keyed = {(b.parameter, b.frame): b for b in blocks}
+    reference = cfg.reference_model
+    systolic = systolic_frame(keyed, reference)
+    log.info("systolic frame %d (t = %.3f s)", systolic, times[systolic])
+
+    G_sys = gradients[systolic]
+    full_traction = np.zeros((mesh.n_vertices, 3))
+    full_traction[wall_idx] = tractions[reference][systolic]
+    full_mag = np.zeros(mesh.n_vertices)
+    full_mag[wall_idx] = wall_mags[reference][systolic]
+    full_osi = np.zeros(mesh.n_vertices)
+    full_osi[wall_idx] = osis[reference]
+    export_fields_vtk(mesh, {
+        "velocity": vertex_speeds[systolic],
+        "wss_vector": full_traction,
+        "wss_mag": full_mag,
+        "osi": full_osi,
+        "el_rate": energy_loss_rate(G_sys, models[reference], volumes),
+        "mu_apparent": viscosity_at(models[reference], G_sys),
+    }, out / "fields_systole.vtk")
+
+    write_stats_csv(blocks, out / "stats.csv")
+    comparison = build_comparison(keyed, reference, cfg.alternative_models,
+                                  systolic)
+    write_comparison_csv(comparison, out / "comparison.csv")
+    return keyed, comparison, systolic
+
+
+def read_stats_csv(path: str | Path) -> dict:
+    """Stats CSV back into SegmentStats keyed by (param, frame)."""
+    blocks: dict[tuple, SegmentStats] = {}
+    try:
+        with open(path, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+    except OSError as exc:
+        raise ValidationError(f"cannot read stats file {path}: {exc}") from exc
+    for row in rows:
+        try:
+            frame = int(row["frame"]) if row["frame"] else None
+            key = (row["param"], frame)
+            block = blocks.get(key)
+            if block is None:
+                block = SegmentStats(parameter=row["param"], segments=[],
+                                     counts=[], means=[], stds=[],
+                                     frame=frame)
+                blocks[key] = block
+            block.segments.append(row["segment"])
+            block.counts.append(int(row["count"]))
+            block.means.append(float(row["mean"]) if row["mean"] else None)
+            block.stds.append(float(row["std"]) if row["std"] else None)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ValidationError(
+                f"{path}: malformed stats row {row!r}: {exc}") from exc
+    if not blocks:
+        raise ValidationError(f"{path}: no statistics rows found")
+    return blocks
+
+
+def systolic_frame(blocks: dict, reference: str) -> int:
+    """Frame with the highest cross-segment mean reference WSS."""
+    best, best_frame = -np.inf, None
+    for (param, frame), block in blocks.items():
+        if param == f"wss:{reference}" and frame is not None:
+            mean = block.cross_mean
+            if mean is not None and mean > best:
+                best, best_frame = mean, frame
+    if best_frame is None:
+        raise ValidationError(
+            f"stats contain no per-frame wss:{reference} rows")
+    return best_frame
+
+
+def build_comparison(blocks: dict, reference: str, alternatives: list,
+                     systolic: int) -> list[dict]:
+    """Model-difference rows of every quantity, at systole or per cycle."""
+    rows = []
+    for quantity in QUANTITIES:
+        frame = None if quantity == "osi" else systolic
+        ref_key = (f"{quantity}:{reference}", frame)
+        if ref_key not in blocks:
+            raise ValidationError(f"stats lack {ref_key[0]} at frame {frame}")
+        for alt_name in alternatives:
+            alt_key = (f"{quantity}:{alt_name}", frame)
+            if alt_key not in blocks:
+                raise ValidationError(
+                    f"stats lack {alt_key[0]} at frame {frame}")
+            for row in compare_models(blocks[ref_key], blocks[alt_key]):
+                row["param"] = quantity
+                row["reference_model"] = reference
+                row["alternative_model"] = alt_name
+                rows.append(row)
+    return rows
+
+
+def read_comparison_csv(path: str | Path) -> list[dict]:
+    """Comparison CSV back into rows as ``build_comparison`` makes them."""
+    try:
+        with open(path, newline="") as fh:
+            raw = list(csv.DictReader(fh))
+    except OSError as exc:
+        raise ValidationError(f"cannot read comparison {path}: {exc}") from exc
+    numbers = ("reference_mean", "alternative_mean", "absolute_difference",
+               "relative_difference_pct")
+    return [{**row, "frame": int(row["frame"]) if row["frame"] else None,
+             **{key: float(row[key]) if row[key] else None for key in numbers}}
+            for row in raw]
+
+
+# =========================================================================
+# Manifest
+# =========================================================================
+
+def _write_manifest(cfg: RunConfig, out: Path) -> None:
+    artifacts = {}
+    for path in sorted(out.rglob("*")):
+        if path.is_file() and path.name != "manifest.json":
+            digest = hashlib.sha256(path.read_bytes()).hexdigest()
+            artifacts[path.relative_to(out).as_posix()] = {
+                "sha256": digest, "bytes": path.stat().st_size}
+    manifest = {
+        "config_sha256": cfg.config_hash,
+        "package": {"name": "hemoflow", "version": __version__},
+        "dependencies": {"numpy": np.__version__, "scipy": scipy.__version__},
+        "seed": cfg.seed,
+        "artifacts": artifacts,
+    }
+    (out / "manifest.json").write_text(
+        json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+
+
+# =========================================================================
+# Orchestration
+# =========================================================================
+
+def run_pipeline(cfg: RunConfig) -> Path:
+    """Every stage in sequence; returns the artifact directory."""
+    out = cfg.output_dir
+    out.mkdir(parents=True, exist_ok=True)
+    (out / "config.ini").write_text(cfg.text)
+
+    stage = "rheology"
+    try:
+        fitted = fit_models(cfg)
+        write_rheology_json(cfg, fitted, out / "rheology.json")
+
+        stage = "mesh"
+        mesh = stage_mesh(cfg)
+
+        stage = "flow"
+        field, flows = stage_flow(cfg, mesh, fitted["power_law"], out)
+
+        stage = "windkessel"
+        stage_windkessel(cfg, field, flows, out)
+
+        stage = "mri"
+        decoded = stage_mri(cfg, mesh, field, out)
+
+        stage = "estimate"
+        blocks, comparison, systolic = stage_estimate(cfg, fitted, mesh,
+                                                      decoded, out)
+
+        stage = "report"
+        write_report(blocks, comparison, systolic, out)
+    except HemoflowError as exc:
+        raise type(exc)(f"[stage {stage}] {exc}") from exc
+
+    _write_manifest(cfg, out)
+    log.info("pipeline complete: %s", out)
+    return out

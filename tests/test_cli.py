@@ -185,6 +185,44 @@ def test_compare_reports_newtonian_sign_per_segment(demo, tmp_path):
     assert all(float(r["relative_difference_pct"]) < 0.0 for r in rows)
 
 
+def test_compare_matches_the_run_comparison(demo, tmp_path):
+    config, out = demo
+    cfg = load_config(config)
+    table = tmp_path / "again.csv"
+    args = ["compare", "--stats", str(out / "stats.csv"),
+            "--reference", cfg.reference_model, "--out", str(table)]
+    for model in cfg.alternative_models:
+        args += ["--alternative", model]
+    assert main(args) == 0
+
+    def keys(path):
+        with open(path, newline="") as fh:
+            rows = list(csv.reader(fh))
+        return rows[0], [tuple(row[:5]) for row in rows[1:]]
+
+    header, rows = keys(table)
+    run_header, run_rows = keys(out / "comparison.csv")
+    assert header == run_header
+    assert header[:5] == ["segment", "frame", "param", "reference_model",
+                          "alternative_model"]
+    assert rows == run_rows
+
+
+def test_reconstruct_rejects_unknown_sidecar_key(demo, tmp_path, capsys):
+    _, out = demo
+    source = tmp_path / "kspace"
+    source.mkdir()
+    sidecar = json.loads((out / "kspace_phase000.json").read_text())
+    sidecar["params"]["bogus"] = 1
+    (source / "kspace_phase000.json").write_text(json.dumps(sidecar))
+    (source / "kspace_phase000.bin").write_bytes(
+        (out / "kspace_phase000.bin").read_bytes())
+    rc = main(["reconstruct", "--kspace", str(source),
+               "--out", str(tmp_path / "images")])
+    assert rc == 2
+    assert "kspace_phase000.json" in capsys.readouterr().err
+
+
 def test_report_renders_tables_and_svg(demo, tmp_path):
     _, out = demo
     report_dir = tmp_path / "report"
@@ -208,13 +246,18 @@ def test_report_renders_tables_and_svg(demo, tmp_path):
 # =========================================================================
 
 def test_unknown_config_key_is_named(tmp_path, capsys):
+    # a misspelt key, and two keys that were removed because nothing read
+    # them: each must be rejected by name, never silently ignored
     config = tmp_path / "bad.ini"
-    config.write_text("[noise]\nsigmafraction = 0.1\n")
-    rc = main(["run", "--config", str(config), "--out",
-               str(tmp_path / "out")])
-    assert rc == 2
-    message = capsys.readouterr().err
-    assert "sigmafraction" in message, "error must name the unknown key"
+    for section, key, value in (("noise", "sigmafraction", "0.1"),
+                                ("rheology", "shear_floor", "0.1"),
+                                ("sequence", "time_spacing_ms", "32.0")):
+        config.write_text(f"[{section}]\n{key} = {value}\n")
+        rc = main(["run", "--config", str(config), "--out",
+                   str(tmp_path / "out")])
+        assert rc == 2, f"[{section}] {key} was accepted"
+        message = capsys.readouterr().err
+        assert key in message, "error must name the unknown key"
 
 
 def test_unknown_config_section_is_named(tmp_path, capsys):

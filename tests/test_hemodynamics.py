@@ -135,6 +135,21 @@ def test_wss_scales_linearly_with_viscosity():
     assert np.allclose(mag2, 2.0 * mag1, rtol=1e-14)
 
 
+def test_float_viscosity_is_the_newtonian_power_law():
+    mesh = generate_pipe_mesh(RADIUS, LENGTH, resolution=1)
+    field = poiseuille_power_law(mesh, HCT45, DROP)
+    G = recover_gradients(mesh, field.values[0])
+    idx, normals = wall_normals(mesh)
+    volumes = nodal_volumes(mesh)
+    for mu in (3.5e-3, 7.71e-3):
+        newtonian = PowerLawParams(mu, 1.0)
+        for got, want in zip(wss(G[idx], normals, mu),
+                             wss(G[idx], normals, newtonian)):
+            assert np.array_equal(got, want)
+        assert np.array_equal(energy_loss_rate(G, mu, volumes),
+                              energy_loss_rate(G, newtonian, volumes))
+
+
 def test_wss_input_validation():
     G = np.zeros((4, 3, 3))
     with pytest.raises(ValidationError):

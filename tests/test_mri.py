@@ -1,5 +1,7 @@
 """Tests for sequence timing, signal synthesis, reconstruction, decoding."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -353,6 +355,49 @@ def test_kspace_round_trip(tmp_path):
 
     with pytest.raises(ValidationError):
         load_images(path)  # wrong container format
+
+
+def _saved_kspace(tmp_path):
+    mesh = small_box()
+    k = synthesize_frame(mesh, np.ones(mesh.n_vertices),
+                         uniform_field(mesh, (0.3, -0.2, 0.1)), SMALL)
+    path = tmp_path / "phase00.json"
+    save_kspace(k, path)
+    return k, path
+
+
+def _edit_params(path, **entries):
+    sidecar = json.loads(path.read_text())
+    sidecar["params"].update(entries)
+    path.write_text(json.dumps(sidecar))
+
+
+def test_sidecar_with_retired_sequence_keys_loads(tmp_path):
+    k, path = _saved_kspace(tmp_path)
+    _edit_params(path, cardiac_phases=8, time_spacing=0.032)
+    loaded = load_kspace(path)
+    assert loaded.params == k.params
+    assert np.array_equal(loaded.signals["ref"],
+                          k.signals["ref"].astype(np.complex64))
+
+
+def test_malformed_sidecar_names_the_file(tmp_path):
+    _, path = _saved_kspace(tmp_path)
+    _edit_params(path, bogus=1)
+    with pytest.raises(ValidationError, match="phase00.json.*bogus"):
+        load_kspace(path)
+
+    _, path = _saved_kspace(tmp_path)
+    sidecar = json.loads(path.read_text())
+    del sidecar["params"]["venc"]
+    path.write_text(json.dumps(sidecar))
+    with pytest.raises(ValidationError, match="phase00.json.*venc"):
+        load_kspace(path)
+
+    _, path = _saved_kspace(tmp_path)
+    _edit_params(path, matrix=[8, 8])
+    with pytest.raises(ValidationError, match="phase00.json"):
+        load_kspace(path)
 
 
 def test_kspace_validation():
