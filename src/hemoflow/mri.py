@@ -13,6 +13,20 @@ along their frame velocity during the readout. Echo time and sample
 times come from shortest-duration trapezoidal gradients on a fixed
 raster under slew and amplitude limits.
 
+The sum is evaluated in one pass for all requested encodes:
+
+1. Shared tables. The encode amplitudes w_q M0 e^{-i pi u_a/VENC} are
+   built once per frame. For each readout sample, the drifted positions,
+   the readout/T2* factor and the phase-encode and partition ramps are
+   built once and shared by every encode, which are then contracted in
+   a single matrix product.
+2. Recurrence. The k axes are evenly spaced, so each ramp row is the
+   previous one times e^{-2 pi i c dk}: one complex product per table
+   entry instead of one exponential.
+3. Blocks. Quadrature points are taken in fixed blocks whose products
+   accumulate into the sample's grid, so table memory does not grow
+   with the mesh.
+
 All quantities are SI: meters, seconds, tesla. Note the slew rate unit
 is T/m/s (195 T/m/s is a typical whole-body gradient system).
 """
@@ -269,6 +283,9 @@ class KSpaceData:
             if grid.shape != shape:
                 raise ValidationError(
                     f"encode {name!r} grid is {grid.shape}, expected {shape}")
+            if not np.all(np.isfinite(grid)):
+                raise ValidationError(f"encode {name!r} holds non-finite "
+                                      "k-space samples")
         self.sample_times = np.asarray(self.sample_times, dtype=float)
         if self.sample_times.shape != (shape[0],):
             raise ValidationError("one acquisition time per readout sample "
@@ -297,6 +314,9 @@ class ImageVolume:
             if vol.shape != shape:
                 raise ValidationError(
                     f"encode {name!r} volume is {vol.shape}, expected {shape}")
+            if not np.all(np.isfinite(vol)):
+                raise ValidationError(f"encode {name!r} holds non-finite "
+                                      "voxels")
 
 
 @dataclass
@@ -358,6 +378,71 @@ def _quadrature(mesh: TetMesh, m0: np.ndarray, velocities: np.ndarray,
     return pos.reshape(-1, 3), wq, m0q, uq.reshape(-1, 3)
 
 
+# quadrature points per block of the synthesis kernel; bounds the ramp
+# tables and the matmul operand to a few MB whatever the mesh size
+_BLOCK = 2048
+
+
+def _phase_ramp(coords: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """Table of e^{-2 pi i c k_j}, shape (len(k), len(coords)).
+
+    ``k`` is evenly spaced, so row j is row 0 times the step factor
+    e^{-2 pi i c dk} to the power j: one complex product per entry in
+    place of one exponential.
+    """
+    table = np.empty((k.size, coords.size), dtype=complex)
+    table[0] = np.exp(-2j * np.pi * k[0] * coords)
+    if k.size > 1:
+        step = np.exp(-2j * np.pi * (k[-1] - k[0]) / (k.size - 1) * coords)
+        for j in range(1, k.size):
+            np.multiply(table[j - 1], step, out=table[j])
+    return table
+
+
+def _synthesize(mesh: TetMesh, m0: np.ndarray, field: VelocityField,
+                params: SequenceParams, encodes: tuple[str, ...],
+                frame: int, quadrature: int) -> KSpaceData:
+    """k-space grids of ``encodes`` for one frame, all in one pass."""
+    if not 0 <= frame < field.n_frames:
+        raise ValidationError(f"frame {frame} outside 0..{field.n_frames - 1}")
+    if field.n_vertices != mesh.n_vertices:
+        raise ValidationError("field and mesh vertex counts differ")
+    m0 = np.asarray(m0, dtype=float)
+    if m0.shape != (mesh.n_vertices,):
+        raise ValidationError("one m0 value per mesh vertex required")
+    if not np.all(np.isfinite(m0)) or np.any(m0 < 0):
+        raise ValidationError("m0 must be finite and nonnegative")
+
+    timings = sequence_timings(params)
+    pos, wq, m0q, uq = _quadrature(mesh, m0, field.values[frame], quadrature)
+    k_ro, k_pe, k_pz = params.k_axes()
+
+    amp = np.empty((len(encodes), wq.size), dtype=complex)
+    for row, encode in zip(amp, encodes):
+        row[:] = wq * m0q
+        if encode != "ref":
+            row *= np.exp(-1j * np.pi * uq[:, "xyz".index(encode)]
+                          / params.venc)
+
+    grids = np.zeros((len(encodes), k_ro.size, k_pe.size, k_pz.size),
+                     dtype=complex)
+    for lo in range(0, wq.size, _BLOCK):
+        block = slice(lo, lo + _BLOCK)
+        for i, t in enumerate(timings.sample_times):
+            drifted = pos[block] + uq[block] * t
+            a = amp[:, block] * np.exp(-t / params.t2_star
+                                       - 2j * np.pi * k_ro[i] * drifted[:, 0])
+            ey = _phase_ramp(drifted[:, 1], k_pe)
+            ez = _phase_ramp(drifted[:, 2], k_pz)
+            left = (a[:, None, :] * ey[None, :, :]).reshape(-1, a.shape[1])
+            grids[:, i] += (left @ ez.T).reshape(len(encodes), k_pe.size,
+                                                 k_pz.size)
+
+    return KSpaceData(signals=dict(zip(encodes, grids)),
+                      sample_times=timings.sample_times, params=params,
+                      frame_time=float(field.times[frame]))
+
+
 def synthesize_signal(mesh: TetMesh, m0: np.ndarray, field: VelocityField,
                       params: SequenceParams, encode: str = "ref",
                       frame: int = 0, quadrature: int = 4) -> KSpaceData:
@@ -370,52 +455,15 @@ def synthesize_signal(mesh: TetMesh, m0: np.ndarray, field: VelocityField,
     """
     if encode not in ENCODE_AXES:
         raise ValidationError(f"encode must be one of {ENCODE_AXES}")
-    if not 0 <= frame < field.n_frames:
-        raise ValidationError(f"frame {frame} outside 0..{field.n_frames - 1}")
-    if field.n_vertices != mesh.n_vertices:
-        raise ValidationError("field and mesh vertex counts differ")
-    m0 = np.asarray(m0, dtype=float)
-    if m0.shape != (mesh.n_vertices,):
-        raise ValidationError("one m0 value per mesh vertex required")
-    if np.any(m0 < 0):
-        raise ValidationError("m0 must be nonnegative")
-
-    timings = sequence_timings(params)
-    pos, wq, m0q, uq = _quadrature(mesh, m0, field.values[frame], quadrature)
-    k_ro, k_pe, k_pz = params.k_axes()
-
-    amp = (wq * m0q).astype(complex)
-    if encode != "ref":
-        axis = "xyz".index(encode)
-        amp = amp * np.exp(-1j * np.pi * uq[:, axis] / params.venc)
-
-    grid = np.empty((k_ro.size, k_pe.size, k_pz.size), dtype=complex)
-    for i, t in enumerate(timings.sample_times):
-        drifted = pos + uq * t
-        a = amp * np.exp(-t / params.t2_star
-                         - 2j * np.pi * k_ro[i] * drifted[:, 0])
-        ey = np.exp(-2j * np.pi * np.outer(drifted[:, 1], k_pe))
-        ez = np.exp(-2j * np.pi * np.outer(drifted[:, 2], k_pz))
-        grid[i] = (ey * a[:, None]).T @ ez
-
-    return KSpaceData(signals={encode: grid},
-                      sample_times=timings.sample_times, params=params,
-                      frame_time=float(field.times[frame]))
+    return _synthesize(mesh, m0, field, params, (encode,), frame, quadrature)
 
 
 def synthesize_frame(mesh: TetMesh, m0: np.ndarray, field: VelocityField,
                      params: SequenceParams, frame: int = 0,
                      quadrature: int = 4) -> KSpaceData:
     """All four encodes (reference + x, y, z) for one cardiac phase."""
-    signals = {}
-    first = None
-    for encode in ENCODE_AXES:
-        k = synthesize_signal(mesh, m0, field, params, encode=encode,
-                              frame=frame, quadrature=quadrature)
-        signals[encode] = k.signals[encode]
-        first = first or k
-    return KSpaceData(signals=signals, sample_times=first.sample_times,
-                      params=params, frame_time=first.frame_time)
+    return _synthesize(mesh, m0, field, params, ENCODE_AXES, frame,
+                       quadrature)
 
 
 def add_noise(k: KSpaceData, sigma_fraction: float,
@@ -529,11 +577,13 @@ def _save_container(fmt, grids, params, frame_time, path, extra):
 
 @contextmanager
 def _sidecar_entries(path):
-    """Report a missing, unknown or bad sidecar entry as a ValidationError."""
+    """Report a missing, unknown or bad sidecar entry or payload sample as
+    a ValidationError naming the sidecar."""
     try:
         yield
-    except (AttributeError, KeyError, TypeError, ValueError,
-            ValidationError) as exc:
+    except ValidationError as exc:
+        raise ValidationError(f"{path}: {exc}") from exc
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise ValidationError(f"{path}: malformed sidecar: {exc!r}") from exc
 
 

@@ -164,10 +164,15 @@ def _check_model_name(name: str) -> None:
         return
     if name.startswith("literature_"):
         try:
-            float(name[len("literature_"):])
-            return
+            mu = float(name[len("literature_"):])
         except ValueError:
             pass
+        else:
+            if np.isfinite(mu) and mu > 0:
+                return
+            raise ValidationError(
+                f"viscosity model {name!r}: the literature viscosity must "
+                "be finite and positive")
     raise ValidationError(
         f"unknown viscosity model {name!r}; use power_law, newtonian_fit1, "
         "newtonian_fit2, or literature_<viscosity in Pa s>")

@@ -3,7 +3,9 @@
 import csv
 import hashlib
 import json
+import shutil
 
+import numpy as np
 import pytest
 
 from hemoflow.cli import load_config, main
@@ -223,6 +225,24 @@ def test_reconstruct_rejects_unknown_sidecar_key(demo, tmp_path, capsys):
     assert "kspace_phase000.json" in capsys.readouterr().err
 
 
+def test_non_finite_payload_exits_2(demo, tmp_path, capsys):
+    config, out = demo
+    for kind, command in (("kspace", ["reconstruct", "--kspace"]),
+                          ("images", ["estimate", "--config", str(config),
+                                      "--images"])):
+        source = tmp_path / kind
+        source.mkdir()
+        for path in out.glob(f"{kind}_phase*"):
+            shutil.copyfile(path, source / path.name)
+        with open(source / f"{kind}_phase000.bin", "r+b") as fh:
+            fh.write(np.complex64(complex(np.nan, 0.0)).tobytes())
+        target = tmp_path / f"from_{kind}"
+        rc = main(command + [str(source), "--out", str(target)])
+        assert rc == 2, f"a NaN in {kind}_phase000.bin was accepted"
+        assert f"{kind}_phase000.json" in capsys.readouterr().err
+        assert not list(target.glob("*")), "nothing may be written"
+
+
 def test_report_renders_tables_and_svg(demo, tmp_path):
     _, out = demo
     report_dir = tmp_path / "report"
@@ -277,12 +297,20 @@ def test_missing_mesh_file_fails_validation(tmp_path):
     assert rc == 2
 
 
-def test_unknown_model_name_fails_validation(tmp_path):
+def test_unknown_model_name_fails_validation(tmp_path, capsys):
+    # a literature viscosity that is not finite and positive is rejected
+    # at config load, before any phase is synthesized
     config = tmp_path / "bad.ini"
-    config.write_text("[comparison]\nmodels = casson\n")
-    rc = main(["run", "--config", str(config), "--out",
-               str(tmp_path / "out")])
-    assert rc == 2
+    out = tmp_path / "out"
+    for name in ("casson", "literature_-1e-3", "literature_0",
+                 "literature_nan", "literature_inf"):
+        config.write_text("[flow]\ncardiac_phases = 2\n"
+                          f"[comparison]\nmodels = {name}\n")
+        rc = main(["run", "--config", str(config), "--out", str(out)])
+        assert rc == 2, f"model {name} was accepted"
+        assert name in capsys.readouterr().err
+        assert not list(out.glob("kspace_*")), \
+            f"model {name} was rejected only after synthesis"
 
 
 def test_infeasible_sequence_exits_3(tmp_path, capsys):

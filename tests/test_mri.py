@@ -4,15 +4,17 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hemoflow.errors import SequenceError, ValidationError
 from hemoflow.flowfields import VelocityField
-from hemoflow.mesh import generate_box_mesh, tet_volumes
-from hemoflow.mri import (ENCODE_AXES, ImageVolume, KSpaceData,
-                          SequenceParams, _quadrature, add_noise,
-                          load_images, load_kspace, phase_to_velocity,
-                          reconstruct, save_images, save_kspace,
-                          sequence_timings, synthesize_frame,
+from hemoflow.mesh import generate_box_mesh, generate_pipe_mesh, tet_volumes
+from hemoflow.mri import (_BLOCK, ENCODE_AXES, ImageVolume, KSpaceData,
+                          SequenceParams, _phase_ramp, _quadrature,
+                          add_noise, load_images, load_kspace,
+                          phase_to_velocity, reconstruct, save_images,
+                          save_kspace, sequence_timings, synthesize_frame,
                           synthesize_signal)
 
 PROTOCOL_DEFAULTS = SequenceParams()
@@ -159,6 +161,106 @@ def test_synthesize_validation():
         synthesize_signal(mesh, -ones, field, SMALL)
     with pytest.raises(ValidationError):
         synthesize_signal(mesh, ones[:-1], field, SMALL)
+
+
+def test_synthesize_rejects_non_finite_m0():
+    mesh = small_box()
+    field = uniform_field(mesh, (0.0, 0.0, 0.0))
+    for bad in (np.nan, np.inf):
+        m0 = np.ones(mesh.n_vertices)
+        m0[3] = bad
+        with pytest.raises(ValidationError, match="m0"):
+            synthesize_frame(mesh, m0, field, SMALL)
+
+
+# =========================================================================
+# Synthesis against the direct sum
+# =========================================================================
+
+def direct_sum(mesh, m0, field, params, encode, quadrature=4):
+    """One encode's grid from the imaging equation, one sample at a time,
+    with one exponential per quadrature point and k-space coordinate."""
+    timings = sequence_timings(params)
+    pos, wq, m0q, uq = _quadrature(mesh, np.asarray(m0, dtype=float),
+                                   field.values[0], quadrature)
+    k_ro, k_pe, k_pz = params.k_axes()
+    amp = (wq * m0q).astype(complex)
+    if encode != "ref":
+        amp = amp * np.exp(-1j * np.pi * uq[:, "xyz".index(encode)]
+                           / params.venc)
+    grid = np.empty((k_ro.size, k_pe.size, k_pz.size), dtype=complex)
+    for i, t in enumerate(timings.sample_times):
+        drifted = pos + uq * t
+        a = amp * np.exp(-t / params.t2_star
+                         - 2j * np.pi * k_ro[i] * drifted[:, 0])
+        ey = np.exp(-2j * np.pi * np.outer(drifted[:, 1], k_pe))
+        ez = np.exp(-2j * np.pi * np.outer(drifted[:, 2], k_pz))
+        grid[i] = (ey * a[:, None]).T @ ez
+    return grid
+
+
+def relative_l2(grid, reference):
+    return np.linalg.norm(grid - reference) / np.linalg.norm(reference)
+
+
+def assert_matches_direct_sum(mesh, m0, field, params, quadrature=4):
+    k = synthesize_frame(mesh, m0, field, params, quadrature=quadrature)
+    for encode in ENCODE_AXES:
+        err = relative_l2(k.signals[encode],
+                          direct_sum(mesh, m0, field, params, encode,
+                                     quadrature))
+        assert err <= 1e-10, \
+            f"encode {encode}: {err:.2e} relative L2 from the direct sum"
+
+
+def test_frame_matches_direct_sum_on_box():
+    mesh = small_box()
+    assert_matches_direct_sum(mesh, np.linspace(0.5, 1.5, mesh.n_vertices),
+                              uniform_field(mesh, (0.6, -0.4, 0.9)), SMALL)
+
+
+@pytest.mark.parametrize("quadrature", [4, 11])
+def test_frame_matches_direct_sum_over_several_blocks(quadrature):
+    pipe = generate_pipe_mesh(0.01, 0.1, resolution=1)
+    assert pipe.n_tets == 6720
+    n_points = pipe.n_tets * quadrature
+    assert n_points > _BLOCK and n_points % _BLOCK, \
+        "the pipe must span several blocks, the last one partial"
+    x, y, _ = pipe.vertices.T
+    r2 = (x * x + y * y) / 0.01 ** 2
+    velocity = np.stack([0.3 * x / 0.01, -0.2 * y / 0.01,
+                         0.7 * (1.0 - r2)], axis=1)
+    field = VelocityField(times=np.array([0.0]), values=velocity[None])
+    params = SequenceParams(venc=0.8, matrix=(4, 6, 10),
+                            voxel=(0.004, 0.004, 0.011), adc_bandwidth=32e3,
+                            fov_center=(0.0, 0.0, 0.05))
+    assert_matches_direct_sum(pipe, 1.0 + 0.5 * r2, field, params,
+                              quadrature)
+
+
+def test_single_encode_matches_its_frame_grid():
+    mesh = small_box()
+    m0 = np.linspace(0.5, 1.5, mesh.n_vertices)
+    field = uniform_field(mesh, (0.6, -0.4, 0.9))
+    frame = synthesize_frame(mesh, m0, field, SMALL)
+    for encode in ENCODE_AXES:
+        single = synthesize_signal(mesh, m0, field, SMALL, encode=encode)
+        assert list(single.signals) == [encode]
+        err = relative_l2(single.signals[encode], frame.signals[encode])
+        assert err <= 1e-10, f"encode {encode}: {err:.2e} relative L2"
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(1, 128),
+       fov=st.floats(0.03, 0.25),
+       coords=st.lists(st.floats(-0.15, 0.15), min_size=1, max_size=16))
+def test_phase_ramp_recurrence_matches_exponentials(n, fov, coords):
+    # k as params.k_axes() builds it, over the range of field of view
+    # from the default config (33 mm) to the paper's readout (224 mm)
+    k = (np.arange(n) - n // 2) / fov
+    c = np.asarray(coords)
+    direct = np.exp(-2j * np.pi * np.outer(k, c))
+    assert np.abs(_phase_ramp(c, k) - direct).max() <= 1e-11
 
 
 # =========================================================================
@@ -400,6 +502,25 @@ def test_malformed_sidecar_names_the_file(tmp_path):
         load_kspace(path)
 
 
+def _write_nan_sample(sidecar_path, index):
+    with open(sidecar_path.with_suffix(".bin"), "r+b") as fh:
+        fh.seek(index * np.dtype(np.complex64).itemsize)
+        fh.write(np.complex64(complex(np.nan, 0.0)).tobytes())
+
+
+def test_non_finite_payload_names_the_sidecar(tmp_path):
+    k, path = _saved_kspace(tmp_path)
+    _write_nan_sample(path, 17)
+    with pytest.raises(ValidationError, match="phase00.json.*non-finite"):
+        load_kspace(path)
+
+    images = tmp_path / "img00.json"
+    save_images(reconstruct(k), images)
+    _write_nan_sample(images, 5)
+    with pytest.raises(ValidationError, match="img00.json.*non-finite"):
+        load_images(images)
+
+
 def test_kspace_validation():
     with pytest.raises(ValidationError):
         KSpaceData(signals={"bogus": np.zeros((16, 8, 8), complex)},
@@ -409,4 +530,12 @@ def test_kspace_validation():
                    sample_times=np.zeros(4), params=SMALL)
     with pytest.raises(ValidationError):
         ImageVolume(volumes={"ref": np.zeros((4, 4, 4), complex)},
+                    params=SMALL)
+    grid = np.zeros((16, 8, 8), complex)
+    grid[1, 2, 3] = np.inf
+    with pytest.raises(ValidationError, match="non-finite"):
+        KSpaceData(signals={"ref": grid}, sample_times=np.zeros(16),
+                   params=SMALL)
+    with pytest.raises(ValidationError, match="non-finite"):
+        ImageVolume(volumes={"ref": np.full((8, 8, 8), np.nan, complex)},
                     params=SMALL)
