@@ -20,7 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import GeometryError, ValidationError
-from .mesh import CutPlane, TetMesh, _mesh_lines, _read_vtk
+from .mesh import CutPlane, TetMesh, _read_vtk, _write_vtk
 from .rheology import PowerLawParams
 
 __all__ = [
@@ -172,37 +172,8 @@ def pulsatile_scale(profile: VelocityField,
 # Cross-section flow rate
 # =========================================================================
 
-_EDGES = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
-
-
-def _cut_tet_polygon(points, dist):
-    """Intersection polygon of one tetrahedron with the plane d = 0."""
-    crossings = []
-    for i, j in _EDGES:
-        if dist[i] * dist[j] < 0:
-            t = dist[i] / (dist[i] - dist[j])
-            crossings.append(points[i] + t * (points[j] - points[i]))
-    if len(crossings) < 3:
-        return None
-    poly = np.array(crossings)
-    center = poly.mean(axis=0)
-    # order vertices around the centroid within the cut plane
-    basis_u = poly[0] - center
-    basis_u /= np.linalg.norm(basis_u)
-    normal = np.cross(poly[1] - poly[0], poly[2] - poly[0])
-    norm = np.linalg.norm(normal)
-    if norm == 0:
-        return None
-    basis_v = np.cross(normal / norm, basis_u)
-    angles = np.arctan2((poly - center) @ basis_v, (poly - center) @ basis_u)
-    return poly[np.argsort(angles)]
-
-
-def _barycentric(points, x):
-    mat = np.column_stack([points[1] - points[0], points[2] - points[0],
-                           points[3] - points[0]])
-    lam = np.linalg.solve(mat, x - points[0])
-    return np.array([1.0 - lam.sum(), *lam])
+# Local vertex pairs of the six tetrahedron edges, in crossing order.
+_EDGES = np.array([(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
 
 
 def flow_rate(field: VelocityField, mesh: TetMesh,
@@ -236,22 +207,52 @@ def flow_rate(field: VelocityField, mesh: TetMesh,
         raise GeometryError("cut plane does not intersect the mesh")
 
     normal = plane.unit_normal()
-    flows = np.zeros(field.n_frames)
-    for t in cut_tets:
-        conn = mesh.tets[t]
-        pts = mesh.vertices[conn]
-        poly = _cut_tet_polygon(pts, dist[conn])
-        if poly is None:
-            continue
-        for k in range(1, len(poly) - 1):
-            tri = (poly[0], poly[k], poly[k + 1])
-            area_vec = 0.5 * np.cross(tri[1] - tri[0], tri[2] - tri[0])
-            area = abs(area_vec @ normal)
-            centroid = (tri[0] + tri[1] + tri[2]) / 3.0
-            lam = _barycentric(pts, centroid)
-            u = np.einsum("v,fvc->fc", lam, field.values[:, conn, :])
-            flows += (u @ normal) * area
-    return flows
+    conn = mesh.tets[cut_tets]                       # (C, 4)
+    pts = mesh.vertices[conn]                        # (C, 4, 3)
+    d = dist[conn]
+    crossed = d[:, _EDGES[:, 0]] * d[:, _EDGES[:, 1]] < 0   # (C, 6)
+    # crossed edges first, in edge order; a plane crosses at most four
+    edges = _EDGES[np.argsort(~crossed, axis=1, kind="stable")[:, :4]]
+    count = crossed.sum(axis=1)
+
+    tri_tet, tri_pts = [], []
+    for k in (3, 4):                 # fewer than three crossings: no polygon
+        rows = np.nonzero(count == k)[0]
+        r, i, j = rows[:, None], edges[rows, :k, 0], edges[rows, :k, 1]
+        di, dj, pi, pj = d[r, i], d[r, j], pts[r, i], pts[r, j]
+        poly = pi + (di / (di - dj))[..., None] * (pj - pi)   # (R, k, 3)
+        # a zero normal from the first three crossings: no polygon
+        poly_normal = np.cross(poly[:, 1] - poly[:, 0],
+                               poly[:, 2] - poly[:, 0])
+        norm = np.linalg.norm(poly_normal, axis=1)
+        keep = norm != 0
+        rows, poly = rows[keep], poly[keep]
+        poly_normal, norm = poly_normal[keep], norm[keep]
+        # order vertices around the centroid within the cut plane
+        rel = poly - poly.mean(axis=1)[:, None]
+        basis_u = rel[:, 0] / np.linalg.norm(rel[:, 0], axis=1)[:, None]
+        basis_v = np.cross(poly_normal / norm[:, None], basis_u)
+        angles = np.arctan2(np.einsum("rkc,rc->rk", rel, basis_v),
+                            np.einsum("rkc,rc->rk", rel, basis_u))
+        poly = np.take_along_axis(poly, np.argsort(angles, axis=1)[..., None],
+                                  axis=1)
+        # fan triangles (0, m, m + 1)
+        for m in range(1, k - 1):
+            tri_tet.append(rows)
+            tri_pts.append(poly[:, [0, m, m + 1]])
+    tet = np.concatenate(tri_tet)
+    tri = np.concatenate(tri_pts)                    # (T, 3, 3)
+    area_vec = 0.5 * np.cross(tri[:, 1] - tri[:, 0], tri[:, 2] - tri[:, 0])
+    area = np.abs(area_vec @ normal)
+    centroid = (tri[:, 0] + tri[:, 1] + tri[:, 2]) / 3.0
+
+    # barycentric weights of each centroid in its tetrahedron
+    corners = pts[tet]
+    mat = (corners[:, 1:] - corners[:, :1]).transpose(0, 2, 1)
+    lam = np.linalg.solve(mat, (centroid - corners[:, 0])[..., None])[..., 0]
+    weights = np.column_stack([1.0 - lam.sum(axis=1), lam])
+    return np.einsum("tv,ftvc,c,t->f", weights,
+                     field.values[:, conn[tet], :], normal, area)
 
 
 # =========================================================================
@@ -314,11 +315,8 @@ def save_velocity_frame_vtk(mesh: TetMesh, velocities: np.ndarray,
     velocities = np.asarray(velocities, dtype=float)
     if velocities.shape != (mesh.n_vertices, 3):
         raise ValidationError("one velocity vector per mesh vertex required")
-    lines = _mesh_lines(mesh, extra_metadata={"frame_time": float(time)})
-    lines.append(f"POINT_DATA {mesh.n_vertices}")
-    lines.append("VECTORS velocity double")
-    lines.extend(" ".join(f"{x:.17g}" for x in row) for row in velocities)
-    Path(path).write_text("\n".join(lines) + "\n")
+    _write_vtk(path, mesh, {"velocity": velocities},
+               extra_metadata={"frame_time": float(time)})
 
 
 def load_velocity_frame_vtk(path: str | Path) -> tuple[float, np.ndarray]:

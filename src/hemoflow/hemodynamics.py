@@ -13,16 +13,16 @@ power law with that consistency index and n = 1.
 from __future__ import annotations
 
 import csv
+import itertools
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
-from scipy.interpolate import RegularGridInterpolator
 
 from .errors import GeometryError, ValidationError
 from .flowfields import VelocityField
-from .mesh import TetMesh, _mesh_lines, nodal_volumes, tet_volumes
+from .mesh import TetMesh, _lumped_volumes, _write_vtk, tet_volumes
 from .rheology import PowerLawParams, apparent_viscosity
 
 __all__ = [
@@ -48,25 +48,34 @@ def recover_gradients(mesh: TetMesh, velocities: np.ndarray) -> np.ndarray:
     Element gradients of the piecewise-linear field are constant per
     tetrahedron; they are projected onto the vertices with a lumped
     L2 (volume-weighted) average, which reproduces globally linear
-    fields exactly. Returns shape (n_vertices, 3, 3) with entry [v, i, j]
-    holding du_i/dx_j.
+    fields exactly. ``velocities`` is one frame (n_vertices, 3) or a
+    stack of frames (n_frames, n_vertices, 3); the result has shape
+    (n_vertices, 3, 3) or (n_frames, n_vertices, 3, 3) with entry
+    [..., v, i, j] holding du_i/dx_j.
     """
     velocities = np.asarray(velocities, dtype=float)
-    if velocities.shape != (mesh.n_vertices, 3):
+    frames = velocities if velocities.ndim == 3 else velocities[None]
+    if frames.shape[1:] != (mesh.n_vertices, 3):
         raise ValidationError("one velocity vector per mesh vertex required")
     corners = mesh.vertices[mesh.tets]
     edges = corners[:, 1:] - corners[:, :1]          # (T, 3, 3) rows
-    du = velocities[mesh.tets]
-    du = du[:, 1:] - du[:, :1]                       # (T, 3, 3)
-    # rows of `edges` dot the gradient of component i to du[:, :, i]
-    grad = np.linalg.solve(edges, du)                # (T, dx_j, u_i)
-    grad = grad.transpose(0, 2, 1)                   # (T, u_i, dx_j)
-
-    share = tet_volumes(mesh)[:, None, None] * grad / 4.0
-    accum = np.zeros((mesh.n_vertices, 3, 3))
-    for corner in range(4):
-        np.add.at(accum, mesh.tets[:, corner], share)
-    return accum / nodal_volumes(mesh)[:, None, None]
+    vol = tet_volumes(mesh)
+    nodal = _lumped_volumes(mesh, vol)[:, None, None]
+    # corner-major, as four add.at passes over the corners would sum
+    index = mesh.tets.T.ravel()
+    out = np.empty((len(frames), mesh.n_vertices, 3, 3))
+    for f, frame in enumerate(frames):
+        du = frame[mesh.tets]
+        du = du[:, 1:] - du[:, :1]                   # (T, 3, 3)
+        # rows of `edges` dot the gradient of component i to du[:, :, i]
+        grad = np.linalg.solve(edges, du)            # (T, dx_j, u_i)
+        share = (vol[:, None, None] * grad.transpose(0, 2, 1) / 4.0) \
+            .reshape(-1, 9)                          # (T, u_i * dx_j)
+        accum = np.column_stack([
+            np.bincount(index, weights=np.tile(share[:, c], 4),
+                        minlength=mesh.n_vertices) for c in range(9)])
+        out[f] = accum.reshape(-1, 3, 3) / nodal
+    return out if velocities.ndim == 3 else out[0]
 
 
 def shear_rate(gradients: np.ndarray) -> np.ndarray:
@@ -281,13 +290,23 @@ def interpolate_to_mesh(voxels, mesh: TetMesh) -> VelocityField:
             raise GeometryError(
                 f"mesh extent [{lo:.4g}, {hi:.4g}] exceeds the voxel grid "
                 f"[{ax[0]:.4g}, {ax[-1]:.4g}] along axis {dim}")
-    values = np.empty((1, mesh.n_vertices, 3))
-    for component in range(3):
-        interp = RegularGridInterpolator(
-            axes, voxels.velocity[..., component], method="linear",
-            bounds_error=False, fill_value=None)
-        values[0, :, component] = interp(mesh.vertices)
-    return VelocityField(times=np.array([voxels.frame_time]), values=values)
+    # Trilinear weights, summed corner by corner in the order
+    # scipy.interpolate.RegularGridInterpolator(method="linear") uses, so
+    # the result equals it bit for bit. Vertices just outside the grid
+    # (within the tolerance above) extrapolate from the edge cell.
+    lower, upper = [], []
+    for dim, ax in enumerate(axes):
+        x = mesh.vertices[:, dim]
+        i = np.clip(np.searchsorted(ax, x, side="right") - 1, 0, len(ax) - 2)
+        t = (x - ax[i]) / (ax[i + 1] - ax[i])
+        lower.append((i, 1 - t))
+        upper.append((i + 1, t))
+    total = np.array([0.])
+    for corner in itertools.product(*zip(lower, upper)):
+        index, (w0, w1, w2) = zip(*corner)
+        total = total + voxels.velocity[index] * (w0 * w1 * w2)[:, None]
+    return VelocityField(times=np.array([voxels.frame_time]),
+                         values=total[None])
 
 
 # =========================================================================
@@ -302,22 +321,7 @@ def export_fields_vtk(mesh: TetMesh, point_data: dict,
     quantities must be scattered to full length by the caller (zeros off
     the wall are conventional).
     """
-    lines = _mesh_lines(mesh)
-    lines.append(f"POINT_DATA {mesh.n_vertices}")
-    for name, data in point_data.items():
-        data = np.asarray(data, dtype=float)
-        if data.shape == (mesh.n_vertices,):
-            lines.append(f"SCALARS {name} double 1")
-            lines.append("LOOKUP_TABLE default")
-            lines.extend(f"{x:.17g}" for x in data)
-        elif data.shape == (mesh.n_vertices, 3):
-            lines.append(f"VECTORS {name} double")
-            lines.extend(" ".join(f"{x:.17g}" for x in row) for row in data)
-        else:
-            raise ValidationError(
-                f"field {name!r} has shape {data.shape}; expected "
-                f"({mesh.n_vertices},) or ({mesh.n_vertices}, 3)")
-    Path(path).write_text("\n".join(lines) + "\n")
+    _write_vtk(path, mesh, point_data)
 
 
 def _fmt(value):

@@ -129,12 +129,15 @@ def tet_volumes(mesh: TetMesh) -> np.ndarray:
 
 def nodal_volumes(mesh: TetMesh) -> np.ndarray:
     """Lumped control volume per vertex: a quarter of each adjacent tet."""
-    vol = tet_volumes(mesh)
+    return _lumped_volumes(mesh, tet_volumes(mesh))
+
+
+def _lumped_volumes(mesh: TetMesh, vol: np.ndarray) -> np.ndarray:
+    """Nodal volumes from the tet volumes ``vol``, summed tet by tet."""
     if np.any(vol <= 0):
         raise MeshError("nodal volumes require positively oriented tetrahedra")
-    out = np.zeros(mesh.n_vertices)
-    np.add.at(out, mesh.tets.ravel(), np.repeat(vol / 4.0, 4))
-    return out
+    return np.bincount(mesh.tets.ravel(), weights=np.repeat(vol / 4.0, 4),
+                       minlength=mesh.n_vertices)
 
 
 def _boundary_of_tets(tets: np.ndarray):
@@ -242,8 +245,10 @@ def wall_normals(mesh: TetMesh) -> tuple[np.ndarray, np.ndarray]:
     # Inward-oriented winding: the cross product is inward with twice the
     # triangle area as magnitude, so plain accumulation is area weighting.
     area_normal = 0.5 * np.cross(tri[:, 1] - tri[:, 0], tri[:, 2] - tri[:, 0])
-    accum = np.zeros((mesh.n_vertices, 3))
-    np.add.at(accum, faces.ravel(), np.repeat(area_normal, 3, axis=0))
+    corners = faces.ravel()
+    accum = np.column_stack([
+        np.bincount(corners, weights=np.repeat(area_normal[:, c], 3),
+                    minlength=mesh.n_vertices) for c in range(3)])
     indices = np.unique(faces)
     sums = accum[indices]
     norms = np.linalg.norm(sums, axis=1)
@@ -473,8 +478,28 @@ def generate_box_mesh(size: Sequence[float], divisions: Sequence[int],
 # VTK legacy ASCII I/O
 # =========================================================================
 
-def _mesh_lines(mesh: TetMesh, extra_metadata: dict | None = None) -> list[str]:
-    lines = ["# vtk DataFile Version 3.0"]
+# Rows formatted per write call; bounds the text held in memory at once.
+_ROW_CHUNK = 8192
+_FLOAT_ROW = "%.17g %.17g %.17g\n"
+
+
+def _write_rows(fh, row_format: str, rows: np.ndarray) -> None:
+    """Write ``row_format % row`` for every row, a chunk of rows at a time."""
+    rows = np.asarray(rows).reshape(len(rows), -1)
+    for start in range(0, len(rows), _ROW_CHUNK):
+        block = rows[start:start + _ROW_CHUNK]
+        fh.write((row_format * len(block)) % tuple(block.ravel().tolist()))
+
+
+def _write_vtk(path: str | Path, mesh: TetMesh,
+               point_data: dict | None = None,
+               extra_metadata: dict | None = None) -> None:
+    """Stream the mesh, then its point data, as legacy ASCII VTK.
+
+    ``point_data`` maps names to per-vertex scalars (n_vertices,) or
+    vectors (n_vertices, 3), written after a ``POINT_DATA`` line; None
+    writes the mesh alone. Everything is checked before the file opens.
+    """
     metadata = dict(mesh.metadata)
     if extra_metadata:
         metadata.update(extra_metadata)
@@ -482,30 +507,44 @@ def _mesh_lines(mesh: TetMesh, extra_metadata: dict | None = None) -> list[str]:
                                      sort_keys=True)
     if len(title) > 255:
         raise ValidationError("mesh metadata too large for the VTK title line")
-    lines.append(title)
-    lines.append("ASCII")
-    lines.append("DATASET UNSTRUCTURED_GRID")
-    lines.append(f"POINTS {mesh.n_vertices} double")
-    lines.extend(" ".join(f"{x:.17g}" for x in row) for row in mesh.vertices)
-    n_cells = mesh.n_tets + len(mesh.boundary_faces)
-    total = 5 * mesh.n_tets + 4 * len(mesh.boundary_faces)
-    lines.append(f"CELLS {n_cells} {total}")
-    lines.extend("4 " + " ".join(map(str, t)) for t in mesh.tets)
-    lines.extend("3 " + " ".join(map(str, f)) for f in mesh.boundary_faces)
-    lines.append(f"CELL_TYPES {n_cells}")
-    lines.extend(["10"] * mesh.n_tets)
-    lines.extend(["5"] * len(mesh.boundary_faces))
-    lines.append(f"CELL_DATA {n_cells}")
-    lines.append("SCALARS boundary_label int 1")
-    lines.append("LOOKUP_TABLE default")
-    lines.extend(["-1"] * mesh.n_tets)
-    lines.extend(str(l) for l in mesh.boundary_labels)
-    return lines
+    blocks = []
+    for name, data in (point_data or {}).items():
+        data = np.asarray(data, dtype=float)
+        if data.shape == (mesh.n_vertices,):
+            blocks.append((f"SCALARS {name} double 1\nLOOKUP_TABLE default\n",
+                           "%.17g\n", data))
+        elif data.shape == (mesh.n_vertices, 3):
+            blocks.append((f"VECTORS {name} double\n", _FLOAT_ROW, data))
+        else:
+            raise ValidationError(
+                f"field {name!r} has shape {data.shape}; expected "
+                f"({mesh.n_vertices},) or ({mesh.n_vertices}, 3)")
+    n_faces = len(mesh.boundary_faces)
+    n_cells = mesh.n_tets + n_faces
+    with open(path, "w") as fh:
+        fh.write(f"# vtk DataFile Version 3.0\n{title}\nASCII\n"
+                 f"DATASET UNSTRUCTURED_GRID\n"
+                 f"POINTS {mesh.n_vertices} double\n")
+        _write_rows(fh, _FLOAT_ROW, mesh.vertices)
+        fh.write(f"CELLS {n_cells} {5 * mesh.n_tets + 4 * n_faces}\n")
+        _write_rows(fh, "4 %d %d %d %d\n", mesh.tets)
+        _write_rows(fh, "3 %d %d %d\n", mesh.boundary_faces)
+        fh.write(f"CELL_TYPES {n_cells}\n")
+        fh.write("10\n" * mesh.n_tets + "5\n" * n_faces)
+        fh.write(f"CELL_DATA {n_cells}\nSCALARS boundary_label int 1\n"
+                 "LOOKUP_TABLE default\n")
+        fh.write("-1\n" * mesh.n_tets)
+        _write_rows(fh, "%d\n", mesh.boundary_labels)
+        if point_data is not None:
+            fh.write(f"POINT_DATA {mesh.n_vertices}\n")
+            for header, row_format, rows in blocks:
+                fh.write(header)
+                _write_rows(fh, row_format, rows)
 
 
 def save_mesh(mesh: TetMesh, path: str | Path) -> None:
     """Write a VTK legacy ASCII unstructured grid (see module docstring)."""
-    Path(path).write_text("\n".join(_mesh_lines(mesh)) + "\n")
+    _write_vtk(path, mesh)
 
 
 class _VtkTokens:

@@ -418,12 +418,9 @@ def stage_estimate(cfg: RunConfig, fitted: dict, mesh, decoded, out: Path):
     wall_labels = labels[wall_idx]
     volumes = nodal_volumes(mesh)
 
-    vertex_speeds = []
-    gradients = []
-    for d in decoded:
-        u = interpolate_to_mesh(d, mesh).values[0]
-        vertex_speeds.append(u)
-        gradients.append(recover_gradients(mesh, u))
+    vertex_speeds = np.stack([interpolate_to_mesh(d, mesh).values[0]
+                              for d in decoded])
+    gradients = recover_gradients(mesh, vertex_speeds)
 
     models = {name: resolve_model(name, fitted)
               for name in dict.fromkeys([cfg.reference_model,

@@ -228,6 +228,81 @@ def test_flow_rate_outside_mesh_raises():
         flow_rate(field, mesh, CutPlane((0, 0, 2 * LENGTH), (0, 0, 1)))
 
 
+_EDGES = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
+
+
+def loop_flow_rate(field, mesh, plane):
+    """Oracle: the cut integrated tet by tet, one triangle at a time."""
+    dist = plane.signed_distance(mesh.vertices)
+    scale = np.abs(dist).max()
+    while np.any(np.abs(dist) < 1e-12 * scale):
+        dist = dist - 1e-9 * scale
+    signs = dist[mesh.tets]
+    cut_tets = np.nonzero((signs.min(axis=1) < 0) & (signs.max(axis=1) > 0))[0]
+    normal = plane.unit_normal()
+    flows = np.zeros(field.n_frames)
+    for t in cut_tets:
+        conn = mesh.tets[t]
+        pts, d = mesh.vertices[conn], dist[conn]
+        crossings = [pts[i] + d[i] / (d[i] - d[j]) * (pts[j] - pts[i])
+                     for i, j in _EDGES if d[i] * d[j] < 0]
+        if len(crossings) < 3:
+            continue
+        poly = np.array(crossings)
+        center = poly.mean(axis=0)
+        basis_u = (poly[0] - center) / np.linalg.norm(poly[0] - center)
+        poly_normal = np.cross(poly[1] - poly[0], poly[2] - poly[0])
+        if np.linalg.norm(poly_normal) == 0:
+            continue
+        basis_v = np.cross(poly_normal / np.linalg.norm(poly_normal), basis_u)
+        poly = poly[np.argsort(np.arctan2((poly - center) @ basis_v,
+                                          (poly - center) @ basis_u))]
+        for k in range(1, len(poly) - 1):
+            a, b, c = poly[0], poly[k], poly[k + 1]
+            area = abs(0.5 * np.cross(b - a, c - a) @ normal)
+            mat = np.column_stack([pts[1] - pts[0], pts[2] - pts[0],
+                                   pts[3] - pts[0]])
+            lam = np.linalg.solve(mat, (a + b + c) / 3.0 - pts[0])
+            weights = np.array([1.0 - lam.sum(), *lam])
+            u = np.einsum("v,fvc->fc", weights, field.values[:, conn, :])
+            flows += (u @ normal) * area
+    return flows
+
+
+def swirling_field(mesh, frames=3, seed=5):
+    """Smooth non-uniform frames with axial, swirl and cross-flow parts."""
+    rng = np.random.default_rng(seed)
+    x, y, z = (mesh.vertices / np.abs(mesh.vertices).max()).T
+    values = np.empty((frames, mesh.n_vertices, 3))
+    for f in range(frames):
+        a = rng.normal(size=6)
+        values[f] = np.column_stack([a[0] * y + a[1] * np.sin(3 * z),
+                                     -a[0] * x + a[2] * z * z,
+                                     a[3] + a[4] * (1 - x * x - y * y)
+                                     + a[5] * np.cos(2 * x)])
+    return VelocityField(times=np.arange(frames, dtype=float), values=values)
+
+
+@pytest.mark.parametrize("case", ["pipe0", "pipe1", "box", "oblique",
+                                  "through_vertices"])
+def test_flow_rate_matches_per_tet_loop(case):
+    mesh = {"pipe0": lambda: pipe(0),
+            "box": lambda: generate_box_mesh((0.02, 0.03, 0.04), (3, 4, 5)),
+            }.get(case, lambda: pipe(1))()
+    plane = {
+        "box": CutPlane((0.001, -0.002, 0.003), (0.2, 0.1, 1.0)),
+        "oblique": CutPlane((0.001, 0.002, 0.047), (0.3, -0.2, 1.0)),
+        # z = 0.02 is a vertex layer: every vertex there sits on the plane
+        "through_vertices": CutPlane((0, 0, 0.02), (0, 0, 1)),
+    }.get(case, CutPlane((0, 0, LENGTH / 2), (0, 0, 1)))
+    field = swirling_field(mesh)
+    got = flow_rate(field, mesh, plane)
+    want = loop_flow_rate(field, mesh, plane)
+    assert got.shape == want.shape == (field.n_frames,)
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max(), \
+        f"vectorised cut {got} vs per-tet loop {want}"
+
+
 # =========================================================================
 # Pulsatile scaling
 # =========================================================================

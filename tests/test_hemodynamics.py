@@ -1,9 +1,14 @@
 """Tests for gradient recovery, WSS, OSI, energy loss, and aggregation."""
 
 import csv
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.interpolate import RegularGridInterpolator
 
 from hemoflow.errors import GeometryError, ValidationError
 from hemoflow.hemodynamics import (
@@ -24,12 +29,14 @@ from hemoflow.hemodynamics import (
 from hemoflow.flowfields import poiseuille_power_law
 from hemoflow.mesh import (
     CutPlane,
+    TetMesh,
     generate_box_mesh,
     generate_pipe_mesh,
     load_mesh,
     nodal_volumes,
     segment_labels,
     segment_names,
+    tet_volumes,
     wall_normals,
 )
 from hemoflow.mri import ReconstructedVelocity, SequenceParams
@@ -66,6 +73,62 @@ def test_linear_fields_recover_their_gradient_exactly():
         assert err < 1e-10, f"linear field gradient off by {err:.2e}"
 
 
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1),
+       divisions=st.tuples(*[st.integers(1, 4)] * 3))
+def test_affine_fields_are_exact_on_affinely_mapped_boxes(seed, divisions):
+    """u = A x + b on any well-conditioned affine image of a box mesh."""
+    rng = np.random.default_rng(seed)
+    box = generate_box_mesh((1.0, 1.0, 1.0), divisions)
+    # a rotation times a stretch in [0.5, 2]: condition number at most 4,
+    # and a positive determinant keeps every tet positively oriented
+    q, r = np.linalg.qr(rng.normal(size=(3, 3)))
+    q = q * np.sign(np.diag(r))
+    if np.linalg.det(q) < 0:
+        q[:, 0] = -q[:, 0]
+    M = 0.01 * q @ np.diag(rng.uniform(0.5, 2.0, size=3))
+    mesh = TetMesh(vertices=box.vertices @ M.T + rng.normal(size=3),
+                   tets=box.tets, boundary_faces=box.boundary_faces,
+                   boundary_labels=box.boundary_labels)
+    A = rng.normal(size=(4, 3, 3)) * 100.0
+    b = rng.normal(size=(4, 3))
+    frames = np.einsum("fij,vj->fvi", A, mesh.vertices) + b[:, None]
+    scale = np.abs(A).max()
+    single = recover_gradients(mesh, frames[0])
+    assert single.shape == (mesh.n_vertices, 3, 3)
+    assert np.abs(single - A[0]).max() <= 1e-10 * scale
+    stacked = recover_gradients(mesh, frames)
+    assert stacked.shape == (4, mesh.n_vertices, 3, 3)
+    assert np.abs(stacked - A[:, None]).max() <= 1e-10 * scale
+
+
+def test_stacked_gradients_equal_per_frame_calls():
+    mesh = generate_pipe_mesh(RADIUS, LENGTH, resolution=1)
+    frames = np.random.default_rng(3).normal(size=(3, mesh.n_vertices, 3))
+    stacked = recover_gradients(mesh, frames)
+    assert np.array_equal(stacked, np.stack([recover_gradients(mesh, u)
+                                             for u in frames]))
+
+
+def test_gradients_equal_add_at_reference():
+    """bincount sums corner by corner, as four add.at passes did."""
+    mesh = generate_pipe_mesh(RADIUS, LENGTH, resolution=1)
+    u = np.random.default_rng(4).normal(size=(mesh.n_vertices, 3))
+    corners = mesh.vertices[mesh.tets]
+    du = u[mesh.tets]
+    grad = np.linalg.solve(corners[:, 1:] - corners[:, :1],
+                           du[:, 1:] - du[:, :1]).transpose(0, 2, 1)
+    vol = tet_volumes(mesh)
+    share = vol[:, None, None] * grad / 4.0
+    accum = np.zeros((mesh.n_vertices, 3, 3))
+    for corner in range(4):
+        np.add.at(accum, mesh.tets[:, corner], share)
+    lumped = np.zeros(mesh.n_vertices)
+    np.add.at(lumped, mesh.tets.ravel(), np.repeat(vol / 4.0, 4))
+    assert np.array_equal(recover_gradients(mesh, u),
+                          accum / lumped[:, None, None])
+
+
 def test_rigid_rotation_has_no_shear():
     mesh = generate_box_mesh((0.02,) * 3, (3, 3, 3))
     omega = np.array([0.3, -1.1, 0.7])
@@ -78,6 +141,8 @@ def test_gradient_shape_validation():
     mesh = generate_box_mesh((0.02,) * 3, (2, 2, 2))
     with pytest.raises(ValidationError):
         recover_gradients(mesh, np.zeros((mesh.n_vertices, 2)))
+    with pytest.raises(ValidationError):
+        recover_gradients(mesh, np.zeros((2, mesh.n_vertices + 1, 3)))
 
 
 # =========================================================================
@@ -432,6 +497,46 @@ def test_interpolation_reproduces_linear_fields():
     x, y, z = mesh.vertices.T
     expected = np.stack([0.5 + 2.0 * x - y, 3.0 * z + 0.1, x + y + z], axis=1)
     assert np.allclose(field.values[0], expected, atol=1e-12)
+
+
+def test_interpolation_equals_regular_grid_interpolator():
+    """Same corner order and weights as scipy's linear method, bit for bit,
+    including vertices on the upper grid faces and just past them."""
+    params = SequenceParams(matrix=(9, 7, 11), voxel=(0.002, 0.003, 0.0025),
+                            fov_center=(0.001, -0.002, 0.0))
+    axes = params.axis_coordinates()
+    rng = np.random.default_rng(11)
+    velocity = rng.normal(size=params.matrix + (3,))
+    vox = ReconstructedVelocity(velocity=velocity,
+                                magnitude=np.ones(params.matrix),
+                                wrapped=np.zeros(params.matrix, dtype=bool),
+                                params=params, frame_time=0.1)
+    lo = np.array([ax[0] for ax in axes])
+    hi = np.array([ax[-1] for ax in axes])
+    points = rng.uniform(lo, hi, size=(5000, 3))
+    points[:500] = np.where(rng.random((500, 3)) < 0.5, hi, points[:500])
+    points[500:1000] = np.where(rng.random((500, 3)) < 0.5, lo,
+                                points[500:1000])
+    points[1000:1100] = hi + 5e-13
+    points[1100:1200] = np.array([ax[3] for ax in axes])   # on grid nodes
+    box = generate_box_mesh((0.001,) * 3, (1, 1, 1))
+    mesh = TetMesh(vertices=points, tets=box.tets,
+                   boundary_faces=box.boundary_faces,
+                   boundary_labels=box.boundary_labels)
+    got = interpolate_to_mesh(vox, mesh).values[0]
+    want = np.column_stack([
+        RegularGridInterpolator(axes, velocity[..., c], method="linear",
+                                bounds_error=False, fill_value=None)(points)
+        for c in range(3)])
+    assert np.array_equal(got, want)
+
+
+def test_cli_import_leaves_scipy_interpolate_unloaded():
+    code = ("import sys, hemoflow.cli; "
+            "print('scipy.interpolate' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"
 
 
 def test_interpolation_rejects_vertices_outside_grid():

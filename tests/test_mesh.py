@@ -93,6 +93,14 @@ def test_nodal_volumes_conserve_tet_volumes():
         assert np.all(nodal_volumes(mesh) > 0)
 
 
+def test_nodal_volumes_equal_add_at_reference():
+    """The bincount scatter sums in add.at's order, so bits agree."""
+    for mesh in (generate_pipe_mesh(RADIUS, LENGTH, 1), make_ball(6)):
+        want = np.zeros(mesh.n_vertices)
+        np.add.at(want, mesh.tets.ravel(), np.repeat(tet_volumes(mesh) / 4, 4))
+        assert np.array_equal(nodal_volumes(mesh), want)
+
+
 def test_box_volume_is_exact():
     mesh = generate_box_mesh((0.02, 0.016, 0.008), (10, 8, 4))
     total = nodal_volumes(mesh).sum()
@@ -181,6 +189,21 @@ def test_sphere_normals_are_radial():
     cosang = np.clip(np.einsum("ij,ij->i", normals, radial_in), -1.0, 1.0)
     worst = np.degrees(np.arccos(cosang)).max()
     assert worst < 2.0, f"worst normal deviation {worst} degrees"
+
+
+def test_wall_normals_equal_add_at_reference():
+    for mesh in (generate_pipe_mesh(RADIUS, LENGTH, 1), make_ball(6)):
+        faces = mesh.boundary_faces[mesh.boundary_labels == 0]
+        tri = mesh.vertices[faces]
+        area_normal = 0.5 * np.cross(tri[:, 1] - tri[:, 0],
+                                     tri[:, 2] - tri[:, 0])
+        accum = np.zeros((mesh.n_vertices, 3))
+        np.add.at(accum, faces.ravel(), np.repeat(area_normal, 3, axis=0))
+        sums = accum[np.unique(faces)]
+        idx, normals = wall_normals(mesh)
+        assert np.array_equal(idx, np.unique(faces))
+        assert np.array_equal(normals,
+                              sums / np.linalg.norm(sums, axis=1)[:, None])
 
 
 def test_wall_vertices_subset():
