@@ -3,24 +3,18 @@
 A velocity field is a time series of per-vertex velocity vectors on a
 tetrahedral mesh, interpreted as a piecewise-linear (P1) field. Fields
 are built analytically (steady power-law pipe flow, pulsatile scaling
-of a spatial profile) or loaded from disk.
-
-Disk formats: a flat little-endian float64 binary (frames, vertices, 3)
-with a JSON sidecar holding frame times, period, and vertex count, or
-single-frame VTK legacy files carrying a ``velocity`` point-data vector.
+of a spatial profile); the flow rate through a cut plane is integrated
+over the polygons where the plane crosses the tetrahedra.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from pathlib import Path
-from typing import Sequence
 
 import numpy as np
 
 from .errors import GeometryError, ValidationError
-from .mesh import CutPlane, TetMesh, _read_vtk, _write_vtk
+from .mesh import CutPlane, TetMesh
 from .rheology import PowerLawParams
 
 __all__ = [
@@ -29,10 +23,6 @@ __all__ = [
     "poiseuille_power_law",
     "pulsatile_scale",
     "flow_rate",
-    "save_velocity_series",
-    "load_velocity_series",
-    "save_velocity_frame_vtk",
-    "load_velocity_frame_vtk",
 ]
 
 
@@ -100,16 +90,6 @@ class VelocityField:
     @property
     def n_vertices(self) -> int:
         return self.values.shape[1]
-
-    def frame_nearest(self, t: float) -> int:
-        """Index of the frame whose time is closest to ``t`` (periodically)."""
-        times = self.times
-        if self.period is not None:
-            delta = np.abs((times - t + self.period / 2) % self.period
-                           - self.period / 2)
-        else:
-            delta = np.abs(times - t)
-        return int(np.argmin(delta))
 
 
 def poiseuille_power_law(mesh: TetMesh, params: PowerLawParams,
@@ -253,76 +233,3 @@ def flow_rate(field: VelocityField, mesh: TetMesh,
     weights = np.column_stack([1.0 - lam.sum(axis=1), lam])
     return np.einsum("tv,ftvc,c,t->f", weights,
                      field.values[:, conn[tet], :], normal, area)
-
-
-# =========================================================================
-# Persistence
-# =========================================================================
-
-_SERIES_FORMAT = "hemoflow-velocity-series"
-
-
-def save_velocity_series(field: VelocityField, path: str | Path) -> None:
-    """Write the field as raw float64 plus a JSON sidecar.
-
-    ``path`` names the sidecar (conventionally ``.json``); the raw data
-    lands next to it with a ``.bin`` suffix, little-endian C-order with
-    shape (frames, vertices, 3).
-    """
-    path = Path(path)
-    data_path = path.with_suffix(".bin")
-    field.values.astype("<f8").tofile(data_path)
-    sidecar = {
-        "format": _SERIES_FORMAT,
-        "n_frames": field.n_frames,
-        "n_vertices": field.n_vertices,
-        "times": field.times.tolist(),
-        "period": field.period,
-        "data_file": data_path.name,
-    }
-    path.write_text(json.dumps(sidecar, indent=2) + "\n")
-
-
-def load_velocity_series(path: str | Path) -> VelocityField:
-    """Read a field written by :func:`save_velocity_series`.
-
-    Frames are sorted by their stored times.
-    """
-    path = Path(path)
-    try:
-        sidecar = json.loads(path.read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ValidationError(f"cannot read velocity sidecar {path}: {exc}") from exc
-    if sidecar.get("format") != _SERIES_FORMAT:
-        raise ValidationError(f"{path}: not a velocity series sidecar")
-    frames, vertices = int(sidecar["n_frames"]), int(sidecar["n_vertices"])
-    data_path = path.parent / sidecar["data_file"]
-    raw = np.fromfile(data_path, dtype="<f8")
-    expected = frames * vertices * 3
-    if raw.size != expected:
-        raise ValidationError(
-            f"{data_path}: holds {raw.size} values, sidecar implies {expected}")
-    values = raw.reshape(frames, vertices, 3)
-    times = np.asarray(sidecar["times"], dtype=float)
-    order = np.argsort(times)
-    return VelocityField(times=times[order], values=values[order],
-                         period=sidecar.get("period"))
-
-
-def save_velocity_frame_vtk(mesh: TetMesh, velocities: np.ndarray,
-                            time: float, path: str | Path) -> None:
-    """Write one frame as a VTK mesh with a ``velocity`` point vector."""
-    velocities = np.asarray(velocities, dtype=float)
-    if velocities.shape != (mesh.n_vertices, 3):
-        raise ValidationError("one velocity vector per mesh vertex required")
-    _write_vtk(path, mesh, {"velocity": velocities},
-               extra_metadata={"frame_time": float(time)})
-
-
-def load_velocity_frame_vtk(path: str | Path) -> tuple[float, np.ndarray]:
-    """Read the frame time and velocity vectors from a VTK frame file."""
-    metadata, _, _, _, data = _read_vtk(Path(path))
-    velocities = data.get(("point", "velocity"))
-    if velocities is None:
-        raise ValidationError(f"{path}: no velocity point vectors found")
-    return float(metadata.get("frame_time", 0.0)), velocities

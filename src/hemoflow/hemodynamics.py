@@ -22,10 +22,11 @@ import numpy as np
 
 from .errors import GeometryError, ValidationError
 from .flowfields import VelocityField
-from .mesh import TetMesh, _lumped_volumes, _write_vtk, tet_volumes
+from .mesh import TetMesh, _write_vtk, nodal_volumes
 from .rheology import PowerLawParams, apparent_viscosity
 
 __all__ = [
+    "GradientOperator",
     "recover_gradients",
     "shear_rate",
     "viscosity_at",
@@ -42,40 +43,68 @@ __all__ = [
 ]
 
 
-def recover_gradients(mesh: TetMesh, velocities: np.ndarray) -> np.ndarray:
-    """Per-vertex velocity-gradient tensors, 1/s.
+class GradientOperator:
+    """The gradient recovery of one mesh, built once and applied per frame.
 
     Element gradients of the piecewise-linear field are constant per
     tetrahedron; they are projected onto the vertices with a lumped
     L2 (volume-weighted) average, which reproduces globally linear
-    fields exactly. ``velocities`` is one frame (n_vertices, 3) or a
-    stack of frames (n_frames, n_vertices, 3); the result has shape
-    (n_vertices, 3, 3) or (n_frames, n_vertices, 3, 3) with entry
-    [..., v, i, j] holding du_i/dx_j.
+    fields exactly. The projection is linear in the velocities and its
+    coefficients depend only on the mesh: corner k of tet t contributes
+    ``weights[t, k] = vol/4 * grad(lambda_k)``, in closed form the cross
+    products of the edges e_k = x_k - x_0 over 24, and the corner sums
+    are divided by ``nodal_volumes``.
     """
-    velocities = np.asarray(velocities, dtype=float)
-    frames = velocities if velocities.ndim == 3 else velocities[None]
-    if frames.shape[1:] != (mesh.n_vertices, 3):
-        raise ValidationError("one velocity vector per mesh vertex required")
-    corners = mesh.vertices[mesh.tets]
-    edges = corners[:, 1:] - corners[:, :1]          # (T, 3, 3) rows
-    vol = tet_volumes(mesh)
-    nodal = _lumped_volumes(mesh, vol)[:, None, None]
-    # corner-major, as four add.at passes over the corners would sum
-    index = mesh.tets.T.ravel()
-    out = np.empty((len(frames), mesh.n_vertices, 3, 3))
-    for f, frame in enumerate(frames):
-        du = frame[mesh.tets]
-        du = du[:, 1:] - du[:, :1]                   # (T, 3, 3)
-        # rows of `edges` dot the gradient of component i to du[:, :, i]
-        grad = np.linalg.solve(edges, du)            # (T, dx_j, u_i)
-        share = (vol[:, None, None] * grad.transpose(0, 2, 1) / 4.0) \
-            .reshape(-1, 9)                          # (T, u_i * dx_j)
-        accum = np.column_stack([
-            np.bincount(index, weights=np.tile(share[:, c], 4),
-                        minlength=mesh.n_vertices) for c in range(9)])
-        out[f] = accum.reshape(-1, 3, 3) / nodal
-    return out if velocities.ndim == 3 else out[0]
+
+    def __init__(self, mesh: TetMesh):
+        corners = mesh.vertices[mesh.tets]
+        e1, e2, e3 = (corners[:, k] - corners[:, 0] for k in (1, 2, 3))
+        weights = np.empty((mesh.n_tets, 4, 3))
+        weights[:, 1] = np.cross(e2, e3)
+        weights[:, 2] = np.cross(e3, e1)
+        weights[:, 3] = np.cross(e1, e2)
+        weights[:, 1:] /= 24.0
+        weights[:, 0] = -(weights[:, 1] + weights[:, 2] + weights[:, 3])
+        self.mesh = mesh
+        self.weights = weights                        # (T, corner k, dx_j)
+        self.nodal_volumes = nodal_volumes(mesh)
+        # corner-major, as four add.at passes over the corners would sum
+        self._index = mesh.tets.T.ravel()
+
+    def apply(self, velocities: np.ndarray) -> np.ndarray:
+        """Gradients of one frame (N, 3) or of stacked frames (F, N, 3)."""
+        mesh = self.mesh
+        velocities = np.asarray(velocities, dtype=float)
+        frames = velocities if velocities.ndim == 3 else velocities[None]
+        if frames.shape[1:] != (mesh.n_vertices, 3):
+            raise ValidationError("one velocity vector per mesh vertex required")
+        nodal = self.nodal_volumes[:, None, None]
+        out = np.empty((len(frames), mesh.n_vertices, 3, 3))
+        for f, frame in enumerate(frames):
+            share = (frame[mesh.tets].transpose(0, 2, 1) @ self.weights) \
+                .reshape(-1, 9)                      # (T, u_i * dx_j)
+            accum = np.column_stack([
+                np.bincount(self._index, weights=np.tile(share[:, c], 4),
+                            minlength=mesh.n_vertices) for c in range(9)])
+            out[f] = accum.reshape(-1, 3, 3) / nodal
+        return out if velocities.ndim == 3 else out[0]
+
+
+def recover_gradients(mesh: TetMesh, velocities: np.ndarray,
+                      operator: GradientOperator | None = None) -> np.ndarray:
+    """Per-vertex velocity-gradient tensors, 1/s.
+
+    ``velocities`` is one frame (n_vertices, 3) or a stack of frames
+    (n_frames, n_vertices, 3); the result has shape (n_vertices, 3, 3)
+    or (n_frames, n_vertices, 3, 3) with entry [..., v, i, j] holding
+    du_i/dx_j. ``operator`` is the mesh's :class:`GradientOperator`, for
+    callers that also need its nodal volumes; it is built here if absent.
+    """
+    if operator is None:
+        operator = GradientOperator(mesh)
+    elif operator.mesh is not mesh:
+        raise ValidationError("gradient operator was built for another mesh")
+    return operator.apply(velocities)
 
 
 def shear_rate(gradients: np.ndarray) -> np.ndarray:
@@ -182,8 +211,7 @@ class SegmentStats:
     """Per-segment mean and population standard deviation of one quantity.
 
     Segments with no vertices are reported as missing (None entries).
-    ``cross_mean``/``cross_std`` summarize the available segment means
-    (mean of means, std of means).
+    ``cross_mean`` is the mean of the available segment means.
     """
 
     parameter: str
@@ -206,11 +234,6 @@ class SegmentStats:
     def cross_mean(self):
         present = [m for m in self.means if m is not None]
         return float(np.mean(present)) if present else None
-
-    @property
-    def cross_std(self):
-        present = [m for m in self.means if m is not None]
-        return float(np.std(present)) if present else None
 
 
 def segment_stats(values: np.ndarray, labels: np.ndarray,

@@ -129,11 +129,7 @@ def tet_volumes(mesh: TetMesh) -> np.ndarray:
 
 def nodal_volumes(mesh: TetMesh) -> np.ndarray:
     """Lumped control volume per vertex: a quarter of each adjacent tet."""
-    return _lumped_volumes(mesh, tet_volumes(mesh))
-
-
-def _lumped_volumes(mesh: TetMesh, vol: np.ndarray) -> np.ndarray:
-    """Nodal volumes from the tet volumes ``vol``, summed tet by tet."""
+    vol = tet_volumes(mesh)
     if np.any(vol <= 0):
         raise MeshError("nodal volumes require positively oriented tetrahedra")
     return np.bincount(mesh.tets.ravel(), weights=np.repeat(vol / 4.0, 4),
@@ -492,18 +488,14 @@ def _write_rows(fh, row_format: str, rows: np.ndarray) -> None:
 
 
 def _write_vtk(path: str | Path, mesh: TetMesh,
-               point_data: dict | None = None,
-               extra_metadata: dict | None = None) -> None:
+               point_data: dict | None = None) -> None:
     """Stream the mesh, then its point data, as legacy ASCII VTK.
 
     ``point_data`` maps names to per-vertex scalars (n_vertices,) or
     vectors (n_vertices, 3), written after a ``POINT_DATA`` line; None
     writes the mesh alone. Everything is checked before the file opens.
     """
-    metadata = dict(mesh.metadata)
-    if extra_metadata:
-        metadata.update(extra_metadata)
-    title = "hemoflow " + json.dumps(metadata, separators=(",", ":"),
+    title = "hemoflow " + json.dumps(mesh.metadata, separators=(",", ":"),
                                      sort_keys=True)
     if len(title) > 255:
         raise ValidationError("mesh metadata too large for the VTK title line")

@@ -29,11 +29,12 @@ from . import __version__
 from .errors import HemoflowError, ValidationError
 from .flowfields import FlowWaveform, flow_rate, poiseuille_power_law, \
     pulsatile_scale
-from .hemodynamics import SegmentStats, compare_models, energy_loss_rate, \
-    export_fields_vtk, interpolate_to_mesh, osi, recover_gradients, \
-    segment_stats, viscosity_at, wss, write_comparison_csv, write_stats_csv
-from .mesh import CutPlane, generate_pipe_mesh, load_mesh, nodal_volumes, \
-    segment_labels, segment_names, wall_normals
+from .hemodynamics import GradientOperator, SegmentStats, compare_models, \
+    energy_loss_rate, export_fields_vtk, interpolate_to_mesh, osi, \
+    recover_gradients, segment_stats, viscosity_at, wss, \
+    write_comparison_csv, write_stats_csv
+from .mesh import CutPlane, generate_pipe_mesh, load_mesh, segment_labels, \
+    segment_names, wall_normals
 from .mri import SequenceParams, add_noise, phase_to_velocity, reconstruct, \
     save_images, save_kspace, sequence_timings, synthesize_frame
 from .phantoms import MMHG, inlet_waveform
@@ -416,11 +417,12 @@ def stage_estimate(cfg: RunConfig, fitted: dict, mesh, decoded, out: Path):
     names = list(segment_names(len(cfg.cuts) + 1))
     wall_idx, wall_norm = wall_normals(mesh)
     wall_labels = labels[wall_idx]
-    volumes = nodal_volumes(mesh)
+    operator = GradientOperator(mesh)
+    volumes = operator.nodal_volumes
 
     vertex_speeds = np.stack([interpolate_to_mesh(d, mesh).values[0]
                               for d in decoded])
-    gradients = recover_gradients(mesh, vertex_speeds)
+    gradients = recover_gradients(mesh, vertex_speeds, operator)
 
     models = {name: resolve_model(name, fitted)
               for name in dict.fromkeys([cfg.reference_model,

@@ -14,9 +14,7 @@ power-law index ``n`` (dimensionless, ``n < 1`` is shear thinning).
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -40,8 +38,6 @@ __all__ = [
     "interpolate_hct",
     "fit_for_hct",
     "default_shear_grid",
-    "save_params",
-    "load_params",
 ]
 
 # Shear rates below this are clamped before evaluating mu = m * g**(n-1),
@@ -317,30 +313,3 @@ def fit_for_hct(target_hct: float, curves=None,
     samples = interpolate_hct(BASE_CURVES if curves is None else curves,
                               target_hct, shear_rates)
     return fit_power_law(samples)
-
-
-def save_params(path: str | Path, curves: Mapping[float, PowerLawParams]) -> None:
-    """Write fitted parameter sets to JSON, keyed by hematocrit."""
-    records = []
-    for hct in sorted(curves):
-        p = curves[hct]
-        records.append({"hct": float(hct), "m": p.m, "n": p.n,
-                        "r_squared": p.r_squared, "rmse": p.rmse})
-    Path(path).write_text(json.dumps(records, indent=2) + "\n")
-
-
-def load_params(path: str | Path) -> dict[float, PowerLawParams]:
-    """Read parameter sets written by :func:`save_params`."""
-    try:
-        records = json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ValidationError(f"cannot read parameter file {path}: {exc}") from exc
-    curves: dict[float, PowerLawParams] = {}
-    for rec in records:
-        try:
-            curves[float(rec["hct"])] = PowerLawParams(
-                m=float(rec["m"]), n=float(rec["n"]),
-                r_squared=rec.get("r_squared"), rmse=rec.get("rmse"))
-        except (KeyError, TypeError) as exc:
-            raise ValidationError(f"malformed parameter record {rec!r}") from exc
-    return curves

@@ -4,12 +4,17 @@ import csv
 import hashlib
 import json
 import shutil
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hemoflow.cli import load_config, main
 from hemoflow.errors import ValidationError
+from hemoflow.pipeline import render_config
 
 FAST_CONFIG = """\
 [flow]
@@ -346,6 +351,60 @@ def test_config_defaults_match_rendered_demo(tmp_path):
     target = tmp_path / "demo.ini"
     main(["init-demo", "--out", str(target)])
     assert load_config(target).text == load_config(None).text
+
+
+def number(low, high):
+    return st.floats(low, high).map(repr)
+
+
+def triple(values):
+    return st.lists(values, min_size=3, max_size=3).map(
+        lambda v: ", ".join(map(repr, v)))
+
+
+MODEL_NAMES = st.one_of(
+    st.sampled_from(["power_law", "newtonian_fit1", "newtonian_fit2"]),
+    st.floats(1e-4, 1e-1).map(lambda mu: f"literature_{mu!r}"))
+
+CONFIG_VALUES = st.fixed_dictionaries({
+    ("pipe", "radius_m"): number(1e-3, 0.05),
+    ("pipe", "length_m"): number(0.01, 0.5),
+    ("pipe", "resolution"): st.integers(0, 3).map(str),
+    ("rheology", "hct"): number(20.0, 70.0),
+    ("flow", "pressure_drop_pa"): number(0.1, 100.0),
+    ("flow", "cardiac_period_s"): number(0.3, 2.0),
+    ("flow", "cardiac_phases"): st.integers(2, 40).map(str),
+    ("sequence", "venc_m_s"): number(0.1, 5.0),
+    ("sequence", "matrix"): triple(st.integers(2, 128)),
+    ("sequence", "voxel_mm"): triple(st.floats(0.5, 5.0)),
+    ("sequence", "fov_center_mm"): triple(st.floats(-100.0, 100.0)),
+    ("sequence", "quadrature"): st.sampled_from(["1", "4", "11"]),
+    ("noise", "sigma_fraction"): number(0.0, 0.1),
+    ("noise", "seed"): st.integers(0, 2**31 - 1).map(str),
+    ("segments", "cuts_m"): st.lists(st.floats(0.0, 0.1), min_size=1,
+                                     max_size=5).map(
+        lambda c: ", ".join(map(repr, sorted(c)))),
+    ("windkessel", "compliance_cgs"): number(1e-5, 1e-2),
+    ("comparison", "reference"): MODEL_NAMES,
+    ("comparison", "models"): st.lists(MODEL_NAMES, min_size=1,
+                                       max_size=3).map(", ".join),
+})
+
+
+@settings(max_examples=50, deadline=None)
+@given(overrides=CONFIG_VALUES)
+def test_config_survives_render_and_load(overrides):
+    """A config's rendered text loads back to the same config."""
+    cfg = load_config(overrides=overrides)
+    sections = {}
+    for (section, key), value in overrides.items():
+        sections.setdefault(section, {})[key] = value
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "config.ini"
+        path.write_text(render_config(sections))
+        assert load_config(path) == cfg
+        path.write_text(cfg.text)
+        assert load_config(path) == cfg
 
 
 def test_load_config_rejects_bad_values(tmp_path):

@@ -1,4 +1,4 @@
-"""Tests for analytic velocity fields, cross-section flow rates, and I/O."""
+"""Tests for analytic velocity fields and cross-section flow rates."""
 
 import numpy as np
 import pytest
@@ -6,11 +6,9 @@ from scipy.integrate import cumulative_trapezoid
 
 from hemoflow.errors import GeometryError, ValidationError
 from hemoflow.flowfields import (FlowWaveform, VelocityField, flow_rate,
-                                 load_velocity_frame_vtk, load_velocity_series,
-                                 poiseuille_power_law, pulsatile_scale,
-                                 save_velocity_frame_vtk, save_velocity_series)
+                                 poiseuille_power_law, pulsatile_scale)
 from hemoflow.mesh import (CutPlane, generate_box_mesh, generate_pipe_mesh,
-                           load_mesh, tet_volumes, wall_vertices)
+                           tet_volumes, wall_vertices)
 from hemoflow.rheology import PowerLawParams
 
 RADIUS = 0.01
@@ -86,18 +84,6 @@ def test_velocity_field_validation():
     bad[1, 2, 0] = np.nan
     with pytest.raises(ValidationError):
         VelocityField(times=np.array([0.0, 1.0]), values=bad)
-
-
-def test_frame_nearest_is_periodic():
-    field = VelocityField(times=np.array([0.0, 0.25, 0.5, 0.75]),
-                          values=np.zeros((4, 3, 3)), period=1.0)
-    assert field.frame_nearest(0.26) == 1
-    assert field.frame_nearest(0.95) == 0, \
-        "0.95 is closer to frame 0 via the periodic wrap than to frame 3"
-    steady = VelocityField(times=np.array([0.0, 0.25, 0.5, 0.75]),
-                           values=np.zeros((4, 3, 3)))
-    assert steady.frame_nearest(0.95) == 3, \
-        "without a period the nearest frame is the plain closest time"
 
 
 # =========================================================================
@@ -337,62 +323,3 @@ def test_pulsatile_scale_rejects_bad_inputs():
                           values=np.zeros((1, mesh.n_vertices, 3)))
     with pytest.raises(ValidationError):
         pulsatile_scale(still, w)
-
-
-# =========================================================================
-# Persistence
-# =========================================================================
-
-def test_velocity_series_round_trip(tmp_path):
-    rng = np.random.default_rng(7)
-    field = VelocityField(times=np.array([0.0, 0.1, 0.25]),
-                          values=rng.normal(size=(3, 17, 3)), period=0.937)
-    path = tmp_path / "series.json"
-    save_velocity_series(field, path)
-    loaded = load_velocity_series(path)
-    assert np.array_equal(loaded.values, field.values), \
-        "raw float64 round trip must be bit-identical"
-    assert np.array_equal(loaded.times, field.times)
-    assert loaded.period == pytest.approx(0.937)
-
-
-def test_velocity_series_rejects_corrupt_files(tmp_path):
-    field = VelocityField(times=np.array([0.0]), values=np.ones((1, 4, 3)))
-    path = tmp_path / "series.json"
-    save_velocity_series(field, path)
-
-    (tmp_path / "wrong.json").write_text('{"format": "something-else"}')
-    with pytest.raises(ValidationError):
-        load_velocity_series(tmp_path / "wrong.json")
-
-    # truncate the payload behind the sidecar's back
-    data = (tmp_path / "series.bin").read_bytes()
-    (tmp_path / "series.bin").write_bytes(data[:-8])
-    with pytest.raises(ValidationError):
-        load_velocity_series(path)
-
-
-def test_vtk_frame_round_trip(tmp_path):
-    mesh = pipe(resolution=1)
-    rng = np.random.default_rng(11)
-    vel = rng.normal(size=(mesh.n_vertices, 3))
-    path = tmp_path / "frame.vtk"
-    save_velocity_frame_vtk(mesh, vel, time=0.125, path=path)
-
-    t, loaded = load_velocity_frame_vtk(path)
-    assert t == pytest.approx(0.125)
-    assert np.array_equal(loaded, vel), "velocity vectors must round trip"
-
-    # the same file is still a fully valid mesh file
-    mesh2 = load_mesh(path)
-    assert np.array_equal(mesh2.vertices, mesh.vertices)
-    assert np.array_equal(mesh2.tets, mesh.tets)
-
-
-def test_vtk_frame_requires_velocity_vectors(tmp_path):
-    from hemoflow.mesh import save_mesh
-    mesh = generate_box_mesh(size=(1, 1, 1), divisions=(1, 1, 1))
-    path = tmp_path / "plain.vtk"
-    save_mesh(mesh, path)
-    with pytest.raises(ValidationError):
-        load_velocity_frame_vtk(path)

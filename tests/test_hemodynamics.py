@@ -1,8 +1,10 @@
 """Tests for gradient recovery, WSS, OSI, energy loss, and aggregation."""
 
 import csv
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,8 +12,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.interpolate import RegularGridInterpolator
 
+import hemoflow
 from hemoflow.errors import GeometryError, ValidationError
 from hemoflow.hemodynamics import (
+    GradientOperator,
     SegmentStats,
     compare_models,
     energy_loss_rate,
@@ -111,22 +115,47 @@ def test_stacked_gradients_equal_per_frame_calls():
 
 
 def test_gradients_equal_add_at_reference():
-    """bincount sums corner by corner, as four add.at passes did."""
+    """The per-mesh weights agree with per-tet 3x3 solves summed by add.at.
+
+    The oracle solves each tet's edge system and sums corner by corner
+    with four add.at passes; the operator's closed-form weights round
+    differently, so the two agree to 1e-12 of the largest entry.
+    """
+    for resolution in (1, 2):
+        mesh = generate_pipe_mesh(RADIUS, LENGTH, resolution=resolution)
+        u = np.random.default_rng(4).normal(size=(mesh.n_vertices, 3))
+        corners = mesh.vertices[mesh.tets]
+        du = u[mesh.tets]
+        grad = np.linalg.solve(corners[:, 1:] - corners[:, :1],
+                               du[:, 1:] - du[:, :1]).transpose(0, 2, 1)
+        vol = tet_volumes(mesh)
+        share = vol[:, None, None] * grad / 4.0
+        accum = np.zeros((mesh.n_vertices, 3, 3))
+        for corner in range(4):
+            np.add.at(accum, mesh.tets[:, corner], share)
+        lumped = np.zeros(mesh.n_vertices)
+        np.add.at(lumped, mesh.tets.ravel(), np.repeat(vol / 4.0, 4))
+        want = accum / lumped[:, None, None]
+        err = np.abs(recover_gradients(mesh, u) - want).max()
+        assert err <= 1e-12 * np.abs(want).max(), \
+            f"resolution {resolution}: off by {err:.2e}"
+
+
+def test_operator_volumes_equal_nodal_volumes():
     mesh = generate_pipe_mesh(RADIUS, LENGTH, resolution=1)
-    u = np.random.default_rng(4).normal(size=(mesh.n_vertices, 3))
-    corners = mesh.vertices[mesh.tets]
-    du = u[mesh.tets]
-    grad = np.linalg.solve(corners[:, 1:] - corners[:, :1],
-                           du[:, 1:] - du[:, :1]).transpose(0, 2, 1)
-    vol = tet_volumes(mesh)
-    share = vol[:, None, None] * grad / 4.0
-    accum = np.zeros((mesh.n_vertices, 3, 3))
-    for corner in range(4):
-        np.add.at(accum, mesh.tets[:, corner], share)
-    lumped = np.zeros(mesh.n_vertices)
-    np.add.at(lumped, mesh.tets.ravel(), np.repeat(vol / 4.0, 4))
-    assert np.array_equal(recover_gradients(mesh, u),
-                          accum / lumped[:, None, None])
+    operator = GradientOperator(mesh)
+    assert np.array_equal(operator.nodal_volumes, nodal_volumes(mesh))
+    u = np.random.default_rng(5).normal(size=(2, mesh.n_vertices, 3))
+    assert np.array_equal(recover_gradients(mesh, u, operator),
+                          recover_gradients(mesh, u))
+
+
+def test_operator_of_another_mesh_is_rejected():
+    mesh = generate_pipe_mesh(RADIUS, LENGTH, resolution=1)
+    twin = generate_pipe_mesh(RADIUS, LENGTH, resolution=1)
+    with pytest.raises(ValidationError):
+        recover_gradients(mesh, np.zeros((mesh.n_vertices, 3)),
+                          GradientOperator(twin))
 
 
 def test_rigid_rotation_has_no_shear():
@@ -256,6 +285,43 @@ def test_osi_random_histories_stay_in_range():
     values = osi(frames, times, period=0.95)
     assert values.shape == (1000,)
     assert np.all(values >= 0.0) and np.all(values <= 0.5)
+
+
+@st.composite
+def traction_histories(draw):
+    """(tractions, times, period): 2-8 frames over 1-5 wall vertices."""
+    frames = draw(st.integers(2, 8))
+    vertices = draw(st.integers(1, 5))
+    # multiples of 1/64: no underflow when squared or scaled
+    values = draw(st.lists(st.integers(-640, 640),
+                           min_size=frames * vertices * 3,
+                           max_size=frames * vertices * 3))
+    gaps = draw(st.lists(st.floats(0.01, 0.5), min_size=frames,
+                         max_size=frames))
+    tractions = np.array(values, dtype=float).reshape(frames, vertices, 3)
+    times = np.cumsum([0.0, *gaps[:-1]])
+    return tractions / 64.0, times, times[-1] + gaps[-1]
+
+
+@settings(max_examples=200, deadline=None)
+@given(history=traction_histories(), factor=st.floats(1e-3, 1e3))
+def test_osi_is_bounded_and_scale_free(history, factor):
+    tractions, times, period = history
+    value = osi(tractions, times, period)
+    assert np.all((value >= 0.0) & (value <= 0.5))
+    scaled = osi(factor * tractions, times, period)
+    assert np.abs(scaled - value).max() <= 1e-12
+
+
+@settings(max_examples=100, deadline=None)
+@given(history=traction_histories())
+def test_osi_of_one_direction_is_zero(history):
+    """Tractions along one fixed direction never oscillate: OSI = 0,
+    up to roundoff, so the final clip to [0, 0.5] hides no error."""
+    tractions, times, period = history
+    direction = np.array([0.6, -0.8, 0.0])
+    along = np.abs(tractions[..., :1]) * direction
+    assert np.abs(osi(along, times, period)).max() <= 1e-12
 
 
 def test_osi_zero_history_reports_zero():
@@ -531,12 +597,40 @@ def test_interpolation_equals_regular_grid_interpolator():
     assert np.array_equal(got, want)
 
 
+def scipy_modules_loaded_after(code: str, *args: str) -> str:
+    """Run ``code`` in a fresh interpreter; it prints the heavy scipy
+    modules it loaded."""
+    code += ("\nprint(sorted(m for m in ('scipy.interpolate', "
+             "'scipy.sparse') if m in sys.modules))")
+    src = str(Path(hemoflow.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-c", code, *args], check=True,
+                          capture_output=True, text=True,
+                          env=env).stdout.strip().splitlines()[-1]
+
+
 def test_cli_import_leaves_scipy_interpolate_unloaded():
-    code = ("import sys, hemoflow.cli; "
-            "print('scipy.interpolate' in sys.modules)")
-    out = subprocess.run([sys.executable, "-c", code], check=True,
-                         capture_output=True, text=True).stdout
-    assert out.strip() == "False"
+    assert scipy_modules_loaded_after("import sys, hemoflow.cli") == "[]"
+
+
+def test_estimate_stage_leaves_scipy_sparse_unloaded(tmp_path):
+    """Importing scipy.sparse costs about 14 MB of RSS; the gradient
+    operator is plain numpy."""
+    code = """\
+import sys
+from pathlib import Path
+from hemoflow.pipeline import fit_models, load_config, stage_estimate, \\
+    stage_flow, stage_mesh, stage_mri
+cfg = load_config(overrides={("flow", "cardiac_phases"): 2})
+out = Path(sys.argv[1])
+fitted = fit_models(cfg)
+mesh = stage_mesh(cfg)
+field, _ = stage_flow(cfg, mesh, fitted["power_law"], out)
+decoded = stage_mri(cfg, mesh, field, out)
+stage_estimate(cfg, fitted, mesh, decoded, out)"""
+    assert scipy_modules_loaded_after(code, str(tmp_path)) == "[]"
+    assert (tmp_path / "stats.csv").exists()
 
 
 def test_interpolation_rejects_vertices_outside_grid():

@@ -1,9 +1,9 @@
 """Power-law fitting, hematocrit interpolation, Newtonian equivalents."""
 
-import json
-
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hemoflow.errors import (
     ExtrapolationError,
@@ -20,9 +20,7 @@ from hemoflow.rheology import (
     fit_for_hct,
     fit_power_law,
     interpolate_hct,
-    load_params,
     newtonian_equivalent,
-    save_params,
 )
 
 
@@ -62,6 +60,19 @@ def test_fit_recovers_random_models():
         fit = fit_power_law(make_samples(m, n, grid))
         assert abs(fit.m - m) / m < 1e-6, f"m: {fit.m} vs {m} (n={n})"
         assert abs(fit.n - n) / n < 1e-6, f"n: {fit.n} vs {n} (m={m})"
+
+
+@settings(max_examples=100, deadline=None)
+@given(m=st.floats(1e-3, 0.5), n=st.floats(0.3, 1.3),
+       low=st.floats(0.1, 50.0), decades=st.floats(0.6, 4.0),
+       interior=st.lists(st.floats(0.01, 0.99), min_size=1, max_size=12,
+                         unique=True))
+def test_noiseless_fit_recovers_m_and_n(m, n, low, decades, interior):
+    """Any exact power law, sampled unevenly over a shear range, fits back."""
+    grid = low * 10.0 ** (decades * np.array([0.0, *interior, 1.0]))
+    fit = fit_power_law(make_samples(m, n, grid))
+    assert abs(fit.m - m) <= 1e-8 * m, f"m: {fit.m} vs {m}"
+    assert abs(fit.n - n) <= 1e-8 * n, f"n: {fit.n} vs {n}"
 
 
 def test_fit_with_deterministic_noise():
@@ -246,29 +257,3 @@ def test_fit_for_hct_between_knots_is_bracketed():
 def test_builtin_tables():
     assert sorted(BASE_CURVES) == [20.0, 32.5, 45.0, 57.5, 70.0]
     assert LITERATURE_NEWTONIAN == (3.0e-3, 3.5e-3, 4.0e-3, 4.5e-3)
-
-
-# =========================================================================
-# Parameter persistence
-# =========================================================================
-
-def test_save_load_round_trip(tmp_path):
-    curves = {45.0: fit_for_hct(45.0), 50.0: fit_for_hct(50.0)}
-    path = tmp_path / "params.json"
-    save_params(path, curves)
-    loaded = load_params(path)
-    assert set(loaded) == set(curves)
-    for hct in curves:
-        assert loaded[hct].m == curves[hct].m
-        assert loaded[hct].n == curves[hct].n
-        assert loaded[hct].r_squared == curves[hct].r_squared
-
-
-def test_load_rejects_malformed_file(tmp_path):
-    path = tmp_path / "bad.json"
-    path.write_text("not json")
-    with pytest.raises(ValidationError):
-        load_params(path)
-    path.write_text(json.dumps([{"hct": 45.0, "m": 1e-2}]))
-    with pytest.raises(ValidationError):
-        load_params(path)
