@@ -16,14 +16,22 @@ raster under slew and amplitude limits.
 The sum is evaluated in one pass for all requested encodes:
 
 1. Shared tables. The encode amplitudes w_q M0 e^{-i pi u_a/VENC} are
-   built once per frame. For each readout sample, the drifted positions,
-   the readout/T2* factor and the phase-encode and partition ramps are
-   built once and shared by every encode, which are then contracted in
-   a single matrix product.
-2. Recurrence. The k axes are evenly spaced, so each ramp row is the
-   previous one times e^{-2 pi i c dk}: one complex product per table
-   entry instead of one exponential.
-3. Blocks. Quadrature points are taken in fixed blocks whose products
+   built once per frame. For each readout sample, the phase-encode and
+   partition ramps are built once and shared by every encode, which are
+   then contracted in a single matrix product. The readout/T2* factor
+   rides in the first phase-encode row.
+2. Recurrence in k. The k axes are evenly spaced, so each ramp row is
+   the previous one times e^{-2 pi i c dk}: one complex product per
+   table entry instead of one exponential.
+3. Recurrence in time. Sample times and readout k are evenly spaced
+   too, so a point's first ramp row (readout phase, T2* decay, drift)
+   has a phase quadratic in the sample index and its two ramp steps
+   phases linear in it. Each sample's factors are the previous
+   sample's times a step factor, and the readout step is itself
+   advanced by a constant. A block of points needs seven exponentials
+   per frame whatever the readout length; the readout-sample loop only
+   multiplies.
+4. Blocks. Quadrature points are taken in fixed blocks whose products
    accumulate into the sample's grid, so table memory does not grow
    with the mesh.
 
@@ -383,20 +391,65 @@ def _quadrature(mesh: TetMesh, m0: np.ndarray, velocities: np.ndarray,
 _BLOCK = 2048
 
 
-def _phase_ramp(coords: np.ndarray, k: np.ndarray) -> np.ndarray:
-    """Table of e^{-2 pi i c k_j}, shape (len(k), len(coords)).
+def _ramp(first, step: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Fill the rows of ``out`` with first * step**j, j = 0, 1, ...
 
-    ``k`` is evenly spaced, so row j is row 0 times the step factor
-    e^{-2 pi i c dk} to the power j: one complex product per entry in
-    place of one exponential.
+    One complex product per entry in place of one exponential. The k
+    axes are evenly spaced, so a row of e^{-2 pi i c k_j} is this ramp
+    with first = e^{-2 pi i c k_0} and step = e^{-2 pi i c dk}.
     """
-    table = np.empty((k.size, coords.size), dtype=complex)
-    table[0] = np.exp(-2j * np.pi * k[0] * coords)
-    if k.size > 1:
-        step = np.exp(-2j * np.pi * (k[-1] - k[0]) / (k.size - 1) * coords)
-        for j in range(1, k.size):
-            np.multiply(table[j - 1], step, out=table[j])
-    return table
+    out[0] = first
+    for j in range(1, len(out)):
+        np.multiply(out[j - 1], step, out=out[j])
+    return out
+
+
+def _spacing(v: np.ndarray) -> float:
+    """Step of an evenly spaced axis; 0 for a single sample."""
+    return (v[-1] - v[0]) / (v.size - 1) if v.size > 1 else 0.0
+
+
+def _sample_factors(pos, vel, times, k_ro, k_pe, k_pz, t2_star):
+    """Per-readout-sample tables of one block of points, by recurrence.
+
+    With r(t) = r + u t, sample i (time t_i, readout k_ro[i]) gets
+
+        A_i = e^{-t_i/T2*} e^{-2 pi i (k_ro[i] x(t_i) + k_pe[0] y(t_i)
+                                       + k_pz[0] z(t_i))}
+        s_y = e^{-2 pi i dk_pe y(t_i)},   s_z = e^{-2 pi i dk_pz z(t_i)}
+
+    ``times`` and the k axes are evenly spaced, so the phase of A_i is
+    quadratic in i and those of s_y, s_z linear: A_{i+1} = A_i G_i with
+    G_{i+1} = G_i H, s_{i+1} = s_i D. Seven exponentials per block
+    (A_0, G_0, H, s_y, D_y, s_z, D_z) serve every sample. Yields
+    (A_i, s_y, s_z) per sample; the arrays are advanced in place, so
+    use them before taking the next sample.
+    """
+    x, y, z = pos.T
+    ux, uy, uz = vel.T
+    t0, dt = times[0], _spacing(times)
+    kx0, ky0, kz0 = k_ro[0], k_pe[0], k_pz[0]
+    dkx, dky, dkz = _spacing(k_ro), _spacing(k_pe), _spacing(k_pz)
+    xt, yt, zt = x + ux * t0, y + uy * t0, z + uz * t0
+    a = np.exp(-t0 / t2_star - 2j * np.pi * (kx0 * xt + ky0 * yt + kz0 * zt))
+    s_y = np.exp(-2j * np.pi * dky * yt)
+    s_z = np.exp(-2j * np.pi * dkz * zt)
+    n = times.size
+    if n > 1:
+        g = np.exp(-dt / t2_star - 2j * np.pi * (
+            dkx * xt + (kx0 + dkx) * dt * ux + (ky0 * uy + kz0 * uz) * dt))
+        d_y = np.exp(-2j * np.pi * dky * dt * uy)
+        d_z = np.exp(-2j * np.pi * dkz * dt * uz)
+    if n > 2:
+        h = np.exp(-4j * np.pi * dkx * dt * ux)
+    for i in range(n):
+        yield a, s_y, s_z
+        if i + 1 < n:
+            a *= g
+            s_y *= d_y
+            s_z *= d_z
+        if i + 2 < n:
+            g *= h
 
 
 def _synthesize(mesh: TetMesh, m0: np.ndarray, field: VelocityField,
@@ -424,19 +477,27 @@ def _synthesize(mesh: TetMesh, m0: np.ndarray, field: VelocityField,
             row *= np.exp(-1j * np.pi * uq[:, "xyz".index(encode)]
                           / params.venc)
 
-    grids = np.zeros((len(encodes), k_ro.size, k_pe.size, k_pz.size),
-                     dtype=complex)
+    n_enc, n_pe, n_pz = len(encodes), k_pe.size, k_pz.size
+    grids = np.zeros((n_enc, k_ro.size, n_pe, n_pz), dtype=complex)
+    # table buffers sized for a full block, allocated once per frame; a
+    # block uses contiguous prefixes of them
+    ey_buf, ez_buf, left_buf = (np.empty(rows * _BLOCK, dtype=complex)
+                                for rows in (n_pe, n_pz, n_enc * n_pe))
     for lo in range(0, wq.size, _BLOCK):
         block = slice(lo, lo + _BLOCK)
-        for i, t in enumerate(timings.sample_times):
-            drifted = pos[block] + uq[block] * t
-            a = amp[:, block] * np.exp(-t / params.t2_star
-                                       - 2j * np.pi * k_ro[i] * drifted[:, 0])
-            ey = _phase_ramp(drifted[:, 1], k_pe)
-            ez = _phase_ramp(drifted[:, 2], k_pz)
-            left = (a[:, None, :] * ey[None, :, :]).reshape(-1, a.shape[1])
-            grids[:, i] += (left @ ez.T).reshape(len(encodes), k_pe.size,
-                                                 k_pz.size)
+        n = min(_BLOCK, wq.size - lo)
+        ey = ey_buf[:n_pe * n].reshape(n_pe, n)
+        ez = ez_buf[:n_pz * n].reshape(n_pz, n)
+        left = left_buf[:n_enc * n_pe * n].reshape(n_enc * n_pe, n)
+        ez[0] = 1.0
+        samples = _sample_factors(pos[block], uq[block], timings.sample_times,
+                                  k_ro, k_pe, k_pz, params.t2_star)
+        for i, (a, s_y, s_z) in enumerate(samples):
+            _ramp(a, s_y, ey)
+            _ramp(s_z, s_z, ez[1:])
+            np.multiply(amp[:, None, block], ey,
+                        out=left.reshape(n_enc, n_pe, n))
+            grids[:, i] += (left @ ez.T).reshape(n_enc, n_pe, n_pz)
 
     return KSpaceData(signals=dict(zip(encodes, grids)),
                       sample_times=timings.sample_times, params=params,

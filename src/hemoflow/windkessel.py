@@ -73,13 +73,15 @@ def simulate_windkessel(params: WindkesselParams, flow,
     inclusive, so its first and last samples are one period apart.
     """
     if isinstance(flow, FlowWaveform):
-        q_of_t = flow.value_at
+        sample = flow.value_at
         period = flow.period
     elif callable(flow):
         if period is None or period <= 0:
             raise ValidationError("callable flow needs an explicit positive "
                                   "period")
-        q_of_t = flow
+
+        def sample(times):
+            return [float(flow(t)) for t in times]
     else:
         raise ValidationError("flow must be a FlowWaveform or a callable")
     if n_cycles < 1:
@@ -91,9 +93,8 @@ def simulate_windkessel(params: WindkesselParams, flow,
     # Q is periodic, so one cycle of samples at the step and half-step
     # times serves every cycle.
     t_steps = np.arange(steps_per_cycle + 1) * h
-    q_full = np.asarray([float(q_of_t(t)) for t in t_steps])
-    q_half = np.asarray([float(q_of_t(t + 0.5 * h))
-                         for t in t_steps[:-1]])
+    q_full = np.asarray(sample(t_steps), dtype=float)
+    q_half = np.asarray(sample(t_steps[:-1] + 0.5 * h), dtype=float)
     if not (np.all(np.isfinite(q_full)) and np.all(np.isfinite(q_half))):
         raise ValidationError("flow waveform produced non-finite values")
 

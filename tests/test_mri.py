@@ -11,11 +11,11 @@ from hemoflow.errors import SequenceError, ValidationError
 from hemoflow.flowfields import VelocityField
 from hemoflow.mesh import generate_box_mesh, generate_pipe_mesh, tet_volumes
 from hemoflow.mri import (_BLOCK, ENCODE_AXES, ImageVolume, KSpaceData,
-                          SequenceParams, _phase_ramp, _quadrature,
-                          add_noise, load_images, load_kspace,
-                          phase_to_velocity, reconstruct, save_images,
-                          save_kspace, sequence_timings, synthesize_frame,
-                          synthesize_signal)
+                          SequenceParams, _quadrature, _ramp,
+                          _sample_factors, _spacing, add_noise, load_images,
+                          load_kspace, phase_to_velocity, reconstruct,
+                          save_images, save_kspace, sequence_timings,
+                          synthesize_frame, synthesize_signal)
 
 PROTOCOL_DEFAULTS = SequenceParams()
 
@@ -250,6 +250,63 @@ def test_single_encode_matches_its_frame_grid():
         assert err <= 1e-10, f"encode {encode}: {err:.2e} relative L2"
 
 
+def box_swirl(mesh, scale):
+    """A field of speed about ``scale`` that varies over the box, so every
+    quadrature point carries its own drift and recurrence steps."""
+    x, y, z = (mesh.vertices / 0.008).T
+    return VelocityField(times=np.array([0.0]), values=scale * np.stack(
+        [1.0 - 0.3 * y + 0.2 * z, -0.9 + 0.4 * x * z, 1.1 - 0.25 * x],
+        axis=1)[None])
+
+
+def test_long_readout_matches_direct_sum():
+    # 128 readout samples, spins near 2 m/s and a short T2*: the
+    # quadratic readout phase and the decay are carried furthest by
+    # their sample-to-sample recurrences
+    params = SequenceParams(venc=2.5, matrix=(64, 4, 6), oversampling=2,
+                            t2_star=5e-3)
+    assert params.acquired_readout >= 128
+    mesh = small_box((3, 3, 3))
+    assert_matches_direct_sum(mesh, np.linspace(0.5, 1.5, mesh.n_vertices),
+                              box_swirl(mesh, 2.0), params)
+
+
+def test_two_sample_readout_matches_direct_sum():
+    # the slab's readout: one step in time and no quadratic term
+    params = SequenceParams(venc=2.5, matrix=(2, 6, 8),
+                            voxel=(0.056, 0.002, 0.002), oversampling=1,
+                            t2_star=5e-3)
+    assert params.acquired_readout == 2
+    mesh = small_box()
+    assert_matches_direct_sum(mesh, np.linspace(0.5, 1.5, mesh.n_vertices),
+                              box_swirl(mesh, 2.0), params)
+
+
+def test_exponential_count_does_not_grow_with_readout(monkeypatch):
+    mesh = small_box()
+    field = box_swirl(mesh, 1.0)
+    exp = np.exp
+    calls = []
+
+    def counting_exp(*args, **kwargs):
+        calls.append(1)
+        return exp(*args, **kwargs)
+
+    counts = []
+    for n_ro in (4, 32):
+        params = SequenceParams(matrix=(n_ro, 6, 8),
+                                voxel=(0.008, 0.002, 0.002),
+                                adc_bandwidth=32e3, oversampling=2)
+        calls.clear()
+        with monkeypatch.context() as m:
+            m.setattr(np, "exp", counting_exp)
+            synthesize_frame(mesh, np.ones(mesh.n_vertices), field, params)
+        counts.append(len(calls))
+    assert counts[0] > 0
+    assert counts[0] == counts[1], \
+        f"{counts[0]} exponentials for 8 samples, {counts[1]} for 64"
+
+
 @settings(max_examples=200, deadline=None)
 @given(n=st.integers(1, 128),
        fov=st.floats(0.03, 0.25),
@@ -260,7 +317,41 @@ def test_phase_ramp_recurrence_matches_exponentials(n, fov, coords):
     k = (np.arange(n) - n // 2) / fov
     c = np.asarray(coords)
     direct = np.exp(-2j * np.pi * np.outer(k, c))
-    assert np.abs(_phase_ramp(c, k) - direct).max() <= 1e-11
+    ramp = _ramp(np.exp(-2j * np.pi * k[0] * c),
+                 np.exp(-2j * np.pi * _spacing(k) * c),
+                 np.empty((n, c.size), dtype=complex))
+    assert np.abs(ramp - direct).max() <= 1e-11
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(1, 256),
+       fov=st.floats(0.03, 0.25),
+       t0=st.floats(1e-3, 20e-3),
+       dwell=st.floats(2e-6, 50e-6),
+       t2_star=st.floats(2e-3, 1.0),
+       points=st.lists(st.tuples(*[st.floats(-0.15, 0.15)] * 3,
+                                 *[st.floats(-1.7, 1.7)] * 3),
+                       min_size=1, max_size=8))
+def test_time_recurrence_matches_exponentials(n, fov, t0, dwell, t2_star,
+                                              points):
+    # evenly spaced sample times and readout k, |u| <= 3 m/s, T2* >= 2 ms
+    table = np.asarray(points)
+    pos, vel = table[:, :3], table[:, 3:]
+    times = t0 + np.arange(n) * dwell
+    k_ro = (np.arange(n) - n // 2) / (2.0 * fov)
+    k_pe = (np.arange(30) - 15) / fov
+    k_pz = (np.arange(113) - 56) / (2.0 * fov)
+    samples = _sample_factors(pos, vel, times, k_ro, k_pe, k_pz, t2_star)
+    for i, (a, s_y, s_z) in enumerate(samples):
+        x, y, z = (pos + vel * times[i]).T
+        direct = (np.exp(-times[i] / t2_star - 2j * np.pi * (
+                      k_ro[i] * x + k_pe[0] * y + k_pz[0] * z)),
+                  np.exp(-2j * np.pi * _spacing(k_pe) * y),
+                  np.exp(-2j * np.pi * _spacing(k_pz) * z))
+        for name, got, want in zip(("A", "s_y", "s_z"), (a, s_y, s_z),
+                                   direct):
+            assert np.abs(got - want).max() <= 1e-11, f"{name} at sample {i}"
+    assert i == n - 1
 
 
 # =========================================================================
