@@ -16,15 +16,11 @@ import sys
 from pathlib import Path
 
 from .errors import HemoflowError, ValidationError
-from .hemodynamics import write_comparison_csv
-from .mri import load_images, load_kspace, phase_to_velocity, reconstruct, \
-    save_images
 from .phantoms import MMHG, REFERENCE_OUTLET, demo_outlet_flow
-from .pipeline import DEFAULTS, RunConfig, build_comparison, fit_models, \
-    load_config, read_comparison_csv, read_stats_csv, render_config, \
-    run_pipeline, stage_estimate, stage_flow, stage_mesh, stage_mri, \
-    systolic_frame, write_rheology_json, write_windkessel_csv
-from .report import write_report
+from .pipeline import DEFAULTS, RunConfig, fit_models, load_config, \
+    render_config, run_pipeline, stage_compare, stage_estimate, stage_flow, \
+    stage_mesh, stage_mri, stage_reconstruct, stage_report, \
+    write_rheology_json, write_windkessel_csv
 from .windkessel import simulate_windkessel
 
 __all__ = ["main", "load_config", "run_pipeline"]
@@ -103,54 +99,44 @@ def cmd_synth_mri(args) -> int:
     mesh = stage_mesh(cfg)
     field, _ = stage_flow(cfg, mesh, fit_models(cfg)["power_law"],
                           cfg.output_dir)
-    stage_mri(cfg, mesh, field, cfg.output_dir)
+    stage_reconstruct(stage_mri(cfg, mesh, field, cfg.output_dir),
+                      cfg.output_dir)
     print(cfg.output_dir)
     return 0
 
 
-def cmd_reconstruct(args) -> int:
-    source = Path(args.kspace)
-    files = sorted(source.glob("kspace_*.json")) if source.is_dir() \
+def _sidecars(source: str, kind: str) -> list[Path]:
+    source = Path(source)
+    files = sorted(source.glob(f"{kind}_*.json")) if source.is_dir() \
         else [source]
     if not files:
-        raise ValidationError(f"no kspace_*.json files in {source}")
+        raise ValidationError(f"no {kind}_*.json files in {source}")
+    return files
+
+
+def cmd_reconstruct(args) -> int:
+    files = _sidecars(args.kspace, "kspace")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    for path in files:
-        img = reconstruct(load_kspace(path))
-        target = out / path.name.replace("kspace", "images")
-        save_images(img, target)
-        log.info("reconstructed %s -> %s", path.name, target.name)
+    stage_reconstruct(files, out)
     print(out)
     return 0
 
 
 def cmd_estimate(args) -> int:
     cfg = _config_from_args(args, need_out=True)
-    source = Path(args.images)
-    files = sorted(source.glob("images_*.json")) if source.is_dir() \
-        else [source]
-    if not files:
-        raise ValidationError(f"no images_*.json files in {source}")
-    decoded = [phase_to_velocity(load_images(path)) for path in files]
-    mesh = stage_mesh(cfg)
-    stage_estimate(cfg, fit_models(cfg), mesh, decoded, cfg.output_dir)
-    print(cfg.output_dir)
+    files = _sidecars(args.images, "images")
+    out = cfg.output_dir
+    stage_estimate(cfg, fit_models(cfg), stage_mesh(cfg), files, out)
+    stage_compare(out / "stats.csv", cfg.reference_model,
+                  cfg.alternative_models, out / "comparison.csv")
+    print(out)
     return 0
 
 
-def _stats_and_systole(args):
-    blocks = read_stats_csv(args.stats)
-    systolic = args.frame if args.frame is not None \
-        else systolic_frame(blocks, args.reference)
-    return blocks, systolic
-
-
 def cmd_compare(args) -> int:
-    blocks, systolic = _stats_and_systole(args)
-    rows = build_comparison(blocks, args.reference, args.alternative,
-                            systolic)
-    write_comparison_csv(rows, Path(args.out))
+    rows = stage_compare(args.stats, args.reference, args.alternative,
+                         args.out, args.frame)
     for row in rows:
         relative = row["relative_difference_pct"]
         print(f"{row['param']:8s} {row['segment']:12s} "
@@ -160,12 +146,9 @@ def cmd_compare(args) -> int:
 
 
 def cmd_report(args) -> int:
-    blocks, systolic = _stats_and_systole(args)
-    comparison = read_comparison_csv(args.comparison) \
-        if args.comparison else None
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    write_report(blocks, comparison, systolic, out)
+    stage_report(args.stats, args.comparison, args.reference, out, args.frame)
     print(out)
     return 0
 

@@ -41,7 +41,7 @@ class GeometryError(HemoflowError):
     """A geometric query cannot be answered on the given mesh or grid."""
 
 
-class LabelingError(HemoflowError):
+class LabelingError(ValidationError):
     """Segment labeling produced an invalid partition."""
 
 

@@ -44,6 +44,10 @@ WALL_LABEL = 0
 INLET_LABEL = 1
 FIRST_OUTLET_LABEL = 2
 
+# ring spacing of the generated pipe: radius of ring x in (0, 1] is
+# (1 + g) x - g x^2, so rings crowd toward the wall
+WALL_GRADING = 0.5
+
 # Local vertex triples of the four outward-oriented faces of a
 # positively oriented tetrahedron.
 _TET_FACES = np.array([[1, 2, 3], [0, 3, 2], [0, 1, 3], [0, 2, 1]])
@@ -262,15 +266,12 @@ def segment_names(n_segments: int) -> tuple[str, ...]:
     return tuple(f"segment_{i}" for i in range(n_segments))
 
 
-def segment_labels(mesh: TetMesh, planes: Sequence[CutPlane],
-                   exclude_mask: np.ndarray | None = None) -> np.ndarray:
+def segment_labels(mesh: TetMesh, planes: Sequence[CutPlane]) -> np.ndarray:
     """Partition vertices into segments by ordered cut planes.
 
     A vertex belongs to the first plane (in the given order) whose
     signed distance is negative; vertices past every plane fall into the
-    final segment, so ``k`` planes produce ``k + 1`` segments. Excluded
-    vertices (branches, and so on) are labeled -1 and take part in no
-    segment.
+    final segment, so ``k`` planes produce ``k + 1`` segments.
 
     Raises
     ------
@@ -284,11 +285,6 @@ def segment_labels(mesh: TetMesh, planes: Sequence[CutPlane],
         pick = below & ~assigned
         labels[pick] = i
         assigned |= below
-    if exclude_mask is not None:
-        exclude_mask = np.asarray(exclude_mask, dtype=bool)
-        if exclude_mask.shape != (mesh.n_vertices,):
-            raise ValidationError("exclude mask must be one flag per vertex")
-        labels[exclude_mask] = -1
     for seg in range(len(planes) + 1):
         if not np.any(labels == seg):
             raise LabelingError(
@@ -376,13 +372,13 @@ def _finalize_generated(vertices, tets, classify, metadata) -> TetMesh:
     return validate_mesh(mesh, repair=False)
 
 
-def generate_pipe_mesh(radius: float, length: float, resolution: int = 2,
-                       wall_grading: float = 0.5) -> TetMesh:
+def generate_pipe_mesh(radius: float, length: float,
+                       resolution: int = 2) -> TetMesh:
     """Structured tetrahedral mesh of a straight circular pipe.
 
     The pipe axis is z, spanning ``[0, length]``, centered on x = y = 0.
     The cross-section is a spider-web triangulation with ring spacing
-    biased toward the wall (``wall_grading`` in [0, 1); 0 is uniform).
+    biased toward the wall by ``WALL_GRADING`` (0 would be uniform).
     Each resolution step doubles the angular, radial, and axial counts.
     Boundary labels: z = 0 disc is the inlet (1), z = length disc the
     outlet (2), the lateral surface the wall (0).
@@ -391,13 +387,11 @@ def generate_pipe_mesh(radius: float, length: float, resolution: int = 2,
         raise ValidationError("pipe radius and length must be positive")
     if resolution < 0 or resolution > 6:
         raise ValidationError("pipe resolution must be in [0, 6]")
-    if not (0 <= wall_grading < 1):
-        raise ValidationError("wall grading must be in [0, 1)")
     arcs = 16 * 2 ** resolution
     rings = 2 * 2 ** resolution
     layers = 5 * 2 ** resolution
 
-    disk, tris = _disk_triangulation(arcs, rings, wall_grading)
+    disk, tris = _disk_triangulation(arcs, rings, WALL_GRADING)
     per_layer = len(disk)
     z = np.linspace(0.0, length, layers + 1)
     vertices = np.empty((per_layer * (layers + 1), 3))
@@ -422,7 +416,7 @@ def generate_pipe_mesh(radius: float, length: float, resolution: int = 2,
 
     metadata = {"pipe": {"radius": float(radius), "length": float(length),
                          "resolution": int(resolution),
-                         "wall_grading": float(wall_grading)}}
+                         "wall_grading": WALL_GRADING}}
     return _finalize_generated(vertices, tets, classify, metadata)
 
 

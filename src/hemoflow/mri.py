@@ -331,14 +331,11 @@ class ImageVolume:
 class ReconstructedVelocity:
     """Decoded voxel velocities for one cardiac phase.
 
-    ``velocity`` is (nx, ny, nz, 3) in m/s; ``wrapped`` flags voxels
-    whose phase landed on the aliasing boundary, where the sign of the
-    velocity is ambiguous.
+    ``velocity`` is (nx, ny, nz, 3) in m/s.
     """
 
     velocity: np.ndarray
     magnitude: np.ndarray
-    wrapped: np.ndarray
     params: SequenceParams
     frame_time: float = 0.0
 
@@ -578,16 +575,12 @@ def reconstruct(k: KSpaceData) -> ImageVolume:
                        frame_time=k.frame_time)
 
 
-def phase_to_velocity(img: ImageVolume,
-                      venc: float | None = None) -> ReconstructedVelocity:
+def phase_to_velocity(img: ImageVolume) -> ReconstructedVelocity:
     """Decode voxel velocities from encoded-minus-reference phase.
 
     u_a = -VENC * arg(img_a conj(img_ref)) / pi, which lies in
-    [-VENC, VENC); a phase difference of exactly pi decodes to -VENC and
-    is flagged as wrapped along with anything within roundoff of it.
+    [-VENC, VENC); a phase difference of exactly pi decodes to -VENC.
     """
-    if venc is None:
-        venc = img.params.venc
     if "ref" not in img.volumes:
         raise ValidationError("reference encode missing")
     missing = [a for a in "xyz" if a not in img.volumes]
@@ -595,13 +588,11 @@ def phase_to_velocity(img: ImageVolume,
         raise ValidationError(f"velocity encodes missing: {missing}")
     ref = img.volumes["ref"]
     velocity = np.empty(ref.shape + (3,))
-    wrapped = np.empty(ref.shape + (3,), dtype=bool)
     for axis, name in enumerate("xyz"):
         angle = np.angle(img.volumes[name] * np.conj(ref))
-        velocity[..., axis] = -venc * angle / np.pi
-        wrapped[..., axis] = np.abs(angle) >= np.pi * (1.0 - 1e-12)
+        velocity[..., axis] = -img.params.venc * angle / np.pi
     return ReconstructedVelocity(velocity=velocity, magnitude=np.abs(ref),
-                                 wrapped=wrapped, params=img.params,
+                                 params=img.params,
                                  frame_time=img.frame_time)
 
 

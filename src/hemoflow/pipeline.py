@@ -8,8 +8,9 @@ mT/m) and are converted to SI internally; the slew rate is given in
 T/m/s. Every key has a baked-in default, so an empty config performs
 the full pipe-phantom demo.
 
-Each stage writes its own artifacts, so a subcommand that runs one
-stage writes the same files as a run.
+From the MR stage on, each stage reads the artifacts the stage before
+it wrote and writes its own, so the subcommands that run the stages one
+by one write the same files as a run, byte for byte.
 """
 
 from __future__ import annotations
@@ -35,11 +36,13 @@ from .hemodynamics import GradientOperator, SegmentStats, compare_models, \
     write_comparison_csv, write_stats_csv
 from .mesh import CutPlane, generate_pipe_mesh, load_mesh, segment_labels, \
     segment_names, wall_normals
-from .mri import SequenceParams, add_noise, phase_to_velocity, reconstruct, \
-    save_images, save_kspace, sequence_timings, synthesize_frame
+from .mri import SequenceParams, add_noise, load_images, load_kspace, \
+    phase_to_velocity, reconstruct, save_images, save_kspace, \
+    sequence_timings, synthesize_frame
 from .phantoms import MMHG, inlet_waveform
 from .report import QUANTITIES, write_report
-from .rheology import PowerLawParams, fit_for_hct, newtonian_equivalent
+from .rheology import LITERATURE_NEWTONIAN, PowerLawParams, fit_for_hct, \
+    newtonian_equivalent
 from .windkessel import WindkesselParams, simulate_windkessel
 
 log = logging.getLogger("hemoflow")
@@ -60,7 +63,6 @@ DEFAULTS = {
         "hct": "45",
         "fit1_range": "12, 123",
         "fit2_range": "0, 2800",
-        "literature_pa_s": "3.0e-3, 3.5e-3, 4.0e-3, 4.5e-3",
     },
     "flow": {
         "pressure_drop_pa": "15.8",
@@ -124,7 +126,6 @@ class RunConfig:
     hct: float
     fit1_range: tuple[float, float]
     fit2_range: tuple[float, float]
-    literature: list[float]
     pressure_drop: float
     period: float
     phases: int
@@ -241,20 +242,24 @@ def _typed_config(merged: dict) -> RunConfig:
         _check_model_name(name)
 
     cuts = _floats(merged["segments"]["cuts_m"])
-    if sorted(cuts) != cuts:
-        raise ValidationError("segment cuts must increase along the axis")
+    if any(b <= a for a, b in zip(cuts, cuts[1:])):
+        raise ValidationError(f"segment cuts_m {cuts} must increase strictly "
+                              "along the axis")
+    length = float(merged["pipe"]["length_m"])
+    if mesh_path is None and not all(0 < z < length for z in cuts):
+        raise ValidationError(f"segment cuts_m {cuts} must lie inside the "
+                              f"{length:g} m pipe")
 
     return RunConfig(
         text=render_config(merged, with_output_dir=False),
         output_dir=Path(merged["paths"]["output_dir"]),
         mesh_path=mesh_path,
         pipe_radius=float(merged["pipe"]["radius_m"]),
-        pipe_length=float(merged["pipe"]["length_m"]),
+        pipe_length=length,
         pipe_resolution=int(merged["pipe"]["resolution"]),
         hct=float(merged["rheology"]["hct"]),
         fit1_range=tuple(_floats(merged["rheology"]["fit1_range"], 2)),
         fit2_range=tuple(_floats(merged["rheology"]["fit2_range"], 2)),
-        literature=_floats(merged["rheology"]["literature_pa_s"]),
         pressure_drop=float(merged["flow"]["pressure_drop_pa"]),
         period=float(merged["flow"]["cardiac_period_s"]),
         phases=int(merged["flow"]["cardiac_phases"]),
@@ -310,7 +315,7 @@ def write_rheology_json(cfg: RunConfig, fitted: dict, path: Path) -> None:
         "newtonian_fit2": fitted["newtonian_fit2"].m,
         "fit1_range": list(cfg.fit1_range),
         "fit2_range": list(cfg.fit2_range),
-        "literature": cfg.literature}, indent=2, sort_keys=True) + "\n")
+        "literature": LITERATURE_NEWTONIAN}, indent=2, sort_keys=True) + "\n")
 
 
 # =========================================================================
@@ -378,35 +383,49 @@ def stage_windkessel(cfg: RunConfig, field, flows, out: Path):
     return trace
 
 
-def stage_mri(cfg: RunConfig, mesh, field, out: Path):
-    """Synthesize, perturb, reconstruct, and decode every cardiac phase."""
+def stage_mri(cfg: RunConfig, mesh, field, out: Path) -> list[Path]:
+    """Synthesize and perturb every cardiac phase; writes ``kspace_*``.
+
+    Returns the k-space sidecar paths in phase order.
+    """
     m0 = np.ones(mesh.n_vertices)
     timings = sequence_timings(cfg.sequence)
     log.info("sequence: TE %.3f ms, readout gradient %.2f mT/m",
              timings.echo_time * 1e3, timings.readout_gradient * 1e3)
-    decoded = []
+    paths = []
     for frame in range(field.n_frames):
         k = synthesize_frame(mesh, m0, field, cfg.sequence, frame=frame,
                              quadrature=cfg.quadrature)
-        k = add_noise(k, cfg.sigma_fraction, seed=cfg.seed + frame)
-        img = reconstruct(k)
-        save_kspace(k, out / f"kspace_phase{frame:03d}.json")
-        save_images(img, out / f"images_phase{frame:03d}.json")
-        decoded.append(phase_to_velocity(img))
-        log.info("phase %d/%d synthesized and decoded", frame + 1,
-                 field.n_frames)
-    return decoded
+        paths.append(out / f"kspace_phase{frame:03d}.json")
+        save_kspace(add_noise(k, cfg.sigma_fraction, seed=cfg.seed + frame),
+                    paths[-1])
+        log.info("phase %d/%d synthesized", frame + 1, field.n_frames)
+    return paths
 
 
-def stage_estimate(cfg: RunConfig, fitted: dict, mesh, decoded, out: Path):
-    """Biomarkers for every model in the comparison matrix, plus exports.
+def stage_reconstruct(kspace: list[Path], out: Path) -> list[Path]:
+    """Images of k-space files as stored; writes ``images_*``.
 
-    Writes ``fields_systole.vtk``, ``stats.csv`` and ``comparison.csv``;
-    returns the statistics keyed by (parameter, frame), the comparison
-    rows and the systolic frame.
+    Each ``kspace_<x>.json`` becomes ``images_<x>.json`` in ``out``;
+    returns those paths.
     """
-    order = np.argsort([d.frame_time for d in decoded])
-    decoded = [decoded[i] for i in order]
+    paths = []
+    for path in kspace:
+        paths.append(out / path.name.replace("kspace", "images"))
+        save_images(reconstruct(load_kspace(path)), paths[-1])
+        log.info("reconstructed %s -> %s", path.name, paths[-1].name)
+    return paths
+
+
+def stage_estimate(cfg: RunConfig, fitted: dict, mesh, images: list[Path],
+                   out: Path) -> None:
+    """Biomarkers of image files for every model in the comparison matrix.
+
+    Writes ``stats.csv``, then ``fields_systole.vtk`` at the systolic
+    frame of the statistics as written.
+    """
+    decoded = sorted((phase_to_velocity(load_images(path)) for path in images),
+                     key=lambda d: d.frame_time)
     times = np.array([d.frame_time for d in decoded])
     if times.size < 2 or np.any(np.diff(times) <= 0):
         raise ValidationError("need at least two distinct cardiac phases")
@@ -446,12 +465,11 @@ def stage_estimate(cfg: RunConfig, fitted: dict, mesh, decoded, out: Path):
         osis[name] = osi(np.stack(tractions[name]), times, cfg.period)
         blocks.append(segment_stats(osis[name], wall_labels, names,
                                     parameter=f"osi:{name}", frame=None))
+    write_stats_csv(blocks, out / "stats.csv")
 
-    keyed = {(b.parameter, b.frame): b for b in blocks}
     reference = cfg.reference_model
-    systolic = systolic_frame(keyed, reference)
+    _, systolic = read_stats(out / "stats.csv", reference)
     log.info("systolic frame %d (t = %.3f s)", systolic, times[systolic])
-
     G_sys = gradients[systolic]
     full_traction = np.zeros((mesh.n_vertices, 3))
     full_traction[wall_idx] = tractions[reference][systolic]
@@ -468,15 +486,12 @@ def stage_estimate(cfg: RunConfig, fitted: dict, mesh, decoded, out: Path):
         "mu_apparent": viscosity_at(models[reference], G_sys),
     }, out / "fields_systole.vtk")
 
-    write_stats_csv(blocks, out / "stats.csv")
-    comparison = build_comparison(keyed, reference, cfg.alternative_models,
-                                  systolic)
-    write_comparison_csv(comparison, out / "comparison.csv")
-    return keyed, comparison, systolic
 
-
-def read_stats_csv(path: str | Path) -> dict:
-    """Stats CSV back into SegmentStats keyed by (param, frame)."""
+def read_stats(path: str | Path, reference: str,
+               frame: int | None = None) -> tuple[dict, int]:
+    """A stats CSV as written, keyed by (param, frame), and its systolic
+    frame: ``frame`` if given, else the frame with the highest
+    cross-segment mean ``wss:<reference>``."""
     blocks: dict[tuple, SegmentStats] = {}
     try:
         with open(path, newline="") as fh:
@@ -485,14 +500,10 @@ def read_stats_csv(path: str | Path) -> dict:
         raise ValidationError(f"cannot read stats file {path}: {exc}") from exc
     for row in rows:
         try:
-            frame = int(row["frame"]) if row["frame"] else None
-            key = (row["param"], frame)
-            block = blocks.get(key)
-            if block is None:
-                block = SegmentStats(parameter=row["param"], segments=[],
-                                     counts=[], means=[], stds=[],
-                                     frame=frame)
-                blocks[key] = block
+            at = int(row["frame"]) if row["frame"] else None
+            block = blocks.setdefault((row["param"], at), SegmentStats(
+                parameter=row["param"], segments=[], counts=[], means=[],
+                stds=[], frame=at))
             block.segments.append(row["segment"])
             block.counts.append(int(row["count"]))
             block.means.append(float(row["mean"]) if row["mean"] else None)
@@ -502,57 +513,67 @@ def read_stats_csv(path: str | Path) -> dict:
                 f"{path}: malformed stats row {row!r}: {exc}") from exc
     if not blocks:
         raise ValidationError(f"{path}: no statistics rows found")
-    return blocks
+    if frame is None:
+        wss_means = {at: block.cross_mean
+                     for (param, at), block in blocks.items()
+                     if param == f"wss:{reference}" and at is not None
+                     and block.cross_mean is not None}
+        if not wss_means:
+            raise ValidationError(
+                f"stats contain no per-frame wss:{reference} rows")
+        frame = max(wss_means, key=wss_means.get)
+    return blocks, frame
 
 
-def systolic_frame(blocks: dict, reference: str) -> int:
-    """Frame with the highest cross-segment mean reference WSS."""
-    best, best_frame = -np.inf, None
-    for (param, frame), block in blocks.items():
-        if param == f"wss:{reference}" and frame is not None:
-            mean = block.cross_mean
-            if mean is not None and mean > best:
-                best, best_frame = mean, frame
-    if best_frame is None:
-        raise ValidationError(
-            f"stats contain no per-frame wss:{reference} rows")
-    return best_frame
+def stage_compare(stats: str | Path, reference: str, alternatives: list,
+                  out: str | Path, frame: int | None = None) -> list[dict]:
+    """Model differences of a stats CSV as written; writes ``out``.
 
-
-def build_comparison(blocks: dict, reference: str, alternatives: list,
-                     systolic: int) -> list[dict]:
-    """Model-difference rows of every quantity, at systole or per cycle."""
+    Per-frame quantities are compared at the systolic frame (see
+    ``read_stats``), OSI over the cycle. Returns the rows written.
+    """
+    blocks, systolic = read_stats(stats, reference, frame)
     rows = []
     for quantity in QUANTITIES:
-        frame = None if quantity == "osi" else systolic
-        ref_key = (f"{quantity}:{reference}", frame)
+        at = None if quantity == "osi" else systolic
+        ref_key = (f"{quantity}:{reference}", at)
         if ref_key not in blocks:
-            raise ValidationError(f"stats lack {ref_key[0]} at frame {frame}")
+            raise ValidationError(f"stats lack {ref_key[0]} at frame {at}")
         for alt_name in alternatives:
-            alt_key = (f"{quantity}:{alt_name}", frame)
+            alt_key = (f"{quantity}:{alt_name}", at)
             if alt_key not in blocks:
-                raise ValidationError(
-                    f"stats lack {alt_key[0]} at frame {frame}")
+                raise ValidationError(f"stats lack {alt_key[0]} at frame {at}")
             for row in compare_models(blocks[ref_key], blocks[alt_key]):
                 row["param"] = quantity
                 row["reference_model"] = reference
                 row["alternative_model"] = alt_name
                 rows.append(row)
+    write_comparison_csv(rows, out)
     return rows
 
 
-def read_comparison_csv(path: str | Path) -> list[dict]:
-    """Comparison CSV back into rows as ``build_comparison`` makes them."""
-    try:
-        with open(path, newline="") as fh:
-            raw = list(csv.DictReader(fh))
-    except OSError as exc:
-        raise ValidationError(f"cannot read comparison {path}: {exc}") from exc
-    numbers = ("reference_mean", "alternative_mean", "absolute_difference",
-               "relative_difference_pct")
-    return [{**row, "frame": int(row["frame"]) if row["frame"] else None,
-             **{key: float(row[key]) if row[key] else None for key in numbers}}
-            for row in raw]
+def stage_report(stats: str | Path, comparison: str | Path | None,
+                 reference: str, out: Path, frame: int | None = None) -> None:
+    """``report.md`` and ``report.svg`` from a stats CSV and, if given, a
+    comparison CSV, both as written."""
+    blocks, systolic = read_stats(stats, reference, frame)
+    rows = None
+    if comparison is not None:
+        try:
+            with open(comparison, newline="") as fh:
+                raw = list(csv.DictReader(fh))
+        except OSError as exc:
+            raise ValidationError(
+                f"cannot read comparison {comparison}: {exc}") from exc
+        numbers = ("reference_mean", "alternative_mean",
+                   "absolute_difference", "relative_difference_pct")
+        try:
+            rows = [{**row, **{key: float(row[key]) if row[key] else None
+                               for key in numbers}} for row in raw]
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ValidationError(
+                f"{comparison}: malformed comparison row: {exc}") from exc
+    write_report(blocks, rows, systolic, out)
 
 
 # =========================================================================
@@ -602,14 +623,21 @@ def run_pipeline(cfg: RunConfig) -> Path:
         stage_windkessel(cfg, field, flows, out)
 
         stage = "mri"
-        decoded = stage_mri(cfg, mesh, field, out)
+        kspace = stage_mri(cfg, mesh, field, out)
+
+        stage = "reconstruct"
+        images = stage_reconstruct(kspace, out)
 
         stage = "estimate"
-        blocks, comparison, systolic = stage_estimate(cfg, fitted, mesh,
-                                                      decoded, out)
+        stage_estimate(cfg, fitted, mesh, images, out)
+
+        stage = "compare"
+        stage_compare(out / "stats.csv", cfg.reference_model,
+                      cfg.alternative_models, out / "comparison.csv")
 
         stage = "report"
-        write_report(blocks, comparison, systolic, out)
+        stage_report(out / "stats.csv", out / "comparison.csv",
+                     cfg.reference_model, out)
     except HemoflowError as exc:
         raise type(exc)(f"[stage {stage}] {exc}") from exc
 

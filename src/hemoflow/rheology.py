@@ -212,19 +212,16 @@ def fit_power_law(samples: Sequence[ViscositySample]) -> PowerLawParams:
     return PowerLawParams(m=m, n=n, r_squared=r_squared, rmse=rmse)
 
 
-def apparent_viscosity(params: PowerLawParams, shear_rate,
-                       floor: float = SHEAR_RATE_FLOOR):
+def apparent_viscosity(params: PowerLawParams, shear_rate):
     """Evaluate the power-law viscosity at one or many shear rates.
 
-    Shear rates below ``floor`` are clamped to it, which regularizes the
-    singularity of shear-thinning curves at zero shear.
+    Shear rates below ``SHEAR_RATE_FLOOR`` are clamped to it, which
+    regularizes the singularity of shear-thinning curves at zero shear.
     """
-    if floor <= 0:
-        raise ValidationError(f"shear-rate floor must be positive, got {floor}")
     g = np.asarray(shear_rate, dtype=float)
     if np.any(g < 0):
         raise ValidationError("shear rate must be nonnegative")
-    mu = params.m * np.maximum(g, floor) ** (params.n - 1.0)
+    mu = params.m * np.maximum(g, SHEAR_RATE_FLOOR) ** (params.n - 1.0)
     return float(mu) if np.isscalar(shear_rate) else mu
 
 

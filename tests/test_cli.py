@@ -139,31 +139,6 @@ def test_windkessel_reference_outlet(capsys, tmp_path):
                             "distal_pressure_mmhg"}
 
 
-def test_synth_reconstruct_estimate_chain(demo, tmp_path):
-    config, _ = demo
-    synth_dir = tmp_path / "synth"
-    rc = main(["synth-mri", "--config", str(config), "--out", str(synth_dir)])
-    assert rc == 0
-    kspace_files = sorted(synth_dir.glob("kspace_*.json"))
-    assert len(kspace_files) == 4
-
-    recon_dir = tmp_path / "recon"
-    rc = main(["reconstruct", "--kspace", str(synth_dir),
-               "--out", str(recon_dir)])
-    assert rc == 0
-    assert len(sorted(recon_dir.glob("images_*.json"))) == 4
-
-    est_dir = tmp_path / "estimate"
-    rc = main(["estimate", "--images", str(recon_dir),
-               "--config", str(config), "--out", str(est_dir)])
-    assert rc == 0
-    assert (est_dir / "stats.csv").is_file()
-    assert (est_dir / "comparison.csv").is_file()
-    assert (est_dir / "fields_systole.vtk").is_file()
-    rows = read_rows(est_dir / "comparison.csv")
-    assert {r["param"] for r in rows} == {"wss", "osi", "el_rate"}
-
-
 def test_compare_identical_models_is_all_zero(demo, tmp_path):
     _, out = demo
     table = tmp_path / "self.csv"
@@ -202,17 +177,52 @@ def test_compare_matches_the_run_comparison(demo, tmp_path):
         args += ["--alternative", model]
     assert main(args) == 0
 
-    def keys(path):
-        with open(path, newline="") as fh:
-            rows = list(csv.reader(fh))
-        return rows[0], [tuple(row[:5]) for row in rows[1:]]
+    assert table.read_bytes() == (out / "comparison.csv").read_bytes()
 
-    header, rows = keys(table)
-    run_header, run_rows = keys(out / "comparison.csv")
-    assert header == run_header
-    assert header[:5] == ["segment", "frame", "param", "reference_model",
-                          "alternative_model"]
-    assert rows == run_rows
+
+def test_subcommand_chain_reproduces_run_byte_for_byte(tmp_path):
+    """synth-mri -> reconstruct -> estimate -> compare -> report, each on
+    the files the step before wrote, gives the files of one run."""
+    config = tmp_path / "two.ini"
+    config.write_text("[flow]\ncardiac_phases = 2\n[noise]\nseed = 5\n")
+    cfg = load_config(config)
+    run = tmp_path / "run"
+    assert main(["run", "--config", str(config), "--out", str(run)]) == 0
+
+    synth, recon, est = (tmp_path / name for name in
+                         ("synth", "recon", "estimate"))
+    table, report = tmp_path / "comparison.csv", tmp_path / "report"
+    models = [arg for model in cfg.alternative_models
+              for arg in ("--alternative", model)]
+    for argv in (
+            ["synth-mri", "--config", str(config), "--out", str(synth)],
+            ["reconstruct", "--kspace", str(synth), "--out", str(recon)],
+            ["estimate", "--images", str(recon), "--config", str(config),
+             "--out", str(est)],
+            ["compare", "--stats", str(est / "stats.csv"), "--reference",
+             cfg.reference_model, *models, "--out", str(table)],
+            ["report", "--stats", str(est / "stats.csv"), "--comparison",
+             str(table), "--reference", cfg.reference_model,
+             "--out", str(report)]):
+        assert main(argv) == 0, f"{argv[0]} failed"
+
+    pairs = [(synth / "flow.csv", "flow.csv"),
+             (est / "fields_systole.vtk", "fields_systole.vtk"),
+             (est / "stats.csv", "stats.csv"),
+             (est / "comparison.csv", "comparison.csv"),
+             (table, "comparison.csv"),
+             (report / "report.md", "report.md"),
+             (report / "report.svg", "report.svg")]
+    for kind, source in (("kspace", synth), ("images", synth),
+                         ("images", recon)):
+        files = sorted(source.glob(f"{kind}_phase*"))
+        assert len(files) == 4, f"{kind} files missing from {source.name}"
+        pairs += [(path, path.name) for path in files]
+    for path, name in pairs:
+        assert path.read_bytes() == (run / name).read_bytes(), \
+            f"{path.relative_to(tmp_path)} differs from the run's {name}"
+    assert {row["param"] for row in read_rows(table)} == \
+        {"wss", "osi", "el_rate"}
 
 
 def test_reconstruct_rejects_unknown_sidecar_key(demo, tmp_path, capsys):
@@ -266,6 +276,27 @@ def test_report_renders_tables_and_svg(demo, tmp_path):
     assert svg.startswith("<svg") and "<rect" in svg
 
 
+def test_malformed_stage_inputs_exit_2(demo, tmp_path, capsys):
+    # a stats or comparison CSV handed to compare or report is outside
+    # input: a bad number exits 2 naming the file, never a traceback
+    _, out = demo
+    for name in ("stats.csv", "comparison.csv"):
+        lines = (out / name).read_text().splitlines()
+        cells = lines[1].split(",")
+        cells[5] = "oops"
+        lines[1] = ",".join(cells)
+        bad = tmp_path / name
+        bad.write_text("\n".join(lines) + "\n")
+    stats, table = out / "stats.csv", tmp_path / "comparison.csv"
+    for argv in (["compare", "--stats", str(tmp_path / "stats.csv"),
+                  "--alternative", "newtonian_fit1",
+                  "--out", str(tmp_path / "again.csv")],
+                 ["report", "--stats", str(stats), "--comparison",
+                  str(table), "--out", str(tmp_path / "report")]):
+        assert main(argv) == 2, f"{argv[0]} accepted a malformed CSV"
+        assert "oops" in capsys.readouterr().err
+
+
 # =========================================================================
 # Config validation and exit codes
 # =========================================================================
@@ -276,6 +307,7 @@ def test_unknown_config_key_is_named(tmp_path, capsys):
     config = tmp_path / "bad.ini"
     for section, key, value in (("noise", "sigmafraction", "0.1"),
                                 ("rheology", "shear_floor", "0.1"),
+                                ("rheology", "literature_pa_s", "3.0e-3"),
                                 ("sequence", "time_spacing_ms", "32.0")):
         config.write_text(f"[{section}]\n{key} = {value}\n")
         rc = main(["run", "--config", str(config), "--out",
@@ -316,6 +348,22 @@ def test_unknown_model_name_fails_validation(tmp_path, capsys):
         assert name in capsys.readouterr().err
         assert not list(out.glob("kspace_*")), \
             f"model {name} was rejected only after synthesis"
+
+
+def test_bad_segment_cuts_fail_at_config_load(tmp_path, capsys):
+    # equal cuts leave an empty segment and a cut past the 0.1 m pipe
+    # leaves the last one empty: both are config errors, found before
+    # any phase is synthesized
+    config = tmp_path / "bad.ini"
+    out = tmp_path / "out"
+    for cuts in ("0.025, 0.05, 0.05", "0.025, 0.05, 0.2"):
+        config.write_text("[flow]\ncardiac_phases = 2\n"
+                          f"[segments]\ncuts_m = {cuts}\n")
+        rc = main(["run", "--config", str(config), "--out", str(out)])
+        assert rc == 2, f"cuts {cuts} were accepted"
+        assert "cuts_m" in capsys.readouterr().err
+        assert not list(out.glob("kspace_*")), \
+            f"cuts {cuts} were rejected only after synthesis"
 
 
 def test_infeasible_sequence_exits_3(tmp_path, capsys):
@@ -381,14 +429,16 @@ CONFIG_VALUES = st.fixed_dictionaries({
     ("sequence", "quadrature"): st.sampled_from(["1", "4", "11"]),
     ("noise", "sigma_fraction"): number(0.0, 0.1),
     ("noise", "seed"): st.integers(0, 2**31 - 1).map(str),
-    ("segments", "cuts_m"): st.lists(st.floats(0.0, 0.1), min_size=1,
-                                     max_size=5).map(
-        lambda c: ", ".join(map(repr, sorted(c)))),
     ("windkessel", "compliance_cgs"): number(1e-5, 1e-2),
     ("comparison", "reference"): MODEL_NAMES,
     ("comparison", "models"): st.lists(MODEL_NAMES, min_size=1,
                                        max_size=3).map(", ".join),
-})
+}).flatmap(lambda values: st.lists(
+    st.integers(1, 99), min_size=1, max_size=5, unique=True).map(
+    # cuts increase strictly inside the generated pipe
+    lambda ks: {**values, ("segments", "cuts_m"): ", ".join(
+        repr(k / 100 * float(values[("pipe", "length_m")]))
+        for k in sorted(ks))}))
 
 
 @settings(max_examples=50, deadline=None)

@@ -555,7 +555,6 @@ def test_interpolation_reproduces_linear_fields():
                          X + Y + Z], axis=-1)
     vox = ReconstructedVelocity(velocity=velocity,
                                 magnitude=np.ones(params.matrix),
-                                wrapped=np.zeros(params.matrix, dtype=bool),
                                 params=params, frame_time=0.25)
     mesh = generate_box_mesh((0.008,) * 3, (2, 2, 2), center=(-0.001,) * 3)
     field = interpolate_to_mesh(vox, mesh)
@@ -575,7 +574,6 @@ def test_interpolation_equals_regular_grid_interpolator():
     velocity = rng.normal(size=params.matrix + (3,))
     vox = ReconstructedVelocity(velocity=velocity,
                                 magnitude=np.ones(params.matrix),
-                                wrapped=np.zeros(params.matrix, dtype=bool),
                                 params=params, frame_time=0.1)
     lo = np.array([ax[0] for ax in axes])
     hi = np.array([ax[-1] for ax in axes])
@@ -621,14 +619,14 @@ def test_estimate_stage_leaves_scipy_sparse_unloaded(tmp_path):
 import sys
 from pathlib import Path
 from hemoflow.pipeline import fit_models, load_config, stage_estimate, \\
-    stage_flow, stage_mesh, stage_mri
+    stage_flow, stage_mesh, stage_mri, stage_reconstruct
 cfg = load_config(overrides={("flow", "cardiac_phases"): 2})
 out = Path(sys.argv[1])
 fitted = fit_models(cfg)
 mesh = stage_mesh(cfg)
 field, _ = stage_flow(cfg, mesh, fitted["power_law"], out)
-decoded = stage_mri(cfg, mesh, field, out)
-stage_estimate(cfg, fitted, mesh, decoded, out)"""
+images = stage_reconstruct(stage_mri(cfg, mesh, field, out), out)
+stage_estimate(cfg, fitted, mesh, images, out)"""
     assert scipy_modules_loaded_after(code, str(tmp_path)) == "[]"
     assert (tmp_path / "stats.csv").exists()
 
@@ -638,7 +636,6 @@ def test_interpolation_rejects_vertices_outside_grid():
     velocity = np.zeros(params.matrix + (3,))
     vox = ReconstructedVelocity(velocity=velocity,
                                 magnitude=np.ones(params.matrix),
-                                wrapped=np.zeros(params.matrix, dtype=bool),
                                 params=params)
     mesh = generate_box_mesh((0.008,) * 3, (2, 2, 2), center=(0.004, 0.0, 0.0))
     with pytest.raises(GeometryError):

@@ -144,8 +144,6 @@ def test_apparent_viscosity_floor():
     assert apparent_viscosity(p, 0.0) == at_floor
     assert apparent_viscosity(p, 0.05) == at_floor
     assert apparent_viscosity(p, 0.2) < at_floor
-    custom = apparent_viscosity(p, 0.0, floor=1.0)
-    assert custom == pytest.approx(1e-2)
 
 
 def test_apparent_viscosity_shear_thinning_monotone():
