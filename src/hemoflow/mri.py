@@ -15,8 +15,7 @@ raster under slew and amplitude limits.
 
 The sum is evaluated in one pass for all requested encodes:
 
-1. Shared tables. The encode amplitudes w_q M0 e^{-i pi u_a/VENC} are
-   built once per frame. For each readout sample, the phase-encode and
+1. Shared tables. For each readout sample, the phase-encode and
    partition ramps are built once and shared by every encode, which are
    then contracted in a single matrix product. The readout/T2* factor
    rides in the first phase-encode row.
@@ -31,9 +30,19 @@ The sum is evaluated in one pass for all requested encodes:
    advanced by a constant. A block of points needs seven exponentials
    per frame whatever the readout length; the readout-sample loop only
    multiplies.
-4. Blocks. Quadrature points are taken in fixed blocks whose products
-   accumulate into the sample's grid, so table memory does not grow
-   with the mesh.
+4. Real partition table. The partition axis is centred, k = m dk for
+   m = -c..c (c = n//2; an even count has no +c), so partition m takes
+   s_z^m with s_z = e^{-2 pi i dk z} of modulus 1, and s_z^-m is the
+   conjugate of s_z^m. Only s_z^0..s_z^c are built; their real and
+   imaginary parts form one real table T of 2c+1 rows. One real product
+   of T with the float view of the point-major phase-encode table L
+   gives C_m = sum L Re(s_z^m) and J_m = sum L Im(s_z^m) together, at
+   half the flops of the complex product; partition +-m is
+   C_m +- i J_m, unfolded once per frame.
+5. Blocks. Quadrature points are taken in fixed blocks whose products
+   accumulate into per-sample sums, so table memory does not grow with
+   the mesh. Each block builds its own point-major encode amplitudes
+   w_q M0 e^{-i pi u_a/VENC}.
 
 All quantities are SI: meters, seconds, tesla. Note the slew rate unit
 is T/m/s (195 T/m/s is a typical whole-body gradient system).
@@ -411,30 +420,32 @@ def _sample_factors(pos, vel, times, k_ro, k_pe, k_pz, t2_star):
 
     With r(t) = r + u t, sample i (time t_i, readout k_ro[i]) gets
 
-        A_i = e^{-t_i/T2*} e^{-2 pi i (k_ro[i] x(t_i) + k_pe[0] y(t_i)
-                                       + k_pz[0] z(t_i))}
+        A_i = e^{-t_i/T2*} e^{-2 pi i (k_ro[i] x(t_i) + k_pe[0] y(t_i))}
         s_y = e^{-2 pi i dk_pe y(t_i)},   s_z = e^{-2 pi i dk_pz z(t_i)}
 
-    ``times`` and the k axes are evenly spaced, so the phase of A_i is
-    quadratic in i and those of s_y, s_z linear: A_{i+1} = A_i G_i with
-    G_{i+1} = G_i H, s_{i+1} = s_i D. Seven exponentials per block
-    (A_0, G_0, H, s_y, D_y, s_z, D_z) serve every sample. Yields
-    (A_i, s_y, s_z) per sample; the arrays are advanced in place, so
-    use them before taking the next sample.
+    A_i carries no partition phase: ``k_pz`` is centred, k_pz[j] =
+    (j - n//2) dk_pz, so partition j takes s_z^(j - n//2) and the
+    partition table is built from s_z alone. ``times`` and the k axes
+    are evenly spaced, so the phase of A_i is quadratic in i and those
+    of s_y, s_z linear: A_{i+1} = A_i G_i with G_{i+1} = G_i H,
+    s_{i+1} = s_i D. Seven exponentials per block (A_0, G_0, H, s_y,
+    D_y, s_z, D_z) serve every sample. Yields (A_i, s_y, s_z) per
+    sample; the arrays are advanced in place, so use them before taking
+    the next sample.
     """
     x, y, z = pos.T
     ux, uy, uz = vel.T
     t0, dt = times[0], _spacing(times)
-    kx0, ky0, kz0 = k_ro[0], k_pe[0], k_pz[0]
+    kx0, ky0 = k_ro[0], k_pe[0]
     dkx, dky, dkz = _spacing(k_ro), _spacing(k_pe), _spacing(k_pz)
     xt, yt, zt = x + ux * t0, y + uy * t0, z + uz * t0
-    a = np.exp(-t0 / t2_star - 2j * np.pi * (kx0 * xt + ky0 * yt + kz0 * zt))
+    a = np.exp(-t0 / t2_star - 2j * np.pi * (kx0 * xt + ky0 * yt))
     s_y = np.exp(-2j * np.pi * dky * yt)
     s_z = np.exp(-2j * np.pi * dkz * zt)
     n = times.size
     if n > 1:
         g = np.exp(-dt / t2_star - 2j * np.pi * (
-            dkx * xt + (kx0 + dkx) * dt * ux + (ky0 * uy + kz0 * uz) * dt))
+            dkx * xt + (kx0 + dkx) * dt * ux + ky0 * dt * uy))
         d_y = np.exp(-2j * np.pi * dky * dt * uy)
         d_z = np.exp(-2j * np.pi * dkz * dt * uz)
     if n > 2:
@@ -447,6 +458,73 @@ def _sample_factors(pos, vel, times, k_ro, k_pe, k_pz, t2_star):
             s_z *= d_z
         if i + 2 < n:
             g *= h
+
+
+def _folded_sums(pos, wm, vel, times, k_ro, k_pe, k_pz, encodes, venc,
+                 t2_star):
+    """Per-sample block sums against the real partition table.
+
+    Returns (n_ro, 2c+1, n_enc * n_pe), c = n_pz // 2: for each readout
+    sample, the sums of L = amp * ey against Re(s_z^m), m = 0..c, then
+    against Im(s_z^m), m = 1..c.
+    """
+    n_enc, n_pe = len(encodes), k_pe.size
+    c = k_pz.size // 2
+    rows, width = 2 * c + 1, n_enc * n_pe
+    folded = np.zeros((k_ro.size, rows, width), dtype=complex)
+    prod = np.empty((rows, width), dtype=complex)
+    # table buffers sized for a full block, allocated once per frame; a
+    # block uses contiguous prefixes of them
+    amp_buf, ey_buf, pz_buf, left_buf = (
+        np.empty(size * _BLOCK, dtype=complex)
+        for size in (n_enc, n_pe, c, width))
+    table_buf = np.empty(rows * _BLOCK)
+    for lo in range(0, wm.size, _BLOCK):
+        block = slice(lo, lo + _BLOCK)
+        n = min(_BLOCK, wm.size - lo)
+        amp = amp_buf[:n * n_enc].reshape(n, n_enc)
+        for col, encode in enumerate(encodes):
+            amp[:, col] = wm[block]
+            if encode != "ref":
+                amp[:, col] *= np.exp(-1j * np.pi
+                                      * vel[block, "xyz".index(encode)]
+                                      / venc)
+        ey = ey_buf[:n_pe * n].reshape(n_pe, n)
+        pz = pz_buf[:c * n].reshape(c, n)
+        left = left_buf[:n * width].reshape(n, width)
+        table = table_buf[:rows * n].reshape(rows, n)
+        table[0] = 1.0
+        samples = _sample_factors(pos[block], vel[block], times, k_ro, k_pe,
+                                  k_pz, t2_star)
+        for i, (a, s_y, s_z) in enumerate(samples):
+            _ramp(a, s_y, ey)
+            _ramp(s_z, s_z, pz)
+            np.copyto(table[1:c + 1], pz.real)
+            np.copyto(table[c + 1:], pz.imag)
+            np.multiply(amp[:, :, None], ey.T[:, None, :],
+                        out=left.reshape(n, n_enc, n_pe))
+            np.matmul(table, left.view(float), out=prod.view(float))
+            folded[i] += prod
+    return folded
+
+
+def _unfold(folded, n_pz):
+    """Partition grids from the folded sums, overwriting ``folded``.
+
+    ``folded[..., m]`` holds C_m = sum L Re(s_z^m) for m = 0..c and
+    ``folded[..., c + m]`` holds J_m = sum L Im(s_z^m) for m = 1..c,
+    c = n_pz // 2. |s_z| = 1, so s_z^-m = conj(s_z^m) and partition
+    c + m is C_m + i J_m, partition c - m is C_m - i J_m.
+    """
+    c = n_pz // 2
+    cos, sin = folded[..., :c + 1], folded[..., c + 1:]
+    sin *= 1j
+    out = np.empty(folded.shape[:-1] + (n_pz,), dtype=complex)
+    out[..., c:] = cos[..., :n_pz - c]
+    out[..., c + 1:] += sin[..., :n_pz - c - 1]
+    out[..., :c] = cos[..., :0:-1]
+    out[..., :c] -= sin[..., ::-1]
+    return out
 
 
 def _synthesize(mesh: TetMesh, m0: np.ndarray, field: VelocityField,
@@ -466,36 +544,10 @@ def _synthesize(mesh: TetMesh, m0: np.ndarray, field: VelocityField,
     timings = sequence_timings(params)
     pos, wq, m0q, uq = _quadrature(mesh, m0, field.values[frame], quadrature)
     k_ro, k_pe, k_pz = params.k_axes()
-
-    amp = np.empty((len(encodes), wq.size), dtype=complex)
-    for row, encode in zip(amp, encodes):
-        row[:] = wq * m0q
-        if encode != "ref":
-            row *= np.exp(-1j * np.pi * uq[:, "xyz".index(encode)]
-                          / params.venc)
-
-    n_enc, n_pe, n_pz = len(encodes), k_pe.size, k_pz.size
-    grids = np.zeros((n_enc, k_ro.size, n_pe, n_pz), dtype=complex)
-    # table buffers sized for a full block, allocated once per frame; a
-    # block uses contiguous prefixes of them
-    ey_buf, ez_buf, left_buf = (np.empty(rows * _BLOCK, dtype=complex)
-                                for rows in (n_pe, n_pz, n_enc * n_pe))
-    for lo in range(0, wq.size, _BLOCK):
-        block = slice(lo, lo + _BLOCK)
-        n = min(_BLOCK, wq.size - lo)
-        ey = ey_buf[:n_pe * n].reshape(n_pe, n)
-        ez = ez_buf[:n_pz * n].reshape(n_pz, n)
-        left = left_buf[:n_enc * n_pe * n].reshape(n_enc * n_pe, n)
-        ez[0] = 1.0
-        samples = _sample_factors(pos[block], uq[block], timings.sample_times,
-                                  k_ro, k_pe, k_pz, params.t2_star)
-        for i, (a, s_y, s_z) in enumerate(samples):
-            _ramp(a, s_y, ey)
-            _ramp(s_z, s_z, ez[1:])
-            np.multiply(amp[:, None, block], ey,
-                        out=left.reshape(n_enc, n_pe, n))
-            grids[:, i] += (left @ ez.T).reshape(n_enc, n_pe, n_pz)
-
+    folded = _folded_sums(pos, wq * m0q, uq, timings.sample_times, k_ro, k_pe,
+                          k_pz, encodes, params.venc, params.t2_star)
+    grids = _unfold(folded.reshape(k_ro.size, -1, len(encodes), k_pe.size)
+                    .transpose(2, 0, 3, 1), k_pz.size)
     return KSpaceData(signals=dict(zip(encodes, grids)),
                       sample_times=timings.sample_times, params=params,
                       frame_time=float(field.times[frame]))

@@ -407,8 +407,12 @@ def stage_reconstruct(kspace: list[Path], out: Path) -> list[Path]:
     """Images of k-space files as stored; writes ``images_*``.
 
     Each ``kspace_<x>.json`` becomes ``images_<x>.json`` in ``out``;
-    returns those paths.
+    returns those paths. Every file is loaded and checked before any
+    image is written, so a bad file leaves no partial output; phases are
+    then reconstructed one at a time, so memory holds one phase, not all.
     """
+    for path in kspace:
+        load_kspace(path)
     paths = []
     for path in kspace:
         paths.append(out / path.name.replace("kspace", "images"))

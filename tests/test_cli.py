@@ -241,21 +241,25 @@ def test_reconstruct_rejects_unknown_sidecar_key(demo, tmp_path, capsys):
 
 
 def test_non_finite_payload_exits_2(demo, tmp_path, capsys):
+    # a bad later phase must stop the stage before it writes the images
+    # of the phases that load cleanly
     config, out = demo
-    for kind, command in (("kspace", ["reconstruct", "--kspace"]),
-                          ("images", ["estimate", "--config", str(config),
-                                      "--images"])):
-        source = tmp_path / kind
-        source.mkdir()
-        for path in out.glob(f"{kind}_phase*"):
-            shutil.copyfile(path, source / path.name)
-        with open(source / f"{kind}_phase000.bin", "r+b") as fh:
-            fh.write(np.complex64(complex(np.nan, 0.0)).tobytes())
-        target = tmp_path / f"from_{kind}"
-        rc = main(command + [str(source), "--out", str(target)])
-        assert rc == 2, f"a NaN in {kind}_phase000.bin was accepted"
-        assert f"{kind}_phase000.json" in capsys.readouterr().err
-        assert not list(target.glob("*")), "nothing may be written"
+    for phase in ("000", "003"):
+        for kind, command in (("kspace", ["reconstruct", "--kspace"]),
+                              ("images", ["estimate", "--config",
+                                          str(config), "--images"])):
+            source = tmp_path / f"{kind}{phase}"
+            source.mkdir()
+            for path in out.glob(f"{kind}_phase*"):
+                shutil.copyfile(path, source / path.name)
+            with open(source / f"{kind}_phase{phase}.bin", "r+b") as fh:
+                fh.write(np.complex64(complex(np.nan, 0.0)).tobytes())
+            target = tmp_path / f"from_{kind}{phase}"
+            rc = main(command + [str(source), "--out", str(target)])
+            assert rc == 2, f"a NaN in {kind}_phase{phase}.bin was accepted"
+            assert f"{kind}_phase{phase}.json" in capsys.readouterr().err
+            assert not list(target.glob("*")), \
+                f"a NaN in {kind}_phase{phase}.bin: nothing may be written"
 
 
 def test_report_renders_tables_and_svg(demo, tmp_path):

@@ -238,6 +238,32 @@ def test_frame_matches_direct_sum_over_several_blocks(quadrature):
                               quadrature)
 
 
+@pytest.mark.parametrize("n_pz", [2, 3])
+def test_fewest_partitions_match_direct_sum(n_pz):
+    # the partition table folds +m onto -m about k = 0: with 2 partitions
+    # m = -1 has no +1 partner, with 3 both sides hold one partition
+    params = SequenceParams(matrix=(8, 8, n_pz), voxel=(0.002, 0.002, 0.004),
+                            adc_bandwidth=32e3)
+    mesh = small_box()
+    assert_matches_direct_sum(mesh, np.linspace(0.5, 1.5, mesh.n_vertices),
+                              box_swirl(mesh, 2.0), params)
+
+
+def test_odd_partitions_over_several_blocks_match_direct_sum():
+    pipe = generate_pipe_mesh(0.01, 0.1, resolution=1)
+    assert pipe.n_tets * 4 > 2 * _BLOCK
+    x, y, _ = pipe.vertices.T
+    r2 = (x * x + y * y) / 0.01 ** 2
+    velocity = np.stack([0.2 * y / 0.01, 0.3 * x / 0.01, 0.9 * (1.0 - r2)],
+                        axis=1)
+    field = VelocityField(times=np.array([0.0]), values=velocity[None])
+    params = SequenceParams(venc=1.0, matrix=(4, 5, 9),
+                            voxel=(0.004, 0.004, 0.012), adc_bandwidth=32e3,
+                            fov_center=(0.0, 0.0, 0.05))
+    assert params.matrix[2] % 2
+    assert_matches_direct_sum(pipe, 1.0 + 0.5 * r2, field, params)
+
+
 def test_single_encode_matches_its_frame_grid():
     mesh = small_box()
     m0 = np.linspace(0.5, 1.5, mesh.n_vertices)
@@ -324,6 +350,25 @@ def test_phase_ramp_recurrence_matches_exponentials(n, fov, coords):
 
 
 @settings(max_examples=200, deadline=None)
+@given(matrix=st.tuples(*[st.integers(2, 256)] * 3),
+       fov=st.tuples(*[st.floats(0.03, 0.25)] * 3),
+       oversampling=st.integers(1, 2))
+def test_k_axes_hold_zero_at_the_centre_index(matrix, fov, oversampling):
+    # synthesis folds the partition table about k = 0: it takes partition
+    # j as s_z^(j - n//2) and partition n//2 - m as the conjugate of
+    # partition n//2 + m
+    params = SequenceParams(matrix=matrix,
+                            voxel=tuple(f / n for f, n in zip(fov, matrix)),
+                            oversampling=oversampling)
+    sizes = (params.acquired_readout,) + matrix[1:]
+    for axis, (k, n) in enumerate(zip(params.k_axes(), sizes)):
+        assert k.shape == (n,)
+        assert k[n // 2] == 0.0, f"axis {axis}: k[{n // 2}] = {k[n // 2]}"
+        m = np.arange(1, n - n // 2)
+        assert np.array_equal(k[n // 2 + m], -k[n // 2 - m]), f"axis {axis}"
+
+
+@settings(max_examples=200, deadline=None)
 @given(n=st.integers(1, 256),
        fov=st.floats(0.03, 0.25),
        t0=st.floats(1e-3, 20e-3),
@@ -334,7 +379,8 @@ def test_phase_ramp_recurrence_matches_exponentials(n, fov, coords):
                        min_size=1, max_size=8))
 def test_time_recurrence_matches_exponentials(n, fov, t0, dwell, t2_star,
                                               points):
-    # evenly spaced sample times and readout k, |u| <= 3 m/s, T2* >= 2 ms
+    # evenly spaced sample times and readout k, |u| <= 3 m/s, T2* >= 2 ms;
+    # A carries no partition phase, since the partition table is centred
     table = np.asarray(points)
     pos, vel = table[:, :3], table[:, 3:]
     times = t0 + np.arange(n) * dwell
@@ -345,7 +391,7 @@ def test_time_recurrence_matches_exponentials(n, fov, t0, dwell, t2_star,
     for i, (a, s_y, s_z) in enumerate(samples):
         x, y, z = (pos + vel * times[i]).T
         direct = (np.exp(-times[i] / t2_star - 2j * np.pi * (
-                      k_ro[i] * x + k_pe[0] * y + k_pz[0] * z)),
+                      k_ro[i] * x + k_pe[0] * y)),
                   np.exp(-2j * np.pi * _spacing(k_pe) * y),
                   np.exp(-2j * np.pi * _spacing(k_pz) * z))
         for name, got, want in zip(("A", "s_y", "s_z"), (a, s_y, s_z),
