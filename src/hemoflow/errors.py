@@ -17,7 +17,7 @@ class InsufficientDataError(ValidationError):
     """Too few samples to perform a fit."""
 
 
-class ExtrapolationError(HemoflowError):
+class ExtrapolationError(ValidationError):
     """A lookup outside the supported interpolation range."""
 
 

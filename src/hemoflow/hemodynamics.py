@@ -6,8 +6,8 @@ wall shear stress as the viscous traction 2 mu eps n at wall vertices,
 the oscillatory shear index over a cardiac cycle, and the nodal rate of
 viscous energy loss. Every quantity takes a power-law model evaluated
 at the local shear rate, so model comparisons share identical velocity
-gradients; a constant Newtonian viscosity (Pa s) is accepted as the
-power law with that consistency index and n = 1.
+gradients; a Newtonian viscosity mu (Pa s) is the power law
+``PowerLawParams(m=mu, n=1)``.
 """
 
 from __future__ import annotations
@@ -114,20 +114,19 @@ def shear_rate(gradients: np.ndarray) -> np.ndarray:
     return np.sqrt(2.0 * np.einsum("...ij,...ij->...", strain, strain))
 
 
-def viscosity_at(viscosity, gradients: np.ndarray) -> np.ndarray:
+def viscosity_at(viscosity: PowerLawParams,
+                 gradients: np.ndarray) -> np.ndarray:
     """Viscosity evaluated per gradient tensor.
 
     The power-law model is evaluated at the local shear rate, clamped
-    below at ``SHEAR_RATE_FLOOR``. A float mu (Pa s) is the Newtonian
-    curve m = mu, n = 1, which gives exactly mu everywhere.
+    below at ``SHEAR_RATE_FLOOR``. The Newtonian curve m = mu, n = 1
+    gives exactly mu everywhere.
     """
-    if not isinstance(viscosity, PowerLawParams):
-        viscosity = PowerLawParams(m=float(viscosity), n=1.0)
     return apparent_viscosity(viscosity, shear_rate(gradients))
 
 
 def wss(gradients: np.ndarray, normals: np.ndarray,
-        viscosity) -> tuple[np.ndarray, np.ndarray]:
+        viscosity: PowerLawParams) -> tuple[np.ndarray, np.ndarray]:
     """Wall shear stress vectors t = 2 mu eps n and their magnitudes, Pa.
 
     ``gradients`` are the recovered tensors at the wall vertices and
@@ -180,14 +179,12 @@ def osi(tractions: np.ndarray, times: np.ndarray, period: float) -> np.ndarray:
     return np.clip(out, 0.0, 0.5)
 
 
-def energy_loss_rate(gradients: np.ndarray, viscosity,
-                     volumes: np.ndarray,
-                     div_coefficient: float = 2.0 / 3.0) -> np.ndarray:
+def energy_loss_rate(gradients: np.ndarray, viscosity: PowerLawParams,
+                     volumes: np.ndarray) -> np.ndarray:
     """Nodal rate of viscous energy loss, microwatts.
 
-    E(x) = 2 mu (eps - c (div u) I) : (eps - c (div u) I) V(x), with the
-    dilatational coefficient c configurable (default 2/3; for the fields
-    handled here div u is near zero, so the choice hardly matters).
+    E(x) = 2 mu (eps - 2/3 (div u) I) : (eps - 2/3 (div u) I) V(x); for
+    the fields handled here div u is near zero.
     """
     gradients = np.asarray(gradients, dtype=float)
     volumes = np.asarray(volumes, dtype=float)
@@ -196,7 +193,7 @@ def energy_loss_rate(gradients: np.ndarray, viscosity,
     strain = 0.5 * (gradients + np.swapaxes(gradients, -1, -2))
     div = np.einsum("...ii->...", gradients)
     eye = np.eye(3)
-    deviator = strain - div_coefficient * div[..., None, None] * eye
+    deviator = strain - (2.0 / 3.0) * div[..., None, None] * eye
     mu = viscosity_at(viscosity, gradients)
     density = 2.0 * mu * np.einsum("...ij,...ij->...", deviator, deviator)
     return density * volumes * 1e6

@@ -622,7 +622,8 @@ def reconstruct(k: KSpaceData) -> ImageVolume:
     volumes = {}
     for name, grid in k.signals.items():
         img = np.fft.fftshift(np.fft.ifftn(np.fft.ifftshift(grid * demod)))
-        volumes[name] = img[start:start + n_ro]
+        # copied: a view would keep the oversampled array alive
+        volumes[name] = img[start:start + n_ro].copy()
     return ImageVolume(volumes=volumes, params=params,
                        frame_time=k.frame_time)
 

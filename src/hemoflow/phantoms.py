@@ -71,16 +71,11 @@ def demo_outlet_flow() -> FlowWaveform:
     return inlet_waveform(peak=DEMO_PEAK_FLOW)
 
 
-def snr_phantom(cell: float = 0.002) -> TetMesh:
+def snr_phantom() -> TetMesh:
     """Rectangular signal block for noise-level checks.
 
-    A 20 x 16 x 8 mm box centered on the origin, meshed in cubes of
-    ``cell`` meters per side. With the default cell the box edges land
-    exactly on 2 mm voxel boundaries, so every voxel is either fully
-    inside or fully outside the block.
+    A 20 x 16 x 8 mm box centered on the origin, meshed in 2 mm cubes,
+    so the box edges land exactly on 2 mm voxel boundaries and every
+    voxel is either fully inside or fully outside the block.
     """
-    size = (0.020, 0.016, 0.008)
-    divisions = tuple(int(round(s / cell)) for s in size)
-    if any(abs(d * cell - s) > 1e-12 for d, s in zip(divisions, size)):
-        raise ValueError("cell size must divide 20 x 16 x 8 mm evenly")
-    return generate_box_mesh(size=size, divisions=divisions)
+    return generate_box_mesh(size=(0.020, 0.016, 0.008), divisions=(10, 8, 4))

@@ -15,7 +15,7 @@ power-law index ``n`` (dimensionless, ``n < 1`` is shear thinning).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -47,11 +47,10 @@ SHEAR_RATE_FLOOR = 0.1
 
 @dataclass(frozen=True)
 class ViscositySample:
-    """One viscometry measurement, optionally carrying a fit weight."""
+    """One viscometry measurement."""
 
     shear_rate: float
     viscosity: float
-    weight: float | None = None
 
 
 @dataclass(frozen=True)
@@ -97,46 +96,32 @@ BASE_CURVES: dict[float, PowerLawParams] = {
 LITERATURE_NEWTONIAN: tuple[float, ...] = (3.0e-3, 3.5e-3, 4.0e-3, 4.5e-3)
 
 
-def default_shear_grid(low: float = 12.0, high: float = 123.0,
-                       count: int = 12) -> np.ndarray:
+def default_shear_grid() -> np.ndarray:
     """Log-spaced shear-rate grid used when resampling viscosity curves."""
-    if not (0 < low < high):
-        raise ValidationError(f"invalid shear range [{low}, {high}]")
-    return np.geomspace(low, high, count)
+    return np.geomspace(12.0, 123.0, 12)
 
 
 def _sample_arrays(samples: Sequence[ViscositySample]):
     g = np.array([s.shear_rate for s in samples], dtype=float)
     mu = np.array([s.viscosity for s in samples], dtype=float)
-    w_given = [s.weight for s in samples]
     order = np.argsort(g)
     g, mu = g[order], mu[order]
-    if any(w is not None for w in w_given):
-        if any(w is None for w in w_given):
-            raise ValidationError("either all samples carry weights or none do")
-        w = np.array(w_given, dtype=float)[order]
-        if np.any(w < 0):
-            raise ValidationError("sample weights must be nonnegative")
-    else:
-        # Trapezoid spacing of the sorted shear rates, so unevenly sampled
-        # curves are not dominated by densely sampled regions.
-        w = np.empty_like(g)
-        w[1:-1] = 0.5 * (g[2:] - g[:-2])
-        w[0] = 0.5 * (g[1] - g[0])
-        w[-1] = 0.5 * (g[-1] - g[-2])
-    total = w.sum()
-    if total <= 0:
-        raise ValidationError("sample weights sum to zero")
-    return g, mu, w / total
+    # Trapezoid spacing of the sorted shear rates, so unevenly sampled
+    # curves are not dominated by densely sampled regions.
+    w = np.empty_like(g)
+    w[1:-1] = 0.5 * (g[2:] - g[:-2])
+    w[0] = 0.5 * (g[1] - g[0])
+    w[-1] = 0.5 * (g[-1] - g[-2])
+    return g, mu, w / w.sum()
 
 
 def fit_power_law(samples: Sequence[ViscositySample]) -> PowerLawParams:
     """Fit ``mu = m * g**(n-1)`` to viscometry samples.
 
-    Weighted least squares in linear viscosity space. Weights default to
-    the local shear-rate sample spacing; explicit per-sample weights
-    override that. The fit is initialized from a log-log linear
-    regression and refined with a damped Gauss-Newton iteration.
+    Weighted least squares in linear viscosity space, each sample
+    weighted by its local shear-rate spacing. The fit is initialized
+    from a log-log linear regression and refined with a damped
+    Gauss-Newton iteration.
 
     Parameters
     ----------
@@ -221,8 +206,7 @@ def apparent_viscosity(params: PowerLawParams, shear_rate):
     g = np.asarray(shear_rate, dtype=float)
     if np.any(g < 0):
         raise ValidationError("shear rate must be nonnegative")
-    mu = params.m * np.maximum(g, SHEAR_RATE_FLOOR) ** (params.n - 1.0)
-    return float(mu) if np.isscalar(shear_rate) else mu
+    return params.m * np.maximum(g, SHEAR_RATE_FLOOR) ** (params.n - 1.0)
 
 
 def newtonian_equivalent(params: PowerLawParams,
@@ -242,49 +226,32 @@ def newtonian_equivalent(params: PowerLawParams,
     return params.m * (g1 ** params.n - g0 ** params.n) / (params.n * (g1 - g0))
 
 
-def _curve_items(curves) -> list[tuple[float, PowerLawParams]]:
-    if isinstance(curves, Mapping):
-        items = [(float(h), p) for h, p in curves.items()]
-    else:
-        items = [(float(h), p) for h, p in curves]
-    items.sort(key=lambda hp: hp[0])
-    if len(items) < 2:
-        raise ValidationError("hematocrit interpolation needs at least two curves")
-    hcts = [h for h, _ in items]
-    if len(set(hcts)) != len(hcts):
-        raise ValidationError("duplicate hematocrit levels in base curves")
-    return items
-
-
-def interpolate_hct(curves, target_hct: float,
-                    shear_rates: Iterable[float] | None = None
-                    ) -> list[ViscositySample]:
+def interpolate_hct(curves: Mapping[float, PowerLawParams],
+                    target_hct: float) -> list[ViscositySample]:
     """Synthesize viscosity samples at an intermediate hematocrit.
 
     Viscosity is interpolated linearly in hematocrit between the two
-    bracketing fitted curves, evaluated at fixed shear rates. Targets
-    outside the covered hematocrit range are rejected; blood rheology
-    data does not support extrapolation.
+    bracketing fitted curves, evaluated on :func:`default_shear_grid`.
+    Targets outside the covered hematocrit range are rejected; blood
+    rheology data does not support extrapolation.
 
     Parameters
     ----------
-    curves : mapping or sequence
-        ``{hct: PowerLawParams}`` or ``[(hct, PowerLawParams), ...]``.
+    curves : mapping
+        ``{hct: PowerLawParams}``.
     target_hct : float
         Hematocrit (percent) inside the covered range.
-    shear_rates : iterable of float, optional
-        Evaluation grid; defaults to :func:`default_shear_grid`.
     """
-    items = _curve_items(curves)
+    items = sorted(((float(h), p) for h, p in curves.items()),
+                   key=lambda hp: hp[0])
+    if len(items) < 2:
+        raise ValidationError("hematocrit interpolation needs at least two curves")
     hcts = np.array([h for h, _ in items])
     target = float(target_hct)
     if target < hcts[0] or target > hcts[-1]:
         raise ExtrapolationError(
             f"hematocrit {target} outside fitted range [{hcts[0]}, {hcts[-1]}]")
-    grid = (default_shear_grid() if shear_rates is None
-            else np.asarray(list(shear_rates), dtype=float))
-    if grid.size < 3 or np.any(grid <= 0):
-        raise ValidationError("shear grid must hold at least 3 positive rates")
+    grid = default_shear_grid()
 
     hi = int(np.searchsorted(hcts, target, side="left"))
     if hcts[hi] == target:
@@ -299,14 +266,11 @@ def interpolate_hct(curves, target_hct: float,
     return [ViscositySample(float(g), float(v)) for g, v in zip(grid, mu)]
 
 
-def fit_for_hct(target_hct: float, curves=None,
-                shear_rates: Iterable[float] | None = None) -> PowerLawParams:
+def fit_for_hct(target_hct: float) -> PowerLawParams:
     """Power-law curve at an arbitrary hematocrit.
 
     Interpolates the base curves at fixed shear rates and refits a
     power law to the synthetic samples. At a hematocrit where a base
     curve exists this reproduces that curve.
     """
-    samples = interpolate_hct(BASE_CURVES if curves is None else curves,
-                              target_hct, shear_rates)
-    return fit_power_law(samples)
+    return fit_power_law(interpolate_hct(BASE_CURVES, target_hct))

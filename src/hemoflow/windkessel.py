@@ -61,42 +61,27 @@ class PressureTrace:
                      / (self.times[-1] - self.times[0]))
 
 
-def simulate_windkessel(params: WindkesselParams, flow,
-                        n_cycles: int = 10, steps_per_cycle: int = 1000,
-                        period: float | None = None) -> PressureTrace:
+def simulate_windkessel(params: WindkesselParams, flow: FlowWaveform,
+                        n_cycles: int = 10,
+                        steps_per_cycle: int = 1000) -> PressureTrace:
     """Integrate the windkessel over repeated cycles, returning the last.
 
-    ``flow`` is either a :class:`~hemoflow.flowfields.FlowWaveform` (its
-    period is used) or a plain callable Q(t), in which case ``period``
-    must be given. The cycle is divided into ``steps_per_cycle`` equal
-    RK4 steps; the returned trace covers one full cycle start to end
-    inclusive, so its first and last samples are one period apart.
+    ``flow`` is one cycle of outlet flow; its period is the cycle length.
+    The cycle is divided into ``steps_per_cycle`` equal RK4 steps; the
+    returned trace covers one full cycle start to end inclusive, so its
+    first and last samples are one period apart.
     """
-    if isinstance(flow, FlowWaveform):
-        sample = flow.value_at
-        period = flow.period
-    elif callable(flow):
-        if period is None or period <= 0:
-            raise ValidationError("callable flow needs an explicit positive "
-                                  "period")
-
-        def sample(times):
-            return [float(flow(t)) for t in times]
-    else:
-        raise ValidationError("flow must be a FlowWaveform or a callable")
     if n_cycles < 1:
         raise ValidationError("need at least one cycle")
     if steps_per_cycle < 4:
         raise ValidationError("need at least 4 steps per cycle")
 
-    h = period / steps_per_cycle
+    h = flow.period / steps_per_cycle
     # Q is periodic, so one cycle of samples at the step and half-step
     # times serves every cycle.
     t_steps = np.arange(steps_per_cycle + 1) * h
-    q_full = np.asarray(sample(t_steps), dtype=float)
-    q_half = np.asarray(sample(t_steps[:-1] + 0.5 * h), dtype=float)
-    if not (np.all(np.isfinite(q_full)) and np.all(np.isfinite(q_half))):
-        raise ValidationError("flow waveform produced non-finite values")
+    q_full = flow.value_at(t_steps)
+    q_half = flow.value_at(t_steps[:-1] + 0.5 * h)
 
     rd, c = params.distal_resistance, params.compliance
 
@@ -117,4 +102,4 @@ def simulate_windkessel(params: WindkesselParams, flow,
 
     pressure = params.proximal_resistance * q_full + distal
     return PressureTrace(times=t_steps, pressure=pressure,
-                         distal_pressure=distal.copy(), flow=q_full.copy())
+                         distal_pressure=distal, flow=q_full)

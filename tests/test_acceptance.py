@@ -12,7 +12,8 @@ import numpy as np
 import pytest
 
 from hemoflow.cli import load_config, run_pipeline
-from hemoflow.flowfields import VelocityField, poiseuille_power_law
+from hemoflow.flowfields import FlowWaveform, VelocityField, \
+    poiseuille_power_law
 from hemoflow.hemodynamics import compare_models, energy_loss_rate, osi, \
     recover_gradients, segment_stats, shear_rate, wss
 from hemoflow.mesh import CutPlane, generate_pipe_mesh, nodal_volumes, \
@@ -299,15 +300,17 @@ def test_criterion_6_windkessel():
     decay = WindkesselParams(proximal_resistance=0.0, distal_resistance=rd,
                              compliance=c, initial_distal_pressure=p0)
 
-    trace = simulate_windkessel(decay, lambda t: 0.0, n_cycles=1,
-                                steps_per_cycle=1000, period=tau)
+    no_flow = FlowWaveform(times=[0.0, 0.5 * tau], values=[0.0, 0.0],
+                           period=tau)
+    trace = simulate_windkessel(decay, no_flow, n_cycles=1,
+                                steps_per_cycle=1000)
     err = abs(trace.distal_pressure[-1] - p0 / np.e) / (p0 / np.e)
     assert err < 1e-8, f"decay error {err:.2e} at dt = tau/1000"
 
     errors = []
     for steps in (25, 50, 100):
-        t = simulate_windkessel(decay, lambda t: 0.0, n_cycles=1,
-                                steps_per_cycle=steps, period=tau)
+        t = simulate_windkessel(decay, no_flow, n_cycles=1,
+                                steps_per_cycle=steps)
         errors.append(abs(t.distal_pressure[-1] - p0 / np.e))
     orders = [float(np.log2(errors[i] / errors[i + 1])) for i in range(2)]
     for order in orders:
@@ -336,6 +339,7 @@ def test_criterion_7_model_difference_property():
     start = time.perf_counter()
     params = PowerLawParams(m=5.40e-2, n=0.63)
     mu_newt = 3.5e-3
+    newt = PowerLawParams(m=mu_newt, n=1.0)
     drop = 2.0 * params.m * LENGTH * 10.0 ** params.n / RADIUS
     mesh = generate_pipe_mesh(RADIUS, LENGTH)
     field = poiseuille_power_law(mesh, params, drop)
@@ -348,9 +352,9 @@ def test_criterion_7_model_difference_property():
         f"wall shear rate {np.median(wall_rates):.1f} not near 10 1/s"
 
     _, mag_pl = wss(gradients[idx], normals, params)
-    _, mag_nf = wss(gradients[idx], normals, mu_newt)
+    _, mag_nf = wss(gradients[idx], normals, newt)
     el_pl = energy_loss_rate(gradients[idx], params, volumes[idx])
-    el_nf = energy_loss_rate(gradients[idx], mu_newt, volumes[idx])
+    el_nf = energy_loss_rate(gradients[idx], newt, volumes[idx])
     expected = apparent_viscosity(params, wall_rates) / mu_newt
     wss_dev = np.abs(mag_pl / mag_nf - expected) / expected
     el_dev = np.abs(el_pl / el_nf - expected) / expected

@@ -370,6 +370,18 @@ def test_bad_segment_cuts_fail_at_config_load(tmp_path, capsys):
             f"cuts {cuts} were rejected only after synthesis"
 
 
+def test_out_of_range_hematocrit_exits_2(tmp_path, capsys):
+    # the base curves span 20-70 % hematocrit: a target outside them is
+    # bad input (exit 2), not a numerical failure (exit 3)
+    config = tmp_path / "bad.ini"
+    config.write_text("[rheology]\nhct = 80\n")
+    for argv in (["run", "--config", str(config), "--out",
+                  str(tmp_path / "out")],
+                 ["fit-rheology", "--hct", "80"]):
+        assert main(argv) == 2, f"{argv[0]} did not exit 2"
+        assert "hematocrit 80" in capsys.readouterr().err
+
+
 def test_infeasible_sequence_exits_3(tmp_path, capsys):
     config = tmp_path / "hot.ini"
     config.write_text("[sequence]\nadc_bandwidth_khz = 2000\n"

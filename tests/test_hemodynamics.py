@@ -25,7 +25,6 @@ from hemoflow.hemodynamics import (
     recover_gradients,
     segment_stats,
     shear_rate,
-    viscosity_at,
     write_comparison_csv,
     write_stats_csv,
     wss,
@@ -183,7 +182,7 @@ def test_traction_of_simple_shear_is_closed_form():
     g, mu = 250.0, 4.0e-3
     G = np.array([[[0.0, g, 0.0], [0.0] * 3, [0.0] * 3]])
     normal = np.array([[0.0, 1.0, 0.0]])
-    traction, mag = wss(G, normal, mu)
+    traction, mag = wss(G, normal, PowerLawParams(m=mu, n=1.0))
     assert np.allclose(traction, [[mu * g, 0.0, 0.0]], atol=1e-15)
     assert np.allclose(mag, mu * g)
     # same gradients with a power-law viscosity: mu(g) replaces mu
@@ -224,34 +223,17 @@ def test_wss_scales_linearly_with_viscosity():
     field = poiseuille_power_law(mesh, NEWT, DROP)
     G = recover_gradients(mesh, field.values[0])
     idx, normals = wall_normals(mesh)
-    _, mag1 = wss(G[idx], normals, 3.5e-3)
-    _, mag2 = wss(G[idx], normals, 7.0e-3)
+    _, mag1 = wss(G[idx], normals, PowerLawParams(m=3.5e-3, n=1.0))
+    _, mag2 = wss(G[idx], normals, PowerLawParams(m=7.0e-3, n=1.0))
     assert np.allclose(mag2, 2.0 * mag1, rtol=1e-14)
-
-
-def test_float_viscosity_is_the_newtonian_power_law():
-    mesh = generate_pipe_mesh(RADIUS, LENGTH, resolution=1)
-    field = poiseuille_power_law(mesh, HCT45, DROP)
-    G = recover_gradients(mesh, field.values[0])
-    idx, normals = wall_normals(mesh)
-    volumes = nodal_volumes(mesh)
-    for mu in (3.5e-3, 7.71e-3):
-        newtonian = PowerLawParams(mu, 1.0)
-        for got, want in zip(wss(G[idx], normals, mu),
-                             wss(G[idx], normals, newtonian)):
-            assert np.array_equal(got, want)
-        assert np.array_equal(energy_loss_rate(G, mu, volumes),
-                              energy_loss_rate(G, newtonian, volumes))
 
 
 def test_wss_input_validation():
     G = np.zeros((4, 3, 3))
     with pytest.raises(ValidationError):
-        wss(G, np.zeros((3, 3)), 3.5e-3)
+        wss(G, np.zeros((3, 3)), NEWT)
     with pytest.raises(ValidationError):
-        wss(G, np.full((4, 3), 2.0), 3.5e-3)  # not unit length
-    with pytest.raises(ValidationError):
-        viscosity_at(-1.0, G)
+        wss(G, np.full((4, 3), 2.0), NEWT)  # not unit length
 
 
 # =========================================================================
@@ -377,7 +359,7 @@ def test_osi_input_validation():
 def test_energy_loss_zero_for_zero_field():
     G = np.zeros((10, 3, 3))
     V = np.full(10, 1e-9)
-    assert np.all(energy_loss_rate(G, 3.5e-3, V) == 0.0)
+    assert np.all(energy_loss_rate(G, NEWT, V) == 0.0)
 
 
 def test_energy_loss_of_simple_shear_is_exact():
@@ -389,7 +371,7 @@ def test_energy_loss_of_simple_shear_is_exact():
                   np.zeros(mesh.n_vertices)], axis=1)
     G = recover_gradients(mesh, u)
     V = nodal_volumes(mesh)
-    el = energy_loss_rate(G, mu, V)
+    el = energy_loss_rate(G, PowerLawParams(m=mu, n=1.0), V)
     expected = mu * g**2 * 0.02**3 * 1e6
     assert abs(el.sum() - expected) / expected < 1e-10
 
@@ -399,11 +381,9 @@ def test_energy_loss_dilatation_coefficient():
     a, mu = 50.0, 2.0e-3
     G = np.tile(a * np.eye(3), (6, 1, 1))
     V = np.full(6, 2e-8)
-    third = energy_loss_rate(G, mu, V, div_coefficient=1.0 / 3.0)
-    assert np.all(np.abs(third) < 1e-20), "c=1/3 must cancel pure dilation"
-    default = energy_loss_rate(G, mu, V)
+    el = energy_loss_rate(G, PowerLawParams(m=mu, n=1.0), V)
     expected = 6.0 * mu * a**2 * V * 1e6
-    assert np.allclose(default, expected, rtol=1e-12)
+    assert np.allclose(el, expected, rtol=1e-12)
 
 
 def test_pipe_total_energy_loss_matches_pump_power():
@@ -422,8 +402,9 @@ def test_energy_loss_scales_linearly_with_viscosity():
     rng = np.random.default_rng(11)
     G = rng.normal(size=(20, 3, 3))
     V = rng.uniform(1e-10, 1e-8, size=20)
-    assert np.allclose(energy_loss_rate(G, 7.0e-3, V),
-                       2.0 * energy_loss_rate(G, 3.5e-3, V), rtol=1e-14)
+    double = PowerLawParams(m=7.0e-3, n=1.0)
+    assert np.allclose(energy_loss_rate(G, double, V),
+                       2.0 * energy_loss_rate(G, NEWT, V), rtol=1e-14)
 
 
 # =========================================================================
@@ -434,6 +415,7 @@ def test_power_law_to_newtonian_ratio_is_exact_per_vertex():
     # low-shear pipe: mu_PL(10 1/s) well above 3.5e-3, same gradients
     params = PowerLawParams(m=5.40e-2, n=0.63)
     mu_newt = 3.5e-3
+    newt = PowerLawParams(m=mu_newt, n=1.0)
     drop = 2.0 * params.m * LENGTH * 10.0 ** params.n / RADIUS
     mesh = generate_pipe_mesh(RADIUS, LENGTH, resolution=1)
     field = poiseuille_power_law(mesh, params, drop)
@@ -441,9 +423,9 @@ def test_power_law_to_newtonian_ratio_is_exact_per_vertex():
     idx, normals = wall_normals(mesh)
 
     _, mag_pl = wss(G[idx], normals, params)
-    _, mag_nf = wss(G[idx], normals, mu_newt)
+    _, mag_nf = wss(G[idx], normals, newt)
     el_pl = energy_loss_rate(G[idx], params, nodal_volumes(mesh)[idx])
-    el_nf = energy_loss_rate(G[idx], mu_newt, nodal_volumes(mesh)[idx])
+    el_nf = energy_loss_rate(G[idx], newt, nodal_volumes(mesh)[idx])
 
     expected = apparent_viscosity(params, shear_rate(G[idx])) / mu_newt
     assert np.all(np.abs(mag_pl / mag_nf - expected) / expected < 1e-6)

@@ -431,6 +431,25 @@ def test_parseval_without_oversampling():
         "the inverse transform must preserve energy up to the 1/N factor"
 
 
+def test_reconstructed_volumes_own_their_data():
+    # a view of the cropped readout would keep the whole oversampled
+    # array alive, twice the volume's memory
+    params = SequenceParams(matrix=(6, 5, 4), voxel=(0.002, 0.002, 0.002),
+                            adc_bandwidth=10e3)
+    shape = (params.acquired_readout, 5, 4)
+    rng = np.random.default_rng(4)
+    k = KSpaceData(
+        signals={name: rng.normal(size=shape) + 1j * rng.normal(size=shape)
+                 for name in ("ref", "x")},
+        sample_times=sequence_timings(params).sample_times, params=params)
+    volumes = reconstruct(k).volumes
+    assert sorted(volumes) == ["ref", "x"]
+    for name, volume in volumes.items():
+        assert volume.shape == (6, 5, 4)
+        assert volume.base is None and volume.flags.owndata, \
+            f"volume {name!r} is a view of the oversampled array"
+
+
 def test_reconstruction_matches_rasterized_object():
     # a box offset from the voxel grid carrying a smooth M0 pattern; the
     # oracle rasterizes the object on a fine subgrid and evaluates the

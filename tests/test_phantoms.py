@@ -70,5 +70,3 @@ def test_snr_phantom_dimensions():
     offsets = mesh.vertices / 0.002
     assert np.allclose(offsets, np.round(offsets), atol=1e-9), \
         "vertices must land on voxel boundaries"
-    with pytest.raises(ValueError):
-        snr_phantom(cell=0.003)

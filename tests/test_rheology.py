@@ -24,13 +24,10 @@ from hemoflow.rheology import (
 )
 
 
-def make_samples(m, n, shear_rates, weights=None):
+def make_samples(m, n, shear_rates):
     mu = m * np.asarray(shear_rates, dtype=float) ** (n - 1.0)
-    if weights is None:
-        return [ViscositySample(float(g), float(v))
-                for g, v in zip(shear_rates, mu)]
-    return [ViscositySample(float(g), float(v), float(w))
-            for g, v, w in zip(shear_rates, mu, weights)]
+    return [ViscositySample(float(g), float(v))
+            for g, v in zip(shear_rates, mu)]
 
 
 # =========================================================================
@@ -86,29 +83,6 @@ def test_fit_with_deterministic_noise():
     assert fit.rmse < 5e-4
 
 
-def test_explicit_weights_override_spacing_default():
-    """Spacing weights and uniform explicit weights disagree off-model."""
-    grid = np.geomspace(1.0, 100.0, 8)
-    # Not a pure power law: spacing and uniform weighting must differ.
-    mu = 1e-2 * grid ** (-0.3) + 2e-3
-    default_fit = fit_power_law(
-        [ViscositySample(g, v) for g, v in zip(grid, mu)])
-    uniform_fit = fit_power_law(
-        [ViscositySample(g, v, 1.0) for g, v in zip(grid, mu)])
-    assert abs(default_fit.n - uniform_fit.n) > 1e-4, \
-        "explicit uniform weights did not change the fit"
-
-
-def test_heavy_weights_pull_the_fit():
-    """Concentrating weight on a sub-curve drives the fit toward it."""
-    grid = np.geomspace(1.0, 100.0, 9)
-    mu = np.where(grid < 10.0, 2e-2 * grid ** (-0.4), 1e-2 * grid ** (-0.2))
-    w_low = np.where(grid < 10.0, 1e6, 1.0)
-    fit = fit_power_law(
-        [ViscositySample(g, v, w) for g, v, w in zip(grid, mu, w_low)])
-    assert abs(fit.n - 0.6) < 0.02, f"expected n near 0.6, got {fit.n}"
-
-
 def test_fit_input_validation():
     grid = np.array([1.0, 10.0, 100.0])
     with pytest.raises(InsufficientDataError):
@@ -119,11 +93,6 @@ def test_fit_input_validation():
         fit_power_law([ViscositySample(-1.0, 1e-2),
                        ViscositySample(1.0, 1e-2),
                        ViscositySample(2.0, 9e-3)])
-    with pytest.raises(ValidationError):
-        # mixed weighted / unweighted samples
-        fit_power_law([ViscositySample(1.0, 1e-2, 1.0),
-                       ViscositySample(10.0, 5e-3),
-                       ViscositySample(100.0, 3e-3)])
 
 
 def test_params_positivity_enforced():
@@ -217,8 +186,7 @@ def test_interpolate_at_knot_returns_curve_samples():
 def test_interpolate_midpoint_is_curve_average():
     curves = {30.0: PowerLawParams(m=1e-2, n=0.8),
               50.0: PowerLawParams(m=3e-2, n=0.6)}
-    grid = [10.0, 50.0, 100.0]
-    samples = interpolate_hct(curves, 40.0, grid)
+    samples = interpolate_hct(curves, 40.0)
     for s in samples:
         lo = apparent_viscosity(curves[30.0], s.shear_rate)
         hi = apparent_viscosity(curves[50.0], s.shear_rate)
