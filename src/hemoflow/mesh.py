@@ -171,22 +171,65 @@ def _orient_faces_inward(vertices, tets, faces, owners):
     return out
 
 
-def validate_mesh(mesh: TetMesh, repair: bool = True) -> TetMesh:
-    """Check structural soundness; optionally repair inverted tetrahedra.
-
-    Checks positive tet volumes (repaired by swapping two vertices when
-    ``repair`` is true, with a warning), a closed manifold boundary that
-    matches the stored boundary triangles, inward face orientation
-    (always re-derived from the owning tetrahedra), and label sanity.
-    Returns the mesh, modified in place.
-    """
-    vol = tet_volumes(mesh)
+def _check_volumes(vol: np.ndarray) -> None:
+    """Reject a mesh without usable tetrahedra or with degenerate ones."""
     scale = np.abs(vol).max() if len(vol) else 0.0
     if scale == 0.0:
         raise MeshError("mesh has no usable tetrahedra")
     degenerate = np.abs(vol) < 1e-12 * scale
     if np.any(degenerate):
         raise MeshError(f"{int(degenerate.sum())} degenerate tetrahedra")
+
+
+def _check_boundary(mesh: TetMesh, faces: np.ndarray,
+                    owners: np.ndarray) -> TetMesh:
+    """Check the stored boundary against the derived one, orient and label it.
+
+    ``faces`` and ``owners`` are the tetrahedral boundary and its owning
+    tets from ``_boundary_of_tets``. The stored triangles must match them
+    one to one (as vertex sets); the derived faces, oriented inward,
+    replace the stored ones, and each keeps the label of its stored twin.
+    """
+    derived = np.sort(faces, axis=1)
+    stored = np.sort(mesh.boundary_faces, axis=1)
+    d_order = np.lexsort(derived.T)
+    s_order = np.lexsort(stored.T)
+    if not np.array_equal(stored[s_order], derived[d_order]):
+        raise MeshError("stored boundary triangles do not match the "
+                        "tetrahedral boundary")
+
+    # Closed manifold boundary: every boundary edge borders exactly 2 faces.
+    # An edge (a, b) with a < b is keyed a * n_vertices + b, one to one.
+    edges = np.sort(faces[:, [[0, 1], [1, 2], [2, 0]]].reshape(-1, 2), axis=1)
+    _, counts = np.unique(edges[:, 0] * mesh.n_vertices + edges[:, 1],
+                          return_counts=True)
+    if np.any(counts != 2):
+        raise MeshError("boundary is not a closed manifold surface")
+
+    if np.any(mesh.boundary_labels < 0):
+        raise MeshError("boundary labels must be nonnegative")
+
+    labels = np.empty(len(faces), dtype=np.int64)
+    labels[d_order] = mesh.boundary_labels[s_order]
+    mesh.boundary_faces = _orient_faces_inward(mesh.vertices, mesh.tets,
+                                               faces, owners)
+    mesh.boundary_labels = labels
+    return mesh
+
+
+def validate_mesh(mesh: TetMesh, repair: bool = True) -> TetMesh:
+    """Check structural soundness; optionally repair inverted tetrahedra.
+
+    Checks positive tet volumes (repaired by swapping two vertices when
+    ``repair`` is true, with a warning), then derives the boundary of the
+    tetrahedra once; the generators share this boundary check. The stored
+    boundary triangles must match the derived ones one to one, and the
+    boundary must be a closed manifold with nonnegative labels. Face
+    orientation is always re-derived inward from the owning tetrahedra.
+    Returns the mesh, modified in place.
+    """
+    vol = tet_volumes(mesh)
+    _check_volumes(vol)
     inverted = vol < 0
     if np.any(inverted):
         if not repair:
@@ -197,29 +240,7 @@ def validate_mesh(mesh: TetMesh, repair: bool = True) -> TetMesh:
         mesh.tets[inverted] = flipped
 
     faces, owners = _boundary_of_tets(mesh.tets)
-    derived = {tuple(f) for f in np.sort(faces, axis=1)}
-    stored = {tuple(f) for f in np.sort(mesh.boundary_faces, axis=1)}
-    if derived != stored:
-        raise MeshError("stored boundary triangles do not match the "
-                        "tetrahedral boundary")
-
-    # Closed manifold boundary: every boundary edge borders exactly 2 faces.
-    edges = np.sort(faces[:, [[0, 1], [1, 2], [2, 0]]].reshape(-1, 2), axis=1)
-    _, counts = np.unique(edges, axis=0, return_counts=True)
-    if np.any(counts != 2):
-        raise MeshError("boundary is not a closed manifold surface")
-
-    if np.any(mesh.boundary_labels < 0):
-        raise MeshError("boundary labels must be nonnegative")
-
-    # Re-key stored labels onto the derived (oriented) faces.
-    label_of = {tuple(f): int(l) for f, l in
-                zip(np.sort(mesh.boundary_faces, axis=1), mesh.boundary_labels)}
-    oriented = _orient_faces_inward(mesh.vertices, mesh.tets, faces, owners)
-    mesh.boundary_faces = oriented
-    mesh.boundary_labels = np.array(
-        [label_of[tuple(f)] for f in np.sort(oriented, axis=1)], dtype=np.int64)
-    return mesh
+    return _check_boundary(mesh, faces, owners)
 
 
 def wall_vertices(mesh: TetMesh) -> np.ndarray:
@@ -329,12 +350,16 @@ def _split_prisms(prisms: np.ndarray) -> np.ndarray:
 
 
 def _fix_orientation(vertices: np.ndarray, tets: np.ndarray) -> np.ndarray:
+    """Flip negatively oriented tets in place; return their volumes.
+
+    The volumes are six times the signed volumes before the flip.
+    """
     v = vertices[tets]
     vol = np.einsum("ij,ij->i", v[:, 1] - v[:, 0],
                     np.cross(v[:, 2] - v[:, 0], v[:, 3] - v[:, 0]))
     flip = vol < 0
     tets[flip] = tets[flip][:, [0, 1, 3, 2]]
-    return tets
+    return vol
 
 
 def _disk_triangulation(arcs: int, rings: int, grading: float):
@@ -363,13 +388,14 @@ def _disk_triangulation(arcs: int, rings: int, grading: float):
 
 
 def _finalize_generated(vertices, tets, classify, metadata) -> TetMesh:
-    tets = _fix_orientation(vertices, tets)
+    """Orient the tets, then derive, check, orient and label the boundary."""
+    _check_volumes(_fix_orientation(vertices, tets))
     faces, owners = _boundary_of_tets(tets)
-    faces = _orient_faces_inward(vertices, tets, faces, owners)
+    # a centroid does not depend on the winding, so label before orienting
     labels = classify(vertices[faces].mean(axis=1))
     mesh = TetMesh(vertices=vertices, tets=tets, boundary_faces=faces,
                    boundary_labels=labels, metadata=metadata)
-    return validate_mesh(mesh, repair=False)
+    return _check_boundary(mesh, faces, owners)
 
 
 def generate_pipe_mesh(radius: float, length: float,
@@ -653,8 +679,9 @@ def load_mesh(path: str | Path) -> TetMesh:
     Tetrahedra (cell type 10) become the volume mesh; triangles (type 5)
     must carry a ``boundary_label`` cell-data array. The mesh is
     validated on load: inverted tetrahedra are repaired with a warning,
-    the boundary must be closed and match the stored triangles, and the
-    triangles are re-oriented inward regardless of stored winding.
+    the boundary is re-derived from the tetrahedra, must be closed and
+    must match the stored triangles one to one, and the triangles are
+    re-oriented inward regardless of stored winding.
     """
     path = Path(path)
     metadata, vertices, cells, types, data = _read_vtk(path)

@@ -76,30 +76,29 @@ def simulate_windkessel(params: WindkesselParams, flow: FlowWaveform,
     if steps_per_cycle < 4:
         raise ValidationError("need at least 4 steps per cycle")
 
-    h = flow.period / steps_per_cycle
+    h = float(flow.period) / steps_per_cycle
     # Q is periodic, so one cycle of samples at the step and half-step
     # times serves every cycle.
     t_steps = np.arange(steps_per_cycle + 1) * h
     q_full = flow.value_at(t_steps)
     q_half = flow.value_at(t_steps[:-1] + 0.5 * h)
 
-    rd, c = params.distal_resistance, params.compliance
-
-    def rate(q, p):
-        return (q - p / rd) / c
-
+    # The loop runs on Python floats: numpy scalars cost several times as
+    # much per operation. Each stage is rate(q, p) = (q - p / R_d) / C.
+    rd, c = float(params.distal_resistance), float(params.compliance)
+    qf, qh = q_full.tolist(), q_half.tolist()
     p = float(params.initial_distal_pressure)
-    distal = np.empty(steps_per_cycle + 1)
-    for cycle in range(n_cycles):
-        distal[0] = p
+    for _ in range(n_cycles):
+        distal = [p]
         for i in range(steps_per_cycle):
-            k1 = rate(q_full[i], p)
-            k2 = rate(q_half[i], p + 0.5 * h * k1)
-            k3 = rate(q_half[i], p + 0.5 * h * k2)
-            k4 = rate(q_full[i + 1], p + h * k3)
+            k1 = (qf[i] - p / rd) / c
+            k2 = (qh[i] - (p + 0.5 * h * k1) / rd) / c
+            k3 = (qh[i] - (p + 0.5 * h * k2) / rd) / c
+            k4 = (qf[i + 1] - (p + h * k3) / rd) / c
             p += (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            distal[i + 1] = p
+            distal.append(p)
 
+    distal = np.array(distal)
     pressure = params.proximal_resistance * q_full + distal
     return PressureTrace(times=t_steps, pressure=pressure,
                          distal_pressure=distal, flow=q_full)

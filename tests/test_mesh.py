@@ -1,5 +1,6 @@
 """Mesh structure, I/O, volumes, wall normals, and segment labeling."""
 
+import hashlib
 import warnings
 
 import numpy as np
@@ -120,6 +121,40 @@ def test_boundary_is_closed_surface():
         assert n_v - n_e + len(faces) == 2, "boundary is not a topological sphere"
 
 
+# sha256 of the little-endian int64 bytes of tets, boundary_faces and
+# boundary_labels. Integer arrays hash the same on every platform; they
+# pin the face order that the VTK export and the wall-normal sums use.
+CONNECTIVITY_SHA256 = {
+    "pipe0": ("fea5ecc85b339beeba94d14a5c89c7f4adb47cc88f3813a47eca706b0c4fd0fe",
+              "cf3c44983090cf5a28df75f467aed1d00c122f22f6abaf3aab87490b87f4dcf6",
+              "3038b1d6c4287ccef2218f9d127c45931b0f2c19a4e8468868dea1572e4192fb"),
+    "pipe1": ("fcfae144d9822928ffb67a7522a0dd96ce4ba908ffdfee64707ea47c6b4ad173",
+              "f204e7478aa11983bd2c3c2c57f0f454dfc52d4f2a5c0d40008d7d8952d6ac3d",
+              "0708b166aa57864378391600ae86020cab0b20be888b4f98c57ff5f094508694"),
+    "pipe2": ("8f7c98e8e9bd36399dcc4897c6876b6f063316e694a546d3c7135f96ea39f5b1",
+              "ec91f75f12f01ec077d70b35c8ddc36ad7ab3c8d4663039a740fd459c4f1c65f",
+              "18888e95403f7e618daeca8654a315fb5d7c83485b1da73a312e15a427c7c1b2"),
+    "box3": ("a853fafc90c9199fad70cc7b5711fdbc4dc6f03c62931fec9ded6c682e59cdad",
+             "07a0efce5dfe2d5c24b33cd9dd6664affd0c3e7291ff82f51607b4210b326959",
+             "0ed9e26c3f1435e498beb2369bdf5a04a7fe4f0e302068ef2c308e1ff872b5f7"),
+}
+
+
+def generated(name):
+    if name == "box3":
+        return generate_box_mesh((1.0, 1.0, 1.0), (3, 3, 3))
+    return generate_pipe_mesh(RADIUS, LENGTH, resolution=int(name[-1]))
+
+
+@pytest.mark.parametrize("name", sorted(CONNECTIVITY_SHA256))
+def test_generated_connectivity_is_pinned(name):
+    mesh = generated(name)
+    digests = tuple(hashlib.sha256(np.asarray(a, dtype="<i8").tobytes())
+                    .hexdigest() for a in (mesh.tets, mesh.boundary_faces,
+                                           mesh.boundary_labels))
+    assert digests == CONNECTIVITY_SHA256[name]
+
+
 def test_generator_argument_validation():
     with pytest.raises(ValidationError):
         generate_pipe_mesh(-1.0, 1.0)
@@ -154,6 +189,72 @@ def test_boundary_mismatch_detected():
     mesh.boundary_labels = mesh.boundary_labels[:-1]
     with pytest.raises(MeshError, match="boundary"):
         validate_mesh(mesh)
+
+
+@pytest.mark.parametrize("name", ["pipe1", "box3"])
+def test_validate_restores_permuted_rewound_boundary(name):
+    """Stored rows in any order and winding re-key onto the derived faces."""
+    mesh = generated(name)
+    rng = np.random.default_rng(7)
+    order = rng.permutation(len(mesh.boundary_faces))
+    windings = np.array([[0, 1, 2], [1, 2, 0], [2, 0, 1],
+                         [0, 2, 1], [2, 1, 0], [1, 0, 2]])
+    pick = windings[rng.integers(0, 6, len(order))]
+    scrambled = TetMesh(mesh.vertices, mesh.tets.copy(),
+                        np.take_along_axis(mesh.boundary_faces[order], pick,
+                                           axis=1),
+                        mesh.boundary_labels[order])
+    assert not np.array_equal(scrambled.boundary_faces, mesh.boundary_faces)
+    validate_mesh(scrambled, repair=False)
+    assert np.array_equal(scrambled.boundary_faces, mesh.boundary_faces)
+    assert np.array_equal(scrambled.boundary_labels, mesh.boundary_labels)
+
+
+def test_duplicated_boundary_triangle_detected():
+    mesh = generate_pipe_mesh(RADIUS, LENGTH, 0)
+    mesh.boundary_faces = np.vstack([mesh.boundary_faces,
+                                     mesh.boundary_faces[5, [2, 0, 1]]])
+    mesh.boundary_labels = np.append(mesh.boundary_labels,
+                                     mesh.boundary_labels[5])
+    with pytest.raises(MeshError, match="boundary"):
+        validate_mesh(mesh)
+
+
+def tets_mesh(vertices, tets):
+    """Mesh whose stored boundary is every face of every tet."""
+    tets = np.array(tets)
+    local = np.array([[1, 2, 3], [0, 3, 2], [0, 1, 3], [0, 2, 1]])
+    faces = tets[:, local].reshape(-1, 3)
+    return TetMesh(np.array(vertices, dtype=float), tets, faces,
+                   np.zeros(len(faces), dtype=int))
+
+
+UNIT = [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)]
+
+
+def labelled_negative():
+    mesh = generate_pipe_mesh(RADIUS, LENGTH, 0)
+    mesh.boundary_labels[3] = -1
+    return mesh
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: tets_mesh([(0, 0, 0)] * 4, [[0, 1, 2, 3]]), "no usable"),
+    (lambda: tets_mesh(UNIT + [(1, 1, 0)], [[0, 1, 2, 3], [0, 1, 2, 4]]),
+     "1 degenerate"),
+    # two tets that share only the edge 0-1: four boundary faces meet there
+    (lambda: tets_mesh(UNIT + [(0, -1, 0), (0, 0, -1)],
+                       [[0, 1, 2, 3], [0, 1, 4, 5]]), "closed manifold"),
+    # three tets on the face 0-1-2
+    (lambda: tets_mesh(UNIT + [(0, 0, -1), (1, 1, 1)],
+                       [[0, 1, 2, 3], [0, 2, 1, 4], [0, 1, 2, 5]]),
+     "non-manifold interior face"),
+    (labelled_negative, "nonnegative"),
+], ids=["flat", "degenerate", "edge_bowtie", "non_manifold",
+        "negative_label"])
+def test_validate_rejects_unsound_meshes(build, message):
+    with pytest.raises(MeshError, match=message):
+        validate_mesh(build(), repair=False)
 
 
 def test_mesh_index_bounds_checked():

@@ -5,6 +5,7 @@ import pytest
 
 from hemoflow.errors import ValidationError
 from hemoflow.flowfields import FlowWaveform
+from hemoflow.phantoms import REFERENCE_OUTLET, demo_outlet_flow
 from hemoflow.windkessel import (PressureTrace, WindkesselParams,
                                  simulate_windkessel)
 
@@ -29,6 +30,47 @@ def pulse(mean_flow):
     return FlowWaveform(
         times=t, values=mean_flow * (1.0 - np.cos(2.0 * np.pi * t / PERIOD)),
         period=PERIOD)
+
+
+def reference_loop(params, flow, n_cycles, steps_per_cycle):
+    """RK4 on the numpy samples through a ``rate`` helper: the oracle for
+    the inlined loop on Python floats, which must agree bit for bit."""
+    h = flow.period / steps_per_cycle
+    t_steps = np.arange(steps_per_cycle + 1) * h
+    q_full = flow.value_at(t_steps)
+    q_half = flow.value_at(t_steps[:-1] + 0.5 * h)
+    rd, c = params.distal_resistance, params.compliance
+
+    def rate(q, p):
+        return (q - p / rd) / c
+
+    p = float(params.initial_distal_pressure)
+    distal = np.empty(steps_per_cycle + 1)
+    for _ in range(n_cycles):
+        distal[0] = p
+        for i in range(steps_per_cycle):
+            k1 = rate(q_full[i], p)
+            k2 = rate(q_half[i], p + 0.5 * h * k1)
+            k3 = rate(q_half[i], p + 0.5 * h * k2)
+            k4 = rate(q_full[i + 1], p + h * k3)
+            p += (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            distal[i + 1] = p
+    return t_steps, distal, params.proximal_resistance * q_full + distal
+
+
+@pytest.mark.parametrize("flow, n_cycles, steps", [
+    (demo_outlet_flow(), 10, 1000),
+    (pulse(107325.0 / 5675.0), 3, 1000),
+    (pulse(5.0), 2, 37),
+], ids=["demo_outlet", "pulse", "pulse_37_steps"])
+def test_loop_matches_reference_bit_for_bit(flow, n_cycles, steps):
+    trace = simulate_windkessel(REFERENCE_OUTLET, flow, n_cycles=n_cycles,
+                                steps_per_cycle=steps)
+    times, distal, pressure = reference_loop(REFERENCE_OUTLET, flow,
+                                             n_cycles, steps)
+    assert np.array_equal(trace.times, times)
+    assert np.array_equal(trace.distal_pressure, distal)
+    assert np.array_equal(trace.pressure, pressure)
 
 
 def test_zero_flow_decays_exponentially():
