@@ -1,12 +1,17 @@
 """Viscosity-dependent hemodynamic biomarkers on tetrahedral meshes.
 
-From a per-vertex velocity field this module recovers velocity
-gradients (lumped L2 projection of the element gradients), evaluates
-wall shear stress as the viscous traction 2 mu eps n at wall vertices,
-the oscillatory shear index over a cardiac cycle, and the nodal rate of
-viscous energy loss. Every quantity takes a power-law model evaluated
-at the local shear rate, so model comparisons share identical velocity
-gradients; a Newtonian viscosity mu (Pa s) is the power law
+Decoded voxel velocities of every cardiac phase reach the mesh in one
+trilinear pass (``interpolate_to_mesh``), whose voxel indices and
+weights are built once per mesh and image grid. From the per-vertex
+field this module recovers velocity gradients (lumped L2 projection of
+the element gradients, in the difference form sum_k (u_k - u_0) W_k, so
+a uniform field has exactly zero gradient), evaluates wall shear stress
+as the viscous traction 2 mu eps n at wall vertices, the oscillatory
+shear index over a cardiac cycle, and the nodal rate of viscous energy
+loss. Every quantity takes a power-law model evaluated at the local
+shear rate, so model comparisons share identical velocity gradients;
+``frame_biomarkers`` computes a frame's strain terms once for all
+models. A Newtonian viscosity mu (Pa s) is the power law
 ``PowerLawParams(m=mu, n=1)``.
 """
 
@@ -20,9 +25,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import GeometryError, ValidationError
+from .errors import ValidationError
 from .flowfields import VelocityField
 from .mesh import TetMesh, _write_vtk, nodal_volumes
+from .mri import SequenceParams
 from .rheology import PowerLawParams, apparent_viscosity
 
 __all__ = [
@@ -33,9 +39,11 @@ __all__ = [
     "wss",
     "osi",
     "energy_loss_rate",
+    "frame_biomarkers",
     "SegmentStats",
     "segment_stats",
     "compare_models",
+    "check_coverage",
     "interpolate_to_mesh",
     "export_fields_vtk",
     "write_stats_csv",
@@ -50,26 +58,25 @@ class GradientOperator:
     tetrahedron; they are projected onto the vertices with a lumped
     L2 (volume-weighted) average, which reproduces globally linear
     fields exactly. The projection is linear in the velocities and its
-    coefficients depend only on the mesh: corner k of tet t contributes
-    ``weights[t, k] = vol/4 * grad(lambda_k)``, in closed form the cross
-    products of the edges e_k = x_k - x_0 over 24, and the corner sums
-    are divided by ``nodal_volumes``.
+    coefficients depend only on the mesh: corner k of tet t carries
+    ``vol/4 * grad(lambda_k)``, in closed form the cross products of the
+    edges e_k = x_k - x_0 over 24 for k = 1-3 (``weights[k - 1, j, t]``,
+    one contiguous row per k and dx_j). Corner 0 carries minus their
+    sum, so a tet's share is the difference form
+    sum_k (u_k - u_0) (x) W_k and a uniform field gives exactly zero.
+    Every corner of the tet receives that share, and the sums are
+    divided by ``nodal_volumes``.
     """
 
     def __init__(self, mesh: TetMesh):
         corners = mesh.vertices[mesh.tets]
         e1, e2, e3 = (corners[:, k] - corners[:, 0] for k in (1, 2, 3))
-        weights = np.empty((mesh.n_tets, 4, 3))
-        weights[:, 1] = np.cross(e2, e3)
-        weights[:, 2] = np.cross(e3, e1)
-        weights[:, 3] = np.cross(e1, e2)
-        weights[:, 1:] /= 24.0
-        weights[:, 0] = -(weights[:, 1] + weights[:, 2] + weights[:, 3])
         self.mesh = mesh
-        self.weights = weights                        # (T, corner k, dx_j)
+        self.weights = np.ascontiguousarray(np.stack([
+            np.cross(e2, e3), np.cross(e3, e1), np.cross(e1, e2)])
+            .transpose(0, 2, 1)) / 24.0              # (corner k, dx_j, T)
         self.nodal_volumes = nodal_volumes(mesh)
-        # corner-major, as four add.at passes over the corners would sum
-        self._index = mesh.tets.T.ravel()
+        self._corners = tuple(np.ascontiguousarray(c) for c in mesh.tets.T)
 
     def apply(self, velocities: np.ndarray) -> np.ndarray:
         """Gradients of one frame (N, 3) or of stacked frames (F, N, 3)."""
@@ -78,15 +85,18 @@ class GradientOperator:
         frames = velocities if velocities.ndim == 3 else velocities[None]
         if frames.shape[1:] != (mesh.n_vertices, 3):
             raise ValidationError("one velocity vector per mesh vertex required")
-        nodal = self.nodal_volumes[:, None, None]
-        out = np.empty((len(frames), mesh.n_vertices, 3, 3))
+        n, (w1, w2, w3) = mesh.n_vertices, self.weights
+        out = np.empty((len(frames), n, 3, 3))
         for f, frame in enumerate(frames):
-            share = (frame[mesh.tets].transpose(0, 2, 1) @ self.weights) \
-                .reshape(-1, 9)                      # (T, u_i * dx_j)
-            accum = np.column_stack([
-                np.bincount(self._index, weights=np.tile(share[:, c], 4),
-                            minlength=mesh.n_vertices) for c in range(9)])
-            out[f] = accum.reshape(-1, 3, 3) / nodal
+            for i, u in enumerate(np.ascontiguousarray(frame.T)):
+                u0 = u.take(self._corners[0])
+                d1, d2, d3 = (u.take(c) - u0 for c in self._corners[1:])
+                for j in range(3):
+                    share = d1 * w1[j] + d2 * w2[j] + d3 * w3[j]
+                    accum = np.bincount(self._corners[0], share, minlength=n)
+                    for c in self._corners[1:]:
+                        accum += np.bincount(c, share, minlength=n)
+                    out[f, :, i, j] = accum / self.nodal_volumes
         return out if velocities.ndim == 3 else out[0]
 
 
@@ -107,11 +117,50 @@ def recover_gradients(mesh: TetMesh, velocities: np.ndarray,
     return operator.apply(velocities)
 
 
+def _strain(gradients: np.ndarray) -> np.ndarray:
+    """Strain-rate tensors eps = (G + G^T)/2 of gradients (..., 3, 3)."""
+    return 0.5 * (gradients + np.swapaxes(gradients, -1, -2))
+
+
+def _shear_rate(strain: np.ndarray) -> np.ndarray:
+    return np.sqrt(2.0 * np.einsum("...ij,...ij->...", strain, strain))
+
+
+def _deviator_contraction(gradients: np.ndarray,
+                          strain: np.ndarray) -> np.ndarray:
+    """d:d of the deviator d = eps - 2/3 (div u) I."""
+    div = np.einsum("...ii->...", gradients)
+    deviator = strain - (2.0 / 3.0) * div[..., None, None] * np.eye(3)
+    return np.einsum("...ij,...ij->...", deviator, deviator)
+
+
+def _check_wall(tensors: np.ndarray, normals: np.ndarray) -> None:
+    if tensors.shape[-2:] != (3, 3) or normals.shape != tensors.shape[:-2] + (3,):
+        raise ValidationError("need one 3x3 gradient and one normal per "
+                              "wall vertex")
+    lengths = np.linalg.norm(normals, axis=-1)
+    if not np.allclose(lengths, 1.0, atol=1e-8):
+        raise ValidationError("wall normals must be unit length")
+
+
+def _strain_normal(strain: np.ndarray, normals: np.ndarray) -> np.ndarray:
+    return np.einsum("...ij,...j->...i", strain, normals)
+
+
+def _traction(mu: np.ndarray, strain_normal: np.ndarray):
+    """Traction 2 mu eps n and its magnitude, from mu and eps n."""
+    traction = 2.0 * mu[..., None] * strain_normal
+    return traction, np.linalg.norm(traction, axis=-1)
+
+
+def _energy_loss(mu: np.ndarray, contraction: np.ndarray,
+                 volumes: np.ndarray) -> np.ndarray:
+    return 2.0 * mu * contraction * volumes * 1e6
+
+
 def shear_rate(gradients: np.ndarray) -> np.ndarray:
     """Scalar shear rate sqrt(2 eps:eps) of gradient tensors (..., 3, 3)."""
-    gradients = np.asarray(gradients, dtype=float)
-    strain = 0.5 * (gradients + np.swapaxes(gradients, -1, -2))
-    return np.sqrt(2.0 * np.einsum("...ij,...ij->...", strain, strain))
+    return _shear_rate(_strain(np.asarray(gradients, dtype=float)))
 
 
 def viscosity_at(viscosity: PowerLawParams,
@@ -134,17 +183,10 @@ def wss(gradients: np.ndarray, normals: np.ndarray,
     """
     gradients = np.asarray(gradients, dtype=float)
     normals = np.asarray(normals, dtype=float)
-    if gradients.shape[-2:] != (3, 3) or normals.shape != gradients.shape[:-2] + (3,):
-        raise ValidationError("need one 3x3 gradient and one normal per "
-                              "wall vertex")
-    lengths = np.linalg.norm(normals, axis=-1)
-    if not np.allclose(lengths, 1.0, atol=1e-8):
-        raise ValidationError("wall normals must be unit length")
-    strain = 0.5 * (gradients + np.swapaxes(gradients, -1, -2))
-    mu = viscosity_at(viscosity, gradients)
-    traction = 2.0 * mu[..., None] * np.einsum("...ij,...j->...i",
-                                               strain, normals)
-    return traction, np.linalg.norm(traction, axis=-1)
+    _check_wall(gradients, normals)
+    strain = _strain(gradients)
+    mu = apparent_viscosity(viscosity, _shear_rate(strain))
+    return _traction(mu, _strain_normal(strain, normals))
 
 
 def osi(tractions: np.ndarray, times: np.ndarray, period: float) -> np.ndarray:
@@ -190,13 +232,43 @@ def energy_loss_rate(gradients: np.ndarray, viscosity: PowerLawParams,
     volumes = np.asarray(volumes, dtype=float)
     if gradients.shape[:-2] != volumes.shape:
         raise ValidationError("need one nodal volume per gradient tensor")
-    strain = 0.5 * (gradients + np.swapaxes(gradients, -1, -2))
-    div = np.einsum("...ii->...", gradients)
-    eye = np.eye(3)
-    deviator = strain - (2.0 / 3.0) * div[..., None, None] * eye
-    mu = viscosity_at(viscosity, gradients)
-    density = 2.0 * mu * np.einsum("...ij,...ij->...", deviator, deviator)
-    return density * volumes * 1e6
+    strain = _strain(gradients)
+    mu = apparent_viscosity(viscosity, _shear_rate(strain))
+    return _energy_loss(mu, _deviator_contraction(gradients, strain), volumes)
+
+
+def frame_biomarkers(gradients: np.ndarray, wall: np.ndarray,
+                     normals: np.ndarray, volumes: np.ndarray,
+                     models: dict[str, PowerLawParams]) -> dict:
+    """WSS and energy loss of one frame under every viscosity model.
+
+    ``gradients`` (n_vertices, 3, 3) are one frame's recovered tensors,
+    ``wall`` and ``normals`` the wall vertices and their unit inward
+    normals, ``volumes`` the nodal volumes. Returns, per model name,
+    ``(traction, magnitude, energy_loss)``, equal bit for bit to
+    ``wss(gradients[wall], normals, model)`` and
+    ``energy_loss_rate(gradients, model, volumes)``. The strain, shear
+    rate, deviator contraction and eps n are computed once for all
+    models; only mu and the products are per model.
+    """
+    gradients = np.asarray(gradients, dtype=float)
+    normals = np.asarray(normals, dtype=float)
+    volumes = np.asarray(volumes, dtype=float)
+    if gradients.shape != volumes.shape + (3, 3):
+        raise ValidationError("need one 3x3 gradient and one nodal volume "
+                              "per vertex")
+    strain = _strain(gradients)
+    wall_strain = strain[wall]
+    _check_wall(wall_strain, normals)
+    rate = _shear_rate(strain)
+    contraction = _deviator_contraction(gradients, strain)
+    strain_normal = _strain_normal(wall_strain, normals)
+    out = {}
+    for name, viscosity in models.items():
+        mu = apparent_viscosity(viscosity, rate)
+        out[name] = (*_traction(mu[wall], strain_normal),
+                     _energy_loss(mu, contraction, volumes))
+    return out
 
 
 # =========================================================================
@@ -292,24 +364,51 @@ def compare_models(reference: SegmentStats,
 # Voxel-to-mesh transfer
 # =========================================================================
 
-def interpolate_to_mesh(voxels, mesh: TetMesh) -> VelocityField:
-    """Trilinear interpolation of decoded voxel velocities to vertices.
+def check_coverage(mesh: TetMesh, params: SequenceParams) -> None:
+    """Require the image grid of ``params`` to contain every mesh vertex.
 
-    ``voxels`` is a ReconstructedVelocity (or anything with ``velocity``,
-    ``params`` and ``frame_time`` attributes). No smoothing is applied.
+    The voxel centres of the acquisition bound the grid, with 1e-12 m of
+    slack.
 
     Raises
     ------
-    GeometryError
+    ValidationError
         Some mesh vertex lies outside the voxel grid.
     """
-    axes = voxels.params.axis_coordinates()
-    for dim, ax in enumerate(axes):
+    for dim, ax in enumerate(params.axis_coordinates()):
         lo, hi = mesh.vertices[:, dim].min(), mesh.vertices[:, dim].max()
         if lo < ax[0] - 1e-12 or hi > ax[-1] + 1e-12:
-            raise GeometryError(
+            raise ValidationError(
                 f"mesh extent [{lo:.4g}, {hi:.4g}] exceeds the voxel grid "
                 f"[{ax[0]:.4g}, {ax[-1]:.4g}] along axis {dim}")
+
+
+def interpolate_to_mesh(frames: Sequence, mesh: TetMesh) -> VelocityField:
+    """Trilinear interpolation of decoded voxel velocities to vertices.
+
+    ``frames`` are ReconstructedVelocity objects (or anything with
+    ``velocity``, ``params`` and ``frame_time`` attributes) on one image
+    grid, in increasing frame time; the field has one frame per entry.
+    The 8 voxel indices and weights per vertex are built once for the
+    mesh and grid and applied to every frame, so a stacked call equals
+    one call per frame bit for bit. No smoothing is applied.
+
+    Raises
+    ------
+    ValidationError
+        No frames, frames on different grids, or a mesh vertex outside
+        the voxel grid (see ``check_coverage``).
+    """
+    if not frames:
+        raise ValidationError("need at least one decoded frame")
+    axes = frames[0].params.axis_coordinates()
+    shape = tuple(len(ax) for ax in axes)
+    for frame in frames:
+        if frame.velocity.shape != shape + (3,) or not all(
+                np.array_equal(a, b) for a, b in
+                zip(axes, frame.params.axis_coordinates())):
+            raise ValidationError("decoded frames must share one image grid")
+    check_coverage(mesh, frames[0].params)
     # Trilinear weights, summed corner by corner in the order
     # scipy.interpolate.RegularGridInterpolator(method="linear") uses, so
     # the result equals it bit for bit. Vertices just outside the grid
@@ -321,12 +420,18 @@ def interpolate_to_mesh(voxels, mesh: TetMesh) -> VelocityField:
         t = (x - ax[i]) / (ax[i + 1] - ax[i])
         lower.append((i, 1 - t))
         upper.append((i + 1, t))
-    total = np.array([0.])
+    table = []
     for corner in itertools.product(*zip(lower, upper)):
         index, (w0, w1, w2) = zip(*corner)
-        total = total + voxels.velocity[index] * (w0 * w1 * w2)[:, None]
-    return VelocityField(times=np.array([voxels.frame_time]),
-                         values=total[None])
+        table.append((np.ravel_multi_index(index, shape),
+                      (w0 * w1 * w2)[:, None]))
+    values = np.zeros((len(frames), mesh.n_vertices, 3))
+    for total, frame in zip(values, frames):
+        voxels = frame.velocity.reshape(-1, 3)
+        for flat, weight in table:
+            total += voxels.take(flat, axis=0) * weight
+    return VelocityField(times=[frame.frame_time for frame in frames],
+                         values=values)
 
 
 # =========================================================================

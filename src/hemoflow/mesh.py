@@ -140,12 +140,27 @@ def nodal_volumes(mesh: TetMesh) -> np.ndarray:
                        minlength=mesh.n_vertices)
 
 
+def _row_order(keys: np.ndarray) -> np.ndarray:
+    """The permutation ``np.lexsort(keys.T)`` of nonnegative (M, 3) rows.
+
+    Last column first, as lexsort orders them: one stable argsort of the
+    int64 key (k2 n + k1) n + k0 with n the largest entry plus one, the
+    same permutation at about a third of the cost. Where n**3 would
+    overflow int64 the three-key lexsort is used instead.
+    """
+    n = int(keys.max()) + 1 if keys.size else 1
+    if n ** 3 >= 2 ** 63:
+        return np.lexsort(keys.T)
+    return np.argsort((keys[:, 2] * n + keys[:, 1]) * n + keys[:, 0],
+                      kind="stable")
+
+
 def _boundary_of_tets(tets: np.ndarray):
     """Outward-oriented faces of the mesh boundary, with owning tets."""
     faces = tets[:, _TET_FACES].reshape(-1, 3)
     owners = np.repeat(np.arange(len(tets)), 4)
     keys = np.sort(faces, axis=1)
-    order = np.lexsort(keys.T)
+    order = _row_order(keys)
     keys_sorted = keys[order]
     new_group = np.ones(len(keys_sorted), dtype=bool)
     new_group[1:] = np.any(keys_sorted[1:] != keys_sorted[:-1], axis=1)
@@ -192,8 +207,8 @@ def _check_boundary(mesh: TetMesh, faces: np.ndarray,
     """
     derived = np.sort(faces, axis=1)
     stored = np.sort(mesh.boundary_faces, axis=1)
-    d_order = np.lexsort(derived.T)
-    s_order = np.lexsort(stored.T)
+    d_order = _row_order(derived)
+    s_order = _row_order(stored)
     if not np.array_equal(stored[s_order], derived[d_order]):
         raise MeshError("stored boundary triangles do not match the "
                         "tetrahedral boundary")

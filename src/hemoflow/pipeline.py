@@ -30,9 +30,9 @@ from . import __version__
 from .errors import HemoflowError, ValidationError
 from .flowfields import FlowWaveform, flow_rate, poiseuille_power_law, \
     pulsatile_scale
-from .hemodynamics import GradientOperator, SegmentStats, compare_models, \
-    energy_loss_rate, export_fields_vtk, interpolate_to_mesh, osi, \
-    recover_gradients, segment_stats, viscosity_at, wss, \
+from .hemodynamics import GradientOperator, SegmentStats, check_coverage, \
+    compare_models, export_fields_vtk, frame_biomarkers, interpolate_to_mesh, \
+    osi, recover_gradients, segment_stats, viscosity_at, \
     write_comparison_csv, write_stats_csv
 from .mesh import CutPlane, generate_pipe_mesh, load_mesh, segment_labels, \
     segment_names, wall_normals
@@ -443,30 +443,32 @@ def stage_estimate(cfg: RunConfig, fitted: dict, mesh, images: list[Path],
     operator = GradientOperator(mesh)
     volumes = operator.nodal_volumes
 
-    vertex_speeds = np.stack([interpolate_to_mesh(d, mesh).values[0]
-                              for d in decoded])
+    vertex_speeds = interpolate_to_mesh(decoded, mesh).values
     gradients = recover_gradients(mesh, vertex_speeds, operator)
 
     models = {name: resolve_model(name, fitted)
               for name in dict.fromkeys([cfg.reference_model,
                                          *cfg.alternative_models])}
 
+    # one pass per frame shares the strain terms among the models; the
+    # blocks are then written model by model, frame by frame
+    per_frame: dict[str, list] = {name: [] for name in models}
+    for G in gradients:
+        for name, result in frame_biomarkers(G, wall_idx, wall_norm, volumes,
+                                             models).items():
+            per_frame[name].append(result)
+
     blocks: list[SegmentStats] = []
-    tractions: dict[str, list[np.ndarray]] = {name: [] for name in models}
-    wall_mags: dict[str, list[np.ndarray]] = {name: [] for name in models}
     osis: dict[str, np.ndarray] = {}
-    for name, viscosity in models.items():
-        for frame, G in enumerate(gradients):
-            traction, mag = wss(G[wall_idx], wall_norm, viscosity)
-            tractions[name].append(traction)
-            wall_mags[name].append(mag)
+    for name, results in per_frame.items():
+        for frame, (_, mag, el) in enumerate(results):
             blocks.append(segment_stats(mag, wall_labels, names,
                                         parameter=f"wss:{name}", frame=frame))
-            el = energy_loss_rate(G, viscosity, volumes)
             blocks.append(segment_stats(el, labels, names,
                                         parameter=f"el_rate:{name}",
                                         frame=frame))
-        osis[name] = osi(np.stack(tractions[name]), times, cfg.period)
+        osis[name] = osi(np.stack([traction for traction, _, _ in results]),
+                         times, cfg.period)
         blocks.append(segment_stats(osis[name], wall_labels, names,
                                     parameter=f"osi:{name}", frame=None))
     write_stats_csv(blocks, out / "stats.csv")
@@ -474,11 +476,11 @@ def stage_estimate(cfg: RunConfig, fitted: dict, mesh, images: list[Path],
     reference = cfg.reference_model
     _, systolic = read_stats(out / "stats.csv", reference)
     log.info("systolic frame %d (t = %.3f s)", systolic, times[systolic])
-    G_sys = gradients[systolic]
     full_traction = np.zeros((mesh.n_vertices, 3))
-    full_traction[wall_idx] = tractions[reference][systolic]
+    traction, mag, el = per_frame[reference][systolic]
+    full_traction[wall_idx] = traction
     full_mag = np.zeros(mesh.n_vertices)
-    full_mag[wall_idx] = wall_mags[reference][systolic]
+    full_mag[wall_idx] = mag
     full_osi = np.zeros(mesh.n_vertices)
     full_osi[wall_idx] = osis[reference]
     export_fields_vtk(mesh, {
@@ -486,8 +488,8 @@ def stage_estimate(cfg: RunConfig, fitted: dict, mesh, images: list[Path],
         "wss_vector": full_traction,
         "wss_mag": full_mag,
         "osi": full_osi,
-        "el_rate": energy_loss_rate(G_sys, models[reference], volumes),
-        "mu_apparent": viscosity_at(models[reference], G_sys),
+        "el_rate": el,
+        "mu_apparent": viscosity_at(models[reference], gradients[systolic]),
     }, out / "fields_systole.vtk")
 
 
@@ -619,6 +621,9 @@ def run_pipeline(cfg: RunConfig) -> Path:
 
         stage = "mesh"
         mesh = stage_mesh(cfg)
+        # the estimate interpolates the images to the mesh: refuse a mesh
+        # the image grid does not cover before any phase is synthesized
+        check_coverage(mesh, cfg.sequence)
 
         stage = "flow"
         field, flows = stage_flow(cfg, mesh, fitted["power_law"], out)

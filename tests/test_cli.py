@@ -392,6 +392,20 @@ def test_infeasible_sequence_exits_3(tmp_path, capsys):
     assert "[stage mri]" in capsys.readouterr().err
 
 
+def test_mesh_outside_the_image_grid_exits_2_before_synthesis(tmp_path,
+                                                              capsys):
+    # the default grid spans z = -4 to 101 mm; a 120 mm pipe leaves it
+    config = tmp_path / "long.ini"
+    config.write_text("[pipe]\nlength_m = 0.12\n"
+                      "[segments]\ncuts_m = 0.03, 0.06, 0.09\n"
+                      "[flow]\ncardiac_phases = 2\n")
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(config), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "[stage mesh]" in err and "exceeds the voxel grid" in err
+    assert not list(out.glob("kspace_*")), "phases synthesized before the check"
+
+
 def test_partial_outputs_retained_on_stage_failure(tmp_path):
     config = tmp_path / "hot.ini"
     config.write_text("[sequence]\nadc_bandwidth_khz = 2000\n"

@@ -13,13 +13,14 @@ from hypothesis import strategies as st
 from scipy.interpolate import RegularGridInterpolator
 
 import hemoflow
-from hemoflow.errors import GeometryError, ValidationError
+from hemoflow.errors import ValidationError
 from hemoflow.hemodynamics import (
     GradientOperator,
     SegmentStats,
     compare_models,
     energy_loss_rate,
     export_fields_vtk,
+    frame_biomarkers,
     interpolate_to_mesh,
     osi,
     recover_gradients,
@@ -111,6 +112,17 @@ def test_stacked_gradients_equal_per_frame_calls():
     stacked = recover_gradients(mesh, frames)
     assert np.array_equal(stacked, np.stack([recover_gradients(mesh, u)
                                              for u in frames]))
+
+
+def test_uniform_field_has_exactly_zero_gradient():
+    """The difference form sum_k (u_k - u_0) W_k cancels a constant exactly,
+    where summing u_k W_k over all four corners left roundoff."""
+    meshes = [generate_pipe_mesh(RADIUS, LENGTH, resolution=r)
+              for r in (0, 1, 2)]
+    meshes.append(generate_box_mesh((0.02, 0.03, 0.01), (3, 2, 4)))
+    for mesh in meshes:
+        u = np.broadcast_to([0.31, -1.7, 2.2], (mesh.n_vertices, 3))
+        assert np.all(recover_gradients(mesh, u) == 0.0)
 
 
 def test_gradients_equal_add_at_reference():
@@ -433,6 +445,43 @@ def test_power_law_to_newtonian_ratio_is_exact_per_vertex():
     assert np.all(expected > 1.0), "low shear must favor the power law"
 
 
+def test_frame_biomarkers_equal_wss_and_energy_loss_calls():
+    """The shared per-frame pass gives every model's tractions, magnitudes
+    and energy loss bit for bit as the single-model functions do."""
+    mesh = generate_pipe_mesh(RADIUS, LENGTH, resolution=1)
+    rng = np.random.default_rng(21)
+    steady = poiseuille_power_law(mesh, HCT45, DROP).values[0]
+    frames = np.stack([scale * steady + rng.normal(scale=0.01,
+                                                   size=steady.shape)
+                       for scale in (0.2, 1.0, 0.6)])
+    idx, normals = wall_normals(mesh)
+    volumes = nodal_volumes(mesh)
+    models = {"power_law": HCT45, "newtonian": NEWT,
+              "thinning": PowerLawParams(m=5.4e-2, n=0.63)}
+    for G in recover_gradients(mesh, frames):
+        shared = frame_biomarkers(G, idx, normals, volumes, models)
+        assert list(shared) == list(models)
+        for name, model in models.items():
+            traction, mag, el = shared[name]
+            want_traction, want_mag = wss(G[idx], normals, model)
+            assert np.array_equal(traction, want_traction)
+            assert np.array_equal(mag, want_mag)
+            assert np.array_equal(el, energy_loss_rate(G, model, volumes))
+
+
+def test_frame_biomarkers_input_validation():
+    mesh = generate_box_mesh((0.02,) * 3, (2, 2, 2))
+    idx, normals = wall_normals(mesh)
+    G = np.zeros((mesh.n_vertices, 3, 3))
+    volumes = nodal_volumes(mesh)
+    with pytest.raises(ValidationError):
+        frame_biomarkers(G, idx, normals, volumes[1:], {"n": NEWT})
+    with pytest.raises(ValidationError):
+        frame_biomarkers(G, idx, 2.0 * normals, volumes, {"n": NEWT})
+    with pytest.raises(ValidationError):
+        frame_biomarkers(G, idx[1:], normals, volumes, {"n": NEWT})
+
+
 # =========================================================================
 # Aggregation
 # =========================================================================
@@ -539,7 +588,7 @@ def test_interpolation_reproduces_linear_fields():
                                 magnitude=np.ones(params.matrix),
                                 params=params, frame_time=0.25)
     mesh = generate_box_mesh((0.008,) * 3, (2, 2, 2), center=(-0.001,) * 3)
-    field = interpolate_to_mesh(vox, mesh)
+    field = interpolate_to_mesh([vox], mesh)
     assert field.times[0] == pytest.approx(0.25)
     x, y, z = mesh.vertices.T
     expected = np.stack([0.5 + 2.0 * x - y, 3.0 * z + 0.1, x + y + z], axis=1)
@@ -548,15 +597,17 @@ def test_interpolation_reproduces_linear_fields():
 
 def test_interpolation_equals_regular_grid_interpolator():
     """Same corner order and weights as scipy's linear method, bit for bit,
-    including vertices on the upper grid faces and just past them."""
+    for every frame of a stacked call, including vertices on the upper
+    grid faces and just past them."""
     params = SequenceParams(matrix=(9, 7, 11), voxel=(0.002, 0.003, 0.0025),
                             fov_center=(0.001, -0.002, 0.0))
     axes = params.axis_coordinates()
     rng = np.random.default_rng(11)
-    velocity = rng.normal(size=params.matrix + (3,))
-    vox = ReconstructedVelocity(velocity=velocity,
-                                magnitude=np.ones(params.matrix),
-                                params=params, frame_time=0.1)
+    velocities = rng.normal(size=(3,) + params.matrix + (3,))
+    frames = [ReconstructedVelocity(velocity=velocity,
+                                    magnitude=np.ones(params.matrix),
+                                    params=params, frame_time=0.1 * f)
+              for f, velocity in enumerate(velocities)]
     lo = np.array([ax[0] for ax in axes])
     hi = np.array([ax[-1] for ax in axes])
     points = rng.uniform(lo, hi, size=(5000, 3))
@@ -569,12 +620,49 @@ def test_interpolation_equals_regular_grid_interpolator():
     mesh = TetMesh(vertices=points, tets=box.tets,
                    boundary_faces=box.boundary_faces,
                    boundary_labels=box.boundary_labels)
-    got = interpolate_to_mesh(vox, mesh).values[0]
-    want = np.column_stack([
-        RegularGridInterpolator(axes, velocity[..., c], method="linear",
-                                bounds_error=False, fill_value=None)(points)
-        for c in range(3)])
-    assert np.array_equal(got, want)
+    got = interpolate_to_mesh(frames, mesh)
+    assert np.array_equal(got.times, [0.0, 0.1, 0.2])
+    for values, velocity in zip(got.values, velocities):
+        want = np.column_stack([
+            RegularGridInterpolator(axes, velocity[..., c], method="linear",
+                                    bounds_error=False,
+                                    fill_value=None)(points)
+            for c in range(3)])
+        assert np.array_equal(values, want)
+
+
+def test_stacked_interpolation_equals_per_frame_calls():
+    params, _ = fake_voxels()
+    rng = np.random.default_rng(12)
+    frames = [ReconstructedVelocity(velocity=rng.normal(size=params.matrix
+                                                        + (3,)),
+                                    magnitude=np.ones(params.matrix),
+                                    params=params, frame_time=0.2 * f)
+              for f in range(4)]
+    mesh = generate_pipe_mesh(0.003, 0.006, resolution=1)
+    mesh.vertices[:, 2] -= 0.003
+    stacked = interpolate_to_mesh(frames, mesh)
+    assert stacked.values.shape == (4, mesh.n_vertices, 3)
+    assert np.array_equal(stacked.values, np.concatenate(
+        [interpolate_to_mesh([frame], mesh).values for frame in frames]))
+
+
+def test_interpolation_rejects_frames_on_different_grids():
+    params, _ = fake_voxels()
+    moved, _ = fake_voxels(center=(0.0, 0.0, 0.001))
+    coarse, _ = fake_voxels(matrix=(8, 8, 6))
+    mesh = generate_box_mesh((0.008,) * 3, (2, 2, 2), center=(-0.001,) * 3)
+
+    def frame(p, t):
+        return ReconstructedVelocity(velocity=np.zeros(p.matrix + (3,)),
+                                     magnitude=np.ones(p.matrix), params=p,
+                                     frame_time=t)
+
+    for other in (moved, coarse):
+        with pytest.raises(ValidationError, match="one image grid"):
+            interpolate_to_mesh([frame(params, 0.0), frame(other, 0.1)], mesh)
+    with pytest.raises(ValidationError):
+        interpolate_to_mesh([], mesh)
 
 
 def scipy_modules_loaded_after(code: str, *args: str) -> str:
@@ -620,8 +708,8 @@ def test_interpolation_rejects_vertices_outside_grid():
                                 magnitude=np.ones(params.matrix),
                                 params=params)
     mesh = generate_box_mesh((0.008,) * 3, (2, 2, 2), center=(0.004, 0.0, 0.0))
-    with pytest.raises(GeometryError):
-        interpolate_to_mesh(vox, mesh)
+    with pytest.raises(ValidationError, match="exceeds the voxel grid"):
+        interpolate_to_mesh([vox], mesh)
 
 
 # =========================================================================

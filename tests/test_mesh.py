@@ -8,6 +8,8 @@ import pytest
 
 from hemoflow.errors import LabelingError, MeshError, ValidationError
 from hemoflow.mesh import (
+    _boundary_of_tets,
+    _row_order,
     CutPlane,
     TetMesh,
     generate_box_mesh,
@@ -153,6 +155,25 @@ def test_generated_connectivity_is_pinned(name):
                     .hexdigest() for a in (mesh.tets, mesh.boundary_faces,
                                            mesh.boundary_labels))
     assert digests == CONNECTIVITY_SHA256[name]
+
+
+@pytest.mark.parametrize("n", [2, 1000, 2**21 - 1, 2**21, 2**40])
+def test_face_key_order_equals_lexsort(n):
+    """One int64 key per sorted face where n**3 fits, the three-key
+    lexsort where it would overflow: the same permutation either way."""
+    rng = np.random.default_rng(n)
+    keys = np.sort(rng.integers(0, n, size=(500, 3)), axis=1)
+    keys = np.concatenate([keys, keys[:50], [[n - 1] * 3, [0] * 3]])
+    assert np.array_equal(_row_order(keys), np.lexsort(keys.T))
+
+
+def test_boundary_of_tets_keeps_its_faces_under_wide_vertex_ids():
+    mesh = generate_box_mesh((1.0, 1.0, 1.0), (2, 2, 2))
+    faces, owners = _boundary_of_tets(mesh.tets)
+    spread = 2**40 // mesh.n_vertices          # ids beyond the int64 key
+    wide_faces, wide_owners = _boundary_of_tets(mesh.tets * spread)
+    assert np.array_equal(wide_faces, faces * spread)
+    assert np.array_equal(wide_owners, owners)
 
 
 def test_generator_argument_validation():
