@@ -180,9 +180,10 @@ def flow_rate(field: VelocityField, mesh: TetMesh,
     # crossing is a clean sign change on an edge.
     while np.any(np.abs(dist) < 1e-12 * scale):
         dist = dist - 1e-9 * scale
-    signs = dist[mesh.tets]
-    mixed = np.logical_and(signs.min(axis=1) < 0, signs.max(axis=1) > 0)
-    cut_tets = np.nonzero(mixed)[0]
+    d0, d1, d2, d3 = dist[mesh.tets.T]              # one column per corner
+    lowest = np.minimum(np.minimum(d0, d1), np.minimum(d2, d3))
+    highest = np.maximum(np.maximum(d0, d1), np.maximum(d2, d3))
+    cut_tets = np.nonzero((lowest < 0) & (highest > 0))[0]
     if cut_tets.size == 0:
         raise GeometryError("cut plane does not intersect the mesh")
 

@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .flowfields import VelocityField
-from .mesh import TetMesh, _write_vtk, nodal_volumes
+from .mesh import TetMesh, _lumped_volumes, _tet_geometry, _write_vtk
 from .mri import SequenceParams
 from .rheology import PowerLawParams, apparent_viscosity
 
@@ -69,13 +69,10 @@ class GradientOperator:
     """
 
     def __init__(self, mesh: TetMesh):
-        corners = mesh.vertices[mesh.tets]
-        e1, e2, e3 = (corners[:, k] - corners[:, 0] for k in (1, 2, 3))
+        _, crosses, vol6 = _tet_geometry(mesh.vertices, mesh.tets)
         self.mesh = mesh
-        self.weights = np.ascontiguousarray(np.stack([
-            np.cross(e2, e3), np.cross(e3, e1), np.cross(e1, e2)])
-            .transpose(0, 2, 1)) / 24.0              # (corner k, dx_j, T)
-        self.nodal_volumes = nodal_volumes(mesh)
+        self.weights = np.divide(crosses, 24.0, out=crosses)  # (k, dx_j, T)
+        self.nodal_volumes = _lumped_volumes(mesh, vol6)
         self._corners = tuple(np.ascontiguousarray(c) for c in mesh.tets.T)
 
     def apply(self, velocities: np.ndarray) -> np.ndarray:

@@ -124,53 +124,107 @@ class CutPlane:
 # Core queries
 # =========================================================================
 
+def _tet_geometry(vertices: np.ndarray, tets: np.ndarray):
+    """Edges, their cross products and six signed volumes of every tet.
+
+    Returns ``edges`` and ``crosses``, each (3, 3, T), and ``vol6`` (T,).
+    ``edges[k, c]`` is coordinate c of e_{k+1} = x_{k+1} - x_0;
+    ``crosses[k, c]`` is coordinate c of e2 x e3, e3 x e1 and e1 x e2 for
+    k = 0, 1, 2; ``vol6`` is e1 . (e2 x e3). Every [k, c] row is one
+    contiguous column, gathered per coordinate. The crosses are formed in
+    ``np.cross``'s operation order, so they equal it bit for bit, and the
+    dot product sums x, y, z in turn, the same on every numpy build.
+    """
+    corner_ids = np.ascontiguousarray(tets.T)
+    edges = np.empty((3, 3, len(tets)))
+    for c in range(3):
+        x = vertices[:, c].take(corner_ids)            # (4, T) per corner
+        np.subtract(x[1:], x[0], out=edges[:, c])
+    crosses = np.empty_like(edges)
+    for k, (a, b) in enumerate(((1, 2), (2, 0), (0, 1))):
+        (a0, a1, a2), (b0, b1, b2) = edges[a], edges[b]
+        crosses[k, 0] = a1 * b2 - a2 * b1
+        crosses[k, 1] = a2 * b0 - a0 * b2
+        crosses[k, 2] = a0 * b1 - a1 * b0
+    e1, n = edges[0], crosses[0]
+    vol6 = e1[0] * n[0] + e1[1] * n[1] + e1[2] * n[2]
+    return edges, crosses, vol6
+
+
 def tet_volumes(mesh: TetMesh) -> np.ndarray:
     """Signed volumes of all tetrahedra."""
-    v = mesh.vertices[mesh.tets]
-    a, b, c = (v[:, 1] - v[:, 0], v[:, 2] - v[:, 0], v[:, 3] - v[:, 0])
-    return np.einsum("ij,ij->i", a, np.cross(b, c)) / 6.0
+    return _tet_geometry(mesh.vertices, mesh.tets)[2] / 6.0
 
 
-def nodal_volumes(mesh: TetMesh) -> np.ndarray:
-    """Lumped control volume per vertex: a quarter of each adjacent tet."""
-    vol = tet_volumes(mesh)
+def _lumped_volumes(mesh: TetMesh, vol6: np.ndarray) -> np.ndarray:
+    """Quarter of each tet per corner, from six times the tet volumes."""
+    vol = vol6 / 6.0
     if np.any(vol <= 0):
         raise MeshError("nodal volumes require positively oriented tetrahedra")
     return np.bincount(mesh.tets.ravel(), weights=np.repeat(vol / 4.0, 4),
                        minlength=mesh.n_vertices)
 
 
-def _row_order(keys: np.ndarray) -> np.ndarray:
-    """The permutation ``np.lexsort(keys.T)`` of nonnegative (M, 3) rows.
+def nodal_volumes(mesh: TetMesh) -> np.ndarray:
+    """Lumped control volume per vertex: a quarter of each adjacent tet."""
+    return _lumped_volumes(mesh, _tet_geometry(mesh.vertices, mesh.tets)[2])
 
-    Last column first, as lexsort orders them: one stable argsort of the
-    int64 key (k2 n + k1) n + k0 with n the largest entry plus one, the
-    same permutation at about a third of the cost. Where n**3 would
-    overflow int64 the three-key lexsort is used instead.
+
+def _sort3(a: np.ndarray, b: np.ndarray, c: np.ndarray):
+    """Elementwise ascending order of three columns: a min/max network."""
+    lo, hi = np.minimum(a, b), np.maximum(a, b)
+    mid, hi = np.minimum(hi, c), np.maximum(hi, c)
+    return np.minimum(lo, mid), np.maximum(lo, mid), hi
+
+
+def _triple_order(lo: np.ndarray, mid: np.ndarray, hi: np.ndarray):
+    """Stable order of nonnegative triples, and the repeats along it.
+
+    The order is ``np.lexsort((lo, mid, hi))``: one stable argsort of the
+    int64 key (hi n + mid) n + lo with n the largest entry plus one,
+    about a third of the cost; where n**3 would overflow int64 the
+    three-key lexsort is used instead. ``repeats[i]`` tells whether
+    sorted triple i + 1 equals triple i.
     """
-    n = int(keys.max()) + 1 if keys.size else 1
-    if n ** 3 >= 2 ** 63:
-        return np.lexsort(keys.T)
-    return np.argsort((keys[:, 2] * n + keys[:, 1]) * n + keys[:, 0],
-                      kind="stable")
+    n = int(hi.max()) + 1 if hi.size else 1
+    if n ** 3 < 2 ** 63:
+        key = (hi * n + mid) * n + lo
+        order = np.argsort(key, kind="stable")
+        key = key[order]
+        return order, key[1:] == key[:-1]
+    order = np.lexsort((lo, mid, hi))
+    repeats = np.ones(max(len(order) - 1, 0), dtype=bool)
+    for col in (lo, mid, hi):
+        col = col[order]
+        repeats &= col[1:] == col[:-1]
+    return order, repeats
+
+
+def _row_order(keys: np.ndarray) -> np.ndarray:
+    """The permutation ``np.lexsort(keys.T)`` of nonnegative (M, 3) rows."""
+    return _triple_order(*keys.T)[0]
 
 
 def _boundary_of_tets(tets: np.ndarray):
-    """Outward-oriented faces of the mesh boundary, with owning tets."""
-    faces = tets[:, _TET_FACES].reshape(-1, 3)
-    owners = np.repeat(np.arange(len(tets)), 4)
-    keys = np.sort(faces, axis=1)
-    order = _row_order(keys)
-    keys_sorted = keys[order]
-    new_group = np.ones(len(keys_sorted), dtype=bool)
-    new_group[1:] = np.any(keys_sorted[1:] != keys_sorted[:-1], axis=1)
-    group_ids = np.cumsum(new_group) - 1
-    counts = np.bincount(group_ids)
-    singleton = counts[group_ids] == 1
-    picked = order[singleton]
-    if np.any(counts > 2):
+    """Outward-oriented faces of the mesh boundary, with owning tets.
+
+    Face j of tet t is entry 4 t + j, with the local vertices
+    ``_TET_FACES[j]``. A face is on the boundary when no other face has
+    its vertex set; the boundary comes in the stable order of the sorted
+    vertex triples.
+    """
+    sorted_ids = np.empty((3, len(tets), 4), dtype=np.int64)
+    for j, (a, b, c) in enumerate(_TET_FACES):
+        sorted_ids[:, :, j] = _sort3(tets[:, a], tets[:, b], tets[:, c])
+    order, repeats = _triple_order(*sorted_ids.reshape(3, -1))
+    if np.any(repeats[1:] & repeats[:-1]):
         raise MeshError("non-manifold interior face (shared by > 2 tets)")
-    return faces[picked], owners[picked]
+    alone = np.ones(len(order), dtype=bool)
+    alone[1:] &= ~repeats
+    alone[:-1] &= ~repeats
+    picked = order[alone]
+    owners = picked // 4
+    return tets[owners[:, None], _TET_FACES[picked % 4]], owners
 
 
 def _orient_faces_inward(vertices, tets, faces, owners):
@@ -243,16 +297,15 @@ def validate_mesh(mesh: TetMesh, repair: bool = True) -> TetMesh:
     orientation is always re-derived inward from the owning tetrahedra.
     Returns the mesh, modified in place.
     """
-    vol = tet_volumes(mesh)
-    _check_volumes(vol)
-    inverted = vol < 0
+    vol6 = _tet_geometry(mesh.vertices, mesh.tets)[2]
+    _check_volumes(vol6)
+    inverted = vol6 < 0
     if np.any(inverted):
         if not repair:
             raise MeshError(f"{int(inverted.sum())} inverted tetrahedra")
         warnings.warn(f"repaired {int(inverted.sum())} inverted tetrahedra "
                       "by vertex swap", stacklevel=2)
-        flipped = mesh.tets[inverted][:, [0, 1, 3, 2]]
-        mesh.tets[inverted] = flipped
+        _swap_last_corners(mesh.tets, inverted)
 
     faces, owners = _boundary_of_tets(mesh.tets)
     return _check_boundary(mesh, faces, owners)
@@ -364,17 +417,21 @@ def _split_prisms(prisms: np.ndarray) -> np.ndarray:
     return tets.reshape(-1, 4)
 
 
+def _swap_last_corners(tets: np.ndarray, flip: np.ndarray) -> None:
+    """Swap corners 2 and 3 of the flagged tets in place, inverting them."""
+    third = tets[:, 2].copy()
+    np.copyto(tets[:, 2], tets[:, 3], where=flip)
+    np.copyto(tets[:, 3], third, where=flip)
+
+
 def _fix_orientation(vertices: np.ndarray, tets: np.ndarray) -> np.ndarray:
     """Flip negatively oriented tets in place; return their volumes.
 
     The volumes are six times the signed volumes before the flip.
     """
-    v = vertices[tets]
-    vol = np.einsum("ij,ij->i", v[:, 1] - v[:, 0],
-                    np.cross(v[:, 2] - v[:, 0], v[:, 3] - v[:, 0]))
-    flip = vol < 0
-    tets[flip] = tets[flip][:, [0, 1, 3, 2]]
-    return vol
+    vol6 = _tet_geometry(vertices, tets)[2]
+    _swap_last_corners(tets, vol6 < 0)
+    return vol6
 
 
 def _disk_triangulation(arcs: int, rings: int, grading: float):

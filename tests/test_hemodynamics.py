@@ -161,6 +161,35 @@ def test_operator_volumes_equal_nodal_volumes():
                           recover_gradients(mesh, u))
 
 
+@pytest.mark.parametrize("name", ["pipe0", "pipe1", "pipe2", "box3",
+                                  "tilted_pipe1"])
+def test_operator_equals_cross_product_reference(name):
+    """Weights and lumped volumes bit for bit as the (T, 3) row formulas
+    np.cross(...) / 24 and an add.at scatter of e1 . (e2 x e3) / 6, summed
+    x, y, z. The tilted pipe has no zero edge coordinate, so it pins the
+    order of the sum."""
+    if name == "box3":
+        mesh = generate_box_mesh((1.0, 1.0, 1.0), (3, 3, 3))
+    else:
+        mesh = generate_pipe_mesh(RADIUS, LENGTH, resolution=int(name[-1]))
+    if name.startswith("tilted"):
+        q, _ = np.linalg.qr(np.random.default_rng(2).normal(size=(3, 3)))
+        rotation = q * np.sign(np.linalg.det(q))
+        mesh = TetMesh(mesh.vertices @ rotation.T, mesh.tets,
+                       mesh.boundary_faces, mesh.boundary_labels)
+    v = mesh.vertices[mesh.tets]
+    e1, e2, e3 = (v[:, k] - v[:, 0] for k in (1, 2, 3))
+    weights = np.stack([np.cross(e2, e3), np.cross(e3, e1),
+                        np.cross(e1, e2)]).transpose(0, 2, 1) / 24.0
+    terms = e1 * np.cross(e2, e3)
+    vol = (terms[:, 0] + terms[:, 1] + terms[:, 2]) / 6.0
+    lumped = np.zeros(mesh.n_vertices)
+    np.add.at(lumped, mesh.tets.ravel(), np.repeat(vol / 4.0, 4))
+    operator = GradientOperator(mesh)
+    assert np.array_equal(operator.weights, weights)
+    assert np.array_equal(operator.nodal_volumes, lumped)
+
+
 def test_operator_of_another_mesh_is_rejected():
     mesh = generate_pipe_mesh(RADIUS, LENGTH, resolution=1)
     twin = generate_pipe_mesh(RADIUS, LENGTH, resolution=1)

@@ -2,13 +2,18 @@
 
 import hashlib
 import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from hemoflow.errors import LabelingError, MeshError, ValidationError
 from hemoflow.mesh import (
+    _TET_FACES,
     _boundary_of_tets,
+    _fix_orientation,
     _row_order,
     CutPlane,
     TetMesh,
@@ -174,6 +179,91 @@ def test_boundary_of_tets_keeps_its_faces_under_wide_vertex_ids():
     wide_faces, wide_owners = _boundary_of_tets(mesh.tets * spread)
     assert np.array_equal(wide_faces, faces * spread)
     assert np.array_equal(wide_owners, owners)
+
+
+def cross_product_volumes(mesh):
+    """Six signed volumes e1 . (e2 x e3) from (T, 3) rows and np.cross,
+    the dot product summed x, y, z in turn."""
+    v = mesh.vertices[mesh.tets]
+    terms = (v[:, 1] - v[:, 0]) * np.cross(v[:, 2] - v[:, 0],
+                                           v[:, 3] - v[:, 0])
+    return terms[:, 0] + terms[:, 1] + terms[:, 2]
+
+
+@pytest.mark.parametrize("name", ["pipe0", "pipe1", "pipe2", "box3", "ball"])
+def test_volumes_equal_cross_product_reference(name):
+    """The per-coordinate columns reproduce the row formulas bit for bit.
+
+    The generated meshes have one nonzero term per dot product, so the
+    einsum the volumes were once computed with agrees to the bit. The
+    ball's oblique edges give three terms; einsum's summation order there
+    depends on the numpy build (SIMD lanes, fused multiply-add), and the
+    ball pins the x, y, z order."""
+    mesh = make_ball(6) if name == "ball" else generated(name)
+    vol = cross_product_volumes(mesh) / 6.0
+    if name != "ball":
+        v = mesh.vertices[mesh.tets]
+        e1, e2, e3 = (v[:, k] - v[:, 0] for k in (1, 2, 3))
+        assert np.array_equal(np.einsum("ij,ij->i", e1, np.cross(e2, e3))
+                              / 6.0, vol)
+    assert np.array_equal(tet_volumes(mesh), vol)
+    want = np.zeros(mesh.n_vertices)
+    np.add.at(want, mesh.tets.ravel(), np.repeat(vol / 4.0, 4))
+    assert np.array_equal(nodal_volumes(mesh), want)
+
+
+def test_fix_orientation_flips_back_inverted_tets():
+    mesh = generated("pipe1")
+    inverted = np.random.default_rng(3).choice(mesh.n_tets, 100,
+                                               replace=False)
+    tets = mesh.tets.copy()
+    tets[inverted] = tets[inverted][:, [0, 1, 3, 2]]
+    before = cross_product_volumes(TetMesh(mesh.vertices, tets,
+                                           mesh.boundary_faces,
+                                           mesh.boundary_labels))
+    assert np.all((before < 0) == np.isin(np.arange(mesh.n_tets), inverted))
+    assert np.array_equal(_fix_orientation(mesh.vertices, tets), before)
+    digest = hashlib.sha256(tets.astype("<i8").tobytes()).hexdigest()
+    assert digest == CONNECTIVITY_SHA256["pipe1"][0]
+
+
+def check_boundary_against_counter(tets):
+    """_boundary_of_tets against a count of sorted face triples."""
+    counts = Counter(tuple(sorted(tet[local])) for tet in tets
+                     for local in _TET_FACES)
+    if max(counts.values()) > 2:
+        with pytest.raises(MeshError, match="non-manifold"):
+            _boundary_of_tets(tets)
+        return
+    faces, owners = _boundary_of_tets(tets)
+    triples = [tuple(sorted(face)) for face in faces.tolist()]
+    assert sorted(triples) == sorted(k for k, c in counts.items() if c == 1)
+    # in the order of the sorted triples, last vertex first
+    assert triples == sorted(triples, key=lambda t: t[::-1])
+    for face, owner in zip(faces.tolist(), owners.tolist()):
+        assert face in tets[owner][_TET_FACES].tolist()
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1),
+       name=st.sampled_from(["pipe0", "box1", "box2", "box3"]))
+def test_boundary_of_shuffled_meshes_matches_face_counts(seed, name):
+    mesh = (generate_box_mesh((1.0, 1.0, 1.0), (int(name[-1]),) * 3)
+            if name.startswith("box") else generated(name))
+    order = np.random.default_rng(seed).permutation(mesh.n_tets)
+    check_boundary_against_counter(mesh.tets[order])
+
+
+@settings(max_examples=200, deadline=None)
+@example(soup=[(0, 1, 2, 3), (0, 2, 1, 4), (0, 1, 2, 5)], spread=1)
+@given(soup=st.lists(st.permutations(range(6)).map(lambda p: p[:4]),
+                     min_size=1, max_size=10),
+       spread=st.sampled_from([1, 2**21 + 1, 2**40]))
+def test_boundary_of_tet_soups_matches_face_counts(soup, spread):
+    """Random tets on six vertices share faces by twos and threes (the
+    example: three on one face); ids spread past 2**21 take the three-key
+    lexsort."""
+    check_boundary_against_counter(np.array(soup, dtype=np.int64) * spread)
 
 
 def test_generator_argument_validation():
