@@ -48,9 +48,10 @@ FIRST_OUTLET_LABEL = 2
 # (1 + g) x - g x^2, so rings crowd toward the wall
 WALL_GRADING = 0.5
 
-# Local vertex triples of the four outward-oriented faces of a
-# positively oriented tetrahedron.
-_TET_FACES = np.array([[1, 2, 3], [0, 3, 2], [0, 1, 3], [0, 2, 1]])
+# Local vertex triples of the four faces of a positively oriented
+# tetrahedron, face j opposite corner j, wound so the right-hand-rule
+# normal points into the tet: the boundary windings come from this table.
+_TET_FACES = np.array([[1, 3, 2], [0, 2, 3], [0, 3, 1], [0, 1, 2]])
 
 
 @dataclass
@@ -205,13 +206,14 @@ def _row_order(keys: np.ndarray) -> np.ndarray:
     return _triple_order(*keys.T)[0]
 
 
-def _boundary_of_tets(tets: np.ndarray):
-    """Outward-oriented faces of the mesh boundary, with owning tets.
+def _boundary_of_tets(tets: np.ndarray) -> np.ndarray:
+    """Faces of the mesh boundary, wound as ``_TET_FACES`` gives them.
 
     Face j of tet t is entry 4 t + j, with the local vertices
-    ``_TET_FACES[j]``. A face is on the boundary when no other face has
-    its vertex set; the boundary comes in the stable order of the sorted
-    vertex triples.
+    ``_TET_FACES[j]``, so on positively oriented tets every boundary face
+    comes out wound inward. A face is on the boundary when no other face
+    has its vertex set; the boundary comes in the stable order of the
+    sorted vertex triples.
     """
     sorted_ids = np.empty((3, len(tets), 4), dtype=np.int64)
     for j, (a, b, c) in enumerate(_TET_FACES):
@@ -223,21 +225,7 @@ def _boundary_of_tets(tets: np.ndarray):
     alone[1:] &= ~repeats
     alone[:-1] &= ~repeats
     picked = order[alone]
-    owners = picked // 4
-    return tets[owners[:, None], _TET_FACES[picked % 4]], owners
-
-
-def _orient_faces_inward(vertices, tets, faces, owners):
-    """Flip stored face windings so right-hand normals point into the fluid."""
-    tri = vertices[faces]
-    normal = np.cross(tri[:, 1] - tri[:, 0], tri[:, 2] - tri[:, 0])
-    centroid = tri.mean(axis=1)
-    opposite_sum = vertices[tets[owners]].sum(axis=1) - tri.sum(axis=1)
-    inward = opposite_sum - centroid  # toward the tet's interior
-    flip = np.einsum("ij,ij->i", normal, inward) < 0
-    out = faces.copy()
-    out[flip] = out[flip][:, [0, 2, 1]]
-    return out
+    return tets[(picked // 4)[:, None], _TET_FACES[picked % 4]]
 
 
 def _check_volumes(vol: np.ndarray) -> None:
@@ -250,14 +238,14 @@ def _check_volumes(vol: np.ndarray) -> None:
         raise MeshError(f"{int(degenerate.sum())} degenerate tetrahedra")
 
 
-def _check_boundary(mesh: TetMesh, faces: np.ndarray,
-                    owners: np.ndarray) -> TetMesh:
-    """Check the stored boundary against the derived one, orient and label it.
+def _check_boundary(mesh: TetMesh, faces: np.ndarray) -> TetMesh:
+    """Check the stored boundary against the derived one and label it.
 
-    ``faces`` and ``owners`` are the tetrahedral boundary and its owning
-    tets from ``_boundary_of_tets``. The stored triangles must match them
-    one to one (as vertex sets); the derived faces, oriented inward,
-    replace the stored ones, and each keeps the label of its stored twin.
+    ``faces`` is the tetrahedral boundary from ``_boundary_of_tets`` of
+    positively oriented tets, so wound inward by ``_TET_FACES``. The
+    stored triangles must match them one to one (as vertex sets); the
+    derived faces replace the stored ones, and each keeps the label of
+    its stored twin.
     """
     derived = np.sort(faces, axis=1)
     stored = np.sort(mesh.boundary_faces, axis=1)
@@ -280,8 +268,7 @@ def _check_boundary(mesh: TetMesh, faces: np.ndarray,
 
     labels = np.empty(len(faces), dtype=np.int64)
     labels[d_order] = mesh.boundary_labels[s_order]
-    mesh.boundary_faces = _orient_faces_inward(mesh.vertices, mesh.tets,
-                                               faces, owners)
+    mesh.boundary_faces = faces
     mesh.boundary_labels = labels
     return mesh
 
@@ -293,8 +280,9 @@ def validate_mesh(mesh: TetMesh, repair: bool = True) -> TetMesh:
     ``repair`` is true, with a warning), then derives the boundary of the
     tetrahedra once; the generators share this boundary check. The stored
     boundary triangles must match the derived ones one to one, and the
-    boundary must be a closed manifold with nonnegative labels. Face
-    orientation is always re-derived inward from the owning tetrahedra.
+    boundary must be a closed manifold with nonnegative labels. The
+    stored windings are replaced by the inward ones of the face table of
+    the (now positive) tetrahedra.
     Returns the mesh, modified in place.
     """
     vol6 = _tet_geometry(mesh.vertices, mesh.tets)[2]
@@ -307,8 +295,7 @@ def validate_mesh(mesh: TetMesh, repair: bool = True) -> TetMesh:
                       "by vertex swap", stacklevel=2)
         _swap_last_corners(mesh.tets, inverted)
 
-    faces, owners = _boundary_of_tets(mesh.tets)
-    return _check_boundary(mesh, faces, owners)
+    return _check_boundary(mesh, _boundary_of_tets(mesh.tets))
 
 
 def wall_vertices(mesh: TetMesh) -> np.ndarray:
@@ -460,14 +447,13 @@ def _disk_triangulation(arcs: int, rings: int, grading: float):
 
 
 def _finalize_generated(vertices, tets, classify, metadata) -> TetMesh:
-    """Orient the tets, then derive, check, orient and label the boundary."""
+    """Orient the tets, then derive, check and label the boundary."""
     _check_volumes(_fix_orientation(vertices, tets))
-    faces, owners = _boundary_of_tets(tets)
-    # a centroid does not depend on the winding, so label before orienting
+    faces = _boundary_of_tets(tets)
     labels = classify(vertices[faces].mean(axis=1))
     mesh = TetMesh(vertices=vertices, tets=tets, boundary_faces=faces,
                    boundary_labels=labels, metadata=metadata)
-    return _check_boundary(mesh, faces, owners)
+    return _check_boundary(mesh, faces)
 
 
 def generate_pipe_mesh(radius: float, length: float,
@@ -655,19 +641,11 @@ class _VtkTokens:
         if tok.upper() != word:
             raise MeshError(f"{self.path}: expected {word}, found {tok}")
 
-    def ints(self, count: int) -> np.ndarray:
+    def array(self, count: int, dtype) -> np.ndarray:
         end = self.pos + count
         if end > len(self.tokens):
             raise MeshError(f"{self.path}: unexpected end of file")
-        out = np.array(self.tokens[self.pos:end], dtype=np.int64)
-        self.pos = end
-        return out
-
-    def floats(self, count: int) -> np.ndarray:
-        end = self.pos + count
-        if end > len(self.tokens):
-            raise MeshError(f"{self.path}: unexpected end of file")
-        out = np.array(self.tokens[self.pos:end], dtype=np.float64)
+        out = np.array(self.tokens[self.pos:end], dtype=dtype)
         self.pos = end
         return out
 
@@ -696,11 +674,11 @@ def _read_vtk(path: Path):
     tk.expect("POINTS")
     n_points = int(tk.next())
     tk.next()  # point scalar type
-    vertices = tk.floats(3 * n_points).reshape(-1, 3)
+    vertices = tk.array(3 * n_points, np.float64).reshape(-1, 3)
     tk.expect("CELLS")
     n_cells = int(tk.next())
     total = int(tk.next())
-    raw = tk.ints(total)
+    raw = tk.array(total, np.int64)
     cells = []
     pos = 0
     for _ in range(n_cells):
@@ -712,7 +690,7 @@ def _read_vtk(path: Path):
     tk.expect("CELL_TYPES")
     if int(tk.next()) != n_cells:
         raise MeshError(f"{path}: CELL_TYPES count mismatch")
-    types = tk.ints(n_cells)
+    types = tk.array(n_cells, np.int64)
 
     data = {}
     section = None
@@ -734,12 +712,13 @@ def _read_vtk(path: Path):
                 tk.next()  # optional component count
             tk.expect("LOOKUP_TABLE")
             tk.next()
-            data[section, name] = tk.ints(count) if kind == "int" \
-                else tk.floats(count)
+            data[section, name] = tk.array(
+                count, np.int64 if kind == "int" else np.float64)
         elif tok == "VECTORS" and section is not None:
             name = tk.next()
             tk.next()  # data type
-            data[section, name] = tk.floats(3 * count).reshape(-1, 3)
+            data[section, name] = tk.array(3 * count,
+                                           np.float64).reshape(-1, 3)
         else:
             raise MeshError(f"{path}: unsupported section {tok}")
     return metadata, vertices, cells, types, data

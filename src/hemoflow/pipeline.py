@@ -24,7 +24,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-import scipy
 
 from . import __version__
 from .errors import HemoflowError, ValidationError
@@ -596,7 +595,7 @@ def _write_manifest(cfg: RunConfig, out: Path) -> None:
     manifest = {
         "config_sha256": cfg.config_hash,
         "package": {"name": "hemoflow", "version": __version__},
-        "dependencies": {"numpy": np.__version__, "scipy": scipy.__version__},
+        "dependencies": {"numpy": np.__version__},
         "seed": cfg.seed,
         "artifacts": artifacts,
     }

@@ -1,5 +1,7 @@
 """Tests for analytic velocity fields and cross-section flow rates."""
 
+import itertools
+
 import numpy as np
 import pytest
 from scipy.integrate import cumulative_trapezoid
@@ -7,8 +9,8 @@ from scipy.integrate import cumulative_trapezoid
 from hemoflow.errors import GeometryError, ValidationError
 from hemoflow.flowfields import (FlowWaveform, VelocityField, flow_rate,
                                  poiseuille_power_law, pulsatile_scale)
-from hemoflow.mesh import (CutPlane, generate_box_mesh, generate_pipe_mesh,
-                           tet_volumes, wall_vertices)
+from hemoflow.mesh import (CutPlane, TetMesh, generate_box_mesh,
+                           generate_pipe_mesh, tet_volumes, wall_vertices)
 from hemoflow.rheology import PowerLawParams
 
 RADIUS = 0.01
@@ -287,6 +289,30 @@ def test_flow_rate_matches_per_tet_loop(case):
     assert got.shape == want.shape == (field.n_frames,)
     assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max(), \
         f"vectorised cut {got} vs per-tet loop {want}"
+
+
+@pytest.mark.parametrize("below", [
+    s for r in (1, 2, 3) for s in itertools.combinations(range(4), r)])
+def test_flow_rate_covers_every_cut_pattern(below):
+    """One random tet, cut by the plane a.x + b = 0 that puts the corners
+    in ``below`` at -1 and the others at +1: every row of the cut table."""
+    rng = np.random.default_rng(11)
+    vertices = rng.normal(size=(4, 3)) * 0.01
+    mesh = TetMesh(vertices, [[0, 1, 2, 3]], np.empty((0, 3), dtype=int),
+                   np.empty(0, dtype=int))
+    side = np.where(np.isin(np.arange(4), below), -1.0, 1.0)
+    a_b = np.linalg.solve(np.column_stack([vertices, np.ones(4)]), side)
+    a, b = a_b[:3], a_b[3]
+    plane = CutPlane(tuple(-b * a / (a @ a)), tuple(a))
+    assert np.array_equal(plane.signed_distance(vertices) < 0, side < 0)
+    field = VelocityField(times=np.arange(3.0),
+                          values=rng.normal(size=(3, 4, 3)))
+    got = flow_rate(field, mesh, plane)
+    want = loop_flow_rate(field, mesh, plane)
+    tol = 1e-12 * np.abs(want).max()
+    assert np.abs(got - want).max() <= tol, f"table cut {got} vs loop {want}"
+    reversed_normal = CutPlane(plane.point, tuple(-a))
+    assert np.abs(flow_rate(field, mesh, reversed_normal) + got).max() <= tol
 
 
 # =========================================================================

@@ -695,9 +695,9 @@ def test_interpolation_rejects_frames_on_different_grids():
 
 
 def scipy_modules_loaded_after(code: str, *args: str) -> str:
-    """Run ``code`` in a fresh interpreter; it prints the heavy scipy
-    modules it loaded."""
-    code += ("\nprint(sorted(m for m in ('scipy.interpolate', "
+    """Run ``code`` in a fresh interpreter; it prints the scipy modules
+    it loaded. The package runs on numpy alone: scipy is for tests."""
+    code += ("\nprint(sorted(m for m in ('scipy', 'scipy.interpolate', "
              "'scipy.sparse') if m in sys.modules))")
     src = str(Path(hemoflow.__file__).parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(

@@ -174,11 +174,10 @@ def test_face_key_order_equals_lexsort(n):
 
 def test_boundary_of_tets_keeps_its_faces_under_wide_vertex_ids():
     mesh = generate_box_mesh((1.0, 1.0, 1.0), (2, 2, 2))
-    faces, owners = _boundary_of_tets(mesh.tets)
+    faces = _boundary_of_tets(mesh.tets)
     spread = 2**40 // mesh.n_vertices          # ids beyond the int64 key
-    wide_faces, wide_owners = _boundary_of_tets(mesh.tets * spread)
+    wide_faces = _boundary_of_tets(mesh.tets * spread)
     assert np.array_equal(wide_faces, faces * spread)
-    assert np.array_equal(wide_owners, owners)
 
 
 def cross_product_volumes(mesh):
@@ -235,13 +234,15 @@ def check_boundary_against_counter(tets):
         with pytest.raises(MeshError, match="non-manifold"):
             _boundary_of_tets(tets)
         return
-    faces, owners = _boundary_of_tets(tets)
+    faces = _boundary_of_tets(tets)
     triples = [tuple(sorted(face)) for face in faces.tolist()]
     assert sorted(triples) == sorted(k for k, c in counts.items() if c == 1)
     # in the order of the sorted triples, last vertex first
     assert triples == sorted(triples, key=lambda t: t[::-1])
-    for face, owner in zip(faces.tolist(), owners.tolist()):
-        assert face in tets[owner][_TET_FACES].tolist()
+    # wound as the face table winds it in some tet
+    wound = {tuple(face)
+             for face in tets[:, _TET_FACES].reshape(-1, 3).tolist()}
+    assert all(tuple(face) in wound for face in faces.tolist())
 
 
 @settings(max_examples=30, deadline=None)
@@ -319,6 +320,72 @@ def test_validate_restores_permuted_rewound_boundary(name):
     validate_mesh(scrambled, repair=False)
     assert np.array_equal(scrambled.boundary_faces, mesh.boundary_faces)
     assert np.array_equal(scrambled.boundary_labels, mesh.boundary_labels)
+
+
+def inward_by_opposite_vertex(mesh):
+    """Oracle for the boundary windings: each boundary face as its owning
+    tet winds it outward, flipped where the right-hand normal points away
+    from the owner's opposite vertex."""
+    outward = np.array([[1, 2, 3], [0, 3, 2], [0, 1, 3], [0, 2, 1]])
+    tet_faces = mesh.tets[:, outward].reshape(-1, 3)   # face j of tet t: 4t+j
+    n = mesh.n_vertices
+
+    def key(faces):
+        lo, mid, hi = np.sort(faces, axis=1).T
+        return (hi * n + mid) * n + lo
+
+    keys = key(tet_faces)
+    order = np.argsort(keys, kind="stable")
+    at = np.searchsorted(keys[order], key(mesh.boundary_faces))
+    picked = order[at]
+    assert np.array_equal(keys[picked], key(mesh.boundary_faces))
+    faces, owners = tet_faces[picked], picked // 4
+    tri = mesh.vertices[faces]
+    normal = np.cross(tri[:, 1] - tri[:, 0], tri[:, 2] - tri[:, 0])
+    opposite = mesh.vertices[mesh.tets[owners]].sum(axis=1) - tri.sum(axis=1)
+    flip = np.einsum("ij,ij->i", normal, opposite - tri.mean(axis=1)) < 0
+    faces[flip] = faces[flip][:, [0, 2, 1]]
+    return faces
+
+
+def rotated_shifted_pipe():
+    pipe = generate_pipe_mesh(RADIUS, LENGTH, 1)
+    q, _ = np.linalg.qr(np.random.default_rng(2).normal(size=(3, 3)))
+    q *= np.sign(np.linalg.det(q))               # a proper rotation
+    moved = TetMesh(pipe.vertices @ q.T + [0.3, -0.1, 0.2], pipe.tets.copy(),
+                    pipe.boundary_faces.copy(), pipe.boundary_labels.copy())
+    return validate_mesh(moved, repair=False)
+
+
+def inverted_scrambled_pipe():
+    """30% of tets inverted and every stored winding scrambled."""
+    pipe = generate_pipe_mesh(RADIUS, LENGTH, 1)
+    rng = np.random.default_rng(4)
+    tets = pipe.tets.copy()
+    flip = rng.random(len(tets)) < 0.3
+    tets[flip] = tets[flip][:, [0, 1, 3, 2]]
+    windings = np.array([[0, 1, 2], [1, 2, 0], [2, 0, 1],
+                         [0, 2, 1], [2, 1, 0], [1, 0, 2]])
+    pick = windings[rng.integers(0, 6, len(pipe.boundary_faces))]
+    mesh = TetMesh(pipe.vertices, tets,
+                   np.take_along_axis(pipe.boundary_faces, pick, axis=1),
+                   pipe.boundary_labels)
+    with pytest.warns(UserWarning, match="repaired .* inverted"):
+        return validate_mesh(mesh, repair=True)
+
+
+@pytest.mark.parametrize("name", [
+    "pipe0", "pipe1", "pipe2", "pipe3", "box3", "box345", "ball",
+    "rotated_shifted_pipe", "inverted_scrambled_pipe"])
+def test_boundary_windings_point_at_the_opposite_vertex(name):
+    """The face table's windings are the ones the normal test picks."""
+    mesh = {"box345": lambda: generate_box_mesh((0.02, 0.03, 0.04),
+                                                (3, 4, 5)),
+            "ball": make_ball,
+            "rotated_shifted_pipe": rotated_shifted_pipe,
+            "inverted_scrambled_pipe": inverted_scrambled_pipe,
+            }.get(name, lambda: generated(name))()
+    assert np.array_equal(mesh.boundary_faces, inward_by_opposite_vertex(mesh))
 
 
 def test_duplicated_boundary_triangle_detected():
