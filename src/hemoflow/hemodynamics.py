@@ -69,7 +69,7 @@ class GradientOperator:
     """
 
     def __init__(self, mesh: TetMesh):
-        _, crosses, vol6 = _tet_geometry(mesh.vertices, mesh.tets)
+        crosses, vol6 = _tet_geometry(mesh.vertices, mesh.tets)
         self.mesh = mesh
         self.weights = np.divide(crosses, 24.0, out=crosses)  # (k, dx_j, T)
         self.nodal_volumes = _lumped_volumes(mesh, vol6)

@@ -9,7 +9,9 @@ File format is VTK legacy ASCII unstructured grids: tetrahedra first,
 then boundary triangles, with a ``boundary_label`` integer cell-data
 array (-1 on tetrahedra). Package metadata (for example the generated
 pipe geometry) rides in the 256-character VTK title line as JSON and
-survives a save/load round trip.
+survives a save/load round trip. Numbers are written as ``%.17g`` and
+``%d`` text, byte for byte what Python's ``%`` gives, but built by array
+operations on blocks of rows (``_format_rows``).
 """
 
 from __future__ import annotations
@@ -125,36 +127,63 @@ class CutPlane:
 # Core queries
 # =========================================================================
 
-def _tet_geometry(vertices: np.ndarray, tets: np.ndarray):
-    """Edges, their cross products and six signed volumes of every tet.
+def _tet_edges(vertices: np.ndarray, tets: np.ndarray) -> np.ndarray:
+    """Edges of every tet as (3, 3, T) columns.
 
-    Returns ``edges`` and ``crosses``, each (3, 3, T), and ``vol6`` (T,).
-    ``edges[k, c]`` is coordinate c of e_{k+1} = x_{k+1} - x_0;
-    ``crosses[k, c]`` is coordinate c of e2 x e3, e3 x e1 and e1 x e2 for
-    k = 0, 1, 2; ``vol6`` is e1 . (e2 x e3). Every [k, c] row is one
-    contiguous column, gathered per coordinate. The crosses are formed in
-    ``np.cross``'s operation order, so they equal it bit for bit, and the
-    dot product sums x, y, z in turn, the same on every numpy build.
+    ``edges[k, c]`` is coordinate c of e_{k+1} = x_{k+1} - x_0, one
+    contiguous column, gathered per coordinate.
     """
     corner_ids = np.ascontiguousarray(tets.T)
     edges = np.empty((3, 3, len(tets)))
     for c in range(3):
         x = vertices[:, c].take(corner_ids)            # (4, T) per corner
         np.subtract(x[1:], x[0], out=edges[:, c])
+    return edges
+
+
+def _cross(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """a x b of (3, T) columns into ``out``, in ``np.cross``'s operation
+    order, so it equals ``np.cross`` bit for bit."""
+    (a0, a1, a2), (b0, b1, b2) = a, b
+    out[0] = a1 * b2 - a2 * b1
+    out[1] = a2 * b0 - a0 * b2
+    out[2] = a0 * b1 - a1 * b0
+    return out
+
+
+def _vol6(e1: np.ndarray, n: np.ndarray) -> np.ndarray:
+    """e1 . n, summing x, y, z in turn, the same on every numpy build."""
+    return e1[0] * n[0] + e1[1] * n[1] + e1[2] * n[2]
+
+
+def _tet_vol6(vertices: np.ndarray, tets: np.ndarray) -> np.ndarray:
+    """Six signed volumes e1 . (e2 x e3) of every tet, (T,).
+
+    Forms only the edges and e2 x e3, with the expressions of
+    ``_tet_geometry``, so the two agree bit for bit.
+    """
+    edges = _tet_edges(vertices, tets)
+    normal = _cross(edges[1], edges[2], np.empty_like(edges[0]))
+    return _vol6(edges[0], normal)
+
+
+def _tet_geometry(vertices: np.ndarray, tets: np.ndarray):
+    """The edges' cross products and six signed volumes of every tet.
+
+    Returns ``crosses`` (3, 3, T) and ``vol6`` (T,). ``crosses[k, c]`` is
+    coordinate c of e2 x e3, e3 x e1 and e1 x e2 for k = 0, 1, 2; ``vol6``
+    is e1 . (e2 x e3), as ``_tet_vol6`` gives it.
+    """
+    edges = _tet_edges(vertices, tets)
     crosses = np.empty_like(edges)
     for k, (a, b) in enumerate(((1, 2), (2, 0), (0, 1))):
-        (a0, a1, a2), (b0, b1, b2) = edges[a], edges[b]
-        crosses[k, 0] = a1 * b2 - a2 * b1
-        crosses[k, 1] = a2 * b0 - a0 * b2
-        crosses[k, 2] = a0 * b1 - a1 * b0
-    e1, n = edges[0], crosses[0]
-    vol6 = e1[0] * n[0] + e1[1] * n[1] + e1[2] * n[2]
-    return edges, crosses, vol6
+        _cross(edges[a], edges[b], crosses[k])
+    return crosses, _vol6(edges[0], crosses[0])
 
 
 def tet_volumes(mesh: TetMesh) -> np.ndarray:
     """Signed volumes of all tetrahedra."""
-    return _tet_geometry(mesh.vertices, mesh.tets)[2] / 6.0
+    return _tet_vol6(mesh.vertices, mesh.tets) / 6.0
 
 
 def _lumped_volumes(mesh: TetMesh, vol6: np.ndarray) -> np.ndarray:
@@ -168,7 +197,7 @@ def _lumped_volumes(mesh: TetMesh, vol6: np.ndarray) -> np.ndarray:
 
 def nodal_volumes(mesh: TetMesh) -> np.ndarray:
     """Lumped control volume per vertex: a quarter of each adjacent tet."""
-    return _lumped_volumes(mesh, _tet_geometry(mesh.vertices, mesh.tets)[2])
+    return _lumped_volumes(mesh, _tet_vol6(mesh.vertices, mesh.tets))
 
 
 def _sort3(a: np.ndarray, b: np.ndarray, c: np.ndarray):
@@ -285,7 +314,7 @@ def validate_mesh(mesh: TetMesh, repair: bool = True) -> TetMesh:
     the (now positive) tetrahedra.
     Returns the mesh, modified in place.
     """
-    vol6 = _tet_geometry(mesh.vertices, mesh.tets)[2]
+    vol6 = _tet_vol6(mesh.vertices, mesh.tets)
     _check_volumes(vol6)
     inverted = vol6 < 0
     if np.any(inverted):
@@ -416,7 +445,7 @@ def _fix_orientation(vertices: np.ndarray, tets: np.ndarray) -> np.ndarray:
 
     The volumes are six times the signed volumes before the flip.
     """
-    vol6 = _tet_geometry(vertices, tets)[2]
+    vol6 = _tet_vol6(vertices, tets)
     _swap_last_corners(tets, vol6 < 0)
     return vol6
 
@@ -552,17 +581,264 @@ def generate_box_mesh(size: Sequence[float], divisions: Sequence[int],
 # VTK legacy ASCII I/O
 # =========================================================================
 
-# Rows formatted per write call; bounds the text held in memory at once.
+# Rows formatted per write call; bounds the text and the temporaries held
+# in memory at once.
 _ROW_CHUNK = 8192
-_FLOAT_ROW = "%.17g %.17g %.17g\n"
+
+# A finite float with _FAST_LOW < |x| < _FAST_HIGH has its decimal exponent
+# d in [-11, 15], so its 17 digits are x 10**k rounded, k = 16 - d in
+# [1, 27]: for x = M 2**E that is M 5**k shifted right by 1 to 62 bits, and
+# 5**27 < 2**63. The double nearest 1e-11 lies below 10**-11, so the bound
+# itself is left out. Zeros are written directly; other values go to `%`.
+_FAST_LOW, _FAST_HIGH = 1e-11, 2.0 ** 50
+_POW5 = np.array([5 ** k for k in range(28)], dtype=np.uint64)
+_POW5_HI, _POW5_LO = _POW5 >> 32, _POW5 & 0xFFFFFFFF
+# ASCII of the 4 digits of each 4-digit group, as one little-endian word,
+# and the rank of each digit after the lead one
+_GROUP = np.arange(10000, dtype=np.uint16)
+_GROUP_CHARS = (np.stack([_GROUP // 1000, _GROUP // 100 % 10,
+                          _GROUP // 10 % 10, _GROUP % 10], axis=1)
+                + 48).astype(np.uint8).view("<u4").ravel()
+_DIGIT_RANK = np.arange(1, 17, dtype=np.int8)[:, None]
+# Classes the values are sorted by: decimal exponent d + 11 (0-26), the
+# values written by `%`, and zeros, last, so that every text column but the
+# first leaves them out. Per class: the zeros written before the digits
+# (fixed form, d < 0), the characters before the point, and the length of
+# the exponent suffix (e-XX for d < -4).
+_SLOW, _ZERO = 27, 28
+_CLASS_D = np.arange(_ZERO + 1) - 11
+_LEAD_ZEROS = np.where((_CLASS_D < 0) & (_CLASS_D >= -4), -_CLASS_D, 0) \
+    .astype(np.int8)
+_POINT = np.maximum(_CLASS_D + 1, 1).astype(np.int8)
+_SUFFIX = np.where(_CLASS_D < -4, 4, 0).astype(np.int8)
+_LEAD_ZEROS[_SLOW:] = _POINT[_SLOW:] = 0
+_N_EXP = 7                              # classes of d = -11 to -5
+# Room past both ends of a chunk for the padding of its text columns.
+_MARGIN = 32
 
 
-def _write_rows(fh, row_format: str, rows: np.ndarray) -> None:
-    """Write ``row_format % row`` for every row, a chunk of rows at a time."""
+def _round_scaled(mant, k, s):
+    """floor(mant 5**k / 2**s) and whether round-half-even raises it by one.
+
+    ``mant`` < 2**53, 5**k < 2**63 and 1 <= s <= 62. The product of up to
+    116 bits is formed from 32-bit halves as a high and a low uint64 word;
+    the remainder is compared with one half at the top of a word.
+    """
+    p_hi, p_lo = _POW5_HI[k], _POW5_LO[k]
+    m_hi = mant >> 32
+    m_lo = mant & 0xFFFFFFFF
+    lo = m_lo * p_lo
+    m_lo *= p_hi
+    p_lo *= m_hi
+    m_lo += p_lo                        # middle word, < 2**64
+    m_hi *= p_hi
+    np.left_shift(m_lo, 32, out=p_lo)
+    p_lo += lo                          # low word of the product
+    carry = p_lo < lo
+    m_lo >>= 32
+    m_hi += m_lo
+    m_hi += carry                       # high word of the product
+    s = s.astype(np.uint64)
+    np.subtract(64, s, out=p_hi)
+    m_hi <<= p_hi
+    np.right_shift(p_lo, s, out=lo)
+    m_hi |= lo                          # the floor
+    p_lo <<= p_hi                       # the remainder, at the top
+    np.bitwise_and(m_hi, 1, out=lo)
+    p_lo += lo
+    return m_hi, p_lo > 2 ** 63
+
+
+def _float_text(x):
+    """``"%.17g" % v`` for every v of x as left-aligned text columns.
+
+    Returns the length of each text without its sign, whether it takes a
+    minus sign, the order of the values in the columns, and the columns.
+    The columns hold the values sorted by class, so each class has one
+    layout and is filled by slice copies; zeros come last and are left
+    out of every column but the first. Past its length, a column holds
+    padding.
+    """
+    n = len(x)
+    mag = np.abs(x)
+    sign = np.signbit(x)
+    fast = mag > _FAST_LOW
+    fast &= mag < _FAST_HIGH
+    zero = mag == 0.0
+    mag[~fast] = 1.0         # a stand-in, so log10 and the product stay finite
+    frac, exp2 = np.frexp(mag)
+    frac *= 2.0 ** 53
+    mant = frac.astype(np.int64).view(np.uint64)
+    dec = np.log10(mag)
+    np.floor(dec, out=dec)
+    np.maximum(dec, -11, out=dec)
+    np.minimum(dec, 15, out=dec)
+    dec = dec.astype(np.int64)
+    # x 10**(16 - d) = mant 5**(16 - d) / 2**(37 - exp2 + d)
+    digits, up = _round_scaled(mant, 16 - dec, 37 - exp2 + dec)
+    # log10 may miss d by one; the floor has 17 digits only for the right
+    # d. At 17 digits no double in the window rounds up to a power of ten:
+    # the largest double below each one lies more than 2e-17 below it.
+    bad = digits - 10 ** 16 >= 9 * 10 ** 16
+    if bad.any():
+        fix = np.flatnonzero(bad)
+        dec[fix] += np.where(digits[fix] < 10 ** 16, -1, 1)
+        digits[fix], up[fix] = _round_scaled(mant[fix], 16 - dec[fix],
+                                             37 - exp2[fix] + dec[fix])
+    digits += up
+
+    code = (dec + 11).astype(np.int8)
+    code[zero] = _ZERO
+    slow = np.flatnonzero(~(fast | zero))
+    code[slow] = _SLOW
+    order = np.argsort(code, kind="stable")
+    counts = np.bincount(code, minlength=_ZERO + 1)
+    bounds = np.cumsum(counts)
+    digits = digits[order]
+
+    # the lead digit, then four groups of 4 digits
+    groups = np.empty((5, n), dtype=np.uint32)
+    groups[0] = digits // 10 ** 16
+    digits -= groups[0] * np.uint64(10 ** 16)
+    high = digits // 10 ** 8
+    digits -= high * np.uint64(10 ** 8)
+    groups[2] = high
+    groups[1] = groups[2] // 10 ** 4
+    groups[2] -= groups[1] * 10 ** 4
+    groups[4] = digits
+    groups[3] = groups[4] // 10 ** 4
+    groups[4] -= groups[3] * 10 ** 4
+    # four zeros, for the leading zeros of fixed forms, then the 17 digits
+    chars = np.empty((21, n), dtype=np.uint8)
+    chars[:4] = 48
+    np.add(groups[0], 48, out=chars[4], casting="unsafe")
+    chars[5:].reshape(4, 4, n)[...] = \
+        _GROUP_CHARS[groups[1:].astype(np.intp)].view(np.uint8) \
+        .reshape(4, n, 4).transpose(0, 2, 1)
+    # digits up to the last nonzero one; the lead digit is never zero
+    n_digits = 1 + ((chars[5:] != 48) * _DIGIT_RANK).max(axis=0)
+
+    # %g: fixed form for -4 <= d < 17, else d.ddde-XX; trailing zeros go.
+    # A fixed form with d < 0 is its digits after -d zeros, the point after
+    # the first character; with d >= 0 the point follows d + 1 digits.
+    shown = n_digits + np.repeat(_LEAD_ZEROS, counts)
+    point = np.repeat(_POINT, counts)
+    size = np.maximum(shown, point)
+    size += shown > point
+    size += np.repeat(_SUFFIX, counts)
+    wide = int(bounds[_SLOW])
+    size[wide:] = 1
+    if slow.size:
+        texts = ("%.17g " * slow.size % tuple(x[slow].tolist())).split()
+        size[wide - slow.size:wide] = [len(t) for t in texts]
+        sign[slow] = False
+
+    width = int(size.max())
+    cols = np.empty((max(width, 22), n), dtype=np.uint8)
+    for c in counts.nonzero()[0]:
+        hi = int(bounds[c])
+        lo = hi - int(counts[c])
+        if c == _ZERO:
+            cols[0, lo:hi] = 48
+        elif c == _SLOW:
+            text = np.array(texts, dtype=bytes)
+            cols[:text.itemsize, lo:hi] = \
+                text.view(np.uint8).reshape(hi - lo, -1).T
+        else:
+            first, at = 4 - _LEAD_ZEROS[c], _POINT[c]
+            cols[:at, lo:hi] = chars[first:first + at, lo:hi]
+            cols[at, lo:hi] = 46
+            cols[at + 1:22 - first, lo:hi] = chars[first + at:, lo:hi]
+    n_exp = int(bounds[_N_EXP - 1])
+    if n_exp:
+        nd = n_digits[:n_exp].astype(np.intp)
+        flat = cols.reshape(-1)
+        at = (nd + (nd > 1)) * n + np.arange(n_exp)
+        exponent = np.repeat(-_CLASS_D[:_N_EXP], counts[:_N_EXP])
+        flat[at] = ord("e")
+        flat[at + n] = ord("-")
+        flat[at + 2 * n] = 48 + exponent // 10
+        flat[at + 3 * n] = 48 + exponent % 10
+    unsorted = np.empty_like(size)
+    unsorted[order] = size
+    return unsorted, sign, order, [cols[0]] + list(cols[1:width, :wide])
+
+
+def _int_text(v):
+    """``"%d" % v`` for every v of v as right-aligned digit columns.
+
+    Returns the number of digits of each value, whether it takes a minus
+    sign, None for the order (the columns keep the values' order) and the
+    columns, most significant first, zero-padded.
+    """
+    sign = v < 0
+    mag = np.abs(v).view(np.uint64)                 # -2**63 stays 2**63
+    top = int(mag.max())
+    if top < 2 ** 32:
+        mag = mag.astype(np.uint32)
+    width = len(str(top))
+    cols = np.empty((width, len(v)), dtype=np.uint8)
+    for j in range(width - 1):
+        power = 10 ** (width - 1 - j)
+        digit = mag // power
+        cols[j] = digit
+        mag -= digit * power
+    cols[width - 1] = mag
+    # digits from the first nonzero one; zero has one digit
+    rank = np.arange(width, 0, -1, dtype=np.int8)[:, None]
+    size = np.maximum(((cols != 0) * rank).max(axis=0), 1)
+    cols += 48
+    return size, sign, None, list(cols)
+
+
+def _format_rows(rows: np.ndarray, prefix: str = "") -> str:
+    """The text of ``row_format % tuple(row)`` for every row of (R, C) rows.
+
+    ``row_format`` is ``prefix`` and then C conversions, ``%.17g`` for a
+    float array and ``%d`` for an integer one, separated by spaces and
+    ended by a newline. Each value's text is laid out as fixed-width
+    character columns, each covering the values that reach it. Each column
+    is scattered at every value's running offset in one array operation,
+    in descending order for left-aligned text and ascending for
+    right-aligned, so a column's padding is always overwritten by a later
+    one. Signs go next, a space in front of an unsigned value, then
+    separators and prefixes over those spaces.
+    """
+    n_cols = rows.shape[1]
+    values = rows.ravel()
+    left = rows.dtype.kind == "f"
+    if left:
+        layout = _float_text(values.astype(np.float64, copy=False))
+    else:
+        layout = _int_text(values.astype(np.int64, copy=False))
+    size, sign, order, cols = layout
+    slot = size + sign + 1
+    if prefix:
+        slot[::n_cols] += len(prefix)
+    end = np.cumsum(slot) + _MARGIN
+    start = end - 1 - size
+    buf = np.empty(int(end[-1]) + _MARGIN, dtype=np.uint8)
+    width = len(cols)
+    base = start if left else start + size - width
+    if order is not None:
+        base = base[order]
+    for j in range(width - 1, -1, -1) if left else range(width):
+        buf[j:][base[:len(cols[j])]] = cols[j]
+    if sign.any():
+        buf[start - 1] = sign.view(np.uint8) * 13 + 32     # "-" or " "
+    buf[end - 1] = ord(" ")
+    buf[end[n_cols - 1::n_cols] - 1] = ord("\n")
+    row_start = end[::n_cols] - slot[::n_cols]
+    for j, char in enumerate(prefix.encode("ascii")):
+        buf[row_start + j] = char
+    return buf[_MARGIN:end[-1]].tobytes().decode("ascii")
+
+
+def _write_rows(fh, rows: np.ndarray, prefix: str = "") -> None:
+    """Write the rows as ``_format_rows`` lays them out, a chunk at a time."""
     rows = np.asarray(rows).reshape(len(rows), -1)
     for start in range(0, len(rows), _ROW_CHUNK):
-        block = rows[start:start + _ROW_CHUNK]
-        fh.write((row_format * len(block)) % tuple(block.ravel().tolist()))
+        fh.write(_format_rows(rows[start:start + _ROW_CHUNK], prefix))
 
 
 def _write_vtk(path: str | Path, mesh: TetMesh,
@@ -582,9 +858,9 @@ def _write_vtk(path: str | Path, mesh: TetMesh,
         data = np.asarray(data, dtype=float)
         if data.shape == (mesh.n_vertices,):
             blocks.append((f"SCALARS {name} double 1\nLOOKUP_TABLE default\n",
-                           "%.17g\n", data))
+                           data))
         elif data.shape == (mesh.n_vertices, 3):
-            blocks.append((f"VECTORS {name} double\n", _FLOAT_ROW, data))
+            blocks.append((f"VECTORS {name} double\n", data))
         else:
             raise ValidationError(
                 f"field {name!r} has shape {data.shape}; expected "
@@ -595,21 +871,21 @@ def _write_vtk(path: str | Path, mesh: TetMesh,
         fh.write(f"# vtk DataFile Version 3.0\n{title}\nASCII\n"
                  f"DATASET UNSTRUCTURED_GRID\n"
                  f"POINTS {mesh.n_vertices} double\n")
-        _write_rows(fh, _FLOAT_ROW, mesh.vertices)
+        _write_rows(fh, mesh.vertices)
         fh.write(f"CELLS {n_cells} {5 * mesh.n_tets + 4 * n_faces}\n")
-        _write_rows(fh, "4 %d %d %d %d\n", mesh.tets)
-        _write_rows(fh, "3 %d %d %d\n", mesh.boundary_faces)
+        _write_rows(fh, mesh.tets, "4 ")
+        _write_rows(fh, mesh.boundary_faces, "3 ")
         fh.write(f"CELL_TYPES {n_cells}\n")
         fh.write("10\n" * mesh.n_tets + "5\n" * n_faces)
         fh.write(f"CELL_DATA {n_cells}\nSCALARS boundary_label int 1\n"
                  "LOOKUP_TABLE default\n")
         fh.write("-1\n" * mesh.n_tets)
-        _write_rows(fh, "%d\n", mesh.boundary_labels)
+        _write_rows(fh, mesh.boundary_labels)
         if point_data is not None:
             fh.write(f"POINT_DATA {mesh.n_vertices}\n")
-            for header, row_format, rows in blocks:
+            for header, rows in blocks:
                 fh.write(header)
-                _write_rows(fh, row_format, rows)
+                _write_rows(fh, rows)
 
 
 def save_mesh(mesh: TetMesh, path: str | Path) -> None:
@@ -708,7 +984,7 @@ def _read_vtk(path: Path):
         elif tok == "SCALARS" and section is not None:
             name = tk.next()
             kind = tk.next()
-            if tk.tokens[tk.pos].isdigit():
+            if tk.pos < len(tk.tokens) and tk.tokens[tk.pos].isdigit():
                 tk.next()  # optional component count
             tk.expect("LOOKUP_TABLE")
             tk.next()

@@ -602,3 +602,15 @@ def test_load_truncated_file(tmp_path):
                     "DATASET UNSTRUCTURED_GRID\nPOINTS 10 double\n1 2 3\n")
     with pytest.raises(MeshError, match="end of file"):
         load_mesh(path)
+
+
+def test_load_file_ending_after_scalars_type(tmp_path):
+    """A saved mesh cut right after ``SCALARS <name> <type>`` leaves no
+    token for the optional component count."""
+    path = tmp_path / "cut.vtk"
+    save_mesh(generate_pipe_mesh(RADIUS, LENGTH, 0), path)
+    text = path.read_text()
+    header = "SCALARS boundary_label int"
+    path.write_text(text[:text.index(header) + len(header)])
+    with pytest.raises(MeshError, match="end of file"):
+        load_mesh(path)
