@@ -287,15 +287,6 @@ class SegmentStats:
     stds: list
     frame: int | None = None
 
-    def as_rows(self):
-        rows = []
-        for name, count, mean, std in zip(self.segments, self.counts,
-                                          self.means, self.stds):
-            rows.append({"segment": name, "frame": self.frame,
-                         "param": self.parameter, "count": count,
-                         "mean": mean, "std": std})
-        return rows
-
     @property
     def cross_mean(self):
         present = [m for m in self.means if m is not None]
@@ -446,21 +437,45 @@ def export_fields_vtk(mesh: TetMesh, point_data: dict,
     _write_vtk(path, mesh, point_data)
 
 
-def _fmt(value):
-    return "" if value is None else f"{value:.10g}"
+# The columns of the two biomarker tables, as written and as read back.
+_STATS_COLUMNS = ("segment", "frame", "param", "count", "mean", "std")
+_DIFFERENCE_COLUMNS = ("reference_mean", "alternative_mean",
+                       "absolute_difference", "relative_difference_pct")
+_COMPARISON_COLUMNS = ("segment", "frame", "param", "reference_model",
+                       "alternative_model", *_DIFFERENCE_COLUMNS)
+
+
+def _write_table(path: str | Path, columns: Sequence[str], rows) -> None:
+    """Write ``rows``, values in ``columns`` order, as CSV under a header:
+    None blank, a float (numpy float64 too) as ``%.10g``, else as it is."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(columns)
+        writer.writerows(["" if value is None else f"{value:.10g}"
+                          if isinstance(value, float) else value
+                          for value in row] for row in rows)
+
+
+def _read_table(path: str | Path, columns: Sequence[str]) -> list[dict]:
+    """The rows of a CSV table as text dicts keyed by its header; a
+    ValidationError if the file is unreadable or lacks one of ``columns``."""
+    try:
+        with open(path, newline="") as fh:
+            reader = csv.DictReader(fh)
+            for column in columns:
+                if column not in (reader.fieldnames or ()):
+                    raise ValidationError(f"{path}: no {column!r} column")
+            return list(reader)
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
+        raise ValidationError(f"cannot read {path}: {exc}") from exc
 
 
 def write_stats_csv(stats: Sequence[SegmentStats], path: str | Path) -> None:
-    """Write segment statistics as CSV rows segment,frame,param,mean,std."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["segment", "frame", "param", "count", "mean", "std"])
-        for block in stats:
-            for row in block.as_rows():
-                writer.writerow([row["segment"],
-                                 "" if row["frame"] is None else row["frame"],
-                                 row["param"], row["count"],
-                                 _fmt(row["mean"]), _fmt(row["std"])])
+    """Write segment statistics as CSV, one row per block and segment."""
+    _write_table(path, _STATS_COLUMNS, (
+        (name, block.frame, block.parameter, count, mean, std)
+        for block in stats for name, count, mean, std in
+        zip(block.segments, block.counts, block.means, block.stds)))
 
 
 def write_comparison_csv(rows: Sequence[dict], path: str | Path) -> None:
@@ -469,18 +484,5 @@ def write_comparison_csv(rows: Sequence[dict], path: str | Path) -> None:
     The model-name columns are blank for rows that do not name their
     models (bare ``compare_models`` output).
     """
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["segment", "frame", "param", "reference_model",
-                         "alternative_model", "reference_mean",
-                         "alternative_mean", "absolute_difference",
-                         "relative_difference_pct"])
-        for row in rows:
-            writer.writerow([row["segment"],
-                             "" if row["frame"] is None else row["frame"],
-                             row["param"], row.get("reference_model", ""),
-                             row.get("alternative_model", ""),
-                             _fmt(row["reference_mean"]),
-                             _fmt(row["alternative_mean"]),
-                             _fmt(row["absolute_difference"]),
-                             _fmt(row["relative_difference_pct"])])
+    _write_table(path, _COMPARISON_COLUMNS,
+                 ([row.get(c) for c in _COMPARISON_COLUMNS] for row in rows))

@@ -302,11 +302,11 @@ def _check_boundary(mesh: TetMesh, faces: np.ndarray) -> TetMesh:
     return mesh
 
 
-def validate_mesh(mesh: TetMesh, repair: bool = True) -> TetMesh:
-    """Check structural soundness; optionally repair inverted tetrahedra.
+def validate_mesh(mesh: TetMesh) -> TetMesh:
+    """Check structural soundness and repair inverted tetrahedra.
 
-    Checks positive tet volumes (repaired by swapping two vertices when
-    ``repair`` is true, with a warning), then derives the boundary of the
+    Checks nonzero tet volumes (a negative one is repaired by swapping
+    two vertices, with a warning), then derives the boundary of the
     tetrahedra once; the generators share this boundary check. The stored
     boundary triangles must match the derived ones one to one, and the
     boundary must be a closed manifold with nonnegative labels. The
@@ -318,8 +318,6 @@ def validate_mesh(mesh: TetMesh, repair: bool = True) -> TetMesh:
     _check_volumes(vol6)
     inverted = vol6 < 0
     if np.any(inverted):
-        if not repair:
-            raise MeshError(f"{int(inverted.sum())} inverted tetrahedra")
         warnings.warn(f"repaired {int(inverted.sum())} inverted tetrahedra "
                       "by vertex swap", stacklevel=2)
         _swap_last_corners(mesh.tets, inverted)
@@ -1029,4 +1027,4 @@ def load_mesh(path: str | Path) -> TetMesh:
                    boundary_faces=np.array(tris, dtype=np.int64).reshape(-1, 3),
                    boundary_labels=tri_labels,
                    metadata=metadata)
-    return validate_mesh(mesh, repair=True)
+    return validate_mesh(mesh)

@@ -16,7 +16,6 @@ by one write the same files as a run, byte for byte.
 from __future__ import annotations
 
 import configparser
-import csv
 import hashlib
 import json
 import logging
@@ -29,10 +28,11 @@ from . import __version__
 from .errors import HemoflowError, ValidationError
 from .flowfields import FlowWaveform, flow_rate, poiseuille_power_law, \
     pulsatile_scale
-from .hemodynamics import GradientOperator, SegmentStats, check_coverage, \
-    compare_models, export_fields_vtk, frame_biomarkers, interpolate_to_mesh, \
-    osi, recover_gradients, segment_stats, viscosity_at, \
-    write_comparison_csv, write_stats_csv
+from .hemodynamics import _COMPARISON_COLUMNS, _DIFFERENCE_COLUMNS, \
+    _STATS_COLUMNS, GradientOperator, SegmentStats, _read_table, \
+    _write_table, check_coverage, compare_models, export_fields_vtk, \
+    frame_biomarkers, interpolate_to_mesh, osi, recover_gradients, \
+    segment_stats, viscosity_at, write_comparison_csv, write_stats_csv
 from .mesh import CutPlane, generate_pipe_mesh, load_mesh, segment_labels, \
     segment_names, wall_normals
 from .mri import SequenceParams, add_noise, load_images, load_kspace, \
@@ -207,6 +207,12 @@ def load_config(path: str | Path | None = None,
         raise ValidationError(f"invalid config value: {exc}") from exc
 
 
+def _check_cuts(cuts: list[float], low: float, high: float) -> None:
+    if not all(low < z < high for z in cuts):
+        raise ValidationError(f"segment cuts_m {cuts} must lie inside the "
+                              f"pipe, between z = {low:g} and {high:g} m")
+
+
 def _typed_config(merged: dict) -> RunConfig:
     mesh_value = merged["paths"]["mesh"].strip()
     mesh_path = Path(mesh_value) if mesh_value else None
@@ -245,9 +251,8 @@ def _typed_config(merged: dict) -> RunConfig:
         raise ValidationError(f"segment cuts_m {cuts} must increase strictly "
                               "along the axis")
     length = float(merged["pipe"]["length_m"])
-    if mesh_path is None and not all(0 < z < length for z in cuts):
-        raise ValidationError(f"segment cuts_m {cuts} must lie inside the "
-                              f"{length:g} m pipe")
+    if mesh_path is None:
+        _check_cuts(cuts, 0.0, length)
 
     return RunConfig(
         text=render_config(merged, with_output_dir=False),
@@ -322,19 +327,24 @@ def write_rheology_json(cfg: RunConfig, fitted: dict, path: Path) -> None:
 # =========================================================================
 
 def stage_mesh(cfg: RunConfig):
-    if cfg.mesh_path is not None:
-        log.info("loading mesh %s", cfg.mesh_path)
-        return load_mesh(cfg.mesh_path)
-    log.info("generating pipe mesh (R=%g m, L=%g m, resolution %d)",
-             cfg.pipe_radius, cfg.pipe_length, cfg.pipe_resolution)
-    return generate_pipe_mesh(cfg.pipe_radius, cfg.pipe_length,
-                              resolution=cfg.pipe_resolution)
+    if cfg.mesh_path is None:
+        log.info("generating pipe mesh (R=%g m, L=%g m, resolution %d)",
+                 cfg.pipe_radius, cfg.pipe_length, cfg.pipe_resolution)
+        return generate_pipe_mesh(cfg.pipe_radius, cfg.pipe_length,
+                                  resolution=cfg.pipe_resolution)
+    log.info("loading mesh %s", cfg.mesh_path)
+    mesh = load_mesh(cfg.mesh_path)
+    # config load checks the cuts against [pipe] only for a generated pipe
+    axial = mesh.vertices[:, 2]
+    _check_cuts(cfg.cuts, axial.min(), axial.max())
+    return mesh
 
 
 def stage_flow(cfg: RunConfig, mesh, pl: PowerLawParams, out: Path):
     """Pulsatile power-law pipe field sampled at the cardiac phases.
 
-    Writes the mid-pipe flow rate per phase to ``flow.csv``.
+    Writes the flow rate per phase through the middle of the mesh's pipe
+    to ``flow.csv``.
     """
     steady = poiseuille_power_law(mesh, pl, cfg.pressure_drop)
     peak_speed = np.linalg.norm(steady.values[0], axis=1).max()
@@ -346,28 +356,21 @@ def stage_flow(cfg: RunConfig, mesh, pl: PowerLawParams, out: Path):
                                            * shape.period),
         period=cfg.period)
     field = pulsatile_scale(steady, scaled)
-    mid = CutPlane(point=(0.0, 0.0, cfg.pipe_length / 2.0),
+    mid = CutPlane(point=(0.0, 0.0, mesh.metadata["pipe"]["length"] / 2.0),
                    normal=(0.0, 0.0, 1.0))
     flows = flow_rate(field, mesh, mid)
     log.info("flow: peak velocity %.3f m/s, peak flow %.1f ml/s",
              peak_speed, flows.max() * 1e6)
-    with open(out / "flow.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["time_s", "flow_m3_s", "flow_ml_s"])
-        for t, q in zip(field.times, flows):
-            writer.writerow([f"{t:.10g}", f"{q:.10g}", f"{q * 1e6:.10g}"])
+    _write_table(out / "flow.csv", ("time_s", "flow_m3_s", "flow_ml_s"),
+                 zip(field.times, flows, flows * 1e6))
     return field, flows
 
 
 def write_windkessel_csv(trace, path: Path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["time_s", "flow_ml_s", "pressure_mmhg",
-                         "distal_pressure_mmhg"])
-        for t, q, p, pd in zip(trace.times, trace.flow, trace.pressure,
-                               trace.distal_pressure):
-            writer.writerow([f"{t:.10g}", f"{q:.10g}",
-                             f"{p / MMHG:.10g}", f"{pd / MMHG:.10g}"])
+    _write_table(path, ("time_s", "flow_ml_s", "pressure_mmhg",
+                        "distal_pressure_mmhg"),
+                 zip(trace.times, trace.flow, trace.pressure / MMHG,
+                     trace.distal_pressure / MMHG))
 
 
 def stage_windkessel(cfg: RunConfig, field, flows, out: Path):
@@ -492,30 +495,32 @@ def stage_estimate(cfg: RunConfig, fitted: dict, mesh, images: list[Path],
     }, out / "fields_systole.vtk")
 
 
+def _number(path: str | Path, row: dict, column: str, kind=float):
+    """``row[column]`` as ``kind``, None if blank; ``path`` names the
+    table in the error."""
+    text = row[column]
+    try:
+        return kind(text) if text else None
+    except ValueError:
+        raise ValidationError(f"{path}: {column} {text!r} is not "
+                              "a number") from None
+
+
 def read_stats(path: str | Path, reference: str,
                frame: int | None = None) -> tuple[dict, int]:
     """A stats CSV as written, keyed by (param, frame), and its systolic
     frame: ``frame`` if given, else the frame with the highest
     cross-segment mean ``wss:<reference>``."""
     blocks: dict[tuple, SegmentStats] = {}
-    try:
-        with open(path, newline="") as fh:
-            rows = list(csv.DictReader(fh))
-    except OSError as exc:
-        raise ValidationError(f"cannot read stats file {path}: {exc}") from exc
-    for row in rows:
-        try:
-            at = int(row["frame"]) if row["frame"] else None
-            block = blocks.setdefault((row["param"], at), SegmentStats(
-                parameter=row["param"], segments=[], counts=[], means=[],
-                stds=[], frame=at))
-            block.segments.append(row["segment"])
-            block.counts.append(int(row["count"]))
-            block.means.append(float(row["mean"]) if row["mean"] else None)
-            block.stds.append(float(row["std"]) if row["std"] else None)
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ValidationError(
-                f"{path}: malformed stats row {row!r}: {exc}") from exc
+    for row in _read_table(path, _STATS_COLUMNS):
+        at = _number(path, row, "frame", int)
+        block = blocks.setdefault((row["param"], at), SegmentStats(
+            parameter=row["param"], segments=[], counts=[], means=[],
+            stds=[], frame=at))
+        block.segments.append(row["segment"])
+        block.counts.append(_number(path, row, "count", int))
+        block.means.append(_number(path, row, "mean"))
+        block.stds.append(_number(path, row, "std"))
     if not blocks:
         raise ValidationError(f"{path}: no statistics rows found")
     if frame is None:
@@ -527,6 +532,8 @@ def read_stats(path: str | Path, reference: str,
             raise ValidationError(
                 f"stats contain no per-frame wss:{reference} rows")
         frame = max(wss_means, key=wss_means.get)
+    elif not any(at == frame for _, at in blocks):
+        raise ValidationError(f"{path}: no rows at frame {frame}")
     return blocks, frame
 
 
@@ -564,20 +571,9 @@ def stage_report(stats: str | Path, comparison: str | Path | None,
     blocks, systolic = read_stats(stats, reference, frame)
     rows = None
     if comparison is not None:
-        try:
-            with open(comparison, newline="") as fh:
-                raw = list(csv.DictReader(fh))
-        except OSError as exc:
-            raise ValidationError(
-                f"cannot read comparison {comparison}: {exc}") from exc
-        numbers = ("reference_mean", "alternative_mean",
-                   "absolute_difference", "relative_difference_pct")
-        try:
-            rows = [{**row, **{key: float(row[key]) if row[key] else None
-                               for key in numbers}} for row in raw]
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ValidationError(
-                f"{comparison}: malformed comparison row: {exc}") from exc
+        rows = [{**row, **{key: _number(comparison, row, key)
+                           for key in _DIFFERENCE_COLUMNS}}
+                for row in _read_table(comparison, _COMPARISON_COLUMNS)]
     write_report(blocks, rows, systolic, out)
 
 

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from hemoflow.cli import load_config, main
 from hemoflow.errors import ValidationError
+from hemoflow.mesh import generate_pipe_mesh, save_mesh
 from hemoflow.pipeline import render_config
 
 FAST_CONFIG = """\
@@ -301,6 +302,52 @@ def test_malformed_stage_inputs_exit_2(demo, tmp_path, capsys):
         assert "oops" in capsys.readouterr().err
 
 
+def drop_column(source, column, target):
+    rows = read_rows(source)
+    with open(target, "w", newline="") as fh:
+        writer = csv.DictWriter(fh, [c for c in rows[0] if c != column],
+                                extrasaction="ignore")
+        writer.writeheader()
+        writer.writerows(rows)
+
+
+def test_stage_input_without_a_column_exits_2(demo, tmp_path, capsys):
+    # a table lacking a column is rejected by name, never a KeyError
+    _, out = demo
+    stats, table = tmp_path / "stats.csv", tmp_path / "comparison.csv"
+    drop_column(out / "stats.csv", "count", stats)
+    drop_column(out / "comparison.csv", "alternative_model", table)
+    for argv, path, column in (
+            (["compare", "--stats", str(stats), "--alternative",
+              "newtonian_fit1", "--out", str(tmp_path / "again.csv")],
+             stats, "count"),
+            (["report", "--stats", str(stats), "--out",
+              str(tmp_path / "report")], stats, "count"),
+            (["report", "--stats", str(out / "stats.csv"), "--comparison",
+              str(table), "--out", str(tmp_path / "report")],
+             table, "alternative_model")):
+        assert main(argv) == 2, f"{argv[0]} accepted {path.name} " \
+            f"without {column}"
+        err = capsys.readouterr().err
+        assert str(path) in err and repr(column) in err
+
+
+def test_a_frame_without_rows_exits_2(demo, tmp_path, capsys):
+    # compare and report agree: a --frame the stats do not hold is bad
+    # input, not a report that silently drops its per-frame tables
+    _, out = demo
+    stats = str(out / "stats.csv")
+    for argv in (["compare", "--stats", stats, "--alternative",
+                  "newtonian_fit1", "--frame", "99",
+                  "--out", str(tmp_path / "again.csv")],
+                 ["report", "--stats", stats, "--frame", "99",
+                  "--out", str(tmp_path / "report")]):
+        assert main(argv) == 2, f"{argv[0]} accepted --frame 99"
+        err = capsys.readouterr().err
+        assert stats in err and "frame 99" in err
+    assert not (tmp_path / "report" / "report.md").exists()
+
+
 # =========================================================================
 # Config validation and exit codes
 # =========================================================================
@@ -368,6 +415,45 @@ def test_bad_segment_cuts_fail_at_config_load(tmp_path, capsys):
         assert "cuts_m" in capsys.readouterr().err
         assert not list(out.glob("kspace_*")), \
             f"cuts {cuts} were rejected only after synthesis"
+
+
+def save_pipe(length, path):
+    save_mesh(generate_pipe_mesh(0.01, length, resolution=0), path)
+
+
+def test_loaded_pipe_sets_the_flow_plane(tmp_path):
+    # the flow plane sits in the middle of the loaded pipe, not of the
+    # [pipe] length_m it was not generated from: a saved 0.05 m pipe
+    # gives the generated 0.05 m pipe's artifacts
+    save_pipe(0.05, tmp_path / "short.vtk")
+    common = ("[flow]\ncardiac_phases = 2\n"
+              "[segments]\ncuts_m = 0.0125, 0.025, 0.0375\n")
+    runs = {"generated": "[pipe]\nlength_m = 0.05\n",
+            "loaded": f"[paths]\nmesh = {tmp_path / 'short.vtk'}\n"}
+    for name, extra in runs.items():
+        config = tmp_path / f"{name}.ini"
+        config.write_text(common + extra)
+        assert main(["run", "--config", str(config), "--out",
+                     str(tmp_path / name)]) == 0, f"{name} run failed"
+    for artifact in ("flow.csv", "stats.csv", "comparison.csv",
+                     "fields_systole.vtk"):
+        assert (tmp_path / "generated" / artifact).read_bytes() == \
+            (tmp_path / "loaded" / artifact).read_bytes(), artifact
+
+
+def test_loaded_mesh_cuts_fail_before_synthesis(tmp_path, capsys):
+    # a cut past the end of a loaded 0.08 m pipe is found at stage mesh,
+    # not after every phase is synthesized
+    save_pipe(0.08, tmp_path / "pipe.vtk")
+    config = tmp_path / "bad.ini"
+    config.write_text(f"[paths]\nmesh = {tmp_path / 'pipe.vtk'}\n"
+                      "[flow]\ncardiac_phases = 2\n"
+                      "[segments]\ncuts_m = 0.02, 0.05, 0.09\n")
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(config), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "[stage mesh]" in err and "cuts_m" in err
+    assert not list(out.glob("kspace_*")), "phases synthesized before the check"
 
 
 def test_out_of_range_hematocrit_exits_2(tmp_path, capsys):

@@ -525,8 +525,7 @@ def test_segment_stats_basic_identities():
     assert stats.means[1] == pytest.approx(23.0 / 3.0)
     assert stats.stds[0] == pytest.approx(1.0)
     assert stats.cross_mean == pytest.approx((2.0 + 23.0 / 3.0) / 2.0)
-    rows = stats.as_rows()
-    assert rows[0]["segment"] == "proximal" and rows[0]["frame"] == 4
+    assert stats.segments[0] == "proximal" and stats.frame == 4
 
 
 def test_segment_stats_empty_segment_is_missing_not_zero():

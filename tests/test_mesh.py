@@ -33,6 +33,13 @@ from hemoflow.mesh import (
 RADIUS, LENGTH = 0.01, 0.1
 
 
+def validate_unrepaired(mesh):
+    """validate_mesh, failing on the warning of any repair it makes."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        return validate_mesh(mesh)
+
+
 def make_ball(divisions=12, radius=0.01):
     """Tet ball with a spherical boundary via a cube-to-ball vertex map."""
     box = generate_box_mesh((2.0, 2.0, 2.0), (divisions,) * 3)
@@ -42,7 +49,7 @@ def make_ball(divisions=12, radius=0.01):
     scale = np.where(norm2 > 0, np.abs(v).max(axis=1) / safe, 1.0)
     ball = TetMesh(v * scale[:, None] * radius, box.tets.copy(),
                    box.boundary_faces.copy(), box.boundary_labels.copy())
-    return validate_mesh(ball, repair=True)
+    return validate_mesh(ball)
 
 
 def make_u_bend(resolution=0):
@@ -57,7 +64,7 @@ def make_u_bend(resolution=0):
                    pipe.boundary_labels.copy())
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        return validate_mesh(mesh, repair=True), bend_radius
+        return validate_mesh(mesh), bend_radius
 
 
 # =========================================================================
@@ -284,15 +291,8 @@ def test_inverted_tet_repair_warns_and_fixes():
     mesh = generate_pipe_mesh(RADIUS, LENGTH, 0)
     mesh.tets[7] = mesh.tets[7][[0, 1, 3, 2]]
     with pytest.warns(UserWarning, match="inverted"):
-        validate_mesh(mesh, repair=True)
+        validate_mesh(mesh)
     assert np.all(tet_volumes(mesh) > 0)
-
-
-def test_inverted_tet_without_repair_raises():
-    mesh = generate_pipe_mesh(RADIUS, LENGTH, 0)
-    mesh.tets[7] = mesh.tets[7][[0, 1, 3, 2]]
-    with pytest.raises(MeshError, match="inverted"):
-        validate_mesh(mesh, repair=False)
 
 
 def test_boundary_mismatch_detected():
@@ -317,7 +317,7 @@ def test_validate_restores_permuted_rewound_boundary(name):
                                            axis=1),
                         mesh.boundary_labels[order])
     assert not np.array_equal(scrambled.boundary_faces, mesh.boundary_faces)
-    validate_mesh(scrambled, repair=False)
+    validate_unrepaired(scrambled)
     assert np.array_equal(scrambled.boundary_faces, mesh.boundary_faces)
     assert np.array_equal(scrambled.boundary_labels, mesh.boundary_labels)
 
@@ -354,7 +354,7 @@ def rotated_shifted_pipe():
     q *= np.sign(np.linalg.det(q))               # a proper rotation
     moved = TetMesh(pipe.vertices @ q.T + [0.3, -0.1, 0.2], pipe.tets.copy(),
                     pipe.boundary_faces.copy(), pipe.boundary_labels.copy())
-    return validate_mesh(moved, repair=False)
+    return validate_unrepaired(moved)
 
 
 def inverted_scrambled_pipe():
@@ -371,7 +371,7 @@ def inverted_scrambled_pipe():
                    np.take_along_axis(pipe.boundary_faces, pick, axis=1),
                    pipe.boundary_labels)
     with pytest.warns(UserWarning, match="repaired .* inverted"):
-        return validate_mesh(mesh, repair=True)
+        return validate_mesh(mesh)
 
 
 @pytest.mark.parametrize("name", [
@@ -432,7 +432,7 @@ def labelled_negative():
         "negative_label"])
 def test_validate_rejects_unsound_meshes(build, message):
     with pytest.raises(MeshError, match=message):
-        validate_mesh(build(), repair=False)
+        validate_unrepaired(build())
 
 
 def test_mesh_index_bounds_checked():
