@@ -127,7 +127,8 @@ def cmd_estimate(args) -> int:
     cfg = _config_from_args(args, need_out=True)
     files = _sidecars(args.images, "images")
     out = cfg.output_dir
-    stage_estimate(cfg, fit_models(cfg), stage_mesh(cfg), files, out)
+    stage_estimate(cfg, fit_models(cfg), stage_mesh(cfg, flow=False), files,
+                   out)
     stage_compare(out / "stats.csv", cfg.reference_model,
                   cfg.alternative_models, out / "comparison.csv")
     print(out)

@@ -39,10 +39,12 @@ The sum is evaluated in one pass for all requested encodes:
    gives C_m = sum L Re(s_z^m) and J_m = sum L Im(s_z^m) together, at
    half the flops of the complex product; partition +-m is
    C_m +- i J_m, unfolded once per frame.
-5. Blocks. Quadrature points are taken in fixed blocks whose products
-   accumulate into per-sample sums, so table memory does not grow with
-   the mesh. Each block builds its own point-major encode amplitudes
-   w_q M0 e^{-i pi u_a/VENC}.
+5. Blocks. The tets are taken in blocks of about ``_BLOCK`` quadrature
+   points, and each block makes its own points: positions, velocities
+   and weights w_q vol M0 come from its tets' corners, and its
+   point-major encode amplitudes w_q vol M0 e^{-i pi u_a/VENC} from
+   those. The block's products accumulate into per-sample sums, so
+   neither the tables nor the points grow with the mesh.
 
 All quantities are SI: meters, seconds, tesla. Note the slew rate unit
 is T/m/s (195 T/m/s is a typical whole-body gradient system).
@@ -62,7 +64,7 @@ import numpy as np
 
 from .errors import SequenceError, ValidationError
 from .flowfields import VelocityField
-from .mesh import TetMesh, tet_volumes
+from .mesh import TetMesh, _tet_vol6
 
 __all__ = [
     "GYROMAGNETIC_RATIO",
@@ -375,25 +377,36 @@ _RULE11 = (
 _TET_RULES = {4: _RULE4, 11: _RULE11}
 
 
-def _quadrature(mesh: TetMesh, m0: np.ndarray, velocities: np.ndarray,
-                n_points: int):
-    """Quadrature positions, weights, and interpolated M0/velocity."""
+def _tet_rule(n_points: int):
+    """Barycentric points and weights of the ``n_points`` rule."""
     try:
-        bary, weights = _TET_RULES[n_points]
+        return _TET_RULES[n_points]
     except KeyError:
         raise ValidationError(
             f"unsupported quadrature {n_points}; choose from "
             f"{sorted(_TET_RULES)}") from None
-    corners = mesh.vertices[mesh.tets]                      # (T, 4, 3)
-    pos = np.einsum("pb,tbc->ptc", bary, corners)
-    wq = (tet_volumes(mesh)[None, :] * weights[:, None]).ravel()
-    m0q = np.einsum("pb,tb->pt", bary, m0[mesh.tets]).ravel()
-    uq = np.einsum("pb,tbc->ptc", bary, velocities[mesh.tets])
-    return pos.reshape(-1, 3), wq, m0q, uq.reshape(-1, 3)
 
 
-# quadrature points per block of the synthesis kernel; bounds the ramp
-# tables and the matmul operand to a few MB whatever the mesh size
+def _quadrature(vertices: np.ndarray, tets: np.ndarray, m0: np.ndarray,
+                velocities: np.ndarray, rule):
+    """Quadrature points of a block of tets, (n, 4) corner indices.
+
+    Returns positions (q n, 3), weights w vol M0 (q n,) and velocities
+    (q n, 3), point-major: rule point p of tet t is row p n + t. Each is
+    one (q x 4) @ (4 x ...) product of the corner values, gathered once.
+    """
+    bary, weights = rule
+    corners = tets.T                                        # (4, n)
+    vol = _tet_vol6(vertices, tets) / 6.0
+    pos = bary @ vertices[corners].reshape(4, -1)
+    vel = bary @ velocities[corners].reshape(4, -1)
+    wm = (weights[:, None] * bary) @ (m0[corners] * vol)
+    return pos.reshape(-1, 3), wm.ravel(), vel.reshape(-1, 3)
+
+
+# quadrature points per block of the synthesis kernel, rounded down to
+# whole tets; bounds the points, the ramp tables and the matmul operand
+# to a few MB whatever the mesh size
 _BLOCK = 2048
 
 
@@ -460,42 +473,47 @@ def _sample_factors(pos, vel, times, k_ro, k_pe, k_pz, t2_star):
             g *= h
 
 
-def _folded_sums(pos, wm, vel, times, k_ro, k_pe, k_pz, encodes, venc,
-                 t2_star):
+def _folded_sums(mesh: TetMesh, m0, velocities, rule,
+                 params: SequenceParams, times, encodes):
     """Per-sample block sums against the real partition table.
 
     Returns (n_ro, 2c+1, n_enc * n_pe), c = n_pz // 2: for each readout
     sample, the sums of L = amp * ey against Re(s_z^m), m = 0..c, then
-    against Im(s_z^m), m = 1..c.
+    against Im(s_z^m), m = 1..c. The quadrature points are made one
+    block of tets at a time.
     """
+    k_ro, k_pe, k_pz = params.k_axes()
     n_enc, n_pe = len(encodes), k_pe.size
     c = k_pz.size // 2
     rows, width = 2 * c + 1, n_enc * n_pe
     folded = np.zeros((k_ro.size, rows, width), dtype=complex)
     prod = np.empty((rows, width), dtype=complex)
+    # whole tets per block; a rule with more points than _BLOCK takes one
+    per_block = max(1, _BLOCK // len(rule[1]))
     # table buffers sized for a full block, allocated once per frame; a
     # block uses contiguous prefixes of them
+    n_max = per_block * len(rule[1])
     amp_buf, ey_buf, pz_buf, left_buf = (
-        np.empty(size * _BLOCK, dtype=complex)
+        np.empty(size * n_max, dtype=complex)
         for size in (n_enc, n_pe, c, width))
-    table_buf = np.empty(rows * _BLOCK)
-    for lo in range(0, wm.size, _BLOCK):
-        block = slice(lo, lo + _BLOCK)
-        n = min(_BLOCK, wm.size - lo)
+    table_buf = np.empty(rows * n_max)
+    for lo in range(0, mesh.n_tets, per_block):
+        pos, wm, vel = _quadrature(mesh.vertices, mesh.tets[lo:lo + per_block],
+                                   m0, velocities, rule)
+        n = wm.size
         amp = amp_buf[:n * n_enc].reshape(n, n_enc)
         for col, encode in enumerate(encodes):
-            amp[:, col] = wm[block]
+            amp[:, col] = wm
             if encode != "ref":
-                amp[:, col] *= np.exp(-1j * np.pi
-                                      * vel[block, "xyz".index(encode)]
-                                      / venc)
+                amp[:, col] *= np.exp(-1j * np.pi * vel[:, "xyz".index(encode)]
+                                      / params.venc)
         ey = ey_buf[:n_pe * n].reshape(n_pe, n)
         pz = pz_buf[:c * n].reshape(c, n)
         left = left_buf[:n * width].reshape(n, width)
         table = table_buf[:rows * n].reshape(rows, n)
         table[0] = 1.0
-        samples = _sample_factors(pos[block], vel[block], times, k_ro, k_pe,
-                                  k_pz, t2_star)
+        samples = _sample_factors(pos, vel, times, k_ro, k_pe, k_pz,
+                                  params.t2_star)
         for i, (a, s_y, s_z) in enumerate(samples):
             _ramp(a, s_y, ey)
             _ramp(s_z, s_z, pz)
@@ -531,6 +549,7 @@ def _synthesize(mesh: TetMesh, m0: np.ndarray, field: VelocityField,
                 params: SequenceParams, encodes: tuple[str, ...],
                 frame: int, quadrature: int) -> KSpaceData:
     """k-space grids of ``encodes`` for one frame, all in one pass."""
+    rule = _tet_rule(quadrature)
     if not 0 <= frame < field.n_frames:
         raise ValidationError(f"frame {frame} outside 0..{field.n_frames - 1}")
     if field.n_vertices != mesh.n_vertices:
@@ -542,12 +561,11 @@ def _synthesize(mesh: TetMesh, m0: np.ndarray, field: VelocityField,
         raise ValidationError("m0 must be finite and nonnegative")
 
     timings = sequence_timings(params)
-    pos, wq, m0q, uq = _quadrature(mesh, m0, field.values[frame], quadrature)
-    k_ro, k_pe, k_pz = params.k_axes()
-    folded = _folded_sums(pos, wq * m0q, uq, timings.sample_times, k_ro, k_pe,
-                          k_pz, encodes, params.venc, params.t2_star)
-    grids = _unfold(folded.reshape(k_ro.size, -1, len(encodes), k_pe.size)
-                    .transpose(2, 0, 3, 1), k_pz.size)
+    folded = _folded_sums(mesh, m0, field.values[frame], rule, params,
+                          timings.sample_times, encodes)
+    n_ro, n_pe, n_pz = params.acquired_readout, *params.matrix[1:]
+    grids = _unfold(folded.reshape(n_ro, -1, len(encodes), n_pe)
+                    .transpose(2, 0, 3, 1), n_pz)
     return KSpaceData(signals=dict(zip(encodes, grids)),
                       sample_times=timings.sample_times, params=params,
                       frame_time=float(field.times[frame]))

@@ -35,8 +35,8 @@ from .hemodynamics import _COMPARISON_COLUMNS, _DIFFERENCE_COLUMNS, \
     segment_stats, viscosity_at, write_comparison_csv, write_stats_csv
 from .mesh import CutPlane, generate_pipe_mesh, load_mesh, segment_labels, \
     segment_names, wall_normals
-from .mri import SequenceParams, add_noise, load_images, load_kspace, \
-    phase_to_velocity, reconstruct, save_images, save_kspace, \
+from .mri import SequenceParams, _tet_rule, add_noise, load_images, \
+    load_kspace, phase_to_velocity, reconstruct, save_images, save_kspace, \
     sequence_timings, synthesize_frame
 from .phantoms import MMHG, inlet_waveform
 from .report import QUANTITIES, write_report
@@ -253,6 +253,8 @@ def _typed_config(merged: dict) -> RunConfig:
     length = float(merged["pipe"]["length_m"])
     if mesh_path is None:
         _check_cuts(cuts, 0.0, length)
+    quadrature = int(seq["quadrature"])
+    _tet_rule(quadrature)
 
     return RunConfig(
         text=render_config(merged, with_output_dir=False),
@@ -268,7 +270,7 @@ def _typed_config(merged: dict) -> RunConfig:
         period=float(merged["flow"]["cardiac_period_s"]),
         phases=int(merged["flow"]["cardiac_phases"]),
         sequence=sequence,
-        quadrature=int(seq["quadrature"]),
+        quadrature=quadrature,
         sigma_fraction=float(merged["noise"]["sigma_fraction"]),
         seed=int(merged["noise"]["seed"]),
         cuts=cuts,
@@ -326,7 +328,13 @@ def write_rheology_json(cfg: RunConfig, fitted: dict, path: Path) -> None:
 # Pipeline stages
 # =========================================================================
 
-def stage_mesh(cfg: RunConfig):
+def stage_mesh(cfg: RunConfig, flow: bool = True):
+    """The generated pipe, or the loaded mesh checked against the config.
+
+    A loaded mesh must span the segment cuts. With ``flow`` it must also
+    be a saved generated pipe, whose geometry the flow stage's analytic
+    profile needs; ``hemoflow estimate`` makes no flow and takes any mesh.
+    """
     if cfg.mesh_path is None:
         log.info("generating pipe mesh (R=%g m, L=%g m, resolution %d)",
                  cfg.pipe_radius, cfg.pipe_length, cfg.pipe_resolution)
@@ -334,6 +342,10 @@ def stage_mesh(cfg: RunConfig):
                                   resolution=cfg.pipe_resolution)
     log.info("loading mesh %s", cfg.mesh_path)
     mesh = load_mesh(cfg.mesh_path)
+    if flow and not mesh.metadata.get("pipe"):
+        raise ValidationError(f"mesh {cfg.mesh_path} carries no pipe "
+                              "geometry; the flow stage needs a saved "
+                              "generated pipe mesh")
     # config load checks the cuts against [pipe] only for a generated pipe
     axial = mesh.vertices[:, 2]
     _check_cuts(cfg.cuts, axial.min(), axial.max())

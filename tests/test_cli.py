@@ -14,7 +14,8 @@ from hypothesis import strategies as st
 
 from hemoflow.cli import load_config, main
 from hemoflow.errors import ValidationError
-from hemoflow.mesh import generate_pipe_mesh, save_mesh
+from hemoflow.mesh import generate_box_mesh, generate_pipe_mesh, \
+    save_mesh
 from hemoflow.pipeline import render_config
 
 FAST_CONFIG = """\
@@ -417,6 +418,21 @@ def test_bad_segment_cuts_fail_at_config_load(tmp_path, capsys):
             f"cuts {cuts} were rejected only after synthesis"
 
 
+def test_unsupported_quadrature_fails_at_config_load(tmp_path, capsys):
+    # the rule is checked against the synthesis rule table when the
+    # config loads, so no stage writes anything
+    config = tmp_path / "bad.ini"
+    config.write_text("[flow]\ncardiac_phases = 2\n"
+                      "[sequence]\nquadrature = 7\n")
+    for command in ("run", "synth-mri"):
+        out = tmp_path / command
+        assert main([command, "--config", str(config), "--out",
+                     str(out)]) == 2, f"{command} accepted quadrature 7"
+        err = capsys.readouterr().err
+        assert "quadrature 7" in err and "[4, 11]" in err
+        assert not out.exists(), f"{command} wrote before the check"
+
+
 def save_pipe(length, path):
     save_mesh(generate_pipe_mesh(0.01, length, resolution=0), path)
 
@@ -454,6 +470,29 @@ def test_loaded_mesh_cuts_fail_before_synthesis(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "[stage mesh]" in err and "cuts_m" in err
     assert not list(out.glob("kspace_*")), "phases synthesized before the check"
+
+
+def test_mesh_without_pipe_geometry_exits_2_before_synthesis(demo, tmp_path,
+                                                          capsys):
+    # a saved box spans the cuts and the image grid but carries no pipe
+    # geometry for the flow stage: run and synth-mri refuse it as bad
+    # input at stage mesh; estimate makes no flow and takes it
+    box = generate_box_mesh((0.01, 0.01, 0.08), (2, 2, 8),
+                            center=(0.0, 0.0, 0.05))
+    save_mesh(box, tmp_path / "box.vtk")
+    config = tmp_path / "box.ini"
+    config.write_text(f"[paths]\nmesh = {tmp_path / 'box.vtk'}\n"
+                      "[flow]\ncardiac_phases = 2\n")
+    for command in ("run", "synth-mri"):
+        out = tmp_path / command
+        assert main([command, "--config", str(config), "--out",
+                     str(out)]) == 2, f"{command} accepted the box"
+        assert "no pipe geometry" in capsys.readouterr().err
+        assert not list(out.glob("kspace_*")), \
+            f"{command} synthesized before the check"
+    _, images = demo
+    assert main(["estimate", "--images", str(images), "--config",
+                 str(config), "--out", str(tmp_path / "estimate")]) == 0
 
 
 def test_out_of_range_hematocrit_exits_2(tmp_path, capsys):
@@ -542,7 +581,7 @@ CONFIG_VALUES = st.fixed_dictionaries({
     ("sequence", "matrix"): triple(st.integers(2, 128)),
     ("sequence", "voxel_mm"): triple(st.floats(0.5, 5.0)),
     ("sequence", "fov_center_mm"): triple(st.floats(-100.0, 100.0)),
-    ("sequence", "quadrature"): st.sampled_from(["1", "4", "11"]),
+    ("sequence", "quadrature"): st.sampled_from(["4", "11"]),
     ("noise", "sigma_fraction"): number(0.0, 0.1),
     ("noise", "seed"): st.integers(0, 2**31 - 1).map(str),
     ("windkessel", "compliance_cgs"): number(1e-5, 1e-2),

@@ -1,6 +1,7 @@
 """Tests for sequence timing, signal synthesis, reconstruction, decoding."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,8 +11,8 @@ from hypothesis import strategies as st
 from hemoflow.errors import SequenceError, ValidationError
 from hemoflow.flowfields import VelocityField
 from hemoflow.mesh import generate_box_mesh, generate_pipe_mesh, tet_volumes
-from hemoflow.mri import (_BLOCK, ENCODE_AXES, ImageVolume, KSpaceData,
-                          SequenceParams, _quadrature, _ramp,
+from hemoflow.mri import (_BLOCK, _TET_RULES, ENCODE_AXES, ImageVolume,
+                          KSpaceData, SequenceParams, _quadrature, _ramp,
                           _sample_factors, _spacing, add_noise, load_images,
                           load_kspace, phase_to_velocity, reconstruct,
                           save_images, save_kspace, sequence_timings,
@@ -120,15 +121,18 @@ def test_quadrature_integrates_polynomials():
             (4, lambda x, y, z: 1.0 + 2 * x - y + 3 * x * y + z * z, "deg 2"),
             (11, lambda x, y, z: x * x * y * y + z ** 4 - x * y * z, "deg 4"),
     ):
-        pos, wq, m0q, _ = _quadrature(
-            mesh, np.ones(mesh.n_vertices), zero, rule)
-        total = (wq * poly(pos[:, 0], pos[:, 1], pos[:, 2])).sum()
+        pos, wm, _ = _quadrature(mesh.vertices, mesh.tets,
+                                 np.ones(mesh.n_vertices), zero,
+                                 _TET_RULES[rule])
+        total = (wm * poly(pos[:, 0], pos[:, 1], pos[:, 2])).sum()
         exact = simplex_like_integral(mesh, poly)
         assert total == pytest.approx(exact, rel=1e-4), \
             f"rule {rule} must integrate {degree_note} polynomials"
-    assert wq.sum() == pytest.approx(tet_volumes(mesh).sum(), rel=1e-12)
-    with pytest.raises(ValidationError):
-        _quadrature(mesh, np.ones(mesh.n_vertices), zero, 7)
+    assert wm.sum() == pytest.approx(tet_volumes(mesh).sum(), rel=1e-12)
+    with pytest.raises(ValidationError, match=r"quadrature 7.*\[4, 11\]"):
+        synthesize_frame(mesh, np.ones(mesh.n_vertices),
+                         uniform_field(mesh, (0.0, 0.0, 0.0)), SMALL,
+                         quadrature=7)
 
 
 # =========================================================================
@@ -181,10 +185,11 @@ def direct_sum(mesh, m0, field, params, encode, quadrature=4):
     """One encode's grid from the imaging equation, one sample at a time,
     with one exponential per quadrature point and k-space coordinate."""
     timings = sequence_timings(params)
-    pos, wq, m0q, uq = _quadrature(mesh, np.asarray(m0, dtype=float),
-                                   field.values[0], quadrature)
+    pos, wm, uq = _quadrature(mesh.vertices, mesh.tets,
+                              np.asarray(m0, dtype=float), field.values[0],
+                              _TET_RULES[quadrature])
     k_ro, k_pe, k_pz = params.k_axes()
-    amp = (wq * m0q).astype(complex)
+    amp = wm.astype(complex)
     if encode != "ref":
         amp = amp * np.exp(-1j * np.pi * uq[:, "xyz".index(encode)]
                            / params.venc)
@@ -223,9 +228,9 @@ def test_frame_matches_direct_sum_on_box():
 def test_frame_matches_direct_sum_over_several_blocks(quadrature):
     pipe = generate_pipe_mesh(0.01, 0.1, resolution=1)
     assert pipe.n_tets == 6720
-    n_points = pipe.n_tets * quadrature
-    assert n_points > _BLOCK and n_points % _BLOCK, \
-        "the pipe must span several blocks, the last one partial"
+    per_block = _BLOCK // quadrature
+    assert pipe.n_tets > per_block and pipe.n_tets % per_block, \
+        "the pipe must span several tet blocks, the last one partial"
     x, y, _ = pipe.vertices.T
     r2 = (x * x + y * y) / 0.01 ** 2
     velocity = np.stack([0.3 * x / 0.01, -0.2 * y / 0.01,
@@ -262,6 +267,44 @@ def test_odd_partitions_over_several_blocks_match_direct_sum():
                             fov_center=(0.0, 0.0, 0.05))
     assert params.matrix[2] % 2
     assert_matches_direct_sum(pipe, 1.0 + 0.5 * r2, field, params)
+
+
+@pytest.mark.parametrize("block, quadrature, divisions", [
+    # 186 tets of the 11-point rule per block: 288 tets end on a partial one
+    (_BLOCK, 11, (4, 4, 3)),
+    # a block that holds fewer points than one tet has takes one whole tet
+    (8, 11, (2, 2, 2)),
+    (3, 4, (2, 2, 2)),
+])
+def test_block_edges_match_direct_sum(monkeypatch, block, quadrature,
+                                      divisions):
+    monkeypatch.setattr("hemoflow.mri._BLOCK", block)
+    mesh = small_box(divisions)
+    assert block < quadrature or mesh.n_tets % (block // quadrature)
+    assert_matches_direct_sum(mesh, np.linspace(0.5, 1.5, mesh.n_vertices),
+                              box_swirl(mesh, 2.0), SMALL, quadrature)
+
+
+def test_synthesis_memory_does_not_grow_with_the_mesh():
+    # the paper-scale slab's sequence (2 readout samples, 30 x 113 plane)
+    # on the 6,720- and 57,600-tet pipes: points are made one block of
+    # tets at a time, so the traced peak is the block tables' on both.
+    # Whole-mesh point arrays would add about 14 MB here
+    params = SequenceParams(matrix=(2, 30, 113), voxel=(0.056, 0.002, 0.002),
+                            oversampling=1, fov_center=(0.0, 0.0, 0.05))
+    peaks = []
+    for resolution in (1, 2):
+        pipe = generate_pipe_mesh(0.01, 0.1, resolution=resolution)
+        field = uniform_field(pipe, (0.1, -0.2, 0.7))
+        m0 = np.ones(pipe.n_vertices)
+        tracemalloc.start()
+        try:
+            synthesize_frame(pipe, m0, field, params)
+            peaks.append(tracemalloc.get_traced_memory()[1] / 2 ** 20)
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] - peaks[0] < 1.0, \
+        f"traced peak grew from {peaks[0]:.1f} to {peaks[1]:.1f} MB"
 
 
 def test_single_encode_matches_its_frame_grid():
