@@ -31,16 +31,13 @@ log = logging.getLogger("hemoflow")
 # Subcommands
 # =========================================================================
 
-def _config_from_args(args, need_out: bool = False) -> RunConfig:
+def _config_from_args(args) -> RunConfig:
     overrides = {}
     if getattr(args, "out", None):
         overrides[("paths", "output_dir")] = args.out
     if getattr(args, "seed", None) is not None:
         overrides[("noise", "seed")] = args.seed
-    cfg = load_config(getattr(args, "config", None), overrides)
-    if need_out:
-        cfg.output_dir.mkdir(parents=True, exist_ok=True)
-    return cfg
+    return load_config(getattr(args, "config", None), overrides)
 
 
 def cmd_run(args) -> int:
@@ -95,8 +92,9 @@ def cmd_windkessel(args) -> int:
 
 
 def cmd_synth_mri(args) -> int:
-    cfg = _config_from_args(args, need_out=True)
+    cfg = _config_from_args(args)
     mesh = stage_mesh(cfg)
+    cfg.output_dir.mkdir(parents=True, exist_ok=True)
     field, _ = stage_flow(cfg, mesh, fit_models(cfg)["power_law"],
                           cfg.output_dir)
     stage_reconstruct(stage_mri(cfg, mesh, field, cfg.output_dir),
@@ -124,11 +122,12 @@ def cmd_reconstruct(args) -> int:
 
 
 def cmd_estimate(args) -> int:
-    cfg = _config_from_args(args, need_out=True)
+    cfg = _config_from_args(args)
     files = _sidecars(args.images, "images")
+    mesh = stage_mesh(cfg, flow=False)
     out = cfg.output_dir
-    stage_estimate(cfg, fit_models(cfg), stage_mesh(cfg, flow=False), files,
-                   out)
+    out.mkdir(parents=True, exist_ok=True)
+    stage_estimate(cfg, fit_models(cfg), mesh, files, out)
     stage_compare(out / "stats.csv", cfg.reference_model,
                   cfg.alternative_models, out / "comparison.csv")
     print(out)

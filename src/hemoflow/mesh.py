@@ -5,13 +5,15 @@ triangles carry integer labels: 0 is the vessel wall, 1 the inlet, and
 2 and above are outlets. Boundary triangles are stored oriented so the
 right-hand-rule normal points into the fluid.
 
-File format is VTK legacy ASCII unstructured grids: tetrahedra first,
-then boundary triangles, with a ``boundary_label`` integer cell-data
-array (-1 on tetrahedra). Package metadata (for example the generated
-pipe geometry) rides in the 256-character VTK title line as JSON and
-survives a save/load round trip. Numbers are written as ``%.17g`` and
-``%d`` text, byte for byte what Python's ``%`` gives, but built by array
-operations on blocks of rows (``_format_rows``).
+File format is VTK legacy ASCII unstructured grids: the POINTS, then the
+CELLS and CELL_TYPES, tetrahedra first and boundary triangles after, then
+a ``boundary_label`` integer cell-data array (-1 on tetrahedra).
+``load_mesh`` reads this layout alone and stops after that array, so the
+point data of an exported field file is skipped. Package metadata (for
+example the generated pipe geometry) rides in the 256-character VTK
+title line as JSON and survives a save/load round trip. Numbers are
+written as ``%.17g`` and ``%d`` text, byte for byte what Python's ``%``
+gives, but built by array operations on blocks of rows (``_format_rows``).
 """
 
 from __future__ import annotations
@@ -891,140 +893,92 @@ def save_mesh(mesh: TetMesh, path: str | Path) -> None:
     _write_vtk(path, mesh)
 
 
-class _VtkTokens:
-    """Whitespace-token stream over a VTK legacy ASCII file."""
-
-    def __init__(self, text: str, path):
-        body = text.split("\n", 2)
-        if len(body) < 3:
-            raise MeshError(f"{path}: truncated VTK file")
-        self.title = body[1]
-        self.tokens = body[2].split()
-        self.pos = 0
-        self.path = path
-
-    def next(self) -> str:
-        if self.pos >= len(self.tokens):
-            raise MeshError(f"{self.path}: unexpected end of file")
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
-    def expect(self, word: str):
-        tok = self.next()
-        if tok.upper() != word:
-            raise MeshError(f"{self.path}: expected {word}, found {tok}")
-
-    def array(self, count: int, dtype) -> np.ndarray:
-        end = self.pos + count
-        if end > len(self.tokens):
-            raise MeshError(f"{self.path}: unexpected end of file")
-        out = np.array(self.tokens[self.pos:end], dtype=dtype)
-        self.pos = end
-        return out
-
-
-def _read_vtk(path: Path):
-    """Parse a VTK legacy ASCII unstructured grid written by this package.
-
-    Returns the title metadata, the vertices, the cells with their VTK
-    types, and the data arrays keyed by ('cell' | 'point', name). Integer
-    scalars are read as int64, everything else as float64.
-    """
-    try:
-        text = path.read_text()
-    except OSError as exc:
-        raise MeshError(f"cannot read mesh file {path}: {exc}") from exc
-    tk = _VtkTokens(text, path)
-    metadata = {}
-    if tk.title.startswith("hemoflow "):
-        try:
-            metadata = json.loads(tk.title[len("hemoflow "):])
-        except json.JSONDecodeError:
-            metadata = {}
-    tk.expect("ASCII")
-    tk.expect("DATASET")
-    tk.expect("UNSTRUCTURED_GRID")
-    tk.expect("POINTS")
-    n_points = int(tk.next())
-    tk.next()  # point scalar type
-    vertices = tk.array(3 * n_points, np.float64).reshape(-1, 3)
-    tk.expect("CELLS")
-    n_cells = int(tk.next())
-    total = int(tk.next())
-    raw = tk.array(total, np.int64)
-    cells = []
-    pos = 0
-    for _ in range(n_cells):
-        count = int(raw[pos])
-        cells.append(raw[pos + 1:pos + 1 + count])
-        pos += count + 1
-    if pos != total:
-        raise MeshError(f"{path}: CELLS block size mismatch")
-    tk.expect("CELL_TYPES")
-    if int(tk.next()) != n_cells:
-        raise MeshError(f"{path}: CELL_TYPES count mismatch")
-    types = tk.array(n_cells, np.int64)
-
-    data = {}
-    section = None
-    count = 0
-    while tk.pos < len(tk.tokens):
-        tok = tk.next().upper()
-        if tok == "CELL_DATA":
-            section, count = "cell", int(tk.next())
-            if count != n_cells:
-                raise MeshError(f"{path}: CELL_DATA count mismatch")
-        elif tok == "POINT_DATA":
-            section, count = "point", int(tk.next())
-            if count != n_points:
-                raise MeshError(f"{path}: POINT_DATA count mismatch")
-        elif tok == "SCALARS" and section is not None:
-            name = tk.next()
-            kind = tk.next()
-            if tk.pos < len(tk.tokens) and tk.tokens[tk.pos].isdigit():
-                tk.next()  # optional component count
-            tk.expect("LOOKUP_TABLE")
-            tk.next()
-            data[section, name] = tk.array(
-                count, np.int64 if kind == "int" else np.float64)
-        elif tok == "VECTORS" and section is not None:
-            name = tk.next()
-            tk.next()  # data type
-            data[section, name] = tk.array(3 * count,
-                                           np.float64).reshape(-1, 3)
-        else:
-            raise MeshError(f"{path}: unsupported section {tok}")
-    return metadata, vertices, cells, types, data
-
-
 def load_mesh(path: str | Path) -> TetMesh:
-    """Read a VTK legacy ASCII unstructured grid written by this package.
+    """Read a mesh in the layout ``save_mesh`` writes (module docstring).
 
-    Tetrahedra (cell type 10) become the volume mesh; triangles (type 5)
-    must carry a ``boundary_label`` cell-data array. The mesh is
-    validated on load: inverted tetrahedra are repaired with a warning,
-    the boundary is re-derived from the tetrahedra, must be closed and
-    must match the stored triangles one to one, and the triangles are
-    re-oriented inward regardless of stored winding.
+    Cells may come in any order. The mesh is validated on load
+    (``validate_mesh``), which repairs inverted tetrahedra with a warning.
+    Every failure is a ``MeshError`` naming the file.
     """
     path = Path(path)
-    metadata, vertices, cells, types, data = _read_vtk(path)
-    tets = [c for c, t in zip(cells, types) if t == 10]
-    tris = [c for c, t in zip(cells, types) if t == 5]
-    if len(tets) + len(tris) != len(cells):
-        bad = sorted(set(types) - {5, 10})
-        raise MeshError(f"{path}: unsupported cell types {bad}")
-    if not tets:
-        raise MeshError(f"{path}: no tetrahedra found")
-    labels = data.get(("cell", "boundary_label"))
-    if labels is None:
-        raise MeshError(f"{path}: missing boundary_label cell data")
+    try:
+        text = path.read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise MeshError(f"cannot read mesh file {path}: {exc}") from exc
+    title, _, rest = text.partition("\n")[2].partition("\n")
 
-    tri_labels = labels[types == 5]
-    mesh = TetMesh(vertices=vertices,
-                   tets=np.array(tets, dtype=np.int64).reshape(-1, 4),
-                   boundary_faces=np.array(tris, dtype=np.int64).reshape(-1, 3),
-                   boundary_labels=tri_labels,
-                   metadata=metadata)
-    return validate_mesh(mesh)
+    def take(n: int) -> list[str]:
+        """The next n tokens; the text after them is left unsplit."""
+        nonlocal rest
+        tokens = rest.split(None, n)
+        if len(tokens) < n:
+            raise MeshError(f"{path}: unexpected end of file")
+        rest = tokens.pop() if len(tokens) > n else ""
+        return tokens
+
+    def expect(*words: str) -> None:
+        for word, token in zip(words, take(len(words))):
+            if token.upper() != word:
+                raise MeshError(f"{path}: expected {word}, found {token}")
+
+    def numbers(n: int, dtype) -> np.ndarray:
+        try:
+            return np.array(take(n), dtype=dtype)
+        except (ValueError, OverflowError) as exc:
+            raise MeshError(f"{path}: {exc}") from None
+
+    def count() -> int:
+        return int(numbers(1, np.uint64)[0])
+
+    try:
+        metadata = json.loads(title[len("hemoflow "):]) \
+            if title.startswith("hemoflow {") else {}
+    except json.JSONDecodeError as exc:
+        raise MeshError(f"{path}: bad title metadata: {exc}") from None
+    expect("ASCII", "DATASET", "UNSTRUCTURED_GRID", "POINTS")
+    n_points = count()
+    take(1)                                     # coordinate type
+    vertices = numbers(3 * n_points, np.float64).reshape(-1, 3)
+    if not np.isfinite(vertices).all():
+        raise MeshError(f"{path}: non-finite vertex coordinates")
+    expect("CELLS")
+    n_cells, total = count(), count()
+    cells = numbers(total, np.int64)
+    expect("CELL_TYPES")
+    if count() != n_cells:
+        raise MeshError(f"{path}: CELL_TYPES count mismatch")
+    types = numbers(n_cells, np.int64)
+
+    # each cell is its node count, then as many nodes as its type has
+    nodes = np.select([types == 10, types == 5], [4, 3])
+    if not nodes.all():
+        bad = np.unique(types[nodes == 0]).tolist()
+        raise MeshError(f"{path}: unsupported cell types {bad}")
+    if nodes.sum() + n_cells != total:
+        raise MeshError(f"{path}: CELLS block size mismatch")
+    start = np.cumsum(nodes + 1) - nodes
+    wrong = np.flatnonzero(cells[start - 1] != nodes)
+    if len(wrong):
+        i = wrong[0]
+        raise MeshError(f"{path}: cell {i} lists {cells[start[i] - 1]} "
+                        f"nodes, but its type {types[i]} has {nodes[i]}")
+    tets = cells[start[nodes == 4, None] + np.arange(4)]
+    faces = cells[start[nodes == 3, None] + np.arange(3)]
+
+    if not rest.strip():
+        raise MeshError(f"{path}: missing boundary_label cell data")
+    expect("CELL_DATA")
+    if count() != n_cells:
+        raise MeshError(f"{path}: CELL_DATA count mismatch")
+    expect("SCALARS")
+    name = take(3)[0]                           # then type and components
+    if name != "boundary_label":
+        raise MeshError(f"{path}: the first cell data is {name}, not "
+                        "boundary_label")
+    expect("LOOKUP_TABLE")
+    take(1)                                     # table name
+    labels = numbers(n_cells, np.int64)[nodes == 3]
+    try:
+        return validate_mesh(TetMesh(vertices, tets, faces, labels, metadata))
+    except MeshError as exc:
+        raise MeshError(f"{path}: {exc}") from exc

@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .errors import HemoflowError, ValidationError
+from .errors import HemoflowError, MeshError, ValidationError
 from .flowfields import FlowWaveform, flow_rate, poiseuille_power_law, \
     pulsatile_scale
 from .hemodynamics import _COMPARISON_COLUMNS, _DIFFERENCE_COLUMNS, \
@@ -331,24 +331,33 @@ def write_rheology_json(cfg: RunConfig, fitted: dict, path: Path) -> None:
 def stage_mesh(cfg: RunConfig, flow: bool = True):
     """The generated pipe, or the loaded mesh checked against the config.
 
-    A loaded mesh must span the segment cuts. With ``flow`` it must also
-    be a saved generated pipe, whose geometry the flow stage's analytic
-    profile needs; ``hemoflow estimate`` makes no flow and takes any mesh.
+    A mesh file ``load_mesh`` refuses is bad input, and a loaded mesh
+    must span the segment cuts. With ``flow`` a loaded mesh must be a
+    saved generated pipe, whose geometry the flow stage's analytic
+    profile needs, and any mesh must lie inside the image grid it is to
+    be synthesized on. ``hemoflow estimate`` makes no flow and takes any
+    mesh; its images' grid is checked when it interpolates.
     """
     if cfg.mesh_path is None:
         log.info("generating pipe mesh (R=%g m, L=%g m, resolution %d)",
                  cfg.pipe_radius, cfg.pipe_length, cfg.pipe_resolution)
-        return generate_pipe_mesh(cfg.pipe_radius, cfg.pipe_length,
+        mesh = generate_pipe_mesh(cfg.pipe_radius, cfg.pipe_length,
                                   resolution=cfg.pipe_resolution)
-    log.info("loading mesh %s", cfg.mesh_path)
-    mesh = load_mesh(cfg.mesh_path)
-    if flow and not mesh.metadata.get("pipe"):
-        raise ValidationError(f"mesh {cfg.mesh_path} carries no pipe "
-                              "geometry; the flow stage needs a saved "
-                              "generated pipe mesh")
-    # config load checks the cuts against [pipe] only for a generated pipe
-    axial = mesh.vertices[:, 2]
-    _check_cuts(cfg.cuts, axial.min(), axial.max())
+    else:
+        log.info("loading mesh %s", cfg.mesh_path)
+        try:
+            mesh = load_mesh(cfg.mesh_path)
+        except MeshError as exc:
+            raise ValidationError(str(exc)) from exc
+        if flow and not mesh.metadata.get("pipe"):
+            raise ValidationError(f"mesh {cfg.mesh_path} carries no pipe "
+                                  "geometry; the flow stage needs a saved "
+                                  "generated pipe mesh")
+        # config load checks the cuts only for a generated pipe
+        axial = mesh.vertices[:, 2]
+        _check_cuts(cfg.cuts, axial.min(), axial.max())
+    if flow:
+        check_coverage(mesh, cfg.sequence)
     return mesh
 
 
@@ -618,19 +627,16 @@ def _write_manifest(cfg: RunConfig, out: Path) -> None:
 def run_pipeline(cfg: RunConfig) -> Path:
     """Every stage in sequence; returns the artifact directory."""
     out = cfg.output_dir
-    out.mkdir(parents=True, exist_ok=True)
-    (out / "config.ini").write_text(cfg.text)
-
     stage = "rheology"
     try:
         fitted = fit_models(cfg)
-        write_rheology_json(cfg, fitted, out / "rheology.json")
 
         stage = "mesh"
         mesh = stage_mesh(cfg)
-        # the estimate interpolates the images to the mesh: refuse a mesh
-        # the image grid does not cover before any phase is synthesized
-        check_coverage(mesh, cfg.sequence)
+        # bad input is refused by now: only an accepted run makes files
+        out.mkdir(parents=True, exist_ok=True)
+        (out / "config.ini").write_text(cfg.text)
+        write_rheology_json(cfg, fitted, out / "rheology.json")
 
         stage = "flow"
         field, flows = stage_flow(cfg, mesh, fitted["power_law"], out)

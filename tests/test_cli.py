@@ -17,6 +17,7 @@ from hemoflow.errors import ValidationError
 from hemoflow.mesh import generate_box_mesh, generate_pipe_mesh, \
     save_mesh
 from hemoflow.pipeline import render_config
+from test_mesh import MALFORMED, malformed_pipe
 
 FAST_CONFIG = """\
 [flow]
@@ -469,7 +470,22 @@ def test_loaded_mesh_cuts_fail_before_synthesis(tmp_path, capsys):
     assert main(["run", "--config", str(config), "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert "[stage mesh]" in err and "cuts_m" in err
-    assert not list(out.glob("kspace_*")), "phases synthesized before the check"
+    assert not out.exists(), "files written before the check"
+
+
+@pytest.mark.parametrize("case", MALFORMED)
+def test_malformed_mesh_file_exits_2_at_stage_mesh(tmp_path, capsys, case):
+    # a mesh file load_mesh refuses is bad input, named with its stage
+    # and path, and nothing is written
+    mesh = tmp_path / "bad.vtk"
+    malformed_pipe(mesh, case)
+    config = tmp_path / "bad.ini"
+    config.write_text(f"[paths]\nmesh = {mesh}\n[flow]\ncardiac_phases = 2\n")
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(config), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "[stage mesh]" in err and str(mesh) in err
+    assert not out.exists(), "files written before the mesh was accepted"
 
 
 def test_mesh_without_pipe_geometry_exits_2_before_synthesis(demo, tmp_path,
@@ -488,8 +504,7 @@ def test_mesh_without_pipe_geometry_exits_2_before_synthesis(demo, tmp_path,
         assert main([command, "--config", str(config), "--out",
                      str(out)]) == 2, f"{command} accepted the box"
         assert "no pipe geometry" in capsys.readouterr().err
-        assert not list(out.glob("kspace_*")), \
-            f"{command} synthesized before the check"
+        assert not out.exists(), f"{command} wrote before the check"
     _, images = demo
     assert main(["estimate", "--images", str(images), "--config",
                  str(config), "--out", str(tmp_path / "estimate")]) == 0
@@ -524,11 +539,14 @@ def test_mesh_outside_the_image_grid_exits_2_before_synthesis(tmp_path,
     config.write_text("[pipe]\nlength_m = 0.12\n"
                       "[segments]\ncuts_m = 0.03, 0.06, 0.09\n"
                       "[flow]\ncardiac_phases = 2\n")
-    out = tmp_path / "out"
-    assert main(["run", "--config", str(config), "--out", str(out)]) == 2
-    err = capsys.readouterr().err
-    assert "[stage mesh]" in err and "exceeds the voxel grid" in err
-    assert not list(out.glob("kspace_*")), "phases synthesized before the check"
+    for command in ("run", "synth-mri"):
+        out = tmp_path / command
+        assert main([command, "--config", str(config), "--out",
+                     str(out)]) == 2, f"{command} accepted the long pipe"
+        err = capsys.readouterr().err
+        assert "exceeds the voxel grid" in err
+        assert command != "run" or "[stage mesh]" in err
+        assert not out.exists(), f"{command} wrote before the check"
 
 
 def test_partial_outputs_retained_on_stage_failure(tmp_path):

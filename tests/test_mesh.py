@@ -1,6 +1,7 @@
 """Mesh structure, I/O, volumes, wall normals, and segment labeling."""
 
 import hashlib
+import re
 import warnings
 from collections import Counter
 
@@ -614,3 +615,91 @@ def test_load_file_ending_after_scalars_type(tmp_path):
     path.write_text(text[:text.index(header) + len(header)])
     with pytest.raises(MeshError, match="end of file"):
         load_mesh(path)
+
+
+def saved_pipe_lines(path):
+    """Save the resolution-0 pipe to ``path``: the mesh, the file's lines,
+    and the index of the line after each section keyword's line."""
+    mesh = generate_pipe_mesh(RADIUS, LENGTH, 0)
+    save_mesh(mesh, path)
+    lines = path.read_text().split("\n")
+    after = {line.split()[0]: i + 1 for i, line in enumerate(lines)
+             if line[:1].isupper()}
+    return mesh, lines, after
+
+
+# each case breaks one rule of the layout save_mesh writes
+MALFORMED = ("title metadata", "non-numeric coordinate",
+             "non-finite coordinate", "negative count",
+             "type-10 cell with 3 nodes", "cell sizes against cell types",
+             "first cell data", "truncated cells", "not text")
+
+
+def malformed_pipe(path, case):
+    """Save the pipe to ``path`` broken as ``case`` says; returns the
+    message ``load_mesh`` gives for it."""
+    mesh, lines, at = saved_pipe_lines(path)
+    n_tets, n_cells = mesh.n_tets, mesh.n_tets + len(mesh.boundary_faces)
+    row = at["POINTS"] + 5                      # a vertex: "x y z"
+    if case == "title metadata":
+        lines[1] = lines[1][:-1]                # the JSON loses its "}"
+        message = "bad title metadata"
+    elif case == "non-numeric coordinate":
+        lines[row] = "x " + lines[row].split(None, 1)[1]
+        message = "could not convert string to float: 'x'"
+    elif case == "non-finite coordinate":
+        lines[row] = "nan " + lines[row].split(None, 1)[1]
+        message = "non-finite vertex coordinates"
+    elif case == "negative count":
+        lines[at["POINTS"] - 1] = "POINTS -3 double"
+        message = "-3 out of bounds"
+    elif case == "type-10 cell with 3 nodes":
+        # the last tet and the first triangle trade rows, not types
+        tri = at["CELLS"] + n_tets
+        lines[tri - 1], lines[tri] = lines[tri], lines[tri - 1]
+        message = f"cell {n_tets - 1} lists 3 nodes, but its type 10 has 4"
+    elif case == "cell sizes against cell types":
+        lines[at["CELL_TYPES"] + n_cells - 1] = "10"
+        message = "CELLS block size mismatch"
+    elif case == "first cell data":
+        lines[at["CELL_DATA"]] = "SCALARS region int 1"
+        message = "the first cell data is region, not boundary_label"
+    elif case == "truncated cells":
+        del lines[at["CELLS"] + 10:]
+        message = "unexpected end of file"
+    else:
+        path.write_bytes(b"\xff" * 64)
+        return "cannot read mesh file"
+    path.write_text("\n".join(lines))
+    return message
+
+
+@pytest.mark.parametrize("case", MALFORMED)
+def test_load_names_the_file_and_the_broken_rule(tmp_path, case):
+    path = tmp_path / "bad.vtk"
+    message = malformed_pipe(path, case)
+    with pytest.raises(MeshError, match=re.escape(message)) as info:
+        load_mesh(path)
+    assert str(path) in str(info.value)
+
+
+def test_load_takes_cells_in_any_order(tmp_path):
+    # the tets keep their order, the triangles are shuffled, the two are
+    # interleaved, and each cell's type and label move with it: the mesh
+    # loads as saved, so saving it again gives the original bytes
+    path = tmp_path / "pipe.vtk"
+    mesh, lines, at = saved_pipe_lines(path)
+    n_tets, n_cells = mesh.n_tets, mesh.n_tets + len(mesh.boundary_faces)
+    rng = np.random.default_rng(7)
+    triangle_slot = rng.permutation(n_cells) >= n_tets
+    assert triangle_slot[:n_tets].any(), "no triangle before the last tet"
+    source = np.empty(n_cells, dtype=np.int64)
+    source[~triangle_slot] = np.arange(n_tets)
+    source[triangle_slot] = n_tets + rng.permutation(n_cells - n_tets)
+    for word in ("CELLS", "CELL_TYPES", "LOOKUP_TABLE"):
+        block = lines[at[word]:at[word] + n_cells]
+        lines[at[word]:at[word] + n_cells] = [block[i] for i in source]
+    shuffled, again = tmp_path / "shuffled.vtk", tmp_path / "again.vtk"
+    shuffled.write_text("\n".join(lines))
+    save_mesh(load_mesh(shuffled), again)
+    assert again.read_bytes() == path.read_bytes()
