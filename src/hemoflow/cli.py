@@ -6,6 +6,10 @@ write the same artifacts as ``hemoflow run``; the rendering lives in
 re-exported here for callers of the earlier API.
 
 Exit codes: 0 success, 2 invalid input or config, 3 numerical failure.
+Every command's error names the stage that failed (``pipeline.stage``),
+and a config error names its ``[section] key``; each stage makes its
+output directory only after its input is accepted, so refused input
+writes nothing.
 """
 
 from __future__ import annotations
@@ -25,8 +29,6 @@ from .windkessel import simulate_windkessel
 
 __all__ = ["main", "load_config", "run_pipeline"]
 
-log = logging.getLogger("hemoflow")
-
 # =========================================================================
 # Subcommands
 # =========================================================================
@@ -37,6 +39,8 @@ def _config_from_args(args) -> RunConfig:
         overrides[("paths", "output_dir")] = args.out
     if getattr(args, "seed", None) is not None:
         overrides[("noise", "seed")] = args.seed
+    if getattr(args, "hct", None) is not None:
+        overrides[("rheology", "hct")] = args.hct
     return load_config(getattr(args, "config", None), overrides)
 
 
@@ -58,8 +62,6 @@ def cmd_init_demo(args) -> int:
 
 def cmd_fit_rheology(args) -> int:
     cfg = _config_from_args(args)
-    if args.hct is not None:
-        cfg.hct = args.hct
     fitted = fit_models(cfg)
     pl = fitted["power_law"]
     print(f"hct = {cfg.hct:g}")
@@ -93,10 +95,10 @@ def cmd_windkessel(args) -> int:
 
 def cmd_synth_mri(args) -> int:
     cfg = _config_from_args(args)
+    pl = fit_models(cfg)["power_law"]
     mesh = stage_mesh(cfg)
     cfg.output_dir.mkdir(parents=True, exist_ok=True)
-    field, _ = stage_flow(cfg, mesh, fit_models(cfg)["power_law"],
-                          cfg.output_dir)
+    field, _ = stage_flow(cfg, mesh, pl, cfg.output_dir)
     stage_reconstruct(stage_mri(cfg, mesh, field, cfg.output_dir),
                       cfg.output_dir)
     print(cfg.output_dir)
@@ -115,7 +117,6 @@ def _sidecars(source: str, kind: str) -> list[Path]:
 def cmd_reconstruct(args) -> int:
     files = _sidecars(args.kspace, "kspace")
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     stage_reconstruct(files, out)
     print(out)
     return 0
@@ -124,10 +125,9 @@ def cmd_reconstruct(args) -> int:
 def cmd_estimate(args) -> int:
     cfg = _config_from_args(args)
     files = _sidecars(args.images, "images")
-    mesh = stage_mesh(cfg, flow=False)
+    fitted = fit_models(cfg)
     out = cfg.output_dir
-    out.mkdir(parents=True, exist_ok=True)
-    stage_estimate(cfg, fit_models(cfg), mesh, files, out)
+    stage_estimate(cfg, fitted, stage_mesh(cfg, flow=False), files, out)
     stage_compare(out / "stats.csv", cfg.reference_model,
                   cfg.alternative_models, out / "comparison.csv")
     print(out)
@@ -147,7 +147,6 @@ def cmd_compare(args) -> int:
 
 def cmd_report(args) -> int:
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     stage_report(args.stats, args.comparison, args.reference, out, args.frame)
     print(out)
     return 0
@@ -240,14 +239,9 @@ def main(argv=None) -> int:
                         format="%(levelname)s %(name)s: %(message)s")
     try:
         return args.func(args)
-    except ValidationError as exc:
-        log.error("%s", exc)
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except HemoflowError as exc:
-        log.error("%s", exc)
         print(f"error: {exc}", file=sys.stderr)
-        return 3
+        return 2 if isinstance(exc, ValidationError) else 3
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -16,6 +16,7 @@ by one write the same files as a run, byte for byte.
 from __future__ import annotations
 
 import configparser
+import contextlib
 import hashlib
 import json
 import logging
@@ -102,13 +103,20 @@ DEFAULTS = {
 }
 
 
-def _floats(text: str, count: int | None = None) -> list[float]:
+def _floats(merged: dict, section: str, key: str,
+            count: int | None = None) -> list[float]:
+    """``[section] key`` as finite numbers; an error names the key."""
+    text = merged[section][key]
     try:
         values = [float(part) for part in text.split(",")]
-    except ValueError as exc:
-        raise ValidationError(f"cannot parse {text!r} as numbers") from exc
+    except ValueError:
+        raise ValidationError(f"[{section}] {key}: cannot parse {text!r} "
+                              "as numbers") from None
+    if not all(np.isfinite(values)):
+        raise ValidationError(f"[{section}] {key}: {text!r} is not finite")
     if count is not None and len(values) != count:
-        raise ValidationError(f"expected {count} values, got {text!r}")
+        raise ValidationError(f"[{section}] {key}: expected {count} "
+                              f"value(s), got {text!r}")
     return values
 
 
@@ -201,10 +209,7 @@ def load_config(path: str | Path | None = None,
     for (section, key), value in (overrides or {}).items():
         merged[section][key] = str(value)
 
-    try:
-        return _typed_config(merged)
-    except ValueError as exc:
-        raise ValidationError(f"invalid config value: {exc}") from exc
+    return _typed_config(merged)
 
 
 def _check_cuts(cuts: list[float], low: float, high: float) -> None:
@@ -219,25 +224,37 @@ def _typed_config(merged: dict) -> RunConfig:
     if mesh_path is not None and not mesh_path.is_file():
         raise ValidationError(f"mesh file {mesh_path} does not exist")
 
-    seq = merged["sequence"]
+    def number(section: str, key: str) -> float:
+        return _floats(merged, section, key, 1)[0]
+
+    def integer(section: str, key: str) -> int:
+        text = merged[section][key]
+        try:
+            return int(text)
+        except ValueError:
+            raise ValidationError(f"[{section}] {key}: {text!r} is not an "
+                                  "integer") from None
+
+    seq = "sequence"
     sequence = SequenceParams(
-        venc=float(seq["venc_m_s"]),
-        matrix=tuple(int(v) for v in _floats(seq["matrix"], 3)),
-        voxel=tuple(v * 1e-3 for v in _floats(seq["voxel_mm"], 3)),
-        oversampling=int(seq["oversampling"]),
-        t2_star=float(seq["t2_star_ms"]) * 1e-3,
-        adc_bandwidth=float(seq["adc_bandwidth_khz"]) * 1e3,
-        slew_rate=float(seq["slew_rate_t_m_s"]),
-        max_gradient=float(seq["max_gradient_mt_m"]) * 1e-3,
-        fov_center=tuple(v * 1e-3 for v in _floats(seq["fov_center_mm"], 3)),
+        venc=number(seq, "venc_m_s"),
+        matrix=tuple(int(v) for v in _floats(merged, seq, "matrix", 3)),
+        voxel=tuple(v * 1e-3 for v in _floats(merged, seq, "voxel_mm", 3)),
+        oversampling=integer(seq, "oversampling"),
+        t2_star=number(seq, "t2_star_ms") * 1e-3,
+        adc_bandwidth=number(seq, "adc_bandwidth_khz") * 1e3,
+        slew_rate=number(seq, "slew_rate_t_m_s"),
+        max_gradient=number(seq, "max_gradient_mt_m") * 1e-3,
+        fov_center=tuple(v * 1e-3 for v in
+                         _floats(merged, seq, "fov_center_mm", 3)),
     )
 
-    wk = merged["windkessel"]
+    wk = "windkessel"
     wk_params = WindkesselParams(
-        proximal_resistance=float(wk["proximal_resistance_cgs"]),
-        distal_resistance=float(wk["distal_resistance_cgs"]),
-        compliance=float(wk["compliance_cgs"]),
-        initial_distal_pressure=float(wk["initial_pressure_mmhg"]) * MMHG,
+        proximal_resistance=number(wk, "proximal_resistance_cgs"),
+        distal_resistance=number(wk, "distal_resistance_cgs"),
+        compliance=number(wk, "compliance_cgs"),
+        initial_distal_pressure=number(wk, "initial_pressure_mmhg") * MMHG,
     )
 
     reference = merged["comparison"]["reference"].strip()
@@ -246,46 +263,61 @@ def _typed_config(merged: dict) -> RunConfig:
     for name in [reference, *alternatives]:
         _check_model_name(name)
 
-    cuts = _floats(merged["segments"]["cuts_m"])
+    cuts = _floats(merged, "segments", "cuts_m")
     if any(b <= a for a, b in zip(cuts, cuts[1:])):
         raise ValidationError(f"segment cuts_m {cuts} must increase strictly "
                               "along the axis")
-    length = float(merged["pipe"]["length_m"])
+    length = number("pipe", "length_m")
     if mesh_path is None:
         _check_cuts(cuts, 0.0, length)
-    quadrature = int(seq["quadrature"])
+    quadrature = integer(seq, "quadrature")
     _tet_rule(quadrature)
+    seed = integer("noise", "seed")
+    if seed < 0:
+        raise ValidationError(f"[noise] seed {seed} must be >= 0")
 
     return RunConfig(
         text=render_config(merged, with_output_dir=False),
         output_dir=Path(merged["paths"]["output_dir"]),
         mesh_path=mesh_path,
-        pipe_radius=float(merged["pipe"]["radius_m"]),
+        pipe_radius=number("pipe", "radius_m"),
         pipe_length=length,
-        pipe_resolution=int(merged["pipe"]["resolution"]),
-        hct=float(merged["rheology"]["hct"]),
-        fit1_range=tuple(_floats(merged["rheology"]["fit1_range"], 2)),
-        fit2_range=tuple(_floats(merged["rheology"]["fit2_range"], 2)),
-        pressure_drop=float(merged["flow"]["pressure_drop_pa"]),
-        period=float(merged["flow"]["cardiac_period_s"]),
-        phases=int(merged["flow"]["cardiac_phases"]),
+        pipe_resolution=integer("pipe", "resolution"),
+        hct=number("rheology", "hct"),
+        fit1_range=tuple(_floats(merged, "rheology", "fit1_range", 2)),
+        fit2_range=tuple(_floats(merged, "rheology", "fit2_range", 2)),
+        pressure_drop=number("flow", "pressure_drop_pa"),
+        period=number("flow", "cardiac_period_s"),
+        phases=integer("flow", "cardiac_phases"),
         sequence=sequence,
         quadrature=quadrature,
-        sigma_fraction=float(merged["noise"]["sigma_fraction"]),
-        seed=int(merged["noise"]["seed"]),
+        sigma_fraction=number("noise", "sigma_fraction"),
+        seed=seed,
         cuts=cuts,
         windkessel=wk_params,
-        wk_cycles=int(wk["cycles"]),
-        wk_steps=int(wk["steps_per_cycle"]),
+        wk_cycles=integer(wk, "cycles"),
+        wk_steps=integer(wk, "steps_per_cycle"),
         reference_model=reference,
         alternative_models=alternatives,
     )
+
+
+@contextlib.contextmanager
+def stage(name: str):
+    """Prefix a package error raised inside with the stage ``name``,
+    keeping its type and so the exit code; every stage function is
+    decorated."""
+    try:
+        yield
+    except HemoflowError as exc:
+        raise type(exc)(f"[stage {name}] {exc}") from exc
 
 
 # =========================================================================
 # Model matrix
 # =========================================================================
 
+@stage("rheology")
 def fit_models(cfg: RunConfig) -> dict[str, PowerLawParams]:
     """Power-law fit at the configured hematocrit plus Newtonian fits.
 
@@ -328,6 +360,7 @@ def write_rheology_json(cfg: RunConfig, fitted: dict, path: Path) -> None:
 # Pipeline stages
 # =========================================================================
 
+@stage("mesh")
 def stage_mesh(cfg: RunConfig, flow: bool = True):
     """The generated pipe, or the loaded mesh checked against the config.
 
@@ -361,6 +394,7 @@ def stage_mesh(cfg: RunConfig, flow: bool = True):
     return mesh
 
 
+@stage("flow")
 def stage_flow(cfg: RunConfig, mesh, pl: PowerLawParams, out: Path):
     """Pulsatile power-law pipe field sampled at the cardiac phases.
 
@@ -394,6 +428,7 @@ def write_windkessel_csv(trace, path: Path) -> None:
                      trace.distal_pressure / MMHG))
 
 
+@stage("windkessel")
 def stage_windkessel(cfg: RunConfig, field, flows, out: Path):
     wave = FlowWaveform(times=field.times.copy(), values=flows * 1e6,
                         period=cfg.period)
@@ -406,6 +441,7 @@ def stage_windkessel(cfg: RunConfig, field, flows, out: Path):
     return trace
 
 
+@stage("mri")
 def stage_mri(cfg: RunConfig, mesh, field, out: Path) -> list[Path]:
     """Synthesize and perturb every cardiac phase; writes ``kspace_*``.
 
@@ -426,16 +462,18 @@ def stage_mri(cfg: RunConfig, mesh, field, out: Path) -> list[Path]:
     return paths
 
 
+@stage("reconstruct")
 def stage_reconstruct(kspace: list[Path], out: Path) -> list[Path]:
     """Images of k-space files as stored; writes ``images_*``.
 
     Each ``kspace_<x>.json`` becomes ``images_<x>.json`` in ``out``;
-    returns those paths. Every file is loaded and checked before any
-    image is written, so a bad file leaves no partial output; phases are
-    then reconstructed one at a time, so memory holds one phase, not all.
+    returns those paths. Every file is loaded and checked before ``out``
+    is made, so a bad file leaves no output; phases are then
+    reconstructed one at a time, so memory holds one phase, not all.
     """
     for path in kspace:
         load_kspace(path)
+    out.mkdir(parents=True, exist_ok=True)
     paths = []
     for path in kspace:
         paths.append(out / path.name.replace("kspace", "images"))
@@ -444,12 +482,14 @@ def stage_reconstruct(kspace: list[Path], out: Path) -> list[Path]:
     return paths
 
 
+@stage("estimate")
 def stage_estimate(cfg: RunConfig, fitted: dict, mesh, images: list[Path],
                    out: Path) -> None:
     """Biomarkers of image files for every model in the comparison matrix.
 
     Writes ``stats.csv``, then ``fields_systole.vtk`` at the systolic
-    frame of the statistics as written.
+    frame of the statistics as written; ``out`` is made only once every
+    image is decoded and the biomarkers are computed.
     """
     decoded = sorted((phase_to_velocity(load_images(path)) for path in images),
                      key=lambda d: d.frame_time)
@@ -494,6 +534,7 @@ def stage_estimate(cfg: RunConfig, fitted: dict, mesh, images: list[Path],
                          times, cfg.period)
         blocks.append(segment_stats(osis[name], wall_labels, names,
                                     parameter=f"osi:{name}", frame=None))
+    out.mkdir(parents=True, exist_ok=True)
     write_stats_csv(blocks, out / "stats.csv")
 
     reference = cfg.reference_model
@@ -558,6 +599,7 @@ def read_stats(path: str | Path, reference: str,
     return blocks, frame
 
 
+@stage("compare")
 def stage_compare(stats: str | Path, reference: str, alternatives: list,
                   out: str | Path, frame: int | None = None) -> list[dict]:
     """Model differences of a stats CSV as written; writes ``out``.
@@ -585,16 +627,19 @@ def stage_compare(stats: str | Path, reference: str, alternatives: list,
     return rows
 
 
+@stage("report")
 def stage_report(stats: str | Path, comparison: str | Path | None,
                  reference: str, out: Path, frame: int | None = None) -> None:
-    """``report.md`` and ``report.svg`` from a stats CSV and, if given, a
-    comparison CSV, both as written."""
+    """``report.md`` and ``report.svg`` in ``out`` from a stats CSV and, if
+    given, a comparison CSV, both as written; ``out`` is made once both
+    are read."""
     blocks, systolic = read_stats(stats, reference, frame)
     rows = None
     if comparison is not None:
         rows = [{**row, **{key: _number(comparison, row, key)
                            for key in _DIFFERENCE_COLUMNS}}
                 for row in _read_table(comparison, _COMPARISON_COLUMNS)]
+    out.mkdir(parents=True, exist_ok=True)
     write_report(blocks, rows, systolic, out)
 
 
@@ -627,42 +672,20 @@ def _write_manifest(cfg: RunConfig, out: Path) -> None:
 def run_pipeline(cfg: RunConfig) -> Path:
     """Every stage in sequence; returns the artifact directory."""
     out = cfg.output_dir
-    stage = "rheology"
-    try:
-        fitted = fit_models(cfg)
-
-        stage = "mesh"
-        mesh = stage_mesh(cfg)
-        # bad input is refused by now: only an accepted run makes files
-        out.mkdir(parents=True, exist_ok=True)
-        (out / "config.ini").write_text(cfg.text)
-        write_rheology_json(cfg, fitted, out / "rheology.json")
-
-        stage = "flow"
-        field, flows = stage_flow(cfg, mesh, fitted["power_law"], out)
-
-        stage = "windkessel"
-        stage_windkessel(cfg, field, flows, out)
-
-        stage = "mri"
-        kspace = stage_mri(cfg, mesh, field, out)
-
-        stage = "reconstruct"
-        images = stage_reconstruct(kspace, out)
-
-        stage = "estimate"
-        stage_estimate(cfg, fitted, mesh, images, out)
-
-        stage = "compare"
-        stage_compare(out / "stats.csv", cfg.reference_model,
-                      cfg.alternative_models, out / "comparison.csv")
-
-        stage = "report"
-        stage_report(out / "stats.csv", out / "comparison.csv",
-                     cfg.reference_model, out)
-    except HemoflowError as exc:
-        raise type(exc)(f"[stage {stage}] {exc}") from exc
-
+    fitted = fit_models(cfg)
+    mesh = stage_mesh(cfg)
+    # bad input is refused by now: only an accepted run makes files
+    out.mkdir(parents=True, exist_ok=True)
+    (out / "config.ini").write_text(cfg.text)
+    write_rheology_json(cfg, fitted, out / "rheology.json")
+    field, flows = stage_flow(cfg, mesh, fitted["power_law"], out)
+    stage_windkessel(cfg, field, flows, out)
+    images = stage_reconstruct(stage_mri(cfg, mesh, field, out), out)
+    stage_estimate(cfg, fitted, mesh, images, out)
+    stage_compare(out / "stats.csv", cfg.reference_model,
+                  cfg.alternative_models, out / "comparison.csv")
+    stage_report(out / "stats.csv", out / "comparison.csv",
+                 cfg.reference_model, out)
     _write_manifest(cfg, out)
     log.info("pipeline complete: %s", out)
     return out

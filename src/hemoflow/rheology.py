@@ -248,7 +248,7 @@ def interpolate_hct(curves: Mapping[float, PowerLawParams],
         raise ValidationError("hematocrit interpolation needs at least two curves")
     hcts = np.array([h for h, _ in items])
     target = float(target_hct)
-    if target < hcts[0] or target > hcts[-1]:
+    if not (hcts[0] <= target <= hcts[-1]):
         raise ExtrapolationError(
             f"hematocrit {target} outside fitted range [{hcts[0]}, {hcts[-1]}]")
     grid = default_shear_grid()

@@ -16,7 +16,7 @@ from hemoflow.cli import load_config, main
 from hemoflow.errors import ValidationError
 from hemoflow.mesh import generate_box_mesh, generate_pipe_mesh, \
     save_mesh
-from hemoflow.pipeline import render_config
+from hemoflow.pipeline import DEFAULTS, render_config
 from test_mesh import MALFORMED, malformed_pipe
 
 FAST_CONFIG = """\
@@ -25,6 +25,16 @@ cardiac_phases = 4
 
 [noise]
 seed = 77
+"""
+
+# the default grid spans z = -4 to 101 mm; a 120 mm pipe leaves it
+LONG_PIPE = """\
+[pipe]
+length_m = 0.12
+[segments]
+cuts_m = 0.03, 0.06, 0.09
+[flow]
+cardiac_phases = 2
 """
 
 
@@ -261,7 +271,7 @@ def test_non_finite_payload_exits_2(demo, tmp_path, capsys):
             rc = main(command + [str(source), "--out", str(target)])
             assert rc == 2, f"a NaN in {kind}_phase{phase}.bin was accepted"
             assert f"{kind}_phase{phase}.json" in capsys.readouterr().err
-            assert not list(target.glob("*")), \
+            assert not target.exists(), \
                 f"a NaN in {kind}_phase{phase}.bin: nothing may be written"
 
 
@@ -534,19 +544,133 @@ def test_infeasible_sequence_exits_3(tmp_path, capsys):
 
 def test_mesh_outside_the_image_grid_exits_2_before_synthesis(tmp_path,
                                                               capsys):
-    # the default grid spans z = -4 to 101 mm; a 120 mm pipe leaves it
     config = tmp_path / "long.ini"
-    config.write_text("[pipe]\nlength_m = 0.12\n"
-                      "[segments]\ncuts_m = 0.03, 0.06, 0.09\n"
-                      "[flow]\ncardiac_phases = 2\n")
+    config.write_text(LONG_PIPE)
     for command in ("run", "synth-mri"):
         out = tmp_path / command
         assert main([command, "--config", str(config), "--out",
                      str(out)]) == 2, f"{command} accepted the long pipe"
         err = capsys.readouterr().err
-        assert "exceeds the voxel grid" in err
-        assert command != "run" or "[stage mesh]" in err
+        assert "exceeds the voxel grid" in err and "[stage mesh]" in err
         assert not out.exists(), f"{command} wrote before the check"
+
+
+def copy_phases(run, kind, phases, target):
+    """The ``kind`` sidecars and payloads of ``phases`` of a run, copied
+    into the new directory ``target``."""
+    target.mkdir()
+    for phase in phases:
+        for path in run.glob(f"{kind}_phase{phase:03d}.*"):
+            shutil.copyfile(path, target / path.name)
+    return str(target)
+
+
+def nan_kspace(run, target):
+    source = copy_phases(run, "kspace", range(4), target)
+    with open(target / "kspace_phase003.bin", "r+b") as fh:
+        fh.write(np.complex64(complex(np.nan, 0.0)).tobytes())
+    return source
+
+
+def config_file(tmp_path, text):
+    path = tmp_path / "case.ini"
+    path.write_text(text)
+    return str(path)
+
+
+HOT_SEQUENCE = "[sequence]\nadc_bandwidth_khz = 2000\n" \
+    "[flow]\ncardiac_phases = 2\n"
+HCT_80 = "[rheology]\nhct = 80\n[flow]\ncardiac_phases = 2\n"
+
+# command, refused input -> (exit code, failing stage, arguments before
+# --out, built from the demo run and a scratch directory)
+REFUSED_INPUT = {
+    ("synth-mri", "long pipe"): (2, "mesh", lambda run, tmp: [
+        "--config", config_file(tmp, LONG_PIPE)]),
+    ("synth-mri", "hct 80"): (2, "rheology", lambda run, tmp: [
+        "--config", config_file(tmp, HCT_80)]),
+    ("estimate", "hct 80"): (2, "rheology", lambda run, tmp: [
+        "--images", str(run), "--config", config_file(tmp, HCT_80)]),
+    ("estimate", "long pipe"): (2, "estimate", lambda run, tmp: [
+        "--images", str(run), "--config", config_file(tmp, LONG_PIPE)]),
+    ("estimate", "one phase"): (2, "estimate", lambda run, tmp: [
+        "--images", copy_phases(run, "images", [0], tmp / "one")]),
+    ("reconstruct", "NaN k-space"): (2, "reconstruct", lambda run, tmp: [
+        "--kspace", nan_kspace(run, tmp / "nan")]),
+    ("report", "missing stats"): (2, "report", lambda run, tmp: [
+        "--stats", str(tmp / "nosuch.csv")]),
+    ("synth-mri", "infeasible sequence"): (3, "mri", lambda run, tmp: [
+        "--config", config_file(tmp, HOT_SEQUENCE)]),
+}
+
+
+@pytest.mark.parametrize("command, case", list(REFUSED_INPUT),
+                         ids=[" / ".join(key) for key in REFUSED_INPUT])
+def test_refused_input_names_one_stage_and_writes_nothing(
+        demo, tmp_path, capsys, command, case):
+    # every command labels a failure with its stage, once; bad input
+    # (exit 2) leaves no output directory, while a numerical failure
+    # (exit 3) keeps what the stages before it wrote
+    code, stage, arguments = REFUSED_INPUT[command, case]
+    _, run = demo
+    out = tmp_path / "out"
+    argv = [command, *arguments(run, tmp_path), "--out", str(out)]
+    assert main(argv) == code, f"{command} on {case}: wrong exit code"
+    err = capsys.readouterr().err
+    assert err.count("[stage ") == 1 and f"[stage {stage}] " in err, err
+    if code == 2:
+        assert not out.exists(), f"{command} on {case} made {out.name}"
+    else:
+        assert (out / "flow.csv").is_file(), "pre-failure artifacts remain"
+
+
+FLOAT_KEYS = [
+    ("pipe", "radius_m"), ("pipe", "length_m"), ("rheology", "hct"),
+    ("rheology", "fit1_range"), ("rheology", "fit2_range"),
+    ("flow", "pressure_drop_pa"), ("flow", "cardiac_period_s"),
+    *(("sequence", key) for key in (
+        "venc_m_s", "matrix", "voxel_mm", "t2_star_ms", "adc_bandwidth_khz",
+        "slew_rate_t_m_s", "max_gradient_mt_m", "fov_center_mm")),
+    ("noise", "sigma_fraction"), ("segments", "cuts_m"),
+    *(("windkessel", key) for key in (
+        "proximal_resistance_cgs", "distal_resistance_cgs",
+        "compliance_cgs", "initial_pressure_mmhg")),
+]
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("section, key", FLOAT_KEYS,
+                         ids=[f"{s}.{k}" for s, k in FLOAT_KEYS])
+def test_non_finite_config_number_exits_2_naming_the_key(
+        tmp_path, capsys, section, key, bad):
+    # the last value of a list key is the bad one
+    values = DEFAULTS[section][key].split(",")
+    values[-1] = bad
+    config = config_file(tmp_path, f"[{section}]\n{key} = "
+                         f"{', '.join(v.strip() for v in values)}\n")
+    out = tmp_path / "out"
+    assert main(["run", "--config", config, "--out", str(out)]) == 2
+    assert f"[{section}] {key}: " in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_config_integers_and_seed_are_refused_by_key(tmp_path, capsys):
+    # a seed below 0, from the file or --seed, a fractional phase count
+    # and a hematocrit of NaN from --hct are config errors, each named by
+    # its key and found before anything is written
+    out = tmp_path / "out"
+    for argv, text, named in (
+            (["run"], "[noise]\nseed = -1\n", "[noise] seed"),
+            (["synth-mri", "--seed", "-1"], "", "[noise] seed"),
+            (["run"], "[flow]\ncardiac_phases = 2.5\n",
+             "[flow] cardiac_phases"),
+            (["fit-rheology", "--hct", "nan"], "", "[rheology] hct")):
+        argv += ["--config", config_file(tmp_path, text)]
+        if argv[0] != "fit-rheology":
+            argv += ["--out", str(out)]
+        assert main(argv) == 2, f"{argv} was accepted"
+        assert named in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_partial_outputs_retained_on_stage_failure(tmp_path):

@@ -199,6 +199,14 @@ def test_interpolation_refuses_extrapolation():
             interpolate_hct(BASE_CURVES, target)
 
 
+def test_nan_hematocrit_is_refused_as_extrapolation():
+    # NaN fails every comparison, so it must not slip past the range check
+    with pytest.raises(ExtrapolationError, match="nan"):
+        interpolate_hct(BASE_CURVES, float("nan"))
+    with pytest.raises(ExtrapolationError):
+        fit_for_hct(float("nan"))
+
+
 def test_fit_for_hct_reproduces_base_curves():
     """Refitting interpolated samples at a knot returns the knot curve."""
     for hct, expected in BASE_CURVES.items():
