@@ -227,13 +227,17 @@ def _typed_config(merged: dict) -> RunConfig:
     def number(section: str, key: str) -> float:
         return _floats(merged, section, key, 1)[0]
 
-    def integer(section: str, key: str) -> int:
+    def integer(section: str, key: str, minimum: int | None = None) -> int:
         text = merged[section][key]
         try:
-            return int(text)
+            value = int(text)
         except ValueError:
             raise ValidationError(f"[{section}] {key}: {text!r} is not an "
                                   "integer") from None
+        if minimum is not None and value < minimum:
+            raise ValidationError(f"[{section}] {key} {value} must be >= "
+                                  f"{minimum}")
+        return value
 
     seq = "sequence"
     sequence = SequenceParams(
@@ -272,9 +276,6 @@ def _typed_config(merged: dict) -> RunConfig:
         _check_cuts(cuts, 0.0, length)
     quadrature = integer(seq, "quadrature")
     _tet_rule(quadrature)
-    seed = integer("noise", "seed")
-    if seed < 0:
-        raise ValidationError(f"[noise] seed {seed} must be >= 0")
 
     return RunConfig(
         text=render_config(merged, with_output_dir=False),
@@ -288,15 +289,15 @@ def _typed_config(merged: dict) -> RunConfig:
         fit2_range=tuple(_floats(merged, "rheology", "fit2_range", 2)),
         pressure_drop=number("flow", "pressure_drop_pa"),
         period=number("flow", "cardiac_period_s"),
-        phases=integer("flow", "cardiac_phases"),
+        phases=integer("flow", "cardiac_phases", 2),
         sequence=sequence,
         quadrature=quadrature,
         sigma_fraction=number("noise", "sigma_fraction"),
-        seed=seed,
+        seed=integer("noise", "seed", 0),
         cuts=cuts,
         windkessel=wk_params,
-        wk_cycles=integer(wk, "cycles"),
-        wk_steps=integer(wk, "steps_per_cycle"),
+        wk_cycles=integer(wk, "cycles", 1),
+        wk_steps=integer(wk, "steps_per_cycle", 4),
         reference_model=reference,
         alternative_models=alternatives,
     )
@@ -304,12 +305,12 @@ def _typed_config(merged: dict) -> RunConfig:
 
 @contextlib.contextmanager
 def stage(name: str):
-    """Prefix a package error raised inside with the stage ``name``,
-    keeping its type and so the exit code; every stage function is
-    decorated."""
+    """Prefix a package error or an OSError raised inside with the stage
+    ``name``, keeping its type and so the exit code; every stage function
+    is decorated."""
     try:
         yield
-    except HemoflowError as exc:
+    except (HemoflowError, OSError) as exc:
         raise type(exc)(f"[stage {name}] {exc}") from exc
 
 

@@ -601,6 +601,8 @@ REFUSED_INPUT = {
         "--stats", str(tmp / "nosuch.csv")]),
     ("synth-mri", "infeasible sequence"): (3, "mri", lambda run, tmp: [
         "--config", config_file(tmp, HOT_SEQUENCE)]),
+    ("compare", "missing output directory"): (2, "compare", lambda run, tmp: [
+        "--stats", str(run / "stats.csv"), "--alternative", "newtonian_fit1"]),
 }
 
 
@@ -614,7 +616,9 @@ def test_refused_input_names_one_stage_and_writes_nothing(
     code, stage, arguments = REFUSED_INPUT[command, case]
     _, run = demo
     out = tmp_path / "out"
-    argv = [command, *arguments(run, tmp_path), "--out", str(out)]
+    # compare writes one file, here into the directory that must not appear
+    target = out / "comparison.csv" if command == "compare" else out
+    argv = [command, *arguments(run, tmp_path), "--out", str(target)]
     assert main(argv) == code, f"{command} on {case}: wrong exit code"
     err = capsys.readouterr().err
     assert err.count("[stage ") == 1 and f"[stage {stage}] " in err, err
@@ -655,7 +659,8 @@ def test_non_finite_config_number_exits_2_naming_the_key(
 
 
 def test_config_integers_and_seed_are_refused_by_key(tmp_path, capsys):
-    # a seed below 0, from the file or --seed, a fractional phase count
+    # a seed below 0, from the file or --seed, a fractional phase count,
+    # one phase, no windkessel cycle, fewer than 4 RK4 steps per cycle
     # and a hematocrit of NaN from --hct are config errors, each named by
     # its key and found before anything is written
     out = tmp_path / "out"
@@ -664,6 +669,13 @@ def test_config_integers_and_seed_are_refused_by_key(tmp_path, capsys):
             (["synth-mri", "--seed", "-1"], "", "[noise] seed"),
             (["run"], "[flow]\ncardiac_phases = 2.5\n",
              "[flow] cardiac_phases"),
+            (["run"], "[flow]\ncardiac_phases = 1\n",
+             "[flow] cardiac_phases"),
+            (["synth-mri"], "[flow]\ncardiac_phases = 0\n",
+             "[flow] cardiac_phases"),
+            (["run"], "[windkessel]\ncycles = 0\n", "[windkessel] cycles"),
+            (["run"], "[windkessel]\nsteps_per_cycle = 3\n",
+             "[windkessel] steps_per_cycle"),
             (["fit-rheology", "--hct", "nan"], "", "[rheology] hct")):
         argv += ["--config", config_file(tmp_path, text)]
         if argv[0] != "fit-rheology":

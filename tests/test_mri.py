@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hemoflow import mri
 from hemoflow.errors import SequenceError, ValidationError
 from hemoflow.flowfields import VelocityField
 from hemoflow.mesh import generate_box_mesh, generate_pipe_mesh, tet_volumes
@@ -17,6 +18,7 @@ from hemoflow.mri import (_BLOCK, _TET_RULES, ENCODE_AXES, ImageVolume,
                           load_kspace, phase_to_velocity, reconstruct,
                           save_images, save_kspace, sequence_timings,
                           synthesize_frame, synthesize_signal)
+from hemoflow.pipeline import load_config
 
 PROTOCOL_DEFAULTS = SequenceParams()
 
@@ -374,6 +376,117 @@ def test_exponential_count_does_not_grow_with_readout(monkeypatch):
     assert counts[0] > 0
     assert counts[0] == counts[1], \
         f"{counts[0]} exponentials for 8 samples, {counts[1]} for 64"
+
+
+# =========================================================================
+# Partition NUFFT against the direct sum
+# =========================================================================
+
+@pytest.fixture
+def paths_taken(monkeypatch):
+    """Names of the partition steps the syntheses of a test construct."""
+    taken = []
+
+    def counting(cls):
+        class Counting(cls):
+            def __init__(self, *args):
+                taken.append(cls.__name__)
+                super().__init__(*args)
+        return Counting
+
+    for cls in (mri._FoldedTable, mri._SpreadGrid):
+        monkeypatch.setattr(mri, cls.__name__, counting(cls))
+    return taken
+
+
+def pipe_swirl(pipe):
+    x, y, _ = pipe.vertices.T
+    r2 = (x * x + y * y) / 0.01 ** 2
+    velocity = np.stack([0.3 * x / 0.01, -0.2 * y / 0.01,
+                         0.7 * (1.0 - r2)], axis=1)
+    return VelocityField(times=np.array([0.0]), values=velocity[None]), r2
+
+
+@pytest.mark.parametrize("quadrature", [4, 11])
+def test_spread_partitions_over_several_blocks_match_direct_sum(
+        paths_taken, quadrature):
+    # 72 partitions of 4 mm: each block's footprint is at most 10 of the
+    # grid's 144 cells, so its spread table has 23 rows against the real
+    # table's 73
+    pipe = generate_pipe_mesh(0.01, 0.1, resolution=1)
+    per_block = _BLOCK // quadrature
+    assert pipe.n_tets > per_block and pipe.n_tets % per_block, \
+        "the pipe must span several tet blocks, the last one partial"
+    field, r2 = pipe_swirl(pipe)
+    params = SequenceParams(venc=0.8, matrix=(2, 4, 72),
+                            voxel=(0.016, 0.004, 0.004), oversampling=1,
+                            adc_bandwidth=32e3, fov_center=(0.0, 0.0, 0.05))
+    assert_matches_direct_sum(pipe, 1.0 + 0.5 * r2, field, params,
+                              quadrature)
+    assert paths_taken == ["_SpreadGrid"]
+
+
+def test_spread_footprint_wrapping_the_grid_matches_direct_sum(paths_taken):
+    # the periodic grid wraps at every multiple of the partition field of
+    # view, here z = 0.192 m; the box straddles it, as it straddles the
+    # top edge of the image volume set by fov_center
+    params = SequenceParams(venc=2.5, matrix=(2, 4, 96),
+                            voxel=(0.016, 0.004, 0.002), oversampling=1,
+                            adc_bandwidth=32e3,
+                            fov_center=(0.0, 0.0, 0.096))
+    top = params.fov[2]
+    mesh = generate_box_mesh(size=(0.008, 0.008, 0.012), divisions=(2, 2, 6),
+                             center=(0.0, 0.0, top - 0.002))
+    z = mesh.vertices[:, 2]
+    assert z.min() < top < z.max()
+    assert_matches_direct_sum(mesh, np.linspace(0.5, 1.5, mesh.n_vertices),
+                              box_swirl(mesh, 1.0), params)
+    assert paths_taken == ["_SpreadGrid"]
+
+
+def test_spread_long_readout_with_fast_drift_matches_direct_sum(paths_taken):
+    # 128 samples over 4 ms at 2 to 2.4 m/s: spins drift about 9 of the
+    # grid's 1 mm cells during the readout, so each sample spreads onto
+    # its own cells, and the faster spins stretch the footprint by 2
+    params = SequenceParams(venc=2.5, matrix=(64, 4, 96),
+                            voxel=(0.002, 0.004, 0.002), oversampling=2,
+                            adc_bandwidth=32e3, t2_star=5e-3)
+    assert params.acquired_readout >= 128
+    mesh = small_box((3, 3, 3))
+    field = box_swirl(mesh, 2.0)
+    times = sequence_timings(params).sample_times
+    drift = np.abs(field.values[0][:, 2]).max() * (times[-1] - times[0])
+    assert drift > 5 * params.voxel[2] / 2, "spins must cross several cells"
+    assert_matches_direct_sum(mesh, np.linspace(0.5, 1.5, mesh.n_vertices),
+                              field, params)
+    assert paths_taken == ["_SpreadGrid"]
+
+
+def test_partition_step_follows_the_table_sizes(paths_taken):
+    # the default config (37 real rows against about 65 spread) and the
+    # exponential-count inputs (8 partitions) keep the real table; the
+    # paper-scale slab sequence on the resolution-2 pipe (113 against
+    # about 23) spreads
+    cfg = load_config()
+    pipe = generate_pipe_mesh(cfg.pipe_radius, cfg.pipe_length,
+                              resolution=cfg.pipe_resolution)
+    synthesize_frame(pipe, np.ones(pipe.n_vertices),
+                     uniform_field(pipe, (0.1, -0.2, 0.7)), cfg.sequence)
+    assert paths_taken == ["_FoldedTable"]
+    mesh = small_box()
+    for n_ro in (4, 32):
+        params = SequenceParams(matrix=(n_ro, 6, 8),
+                                voxel=(0.008, 0.002, 0.002),
+                                adc_bandwidth=32e3, oversampling=2)
+        synthesize_frame(mesh, np.ones(mesh.n_vertices), box_swirl(mesh, 1.0),
+                         params)
+    assert paths_taken == ["_FoldedTable"] * 3
+    pipe = generate_pipe_mesh(0.01, 0.1, resolution=2)
+    slab = SequenceParams(matrix=(2, 30, 113), voxel=(0.056, 0.002, 0.002),
+                          oversampling=1, fov_center=(0.0, 0.0, 0.05))
+    synthesize_frame(pipe, np.ones(pipe.n_vertices),
+                     uniform_field(pipe, (0.1, -0.2, 0.7)), slab)
+    assert paths_taken == ["_FoldedTable"] * 3 + ["_SpreadGrid"]
 
 
 @settings(max_examples=200, deadline=None)
