@@ -15,10 +15,11 @@ raster under slew and amplitude limits.
 
 The sum is evaluated in one pass for all requested encodes:
 
-1. Shared tables. For each readout sample, the phase-encode and
-   partition ramps are built once and shared by every encode, which are
-   then contracted in a single matrix product. The readout/T2* factor
-   rides in the first phase-encode row.
+1. Shared tables. For each readout sample, the partition table (and,
+   on the real table of step 4, the phase-encode ramp) is built once
+   and shared by every encode, which are then contracted in a single
+   matrix product. The readout/T2* factor rides in the first
+   phase-encode row.
 2. Recurrence in k. The k axes are evenly spaced, so each ramp row is
    the previous one times e^{-2 pi i c dk}: one complex product per
    table entry instead of one exponential.
@@ -27,10 +28,11 @@ The sum is evaluated in one pass for all requested encodes:
    has a phase quadratic in the sample index and its two ramp steps
    phases linear in it. Each sample's factors are the previous
    sample's times a step factor, and the readout step is itself
-   advanced by a constant. On the real table of step 4 a block of points
-   needs seven exponentials per frame whatever the readout length, and
-   the readout-sample loop only multiplies; the NUFFT of step 6
-   evaluates its kernel once per sample.
+   advanced by a constant. A block of points needs seven exponentials
+   per frame on the real table of step 4 and five on the NUFFT of step
+   6, which builds no partition ramp, whatever the readout length. The
+   readout-sample loop only multiplies; the NUFFT evaluates its real
+   kernel once per sample.
 4. Real partition table. The partition axis is centred, k = m dk for
    m = -c..c (c = n//2; an even count has no +c), so partition m takes
    s_z^m with s_z = e^{-2 pi i dk z} of modulus 1, and s_z^-m is the
@@ -48,17 +50,20 @@ The sum is evaluated in one pass for all requested encodes:
    neither the tables nor the points grow with the mesh.
 6. Partition NUFFT. The blocks are local in z, so where the real table
    is large the partition axis is instead a 1D type-1 NUFFT per readout
-   sample. Each point's drifted z spreads L onto the 12 nearest cells of
-   a periodic grid of 2 n_pz cells per partition field of view, with the
+   sample. Each point's drifted z spreads onto the 12 nearest cells of a
+   periodic grid of 2 n_pz cells per partition field of view, with the
    exponential-of-semicircle kernel (Barnett, Magland & af Klinteberg,
-   SIAM J. Sci. Comput. 2019): one real product of the block's kernel
-   table with L per sample. Once per frame each sample's grid is Fourier
-   transformed and divided by the kernel's transform. It is taken when
-   the largest block's table (its footprint in cells over the readout,
-   plus the kernel width) has at most a third of the real table's 2c+1
-   rows: the paper-scale slab (113 rows against 24) takes it, the
-   default config (37 against 67) does not. It agrees with the direct
-   sum to about 1e-11 relative L2.
+   SIAM J. Sci. Comput. 2019), evaluated in place. Per sample the
+   phase-encode table is held encode-minor, (n_pe, n, n_enc): row 0 is
+   amp * A and each later row the one before times s_y, one contiguous
+   product per row. One batched real product of the block's kernel table
+   with it is added into the sample's grid, wrapping at the grid's end.
+   Once per frame each sample's grid is Fourier transformed and divided
+   by the kernel's transform. It is taken when the largest block's table
+   (its footprint in cells over the readout, plus the kernel width) has
+   at most a third of the real table's 2c+1 rows: the paper-scale slab
+   (113 rows against 24) takes it, the default config (37 against 67)
+   does not. It agrees with the direct sum to about 1e-11 relative L2.
 
 All quantities are SI: meters, seconds, tesla. Note the slew rate unit
 is T/m/s (195 T/m/s is a typical whole-body gradient system).
@@ -473,25 +478,30 @@ def _sample_factors(pos, vel, times, k_ro, k_pe, k_pz, t2_star):
     are evenly spaced, so the phase of A_i is quadratic in i and those
     of s_y, s_z linear: A_{i+1} = A_i G_i with G_{i+1} = G_i H,
     s_{i+1} = s_i D. Seven exponentials per block (A_0, G_0, H, s_y,
-    D_y, s_z, D_z) serve every sample. Yields (A_i, s_y, s_z) per
-    sample; the arrays are advanced in place, so use them before taking
-    the next sample.
+    D_y, s_z, D_z) serve every sample; with ``k_pz`` None s_z is not
+    made and is None, five. Yields (A_i, s_y, s_z) per sample; the
+    arrays are advanced in place, so use them before taking the next
+    sample.
     """
     x, y, z = pos.T
     ux, uy, uz = vel.T
     t0, dt = times[0], _spacing(times)
     kx0, ky0 = k_ro[0], k_pe[0]
-    dkx, dky, dkz = _spacing(k_ro), _spacing(k_pe), _spacing(k_pz)
-    xt, yt, zt = x + ux * t0, y + uy * t0, z + uz * t0
+    dkx, dky = _spacing(k_ro), _spacing(k_pe)
+    xt, yt = x + ux * t0, y + uy * t0
     a = np.exp(-t0 / t2_star - 2j * np.pi * (kx0 * xt + ky0 * yt))
     s_y = np.exp(-2j * np.pi * dky * yt)
-    s_z = np.exp(-2j * np.pi * dkz * zt)
+    s_z = d_z = None
     n = times.size
+    if k_pz is not None:
+        dkz = _spacing(k_pz)
+        s_z = np.exp(-2j * np.pi * dkz * (z + uz * t0))
     if n > 1:
         g = np.exp(-dt / t2_star - 2j * np.pi * (
             dkx * xt + (kx0 + dkx) * dt * ux + ky0 * dt * uy))
         d_y = np.exp(-2j * np.pi * dky * dt * uy)
-        d_z = np.exp(-2j * np.pi * dkz * dt * uz)
+        if k_pz is not None:
+            d_z = np.exp(-2j * np.pi * dkz * dt * uz)
     if n > 2:
         h = np.exp(-4j * np.pi * dkx * dt * ux)
     for i in range(n):
@@ -499,7 +509,8 @@ def _sample_factors(pos, vel, times, k_ro, k_pe, k_pz, t2_star):
         if i + 1 < n:
             a *= g
             s_y *= d_y
-            s_z *= d_z
+            if d_z is not None:
+                s_z *= d_z
         if i + 2 < n:
             g *= h
 
@@ -512,24 +523,37 @@ class _FoldedTable:
     into partition grids once per frame.
     """
 
-    def __init__(self, n_ro: int, n_pz: int, width: int, n_max: int):
-        self.n_pz = n_pz
+    ramps_z = True
+
+    def __init__(self, n_ro: int, n_pz: int, n_enc: int, n_pe: int,
+                 n_max: int):
+        self.n_pz, self.n_enc, self.n_pe = n_pz, n_enc, n_pe
         self.c = c = n_pz // 2
         rows = 2 * c + 1
+        width = n_enc * n_pe
         self.folded = np.zeros((n_ro, rows, width), dtype=complex)
         self.prod = np.empty((rows, width), dtype=complex)
         # sized for a full block, allocated once per frame; a block uses
         # contiguous prefixes of them
         self.pz_buf = np.empty(c * n_max, dtype=complex)
         self.table_buf = np.empty(rows * n_max)
+        self.ey_buf = np.empty(n_pe * n_max, dtype=complex)
+        self.left_buf = np.empty(width * n_max, dtype=complex)
 
-    def block(self, pos, vel):
+    def block(self, pos, vel, amp):
         n = len(pos)
+        self.amp = amp
+        self.ey = self.ey_buf[:self.n_pe * n].reshape(self.n_pe, n)
+        self.left = self.left_buf[:n * self.n_enc * self.n_pe].reshape(n, -1)
         self.pz = self.pz_buf[:self.c * n].reshape(self.c, n)
         self.table = self.table_buf[:len(self.prod) * n].reshape(-1, n)
         self.table[0] = 1.0
 
-    def add(self, i, s_z, left):
+    def add(self, i, a, s_y, s_z):
+        amp, ey, left = self.amp, self.ey, self.left
+        _ramp(a, s_y, ey)
+        np.multiply(amp[:, :, None], ey.T[:, None, :],
+                    out=left.reshape(len(amp), self.n_enc, self.n_pe))
         c, pz, table = self.c, self.pz, self.table
         _ramp(s_z, s_z, pz)
         np.copyto(table[1:c + 1], pz.real)
@@ -537,9 +561,9 @@ class _FoldedTable:
         np.matmul(table, left.view(float), out=self.prod.view(float))
         self.folded[i] += self.prod
 
-    def grids(self, n_enc: int, n_pe: int) -> np.ndarray:
+    def grids(self) -> np.ndarray:
         n_ro = len(self.folded)
-        return _unfold(self.folded.reshape(n_ro, -1, n_enc, n_pe)
+        return _unfold(self.folded.reshape(n_ro, -1, self.n_enc, self.n_pe)
                        .transpose(2, 0, 3, 1), self.n_pz)
 
 
@@ -562,10 +586,17 @@ def _unfold(folded, n_pz):
     return out
 
 
-def _es_kernel(x):
+def _es_kernel(x, out=None):
     """Exponential of semicircle on [-1, 1], 1 at 0 and e^-beta at the ends
-    (Barnett, Magland & af Klinteberg, SIAM J. Sci. Comput. 2019)."""
-    return np.exp(_ES_BETA * (np.sqrt(np.maximum(1.0 - x * x, 0.0)) - 1.0))
+    (Barnett, Magland & af Klinteberg, SIAM J. Sci. Comput. 2019); made in
+    ``out`` when given, which may be ``x``."""
+    out = np.multiply(x, x, out=out)
+    np.subtract(1.0, out, out=out)
+    np.maximum(out, 0.0, out=out)
+    np.sqrt(out, out=out)
+    out -= 1.0
+    out *= _ES_BETA
+    return np.exp(out, out=out)
 
 
 def _es_transform(freq: np.ndarray) -> np.ndarray:
@@ -582,33 +613,53 @@ class _SpreadGrid:
     """Partition step 6: a 1D type-1 NUFFT along the partition axis.
 
     The grid has N = ``_ES_GRID`` n_pz cells per partition field of view
-    and wraps at z = 0. Per sample, a block's kernel table K (span x n)
-    holds each point's ``_ES_WIDTH`` kernel values at the rows of its
-    nearest cells; K times L is added into that sample's grid at the
-    block's first cell. Partition m = j - n_pz // 2 is frequency m mod N
-    of the grid's DFT divided by the kernel's transform at m / N.
+    and wraps at z = 0. Per sample, the block's phase-encode rows L
+    (n_pe, n, n_enc) are a ramp over contiguous encode rows: row 0 is
+    amp * A, each later row the one before times s_y. A kernel table K
+    (span x n) holds each point's ``_ES_WIDTH`` kernel values at the rows
+    of its nearest cells, and the batched product K L (n_pe, span, n_enc)
+    is added into that sample's grid from the block's first cell on,
+    wrapping at the grid's end. Partition m = j - n_pz // 2 is frequency
+    m mod N of the grid's DFT divided by the kernel's transform at m / N.
     """
 
-    def __init__(self, n_pz: int, width: int, n_max: int, rows: int,
-                 per_metre: float, times: np.ndarray):
-        self.n_pz = n_pz
+    ramps_z = False
+
+    def __init__(self, n_pz: int, n_enc: int, n_pe: int, n_max: int,
+                 rows: int, per_metre: float, times: np.ndarray):
+        self.n_pz, self.n_enc, self.n_pe = n_pz, n_enc, n_pe
         self.cells = cells = _ES_GRID * n_pz
         self.per_metre = per_metre
         self.times = times
-        n_ro = times.size
-        # rows past the grid's end hold the wrapped tail of a block
-        # footprint, folded onto the start once per frame
-        self.acc = np.zeros((n_ro, cells + rows, width), dtype=complex)
-        self.prod = np.empty((rows, width), dtype=complex)
+        self.acc = np.zeros((times.size, n_pe, cells, n_enc), dtype=complex)
+        # sized for a full block and the largest table, allocated once per
+        # frame; a block or a sample uses contiguous prefixes of them
+        self.left_buf = np.empty(n_pe * n_max * n_enc, dtype=complex)
+        self.step_buf = np.empty(n_max * n_enc, dtype=complex)
+        self.prod_buf = np.empty(n_pe * rows * n_enc, dtype=complex)
         self.kernel_buf = np.empty(rows * n_max)
+        self.values_buf = np.empty((_ES_WIDTH, n_max))
         self.taps = np.arange(_ES_WIDTH)[:, None]
+        # the taps in kernel units, where the kernel spans [-1, 1]
+        self.scaled_taps = self.taps * (2.0 / _ES_WIDTH)
 
-    def block(self, pos, vel):
+    def block(self, pos, vel, amp):
+        n = len(pos)
+        self.amp = amp
         self.z = pos[:, 2] * self.per_metre
         self.uz = vel[:, 2] * self.per_metre
-        self.points = np.arange(len(pos))
+        self.points = np.arange(n)
+        self.left = self.left_buf[:self.n_pe * n * self.n_enc].reshape(
+            self.n_pe, n, self.n_enc)
+        self.step = self.step_buf[:n * self.n_enc].reshape(n, self.n_enc)
+        self.values = self.values_buf[:, :n]
 
-    def add(self, i, s_z, left):
+    def add(self, i, a, s_y, s_z):
+        left, step = self.left, self.step
+        np.multiply(self.amp, a[:, None], out=left[0])
+        np.copyto(step, s_y[:, None])
+        for p in range(1, len(left)):
+            np.multiply(left[p - 1], step, out=left[p])
         n = len(self.points)
         u = self.z + self.uz * self.times[i]
         first = np.ceil(u - _ES_WIDTH / 2)
@@ -617,23 +668,29 @@ class _SpreadGrid:
         kernel = self.kernel_buf[:span * n].reshape(span, n)
         kernel.fill(0.0)
         # tap j of a point sits j - (u - first) cells from it, in [-W/2, W/2)
+        values = self.values
+        np.add(self.scaled_taps, (first - u) * (2.0 / _ES_WIDTH), out=values)
         kernel[(first - low).astype(int) + self.taps, self.points] = \
-            _es_kernel((first - u + self.taps) * (2.0 / _ES_WIDTH))
-        prod = self.prod[:span]
+            _es_kernel(values, out=values)
+        prod = self.prod_buf[:len(left) * span * self.n_enc].reshape(
+            len(left), span, self.n_enc)
         np.matmul(kernel, left.view(float), out=prod.view(float))
-        start = int(low) % self.cells
-        self.acc[i, start:start + span] += prod
+        # a footprint is shorter than the grid (the table has at most a
+        # third of the real table's 2c+1 rows), so it wraps at most once
+        acc, start = self.acc[i], int(low) % self.cells
+        head = min(span, self.cells - start)
+        acc[:, start:start + head] += prod[:, :head]
+        acc[:, :span - head] += prod[:, head:]
 
-    def grids(self, n_enc: int, n_pe: int) -> np.ndarray:
+    def grids(self) -> np.ndarray:
         acc, cells, n_pz = self.acc, self.cells, self.n_pz
-        acc[:, :acc.shape[1] - cells] += acc[:, cells:]
         m = np.arange(n_pz) - n_pz // 2
         deconvolve = 1.0 / _es_transform(m / cells)[:, None]
-        out = np.empty((n_enc, len(acc), n_pe, n_pz), dtype=complex)
+        out = np.empty((self.n_enc, len(acc), self.n_pe, n_pz), dtype=complex)
         for i, sample in enumerate(acc):
-            spectrum = np.fft.fft(sample[:cells], axis=0)[m % cells]
+            spectrum = np.fft.fft(sample, axis=1)[:, m % cells]
             spectrum *= deconvolve
-            out[:, i] = spectrum.reshape(n_pz, n_enc, n_pe).transpose(1, 2, 0)
+            out[:, i] = spectrum.transpose(2, 0, 1)
         return out
 
 
@@ -663,23 +720,24 @@ def _partition_sums(mesh: TetMesh, m0, velocities, rule,
     """k-space grids (n_enc, n_ro, n_pe, n_pz) of ``encodes``.
 
     The quadrature points are made one block of tets at a time; each
-    sample's L = amp * ey goes to the partition step, the real table
-    (step 4) or, when its table is much the smaller, the NUFFT (step 6).
+    sample's factors go to the partition step, the real table (step 4)
+    or, when its table is much the smaller, the NUFFT (step 6), which
+    builds its operands from them and needs no partition ramp.
     """
     k_ro, k_pe, k_pz = params.k_axes()
     n_enc, n_pe, n_pz = len(encodes), k_pe.size, k_pz.size
-    width = n_enc * n_pe
     # whole tets per block; a rule with more points than _BLOCK takes one
     per_block = max(1, _BLOCK // len(rule[1]))
     n_max = per_block * len(rule[1])
     per_metre = _ES_GRID * n_pz / params.fov[2]
     spread = _spread_rows(mesh, velocities, times, per_block, per_metre)
     if spread <= _SPREAD_SHARE * (2 * (n_pz // 2) + 1):
-        partitions = _SpreadGrid(n_pz, width, n_max, spread, per_metre, times)
+        partitions = _SpreadGrid(n_pz, n_enc, n_pe, n_max, spread, per_metre,
+                                 times)
     else:
-        partitions = _FoldedTable(k_ro.size, n_pz, width, n_max)
-    amp_buf, ey_buf, left_buf = (np.empty(size * n_max, dtype=complex)
-                                 for size in (n_enc, n_pe, width))
+        partitions = _FoldedTable(k_ro.size, n_pz, n_enc, n_pe, n_max)
+    k_ramp = k_pz if partitions.ramps_z else None
+    amp_buf = np.empty(n_enc * n_max, dtype=complex)
     for lo in range(0, mesh.n_tets, per_block):
         pos, wm, vel = _quadrature(mesh.vertices, mesh.tets[lo:lo + per_block],
                                    m0, velocities, rule)
@@ -690,17 +748,12 @@ def _partition_sums(mesh: TetMesh, m0, velocities, rule,
             if encode != "ref":
                 amp[:, col] *= np.exp(-1j * np.pi * vel[:, "xyz".index(encode)]
                                       / params.venc)
-        ey = ey_buf[:n_pe * n].reshape(n_pe, n)
-        left = left_buf[:n * width].reshape(n, width)
-        partitions.block(pos, vel)
-        samples = _sample_factors(pos, vel, times, k_ro, k_pe, k_pz,
+        partitions.block(pos, vel, amp)
+        samples = _sample_factors(pos, vel, times, k_ro, k_pe, k_ramp,
                                   params.t2_star)
         for i, (a, s_y, s_z) in enumerate(samples):
-            _ramp(a, s_y, ey)
-            np.multiply(amp[:, :, None], ey.T[:, None, :],
-                        out=left.reshape(n, n_enc, n_pe))
-            partitions.add(i, s_z, left)
-    return partitions.grids(n_enc, n_pe)
+            partitions.add(i, a, s_y, s_z)
+    return partitions.grids()
 
 
 def _synthesize(mesh: TetMesh, m0: np.ndarray, field: VelocityField,

@@ -462,6 +462,58 @@ def test_spread_long_readout_with_fast_drift_matches_direct_sum(paths_taken):
     assert paths_taken == ["_SpreadGrid"]
 
 
+def test_spread_single_encodes_with_odd_phase_encodes_match_direct_sum(
+        paths_taken):
+    # one encode per call gives the NUFFT's encode axis length 1; 5 phase
+    # encodes put k_pe = 0 in the middle of the phase-encode ramp
+    params = SequenceParams(venc=2.5, matrix=(4, 5, 96),
+                            voxel=(0.004, 0.004, 0.002), adc_bandwidth=32e3)
+    mesh = small_box((3, 3, 3))
+    m0 = np.linspace(0.5, 1.5, mesh.n_vertices)
+    field = box_swirl(mesh, 1.0)
+    for encode in ENCODE_AXES:
+        k = synthesize_signal(mesh, m0, field, params, encode=encode)
+        err = relative_l2(k.signals[encode],
+                          direct_sum(mesh, m0, field, params, encode))
+        assert err <= 1e-10, \
+            f"encode {encode}: {err:.2e} relative L2 from the direct sum"
+    assert paths_taken == ["_SpreadGrid"] * len(ENCODE_AXES)
+
+
+def test_spread_path_makes_no_partition_ramp(monkeypatch, paths_taken):
+    # the same mesh and readout through the real table (8 partitions) and
+    # the NUFFT (96 partitions): the NUFFT never reads s_z, so each block
+    # makes neither s_z nor its step, two complex exponentials fewer
+    monkeypatch.setattr("hemoflow.mri._BLOCK", 64)
+    mesh = small_box()
+    per_block = 64 // 4
+    n_blocks = -(-mesh.n_tets // per_block)
+    assert n_blocks > 1
+    field = box_swirl(mesh, 1.0)
+    exp = np.exp
+    calls = []
+
+    def counting_exp(x, *args, **kwargs):
+        if np.iscomplexobj(x):
+            calls.append(1)
+        return exp(x, *args, **kwargs)
+
+    counts = []
+    for n_pz in (8, 96):
+        params = SequenceParams(matrix=(4, 6, n_pz),
+                                voxel=(0.008, 0.002, 0.002),
+                                adc_bandwidth=32e3, oversampling=2)
+        calls.clear()
+        with monkeypatch.context() as m:
+            m.setattr(np, "exp", counting_exp)
+            synthesize_frame(mesh, np.ones(mesh.n_vertices), field, params)
+        counts.append(len(calls))
+    assert paths_taken == ["_FoldedTable", "_SpreadGrid"]
+    assert counts[0] - counts[1] == 2 * n_blocks, \
+        f"{counts[0]} complex exponentials on the real table, " \
+        f"{counts[1]} on the NUFFT, over {n_blocks} blocks"
+
+
 def test_partition_step_follows_the_table_sizes(paths_taken):
     # the default config (37 real rows against about 65 spread) and the
     # exponential-count inputs (8 partitions) keep the real table; the
