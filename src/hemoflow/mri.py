@@ -15,11 +15,13 @@ raster under slew and amplitude limits.
 
 The sum is evaluated in one pass for all requested encodes:
 
-1. Shared tables. For each readout sample, the partition table (and,
-   on the real table of step 4, the phase-encode ramp) is built once
-   and shared by every encode, which are then contracted in a single
-   matrix product. The readout/T2* factor rides in the first
-   phase-encode row.
+1. Shared operand. For each readout sample, one phase-encode operand
+   L is built once for every encode, in ``_partition_sums``, and handed
+   to the partition step (4 or 6), which contracts it in one batched
+   matrix product. L is encode-minor, (n_pe, n, n_enc): row 0 is amp * A
+   (the readout/T2* factor times each point's encode amplitudes) and
+   each later row the one before times s_y, one contiguous product per
+   row.
 2. Recurrence in k. The k axes are evenly spaced, so each ramp row is
    the previous one times e^{-2 pi i c dk}: one complex product per
    table entry instead of one exponential.
@@ -37,11 +39,11 @@ The sum is evaluated in one pass for all requested encodes:
    m = -c..c (c = n//2; an even count has no +c), so partition m takes
    s_z^m with s_z = e^{-2 pi i dk z} of modulus 1, and s_z^-m is the
    conjugate of s_z^m. Only s_z^0..s_z^c are built; their real and
-   imaginary parts form one real table T of 2c+1 rows. One real product
-   of T with the float view of the point-major phase-encode table L
-   gives C_m = sum L Re(s_z^m) and J_m = sum L Im(s_z^m) together, at
-   half the flops of the complex product; partition +-m is
-   C_m +- i J_m, unfolded once per frame.
+   imaginary parts form one real table T of 2c+1 rows. One batched real
+   product of T with the float view of the operand L of step 1 gives
+   C_m = sum L Re(s_z^m) and J_m = sum L Im(s_z^m) together, at half the
+   flops of the complex product; partition +-m is C_m +- i J_m,
+   unfolded once per frame.
 5. Blocks. The tets are taken in blocks of about ``_BLOCK`` quadrature
    points, and each block makes its own points: positions, velocities
    and weights w_q vol M0 come from its tets' corners, and its
@@ -53,11 +55,9 @@ The sum is evaluated in one pass for all requested encodes:
    sample. Each point's drifted z spreads onto the 12 nearest cells of a
    periodic grid of 2 n_pz cells per partition field of view, with the
    exponential-of-semicircle kernel (Barnett, Magland & af Klinteberg,
-   SIAM J. Sci. Comput. 2019), evaluated in place. Per sample the
-   phase-encode table is held encode-minor, (n_pe, n, n_enc): row 0 is
-   amp * A and each later row the one before times s_y, one contiguous
-   product per row. One batched real product of the block's kernel table
-   with it is added into the sample's grid, wrapping at the grid's end.
+   SIAM J. Sci. Comput. 2019), evaluated in place. One batched real
+   product of the block's kernel table with the operand L of step 1 is
+   added into the sample's grid, wrapping at the grid's end.
    Once per frame each sample's grid is Fourier transformed and divided
    by the kernel's transform. It is taken when the largest block's table
    (its footprint in cells over the readout, plus the kernel width) has
@@ -518,42 +518,33 @@ def _sample_factors(pos, vel, times, k_ro, k_pe, k_pz, t2_star):
 class _FoldedTable:
     """Partition step 4: per-sample sums against the real partition table.
 
-    For each readout sample, the sums of L = amp * ey against Re(s_z^m),
-    m = 0..c, then against Im(s_z^m), m = 1..c, c = n_pz // 2, unfolded
-    into partition grids once per frame.
+    For each readout sample, one batched product of the real table
+    (Re(s_z^m), m = 0..c, then Im(s_z^m), m = 1..c, c = n_pz // 2) with
+    the encode-minor operand L (n_pe, n, n_enc) gives the folded sums
+    (n_pe, 2c+1, n_enc), unfolded into partition grids once per frame.
     """
 
     ramps_z = True
 
     def __init__(self, n_ro: int, n_pz: int, n_enc: int, n_pe: int,
                  n_max: int):
-        self.n_pz, self.n_enc, self.n_pe = n_pz, n_enc, n_pe
+        self.n_pz = n_pz
         self.c = c = n_pz // 2
         rows = 2 * c + 1
-        width = n_enc * n_pe
-        self.folded = np.zeros((n_ro, rows, width), dtype=complex)
-        self.prod = np.empty((rows, width), dtype=complex)
+        self.folded = np.zeros((n_ro, n_pe, rows, n_enc), dtype=complex)
+        self.prod = np.empty((n_pe, rows, n_enc), dtype=complex)
         # sized for a full block, allocated once per frame; a block uses
         # contiguous prefixes of them
         self.pz_buf = np.empty(c * n_max, dtype=complex)
         self.table_buf = np.empty(rows * n_max)
-        self.ey_buf = np.empty(n_pe * n_max, dtype=complex)
-        self.left_buf = np.empty(width * n_max, dtype=complex)
 
-    def block(self, pos, vel, amp):
+    def block(self, pos, vel):
         n = len(pos)
-        self.amp = amp
-        self.ey = self.ey_buf[:self.n_pe * n].reshape(self.n_pe, n)
-        self.left = self.left_buf[:n * self.n_enc * self.n_pe].reshape(n, -1)
         self.pz = self.pz_buf[:self.c * n].reshape(self.c, n)
-        self.table = self.table_buf[:len(self.prod) * n].reshape(-1, n)
+        self.table = self.table_buf[:(2 * self.c + 1) * n].reshape(-1, n)
         self.table[0] = 1.0
 
-    def add(self, i, a, s_y, s_z):
-        amp, ey, left = self.amp, self.ey, self.left
-        _ramp(a, s_y, ey)
-        np.multiply(amp[:, :, None], ey.T[:, None, :],
-                    out=left.reshape(len(amp), self.n_enc, self.n_pe))
+    def add(self, i, left, s_z):
         c, pz, table = self.c, self.pz, self.table
         _ramp(s_z, s_z, pz)
         np.copyto(table[1:c + 1], pz.real)
@@ -562,9 +553,7 @@ class _FoldedTable:
         self.folded[i] += self.prod
 
     def grids(self) -> np.ndarray:
-        n_ro = len(self.folded)
-        return _unfold(self.folded.reshape(n_ro, -1, self.n_enc, self.n_pe)
-                       .transpose(2, 0, 3, 1), self.n_pz)
+        return _unfold(self.folded.transpose(3, 0, 1, 2), self.n_pz)
 
 
 def _unfold(folded, n_pz):
@@ -613,14 +602,13 @@ class _SpreadGrid:
     """Partition step 6: a 1D type-1 NUFFT along the partition axis.
 
     The grid has N = ``_ES_GRID`` n_pz cells per partition field of view
-    and wraps at z = 0. Per sample, the block's phase-encode rows L
-    (n_pe, n, n_enc) are a ramp over contiguous encode rows: row 0 is
-    amp * A, each later row the one before times s_y. A kernel table K
-    (span x n) holds each point's ``_ES_WIDTH`` kernel values at the rows
-    of its nearest cells, and the batched product K L (n_pe, span, n_enc)
-    is added into that sample's grid from the block's first cell on,
-    wrapping at the grid's end. Partition m = j - n_pz // 2 is frequency
-    m mod N of the grid's DFT divided by the kernel's transform at m / N.
+    and wraps at z = 0. Per sample, a kernel table K (span x n) holds each
+    point's ``_ES_WIDTH`` kernel values at the rows of its nearest cells,
+    and the batched product K L (n_pe, span, n_enc) with the encode-minor
+    operand L (n_pe, n, n_enc) is added into that sample's grid from the
+    block's first cell on, wrapping at the grid's end. Partition
+    m = j - n_pz // 2 is frequency m mod N of the grid's DFT divided by
+    the kernel's transform at m / N.
     """
 
     ramps_z = False
@@ -634,8 +622,6 @@ class _SpreadGrid:
         self.acc = np.zeros((times.size, n_pe, cells, n_enc), dtype=complex)
         # sized for a full block and the largest table, allocated once per
         # frame; a block or a sample uses contiguous prefixes of them
-        self.left_buf = np.empty(n_pe * n_max * n_enc, dtype=complex)
-        self.step_buf = np.empty(n_max * n_enc, dtype=complex)
         self.prod_buf = np.empty(n_pe * rows * n_enc, dtype=complex)
         self.kernel_buf = np.empty(rows * n_max)
         self.values_buf = np.empty((_ES_WIDTH, n_max))
@@ -643,23 +629,14 @@ class _SpreadGrid:
         # the taps in kernel units, where the kernel spans [-1, 1]
         self.scaled_taps = self.taps * (2.0 / _ES_WIDTH)
 
-    def block(self, pos, vel, amp):
+    def block(self, pos, vel):
         n = len(pos)
-        self.amp = amp
         self.z = pos[:, 2] * self.per_metre
         self.uz = vel[:, 2] * self.per_metre
         self.points = np.arange(n)
-        self.left = self.left_buf[:self.n_pe * n * self.n_enc].reshape(
-            self.n_pe, n, self.n_enc)
-        self.step = self.step_buf[:n * self.n_enc].reshape(n, self.n_enc)
         self.values = self.values_buf[:, :n]
 
-    def add(self, i, a, s_y, s_z):
-        left, step = self.left, self.step
-        np.multiply(self.amp, a[:, None], out=left[0])
-        np.copyto(step, s_y[:, None])
-        for p in range(1, len(left)):
-            np.multiply(left[p - 1], step, out=left[p])
+    def add(self, i, left, s_z):
         n = len(self.points)
         u = self.z + self.uz * self.times[i]
         first = np.ceil(u - _ES_WIDTH / 2)
@@ -720,9 +697,9 @@ def _partition_sums(mesh: TetMesh, m0, velocities, rule,
     """k-space grids (n_enc, n_ro, n_pe, n_pz) of ``encodes``.
 
     The quadrature points are made one block of tets at a time; each
-    sample's factors go to the partition step, the real table (step 4)
-    or, when its table is much the smaller, the NUFFT (step 6), which
-    builds its operands from them and needs no partition ramp.
+    sample's encode-minor operand (step 1) goes to the partition step,
+    the real table (step 4) or, when its table is much the smaller, the
+    NUFFT (step 6), which needs no partition ramp.
     """
     k_ro, k_pe, k_pz = params.k_axes()
     n_enc, n_pe, n_pz = len(encodes), k_pe.size, k_pz.size
@@ -738,6 +715,8 @@ def _partition_sums(mesh: TetMesh, m0, velocities, rule,
         partitions = _FoldedTable(k_ro.size, n_pz, n_enc, n_pe, n_max)
     k_ramp = k_pz if partitions.ramps_z else None
     amp_buf = np.empty(n_enc * n_max, dtype=complex)
+    left_buf = np.empty(n_pe * n_max * n_enc, dtype=complex)
+    step_buf = np.empty(n_max * n_enc, dtype=complex)
     for lo in range(0, mesh.n_tets, per_block):
         pos, wm, vel = _quadrature(mesh.vertices, mesh.tets[lo:lo + per_block],
                                    m0, velocities, rule)
@@ -748,11 +727,18 @@ def _partition_sums(mesh: TetMesh, m0, velocities, rule,
             if encode != "ref":
                 amp[:, col] *= np.exp(-1j * np.pi * vel[:, "xyz".index(encode)]
                                       / params.venc)
-        partitions.block(pos, vel, amp)
+        left = left_buf[:n_pe * n * n_enc].reshape(n_pe, n, n_enc)
+        step = step_buf[:n * n_enc].reshape(n, n_enc)
+        partitions.block(pos, vel)
         samples = _sample_factors(pos, vel, times, k_ro, k_pe, k_ramp,
                                   params.t2_star)
         for i, (a, s_y, s_z) in enumerate(samples):
-            partitions.add(i, a, s_y, s_z)
+            # the encode-minor operand L of step 1
+            np.multiply(amp, a[:, None], out=left[0])
+            np.copyto(step, s_y[:, None])
+            for p in range(1, n_pe):
+                np.multiply(left[p - 1], step, out=left[p])
+            partitions.add(i, left, s_z)
     return partitions.grids()
 
 
@@ -822,7 +808,7 @@ def add_noise(k: KSpaceData, sigma_fraction: float,
     for name in sorted(k.signals):
         grid = k.signals[name]
         noise = rng.normal(0.0, sigma, size=grid.shape + (2,))
-        noisy[name] = grid + noise[..., 0] + 1j * noise[..., 1]
+        noisy[name] = grid + noise.view(complex)[..., 0]
     return KSpaceData(signals=noisy, sample_times=k.sample_times.copy(),
                       params=k.params, frame_time=k.frame_time, seed=seed)
 

@@ -541,6 +541,45 @@ def test_partition_step_follows_the_table_sizes(paths_taken):
     assert paths_taken == ["_FoldedTable"] * 3 + ["_SpreadGrid"]
 
 
+@pytest.mark.parametrize("n_pe", [2, 3])
+def test_fewest_phase_encodes_match_direct_sum(paths_taken, n_pe):
+    # the shared operand ramps over the phase encodes; with 2 it takes a
+    # single step. Both partition steps contract it: 8 partitions keep the
+    # real table, 96 spread
+    mesh = small_box((3, 3, 3))
+    m0 = np.linspace(0.5, 1.5, mesh.n_vertices)
+    field = box_swirl(mesh, 1.0)
+    for n_pz in (8, 96):
+        params = SequenceParams(venc=2.5, matrix=(4, n_pe, n_pz),
+                                voxel=(0.004, 0.004, 0.002),
+                                adc_bandwidth=32e3)
+        assert_matches_direct_sum(mesh, m0, field, params)
+    assert paths_taken == ["_FoldedTable", "_SpreadGrid"]
+
+
+def test_partition_steps_agree(monkeypatch, paths_taken):
+    # one input forced through each partition step; both contract the same
+    # encode-minor operand, so a layout slip in either shows here (one
+    # reversed phase-encode axis is 1.5 away). The steps differ by the
+    # NUFFT kernel's own error, 6e-12 at _ES_WIDTH 12, for every encode.
+    # The pipe spans several tet blocks, the last one partial
+    pipe = generate_pipe_mesh(0.01, 0.1, resolution=1)
+    assert pipe.n_tets > _BLOCK // 4 and pipe.n_tets % (_BLOCK // 4)
+    field, r2 = pipe_swirl(pipe)
+    params = SequenceParams(venc=0.8, matrix=(2, 4, 72),
+                            voxel=(0.016, 0.004, 0.004), oversampling=1,
+                            adc_bandwidth=32e3, fov_center=(0.0, 0.0, 0.05))
+    frames = []
+    for share in (0.0, 1e9):
+        monkeypatch.setattr("hemoflow.mri._SPREAD_SHARE", share)
+        frames.append(synthesize_frame(pipe, 1.0 + 0.5 * r2, field, params))
+    assert paths_taken == ["_FoldedTable", "_SpreadGrid"]
+    for encode in ENCODE_AXES:
+        err = relative_l2(frames[1].signals[encode], frames[0].signals[encode])
+        assert err <= 2e-11, \
+            f"encode {encode}: the steps differ by {err:.2e} relative L2"
+
+
 @settings(max_examples=200, deadline=None)
 @given(n=st.integers(1, 128),
        fov=st.floats(0.03, 0.25),
