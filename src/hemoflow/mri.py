@@ -21,29 +21,29 @@ The sum is evaluated in one pass for all requested encodes:
    matrix product. L is encode-minor, (n_pe, n, n_enc): row 0 is amp * A
    (the readout/T2* factor times each point's encode amplitudes) and
    each later row the one before times s_y, one contiguous product per
-   row.
+   row. L carries no partition phase; the partition step owns that axis.
 2. Recurrence in k. The k axes are evenly spaced, so each ramp row is
    the previous one times e^{-2 pi i c dk}: one complex product per
    table entry instead of one exponential.
 3. Recurrence in time. Sample times and readout k are evenly spaced
    too, so a point's first ramp row (readout phase, T2* decay, drift)
-   has a phase quadratic in the sample index and its two ramp steps
-   phases linear in it. Each sample's factors are the previous
-   sample's times a step factor, and the readout step is itself
-   advanced by a constant. A block of points needs seven exponentials
-   per frame on the real table of step 4 and five on the NUFFT of step
-   6, which builds no partition ramp, whatever the readout length. The
+   has a phase quadratic in the sample index and its ramp steps phases
+   linear in it. Each sample's factors are the previous sample's times
+   a step factor, and the readout step is itself advanced by a
+   constant. The readout and phase-encode factors take five
+   exponentials per block of points whatever the readout length; the
+   real table of step 4 makes its own partition factor, two more. The
    readout-sample loop only multiplies; the NUFFT evaluates its real
    kernel once per sample.
 4. Real partition table. The partition axis is centred, k = m dk for
    m = -c..c (c = n//2; an even count has no +c), so partition m takes
    s_z^m with s_z = e^{-2 pi i dk z} of modulus 1, and s_z^-m is the
-   conjugate of s_z^m. Only s_z^0..s_z^c are built; their real and
-   imaginary parts form one real table T of 2c+1 rows. One batched real
-   product of T with the float view of the operand L of step 1 gives
-   C_m = sum L Re(s_z^m) and J_m = sum L Im(s_z^m) together, at half the
-   flops of the complex product; partition +-m is C_m +- i J_m,
-   unfolded once per frame.
+   conjugate of s_z^m; the table makes s_z itself (step 3). Only
+   s_z^0..s_z^c are built; their real and imaginary parts form one real
+   table T of 2c+1 rows. One batched real product of T with the float
+   view of the operand L of step 1 gives C_m = sum L Re(s_z^m) and
+   J_m = sum L Im(s_z^m) together, at half the flops of the complex
+   product; partition +-m is C_m +- i J_m, unfolded once per frame.
 5. Blocks. The tets are taken in blocks of about ``_BLOCK`` quadrature
    points, and each block makes its own points: positions, velocities
    and weights w_q vol M0 come from its tets' corners, and its
@@ -58,12 +58,13 @@ The sum is evaluated in one pass for all requested encodes:
    SIAM J. Sci. Comput. 2019), evaluated in place. One batched real
    product of the block's kernel table with the operand L of step 1 is
    added into the sample's grid, wrapping at the grid's end.
-   Once per frame each sample's grid is Fourier transformed and divided
-   by the kernel's transform. It is taken when the largest block's table
-   (its footprint in cells over the readout, plus the kernel width) has
-   at most a third of the real table's 2c+1 rows: the paper-scale slab
-   (113 rows against 24) takes it, the default config (37 against 67)
-   does not. It agrees with the direct sum to about 1e-11 relative L2.
+   Once per frame each sample's grid is Fourier transformed, divided by
+   the kernel's transform and freed before the output is stacked. It is
+   taken when the largest block's table (its footprint in cells over the
+   readout, plus the kernel width) has at most a third of the real
+   table's 2c+1 rows: the paper-scale slab (113 rows against 24) takes
+   it, the default config (37 against 67) does not. It agrees with the
+   direct sum to about 1e-11 relative L2.
 
 All quantities are SI: meters, seconds, tesla. Note the slew rate unit
 is T/m/s (195 T/m/s is a typical whole-body gradient system).
@@ -297,6 +298,18 @@ def _params_hash(params: SequenceParams) -> str:
     return hashlib.sha256(canon.encode()).hexdigest()
 
 
+def _check_encodes(grids: dict, shape: tuple, kind: str, values: str):
+    """Refuse unknown encodes, grids of another shape and non-finite ones."""
+    for name, grid in grids.items():
+        if name not in ENCODE_AXES:
+            raise ValidationError(f"unknown encode {name!r}")
+        if grid.shape != shape:
+            raise ValidationError(
+                f"encode {name!r} {kind} is {grid.shape}, expected {shape}")
+        if not np.all(np.isfinite(grid)):
+            raise ValidationError(f"encode {name!r} holds non-finite {values}")
+
+
 @dataclass
 class KSpaceData:
     """Cartesian k-space samples for one cardiac phase.
@@ -315,15 +328,7 @@ class KSpaceData:
     def __post_init__(self):
         shape = (self.params.acquired_readout, self.params.matrix[1],
                  self.params.matrix[2])
-        for name, grid in self.signals.items():
-            if name not in ENCODE_AXES:
-                raise ValidationError(f"unknown encode {name!r}")
-            if grid.shape != shape:
-                raise ValidationError(
-                    f"encode {name!r} grid is {grid.shape}, expected {shape}")
-            if not np.all(np.isfinite(grid)):
-                raise ValidationError(f"encode {name!r} holds non-finite "
-                                      "k-space samples")
+        _check_encodes(self.signals, shape, "grid", "k-space samples")
         self.sample_times = np.asarray(self.sample_times, dtype=float)
         if self.sample_times.shape != (shape[0],):
             raise ValidationError("one acquisition time per readout sample "
@@ -345,16 +350,8 @@ class ImageVolume:
     frame_time: float = 0.0
 
     def __post_init__(self):
-        shape = tuple(self.params.matrix)
-        for name, vol in self.volumes.items():
-            if name not in ENCODE_AXES:
-                raise ValidationError(f"unknown encode {name!r}")
-            if vol.shape != shape:
-                raise ValidationError(
-                    f"encode {name!r} volume is {vol.shape}, expected {shape}")
-            if not np.all(np.isfinite(vol)):
-                raise ValidationError(f"encode {name!r} holds non-finite "
-                                      "voxels")
+        _check_encodes(self.volumes, tuple(self.params.matrix), "volume",
+                       "voxels")
 
 
 @dataclass
@@ -464,53 +461,42 @@ def _spacing(v: np.ndarray) -> float:
     return (v[-1] - v[0]) / (v.size - 1) if v.size > 1 else 0.0
 
 
-def _sample_factors(pos, vel, times, k_ro, k_pe, k_pz, t2_star):
-    """Per-readout-sample tables of one block of points, by recurrence.
+def _sample_factors(pos, vel, times, k_ro, k_pe, t2_star):
+    """Readout and phase-encode factors of a block's points, by recurrence.
 
     With r(t) = r + u t, sample i (time t_i, readout k_ro[i]) gets
 
         A_i = e^{-t_i/T2*} e^{-2 pi i (k_ro[i] x(t_i) + k_pe[0] y(t_i))}
-        s_y = e^{-2 pi i dk_pe y(t_i)},   s_z = e^{-2 pi i dk_pz z(t_i)}
+        s_y = e^{-2 pi i dk_pe y(t_i)}
 
-    A_i carries no partition phase: ``k_pz`` is centred, k_pz[j] =
-    (j - n//2) dk_pz, so partition j takes s_z^(j - n//2) and the
-    partition table is built from s_z alone. ``times`` and the k axes
-    are evenly spaced, so the phase of A_i is quadratic in i and those
-    of s_y, s_z linear: A_{i+1} = A_i G_i with G_{i+1} = G_i H,
-    s_{i+1} = s_i D. Seven exponentials per block (A_0, G_0, H, s_y,
-    D_y, s_z, D_z) serve every sample; with ``k_pz`` None s_z is not
-    made and is None, five. Yields (A_i, s_y, s_z) per sample; the
-    arrays are advanced in place, so use them before taking the next
-    sample.
+    Neither carries a partition phase: the partition step makes its own
+    (step 4) or needs none (step 6). ``times`` and the k axes are evenly
+    spaced, so the phase of A_i is quadratic in i and that of s_y
+    linear: A_{i+1} = A_i G_i with G_{i+1} = G_i H, s_{i+1} = s_i D.
+    Five exponentials per block (A_0, G_0, H, s_y, D_y) serve every
+    sample. Yields (A_i, s_y) per sample; the arrays are advanced in
+    place, so use them before taking the next sample.
     """
-    x, y, z = pos.T
-    ux, uy, uz = vel.T
+    x, y, _ = pos.T
+    ux, uy, _ = vel.T
     t0, dt = times[0], _spacing(times)
     kx0, ky0 = k_ro[0], k_pe[0]
     dkx, dky = _spacing(k_ro), _spacing(k_pe)
     xt, yt = x + ux * t0, y + uy * t0
     a = np.exp(-t0 / t2_star - 2j * np.pi * (kx0 * xt + ky0 * yt))
     s_y = np.exp(-2j * np.pi * dky * yt)
-    s_z = d_z = None
     n = times.size
-    if k_pz is not None:
-        dkz = _spacing(k_pz)
-        s_z = np.exp(-2j * np.pi * dkz * (z + uz * t0))
     if n > 1:
         g = np.exp(-dt / t2_star - 2j * np.pi * (
             dkx * xt + (kx0 + dkx) * dt * ux + ky0 * dt * uy))
         d_y = np.exp(-2j * np.pi * dky * dt * uy)
-        if k_pz is not None:
-            d_z = np.exp(-2j * np.pi * dkz * dt * uz)
     if n > 2:
         h = np.exp(-4j * np.pi * dkx * dt * ux)
     for i in range(n):
-        yield a, s_y, s_z
+        yield a, s_y
         if i + 1 < n:
             a *= g
             s_y *= d_y
-            if d_z is not None:
-                s_z *= d_z
         if i + 2 < n:
             g *= h
 
@@ -518,20 +504,21 @@ def _sample_factors(pos, vel, times, k_ro, k_pe, k_pz, t2_star):
 class _FoldedTable:
     """Partition step 4: per-sample sums against the real partition table.
 
-    For each readout sample, one batched product of the real table
-    (Re(s_z^m), m = 0..c, then Im(s_z^m), m = 1..c, c = n_pz // 2) with
-    the encode-minor operand L (n_pe, n, n_enc) gives the folded sums
-    (n_pe, 2c+1, n_enc), unfolded into partition grids once per frame.
+    Each block makes s_z = e^{-2 pi i dk_pz z(t_0)} and its step D_z =
+    e^{-2 pi i dk_pz dt u_z}. Each sample ramps s_z into the real table
+    (Re(s_z^m), m = 0..c, then Im(s_z^m), m = 1..c, c = n_pz // 2), whose
+    batched product with the encode-minor operand L (n_pe, n, n_enc) gives
+    the folded sums (n_pe, 2c+1, n_enc), then advances s_z by D_z. The
+    sums are unfolded into partition grids once per frame.
     """
 
-    ramps_z = True
-
-    def __init__(self, n_ro: int, n_pz: int, n_enc: int, n_pe: int,
-                 n_max: int):
-        self.n_pz = n_pz
+    def __init__(self, times: np.ndarray, n_pz: int, dk_pz: float,
+                 n_enc: int, n_pe: int, n_max: int):
+        self.n_pz, self.dk_pz = n_pz, dk_pz
+        self.t0, self.dt = times[0], _spacing(times)
         self.c = c = n_pz // 2
         rows = 2 * c + 1
-        self.folded = np.zeros((n_ro, n_pe, rows, n_enc), dtype=complex)
+        self.folded = np.zeros((times.size, n_pe, rows, n_enc), dtype=complex)
         self.prod = np.empty((n_pe, rows, n_enc), dtype=complex)
         # sized for a full block, allocated once per frame; a block uses
         # contiguous prefixes of them
@@ -540,13 +527,17 @@ class _FoldedTable:
 
     def block(self, pos, vel):
         n = len(pos)
+        z, uz = pos[:, 2], vel[:, 2]
+        self.s_z = np.exp(-2j * np.pi * self.dk_pz * (z + uz * self.t0))
+        self.d_z = np.exp(-2j * np.pi * self.dk_pz * self.dt * uz)
         self.pz = self.pz_buf[:self.c * n].reshape(self.c, n)
         self.table = self.table_buf[:(2 * self.c + 1) * n].reshape(-1, n)
         self.table[0] = 1.0
 
-    def add(self, i, left, s_z):
-        c, pz, table = self.c, self.pz, self.table
+    def add(self, i, left):
+        c, pz, table, s_z = self.c, self.pz, self.table, self.s_z
         _ramp(s_z, s_z, pz)
+        s_z *= self.d_z
         np.copyto(table[1:c + 1], pz.real)
         np.copyto(table[c + 1:], pz.imag)
         np.matmul(table, left.view(float), out=self.prod.view(float))
@@ -611,15 +602,14 @@ class _SpreadGrid:
     the kernel's transform at m / N.
     """
 
-    ramps_z = False
-
-    def __init__(self, n_pz: int, n_enc: int, n_pe: int, n_max: int,
-                 rows: int, per_metre: float, times: np.ndarray):
-        self.n_pz, self.n_enc, self.n_pe = n_pz, n_enc, n_pe
+    def __init__(self, times: np.ndarray, n_pz: int, per_metre: float,
+                 n_enc: int, n_pe: int, n_max: int, rows: int):
+        self.n_pz, self.n_enc = n_pz, n_enc
         self.cells = cells = _ES_GRID * n_pz
         self.per_metre = per_metre
         self.times = times
-        self.acc = np.zeros((times.size, n_pe, cells, n_enc), dtype=complex)
+        self.acc = [np.zeros((n_pe, cells, n_enc), dtype=complex)
+                    for _ in times]
         # sized for a full block and the largest table, allocated once per
         # frame; a block or a sample uses contiguous prefixes of them
         self.prod_buf = np.empty(n_pe * rows * n_enc, dtype=complex)
@@ -636,7 +626,7 @@ class _SpreadGrid:
         self.points = np.arange(n)
         self.values = self.values_buf[:, :n]
 
-    def add(self, i, left, s_z):
+    def add(self, i, left):
         n = len(self.points)
         u = self.z + self.uz * self.times[i]
         first = np.ceil(u - _ES_WIDTH / 2)
@@ -660,15 +650,17 @@ class _SpreadGrid:
         acc[:, :span - head] += prod[:, head:]
 
     def grids(self) -> np.ndarray:
-        acc, cells, n_pz = self.acc, self.cells, self.n_pz
+        cells, n_pz = self.cells, self.n_pz
         m = np.arange(n_pz) - n_pz // 2
         deconvolve = 1.0 / _es_transform(m / cells)[:, None]
-        out = np.empty((self.n_enc, len(acc), self.n_pe, n_pz), dtype=complex)
-        for i, sample in enumerate(acc):
-            spectrum = np.fft.fft(sample, axis=1)[:, m % cells]
+        # each sample's grid is freed once transformed, so the grids and
+        # the stacked output are never all held together
+        samples = []
+        while self.acc:
+            spectrum = np.fft.fft(self.acc.pop(0), axis=1)[:, m % cells]
             spectrum *= deconvolve
-            out[:, i] = spectrum.transpose(2, 0, 1)
-        return out
+            samples.append(spectrum.transpose(2, 0, 1))
+        return np.stack(samples, axis=1)
 
 
 def _spread_rows(mesh: TetMesh, velocities, times, per_block: int,
@@ -699,7 +691,7 @@ def _partition_sums(mesh: TetMesh, m0, velocities, rule,
     The quadrature points are made one block of tets at a time; each
     sample's encode-minor operand (step 1) goes to the partition step,
     the real table (step 4) or, when its table is much the smaller, the
-    NUFFT (step 6), which needs no partition ramp.
+    NUFFT (step 6); both own the partition axis and are called alike.
     """
     k_ro, k_pe, k_pz = params.k_axes()
     n_enc, n_pe, n_pz = len(encodes), k_pe.size, k_pz.size
@@ -709,11 +701,11 @@ def _partition_sums(mesh: TetMesh, m0, velocities, rule,
     per_metre = _ES_GRID * n_pz / params.fov[2]
     spread = _spread_rows(mesh, velocities, times, per_block, per_metre)
     if spread <= _SPREAD_SHARE * (2 * (n_pz // 2) + 1):
-        partitions = _SpreadGrid(n_pz, n_enc, n_pe, n_max, spread, per_metre,
-                                 times)
+        partitions = _SpreadGrid(times, n_pz, per_metre, n_enc, n_pe, n_max,
+                                 spread)
     else:
-        partitions = _FoldedTable(k_ro.size, n_pz, n_enc, n_pe, n_max)
-    k_ramp = k_pz if partitions.ramps_z else None
+        partitions = _FoldedTable(times, n_pz, _spacing(k_pz), n_enc, n_pe,
+                                  n_max)
     amp_buf = np.empty(n_enc * n_max, dtype=complex)
     left_buf = np.empty(n_pe * n_max * n_enc, dtype=complex)
     step_buf = np.empty(n_max * n_enc, dtype=complex)
@@ -730,15 +722,14 @@ def _partition_sums(mesh: TetMesh, m0, velocities, rule,
         left = left_buf[:n_pe * n * n_enc].reshape(n_pe, n, n_enc)
         step = step_buf[:n * n_enc].reshape(n, n_enc)
         partitions.block(pos, vel)
-        samples = _sample_factors(pos, vel, times, k_ro, k_pe, k_ramp,
-                                  params.t2_star)
-        for i, (a, s_y, s_z) in enumerate(samples):
+        samples = _sample_factors(pos, vel, times, k_ro, k_pe, params.t2_star)
+        for i, (a, s_y) in enumerate(samples):
             # the encode-minor operand L of step 1
             np.multiply(amp, a[:, None], out=left[0])
             np.copyto(step, s_y[:, None])
             for p in range(1, n_pe):
                 np.multiply(left[p - 1], step, out=left[p])
-            partitions.add(i, left, s_z)
+            partitions.add(i, left)
     return partitions.grids()
 
 

@@ -482,8 +482,8 @@ def test_spread_single_encodes_with_odd_phase_encodes_match_direct_sum(
 
 def test_spread_path_makes_no_partition_ramp(monkeypatch, paths_taken):
     # the same mesh and readout through the real table (8 partitions) and
-    # the NUFFT (96 partitions): the NUFFT never reads s_z, so each block
-    # makes neither s_z nor its step, two complex exponentials fewer
+    # the NUFFT (96 partitions): only the real table makes s_z and its
+    # step, two complex exponentials per block; the NUFFT needs neither
     monkeypatch.setattr("hemoflow.mri._BLOCK", 64)
     mesh = small_box()
     per_block = 64 // 4
@@ -539,6 +539,34 @@ def test_partition_step_follows_the_table_sizes(paths_taken):
     synthesize_frame(pipe, np.ones(pipe.n_vertices),
                      uniform_field(pipe, (0.1, -0.2, 0.7)), slab)
     assert paths_taken == ["_FoldedTable"] * 3 + ["_SpreadGrid"]
+
+
+def test_spread_grids_are_freed_before_the_output_is_stacked(paths_taken):
+    # a long readout over a small box: the NUFFT's grids, one of 2 n_pz
+    # cells per readout sample, dwarf the block buffers. Each is freed
+    # once transformed, so the traced peak stays within half the output's
+    # bytes above the grids'; filling the output while every grid is
+    # still held would add all of it
+    params = SequenceParams(venc=2.5, matrix=(128, 8, 96),
+                            voxel=(0.002, 0.004, 0.002), adc_bandwidth=32e3)
+    cells = (len(ENCODE_AXES) * params.acquired_readout * params.matrix[1]
+             * params.matrix[2])
+    itemsize = np.dtype(complex).itemsize
+    grid_bytes = mri._ES_GRID * cells * itemsize
+    out_bytes = cells * itemsize
+    mesh = small_box()
+    field = box_swirl(mesh, 0.5)
+    tracemalloc.start()
+    try:
+        synthesize_frame(mesh, np.ones(mesh.n_vertices), field, params)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert paths_taken == ["_SpreadGrid"]
+    assert peak - grid_bytes <= out_bytes / 2, \
+        f"traced peak {peak / 2 ** 20:.1f} MB over grids of " \
+        f"{grid_bytes / 2 ** 20:.1f} MB and an output of " \
+        f"{out_bytes / 2 ** 20:.1f} MB"
 
 
 @pytest.mark.parametrize("n_pe", [2, 3])
@@ -626,22 +654,32 @@ def test_k_axes_hold_zero_at_the_centre_index(matrix, fov, oversampling):
                        min_size=1, max_size=8))
 def test_time_recurrence_matches_exponentials(n, fov, t0, dwell, t2_star,
                                               points):
-    # evenly spaced sample times and readout k, |u| <= 3 m/s, T2* >= 2 ms;
-    # A carries no partition phase, since the partition table is centred
+    # evenly spaced sample times and readout k, |u| <= 3 m/s, T2* >= 2 ms.
+    # The shared recurrence makes A and s_y, with no partition phase since
+    # the partition table is centred; the real table makes s_z itself and
+    # holds Re(s_z), Im(s_z) in its rows 1 and c + 1 at each sample
     table = np.asarray(points)
     pos, vel = table[:, :3], table[:, 3:]
     times = t0 + np.arange(n) * dwell
     k_ro = (np.arange(n) - n // 2) / (2.0 * fov)
     k_pe = (np.arange(30) - 15) / fov
     k_pz = (np.arange(113) - 56) / (2.0 * fov)
-    samples = _sample_factors(pos, vel, times, k_ro, k_pe, k_pz, t2_star)
-    for i, (a, s_y, s_z) in enumerate(samples):
+    samples = _sample_factors(pos, vel, times, k_ro, k_pe, t2_star)
+    folded = mri._FoldedTable(times, k_pz.size, _spacing(k_pz), 1, 1,
+                              len(pos))
+    folded.block(pos, vel)
+    c = k_pz.size // 2
+    left = np.zeros((1, len(pos), 1), dtype=complex)
+    for i, factors in enumerate(samples):
+        assert len(factors) == 2, "the recurrence makes no partition factor"
+        folded.add(i, left)
+        s_z = folded.table[1] + 1j * folded.table[c + 1]
         x, y, z = (pos + vel * times[i]).T
         direct = (np.exp(-times[i] / t2_star - 2j * np.pi * (
                       k_ro[i] * x + k_pe[0] * y)),
                   np.exp(-2j * np.pi * _spacing(k_pe) * y),
                   np.exp(-2j * np.pi * _spacing(k_pz) * z))
-        for name, got, want in zip(("A", "s_y", "s_z"), (a, s_y, s_z),
+        for name, got, want in zip(("A", "s_y", "s_z"), (*factors, s_z),
                                    direct):
             assert np.abs(got - want).max() <= 1e-11, f"{name} at sample {i}"
     assert i == n - 1
@@ -922,20 +960,25 @@ def test_non_finite_payload_names_the_sidecar(tmp_path):
 
 
 def test_kspace_validation():
-    with pytest.raises(ValidationError):
-        KSpaceData(signals={"bogus": np.zeros((16, 8, 8), complex)},
-                   sample_times=np.zeros(16), params=SMALL)
-    with pytest.raises(ValidationError):
-        KSpaceData(signals={"ref": np.zeros((4, 4, 4), complex)},
-                   sample_times=np.zeros(4), params=SMALL)
-    with pytest.raises(ValidationError):
-        ImageVolume(volumes={"ref": np.zeros((4, 4, 4), complex)},
-                    params=SMALL)
+    # each refusal names the encode and what is wrong with its grid
     grid = np.zeros((16, 8, 8), complex)
-    grid[1, 2, 3] = np.inf
-    with pytest.raises(ValidationError, match="non-finite"):
-        KSpaceData(signals={"ref": grid}, sample_times=np.zeros(16),
-                   params=SMALL)
-    with pytest.raises(ValidationError, match="non-finite"):
-        ImageVolume(volumes={"ref": np.full((8, 8, 8), np.nan, complex)},
-                    params=SMALL)
+    cases = (
+        (KSpaceData, "signals", {"bogus": grid}, "unknown encode 'bogus'"),
+        (KSpaceData, "signals", {"x": grid[:4]},
+         "encode 'x' grid is (4, 8, 8), expected (16, 8, 8)"),
+        (KSpaceData, "signals", {"y": np.full_like(grid, np.nan)},
+         "encode 'y' holds non-finite k-space samples"),
+        (ImageVolume, "volumes", {"bogus": grid[:8]},
+         "unknown encode 'bogus'"),
+        (ImageVolume, "volumes", {"x": grid},
+         "encode 'x' volume is (16, 8, 8), expected (8, 8, 8)"),
+        (ImageVolume, "volumes", {"z": np.full_like(grid[:8], np.inf)},
+         "encode 'z' holds non-finite voxels"),
+    )
+    for container, key, grids, message in cases:
+        kwargs = {key: grids, "params": SMALL}
+        if container is KSpaceData:
+            kwargs["sample_times"] = np.zeros(16)
+        with pytest.raises(ValidationError) as raised:
+            container(**kwargs)
+        assert str(raised.value) == message
