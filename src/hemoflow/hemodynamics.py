@@ -11,8 +11,9 @@ shear index over a cardiac cycle, and the nodal rate of viscous energy
 loss. Every quantity takes a power-law model evaluated at the local
 shear rate, so model comparisons share identical velocity gradients;
 ``frame_biomarkers`` computes a frame's strain terms once for all
-models. A Newtonian viscosity mu (Pa s) is the power law
-``PowerLawParams(m=mu, n=1)``.
+models and returns each model's WSS, energy loss and viscosity, so a
+caller can take the cycle one frame at a time. A Newtonian viscosity
+mu (Pa s) is the power law ``PowerLawParams(m=mu, n=1)``.
 """
 
 from __future__ import annotations
@@ -237,16 +238,17 @@ def energy_loss_rate(gradients: np.ndarray, viscosity: PowerLawParams,
 def frame_biomarkers(gradients: np.ndarray, wall: np.ndarray,
                      normals: np.ndarray, volumes: np.ndarray,
                      models: dict[str, PowerLawParams]) -> dict:
-    """WSS and energy loss of one frame under every viscosity model.
+    """WSS, energy loss and viscosity of one frame under every model.
 
     ``gradients`` (n_vertices, 3, 3) are one frame's recovered tensors,
     ``wall`` and ``normals`` the wall vertices and their unit inward
     normals, ``volumes`` the nodal volumes. Returns, per model name,
-    ``(traction, magnitude, energy_loss)``, equal bit for bit to
-    ``wss(gradients[wall], normals, model)`` and
-    ``energy_loss_rate(gradients, model, volumes)``. The strain, shear
-    rate, deviator contraction and eps n are computed once for all
-    models; only mu and the products are per model.
+    ``(traction, magnitude, energy_loss, viscosity)``, equal bit for bit
+    to ``wss(gradients[wall], normals, model)``,
+    ``energy_loss_rate(gradients, model, volumes)`` and
+    ``viscosity_at(model, gradients)``. The strain, shear rate, deviator
+    contraction and eps n are computed once for all models; only mu and
+    the products are per model.
     """
     gradients = np.asarray(gradients, dtype=float)
     normals = np.asarray(normals, dtype=float)
@@ -264,7 +266,7 @@ def frame_biomarkers(gradients: np.ndarray, wall: np.ndarray,
     for name, viscosity in models.items():
         mu = apparent_viscosity(viscosity, rate)
         out[name] = (*_traction(mu[wall], strain_normal),
-                     _energy_loss(mu, contraction, volumes))
+                     _energy_loss(mu, contraction, volumes), mu)
     return out
 
 

@@ -33,7 +33,7 @@ from .hemodynamics import _COMPARISON_COLUMNS, _DIFFERENCE_COLUMNS, \
     _STATS_COLUMNS, GradientOperator, SegmentStats, _read_table, \
     _write_table, check_coverage, compare_models, export_fields_vtk, \
     frame_biomarkers, interpolate_to_mesh, osi, recover_gradients, \
-    segment_stats, viscosity_at, write_comparison_csv, write_stats_csv
+    segment_stats, write_comparison_csv, write_stats_csv
 from .mesh import CutPlane, generate_pipe_mesh, load_mesh, segment_labels, \
     segment_names, wall_normals
 from .mri import SequenceParams, _tet_rule, add_noise, load_images, \
@@ -491,12 +491,22 @@ def stage_estimate(cfg: RunConfig, fitted: dict, mesh, images: list[Path],
     Writes ``stats.csv``, then ``fields_systole.vtk`` at the systolic
     frame of the statistics as written; ``out`` is made only once every
     image is decoded and the biomarkers are computed.
+
+    The decoded images are released once they reach the mesh. The
+    phases then pass one at a time through one ``GradientOperator``,
+    released after the last, and each phase's WSS and energy-loss
+    statistics are made at once. Per phase only every model's wall
+    traction (OSI needs the whole cycle) and the reference model's
+    traction, magnitude, energy loss and viscosity (the systolic
+    fields) are kept.
     """
     decoded = sorted((phase_to_velocity(load_images(path)) for path in images),
                      key=lambda d: d.frame_time)
     times = np.array([d.frame_time for d in decoded])
     if times.size < 2 or np.any(np.diff(times) <= 0):
         raise ValidationError("need at least two distinct cardiac phases")
+    vertex_speeds = interpolate_to_mesh(decoded, mesh).values
+    del decoded
 
     planes = [CutPlane(point=(0.0, 0.0, z), normal=(0.0, 0.0, 1.0))
               for z in cfg.cuts]
@@ -504,45 +514,46 @@ def stage_estimate(cfg: RunConfig, fitted: dict, mesh, images: list[Path],
     names = list(segment_names(len(cfg.cuts) + 1))
     wall_idx, wall_norm = wall_normals(mesh)
     wall_labels = labels[wall_idx]
-    operator = GradientOperator(mesh)
-    volumes = operator.nodal_volumes
-
-    vertex_speeds = interpolate_to_mesh(decoded, mesh).values
-    gradients = recover_gradients(mesh, vertex_speeds, operator)
-
     models = {name: resolve_model(name, fitted)
               for name in dict.fromkeys([cfg.reference_model,
                                          *cfg.alternative_models])}
-
-    # one pass per frame shares the strain terms among the models; the
-    # blocks are then written model by model, frame by frame
-    per_frame: dict[str, list] = {name: [] for name in models}
-    for G in gradients:
-        for name, result in frame_biomarkers(G, wall_idx, wall_norm, volumes,
-                                             models).items():
-            per_frame[name].append(result)
-
-    blocks: list[SegmentStats] = []
-    osis: dict[str, np.ndarray] = {}
-    for name, results in per_frame.items():
-        for frame, (_, mag, el) in enumerate(results):
-            blocks.append(segment_stats(mag, wall_labels, names,
-                                        parameter=f"wss:{name}", frame=frame))
-            blocks.append(segment_stats(el, labels, names,
-                                        parameter=f"el_rate:{name}",
-                                        frame=frame))
-        osis[name] = osi(np.stack([traction for traction, _, _ in results]),
-                         times, cfg.period)
-        blocks.append(segment_stats(osis[name], wall_labels, names,
-                                    parameter=f"osi:{name}", frame=None))
-    out.mkdir(parents=True, exist_ok=True)
-    write_stats_csv(blocks, out / "stats.csv")
-
     reference = cfg.reference_model
+
+    # one phase at a time through one operator, so no stack of gradients
+    # is held; the blocks are written model by model, frame by frame,
+    # then OSI
+    operator = GradientOperator(mesh)
+    blocks: dict[str, list[SegmentStats]] = {name: [] for name in models}
+    tractions: dict[str, list] = {name: [] for name in models}
+    at_reference = []
+    for frame, velocity in enumerate(vertex_speeds):
+        results = frame_biomarkers(
+            recover_gradients(mesh, velocity, operator), wall_idx, wall_norm,
+            operator.nodal_volumes, models)
+        for name, (traction, mag, el, _) in results.items():
+            blocks[name] += (
+                segment_stats(mag, wall_labels, names,
+                              parameter=f"wss:{name}", frame=frame),
+                segment_stats(el, labels, names,
+                              parameter=f"el_rate:{name}", frame=frame))
+            tractions[name].append(traction)
+        at_reference.append(results[reference])
+    del operator
+
+    ordered: list[SegmentStats] = []
+    osis: dict[str, np.ndarray] = {}
+    for name in models:
+        osis[name] = osi(np.stack(tractions[name]), times, cfg.period)
+        ordered += blocks[name]
+        ordered.append(segment_stats(osis[name], wall_labels, names,
+                                     parameter=f"osi:{name}", frame=None))
+    out.mkdir(parents=True, exist_ok=True)
+    write_stats_csv(ordered, out / "stats.csv")
+
     _, systolic = read_stats(out / "stats.csv", reference)
     log.info("systolic frame %d (t = %.3f s)", systolic, times[systolic])
+    traction, mag, el, mu = at_reference[systolic]
     full_traction = np.zeros((mesh.n_vertices, 3))
-    traction, mag, el = per_frame[reference][systolic]
     full_traction[wall_idx] = traction
     full_mag = np.zeros(mesh.n_vertices)
     full_mag[wall_idx] = mag
@@ -554,7 +565,7 @@ def stage_estimate(cfg: RunConfig, fitted: dict, mesh, images: list[Path],
         "wss_mag": full_mag,
         "osi": full_osi,
         "el_rate": el,
-        "mu_apparent": viscosity_at(models[reference], gradients[systolic]),
+        "mu_apparent": mu,
     }, out / "fields_systole.vtk")
 
 
@@ -648,13 +659,27 @@ def stage_report(stats: str | Path, comparison: str | Path | None,
 # Manifest
 # =========================================================================
 
-def _write_manifest(cfg: RunConfig, out: Path) -> None:
-    artifacts = {}
-    for path in sorted(out.rglob("*")):
-        if path.is_file() and path.name != "manifest.json":
-            digest = hashlib.sha256(path.read_bytes()).hexdigest()
-            artifacts[path.relative_to(out).as_posix()] = {
-                "sha256": digest, "bytes": path.stat().st_size}
+# the files of a run besides its per-phase k-space and images
+_RUN_FILES = ("config.ini", "rheology.json", "flow.csv", "windkessel.csv",
+              "stats.csv", "fields_systole.vtk", "comparison.csv",
+              "report.md", "report.svg")
+
+
+def _write_manifest(cfg: RunConfig, out: Path, written: list[Path]) -> None:
+    """``manifest.json`` hashing ``written``, the files this run wrote;
+    any other file in ``out``, such as an earlier run's, is named in a
+    warning and left out."""
+    artifacts = {path.relative_to(out).as_posix(): {
+        "sha256": hashlib.sha256(path.read_bytes()).hexdigest(),
+        "bytes": path.stat().st_size} for path in written}
+    others = sorted(name for name in (path.relative_to(out).as_posix()
+                                      for path in out.rglob("*")
+                                      if path.is_file())
+                    if name not in artifacts and name != "manifest.json")
+    if others:
+        log.warning("%s holds %d file(s) this run did not write, left out "
+                    "of the manifest: %s", out, len(others),
+                    ", ".join(others))
     manifest = {
         "config_sha256": cfg.config_hash,
         "package": {"name": "hemoflow", "version": __version__},
@@ -681,12 +706,16 @@ def run_pipeline(cfg: RunConfig) -> Path:
     write_rheology_json(cfg, fitted, out / "rheology.json")
     field, flows = stage_flow(cfg, mesh, fitted["power_law"], out)
     stage_windkessel(cfg, field, flows, out)
-    images = stage_reconstruct(stage_mri(cfg, mesh, field, out), out)
+    kspace = stage_mri(cfg, mesh, field, out)
+    images = stage_reconstruct(kspace, out)
     stage_estimate(cfg, fitted, mesh, images, out)
     stage_compare(out / "stats.csv", cfg.reference_model,
                   cfg.alternative_models, out / "comparison.csv")
     stage_report(out / "stats.csv", out / "comparison.csv",
                  cfg.reference_model, out)
-    _write_manifest(cfg, out)
+    # each k-space and image sidecar has its .bin payload beside it
+    _write_manifest(cfg, out, [out / name for name in _RUN_FILES] + [
+        path.with_suffix(suffix) for path in kspace + images
+        for suffix in (".json", ".bin")])
     log.info("pipeline complete: %s", out)
     return out

@@ -109,6 +109,30 @@ def test_run_is_deterministic_for_fixed_seed(demo, tmp_path):
         assert first == second, f"{name} differs between identical runs"
 
 
+def test_manifest_lists_only_this_runs_files(demo, tmp_path, caplog):
+    # a 2-phase run into the directory of a 4-phase run: phases 2 and 3
+    # of the earlier run stay on disk, but this run did not write them
+    _, first = demo
+    out = tmp_path / "reused"
+    shutil.copytree(first, out)
+    two = tmp_path / "two.ini"
+    two.write_text(FAST_CONFIG.replace("cardiac_phases = 4",
+                                       "cardiac_phases = 2"))
+    assert main(["run", "--config", str(two), "--out", str(out)]) == 0
+    artifacts = json.loads((out / "manifest.json").read_text())["artifacts"]
+    fresh = tmp_path / "fresh"
+    assert main(["run", "--config", str(two), "--out", str(fresh)]) == 0
+    assert (out / "manifest.json").read_bytes() == \
+        (fresh / "manifest.json").read_bytes()
+    assert len(artifacts) == 17 and "kspace_phase002.bin" not in artifacts
+    stale = [f"{kind}_phase{phase:03d}.{suffix}" for kind in
+             ("images", "kspace") for phase in (2, 3)
+             for suffix in ("bin", "json")]
+    warnings = [r.getMessage() for r in caplog.records
+                if r.levelname == "WARNING"]
+    assert len(warnings) == 1 and all(name in warnings[0] for name in stale)
+
+
 def test_different_seed_changes_kspace(demo, tmp_path):
     config, out1 = demo
     out2 = tmp_path / "run_other_seed"

@@ -4,6 +4,7 @@ import csv
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 from scipy.interpolate import RegularGridInterpolator
 
 import hemoflow
+from hemoflow.cli import main
 from hemoflow.errors import ValidationError
 from hemoflow.hemodynamics import (
     GradientOperator,
@@ -26,6 +28,7 @@ from hemoflow.hemodynamics import (
     recover_gradients,
     segment_stats,
     shear_rate,
+    viscosity_at,
     write_comparison_csv,
     write_stats_csv,
     wss,
@@ -44,6 +47,7 @@ from hemoflow.mesh import (
     wall_normals,
 )
 from hemoflow.mri import ReconstructedVelocity, SequenceParams
+from hemoflow.pipeline import fit_models, load_config, stage_estimate
 from hemoflow.rheology import PowerLawParams, apparent_viscosity
 
 RADIUS, LENGTH, DROP = 0.01, 0.1, 100.0
@@ -475,8 +479,9 @@ def test_power_law_to_newtonian_ratio_is_exact_per_vertex():
 
 
 def test_frame_biomarkers_equal_wss_and_energy_loss_calls():
-    """The shared per-frame pass gives every model's tractions, magnitudes
-    and energy loss bit for bit as the single-model functions do."""
+    """The shared per-frame pass gives every model's tractions, magnitudes,
+    energy loss and viscosity bit for bit as the single-model functions
+    do."""
     mesh = generate_pipe_mesh(RADIUS, LENGTH, resolution=1)
     rng = np.random.default_rng(21)
     steady = poiseuille_power_law(mesh, HCT45, DROP).values[0]
@@ -491,11 +496,12 @@ def test_frame_biomarkers_equal_wss_and_energy_loss_calls():
         shared = frame_biomarkers(G, idx, normals, volumes, models)
         assert list(shared) == list(models)
         for name, model in models.items():
-            traction, mag, el = shared[name]
+            traction, mag, el, mu = shared[name]
             want_traction, want_mag = wss(G[idx], normals, model)
             assert np.array_equal(traction, want_traction)
             assert np.array_equal(mag, want_mag)
             assert np.array_equal(el, energy_loss_rate(G, model, volumes))
+            assert np.array_equal(mu, viscosity_at(model, G))
 
 
 def test_frame_biomarkers_input_validation():
@@ -727,6 +733,45 @@ images = stage_reconstruct(stage_mri(cfg, mesh, field, out), out)
 stage_estimate(cfg, fitted, mesh, images, out)"""
     assert scipy_modules_loaded_after(code, str(tmp_path)) == "[]"
     assert (tmp_path / "stats.csv").exists()
+
+
+@pytest.fixture(scope="module")
+def default_images(tmp_path_factory):
+    """The 8 image files of ``synth-mri`` on the default config."""
+    out = tmp_path_factory.mktemp("synth")
+    assert main(["synth-mri", "--out", str(out)]) == 0
+    images = sorted(out.glob("images_*.json"))
+    assert len(images) == 8
+    return images
+
+
+def test_estimate_memory_does_not_grow_with_the_phases(default_images,
+                                                       tmp_path):
+    # stage estimate on the 57,600-tet pipe takes one phase at a time.
+    # Per phase it keeps the vertex velocities, every model's wall
+    # traction and the reference model's magnitude, energy loss and
+    # viscosity: about 0.52 MB here, under the 0.74 MB of one (N, 3, 3)
+    # gradient tensor that a stack of the phases' gradients would hold
+    cfg = load_config()
+    fitted = fit_models(cfg)
+    pipe = generate_pipe_mesh(RADIUS, LENGTH, resolution=2)
+    # an untraced call first, so one-off allocations such as lazy
+    # imports fall in neither traced call
+    stage_estimate(cfg, fitted, pipe, default_images[:2], tmp_path / "warm")
+    peaks = {}
+    for count in (2, 8):
+        tracemalloc.start()
+        try:
+            stage_estimate(cfg, fitted, pipe, default_images[:count],
+                           tmp_path / f"phases{count}")
+            peaks[count] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    tensor = pipe.n_vertices * 9 * 8
+    assert peaks[8] - peaks[2] < 6 * tensor, (
+        f"traced peak grew from {peaks[2] / 2 ** 20:.2f} to "
+        f"{peaks[8] / 2 ** 20:.2f} MB over 6 phases; one gradient tensor "
+        f"is {tensor / 2 ** 20:.2f} MB")
 
 
 def test_interpolation_rejects_vertices_outside_grid():
