@@ -67,6 +67,15 @@ class GradientOperator:
     sum_k (u_k - u_0) (x) W_k and a uniform field gives exactly zero.
     Every corner of the tet receives that share, and the sums are
     divided by ``nodal_volumes``.
+
+    The operator keeps the weights and the four corner columns (13
+    numbers per tet) and the nodal volumes; building it holds little
+    more, since ``_tet_geometry`` forms the edges a chunk of tets at a
+    time.
+    Each ``apply`` call makes six per-tet buffers (u_0, the three
+    differences, the share and one product term) and gathers, subtracts
+    and sums into them in place, in the order of the expression above,
+    so its peak is its result plus those buffers.
     """
 
     def __init__(self, mesh: TetMesh):
@@ -84,17 +93,27 @@ class GradientOperator:
         if frames.shape[1:] != (mesh.n_vertices, 3):
             raise ValidationError("one velocity vector per mesh vertex required")
         n, (w1, w2, w3) = mesh.n_vertices, self.weights
+        corner0, corners = self._corners[0], self._corners[1:]
         out = np.empty((len(frames), n, 3, 3))
+        u0 = np.empty(mesh.n_tets)
+        d = np.empty((3, mesh.n_tets))
+        share, term = np.empty_like(u0), np.empty_like(u0)
         for f, frame in enumerate(frames):
             for i, u in enumerate(np.ascontiguousarray(frame.T)):
-                u0 = u.take(self._corners[0])
-                d1, d2, d3 = (u.take(c) - u0 for c in self._corners[1:])
+                # TetMesh checks the corners index its vertices, so "clip"
+                # clips nothing and spares take's buffered copy of out
+                u.take(corner0, out=u0, mode="clip")
+                for dk, c in zip(d, corners):
+                    u.take(c, out=dk, mode="clip")
+                    dk -= u0
                 for j in range(3):
-                    share = d1 * w1[j] + d2 * w2[j] + d3 * w3[j]
-                    accum = np.bincount(self._corners[0], share, minlength=n)
-                    for c in self._corners[1:]:
+                    np.multiply(d[0], w1[j], out=share)
+                    share += np.multiply(d[1], w2[j], out=term)
+                    share += np.multiply(d[2], w3[j], out=term)
+                    accum = np.bincount(corner0, share, minlength=n)
+                    for c in corners:
                         accum += np.bincount(c, share, minlength=n)
-                    out[f, :, i, j] = accum / self.nodal_volumes
+                    np.divide(accum, self.nodal_volumes, out=out[f, :, i, j])
         return out if velocities.ndim == 3 else out[0]
 
 

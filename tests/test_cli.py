@@ -734,6 +734,68 @@ def test_config_defaults_match_rendered_demo(tmp_path):
     assert load_config(target).text == load_config(None).text
 
 
+# The stage that reads each section's keys; a changed key that a run
+# refuses must be refused there.
+SECTION_STAGES = {"pipe": "mesh", "rheology": "rheology", "flow": "flow",
+                  "sequence": "mri", "noise": "mri", "segments": "estimate",
+                  "windkessel": "windkessel", "comparison": "compare"}
+# keys that name a rule or a model: another accepted name
+SWAPPED_VALUES = {("sequence", "quadrature"): "11",
+                  ("comparison", "reference"): "newtonian_fit1",
+                  ("comparison", "models"): "newtonian_fit2"}
+TWO_PHASES = {"flow": {"cardiac_phases": "2"}}
+# [paths] is left out: output_dir only names the directory, which --out
+# overrides, and mesh needs a mesh file (test_loaded_pipe_sets_the_flow_plane
+# and the CI console-script step run saved meshes)
+LIVE_KEYS = [(section, key) for section, keys in DEFAULTS.items()
+             if section != "paths" for key in keys]
+
+
+def perturbed(section, key, text):
+    """Another accepted value: a name swapped, each integer of the value
+    plus 1, each other number plus 10%."""
+    if (section, key) in SWAPPED_VALUES:
+        return SWAPPED_VALUES[section, key]
+    parts = [part.strip() for part in text.split(",")]
+    return ", ".join(str(int(part) + 1) if part.isdigit()
+                     else repr(float(part) * 1.1) for part in parts)
+
+
+def run_artifacts(out):
+    return {path.name: path.read_bytes() for path in out.iterdir()
+            if path.name not in ("config.ini", "manifest.json")}
+
+
+@pytest.fixture(scope="module")
+def two_phase_artifacts(tmp_path_factory):
+    root = tmp_path_factory.mktemp("two_phase")
+    (root / "two.ini").write_text(render_config(TWO_PHASES))
+    assert main(["run", "--config", str(root / "two.ini"),
+                 "--out", str(root / "run")]) == 0
+    return run_artifacts(root / "run")
+
+
+@pytest.mark.parametrize("section, key", LIVE_KEYS,
+                         ids=[f"{s}.{k}" for s, k in LIVE_KEYS])
+def test_every_config_key_changes_the_run_or_is_refused(
+        two_phase_artifacts, tmp_path, capsys, section, key):
+    # a key that nothing reads would leave every artifact as it was
+    values = {name: dict(keys) for name, keys in TWO_PHASES.items()}
+    text = values.get(section, {}).get(key, DEFAULTS[section][key])
+    values.setdefault(section, {})[key] = perturbed(section, key, text)
+    (tmp_path / "changed.ini").write_text(render_config(values))
+    out = tmp_path / "run"
+    code = main(["run", "--config", str(tmp_path / "changed.ini"),
+                 "--out", str(out)])
+    if code == 2:
+        err = capsys.readouterr().err
+        assert f"[stage {SECTION_STAGES[section]}] " in err, err
+    else:
+        assert code == 0
+        assert run_artifacts(out) != two_phase_artifacts, \
+            f"[{section}] {key} = {values[section][key]} changed no artifact"
+
+
 def number(low, high):
     return st.floats(low, high).map(repr)
 

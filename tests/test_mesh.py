@@ -2,6 +2,7 @@
 
 import hashlib
 import re
+import tracemalloc
 import warnings
 from collections import Counter
 
@@ -12,10 +13,16 @@ from hypothesis import strategies as st
 
 from hemoflow.errors import LabelingError, MeshError, ValidationError
 from hemoflow.mesh import (
+    _TET_CHUNK,
     _TET_FACES,
+    WALL_GRADING,
     _boundary_of_tets,
+    _disk_triangulation,
     _fix_orientation,
     _row_order,
+    _split_prisms,
+    _tet_geometry,
+    _tet_vol6,
     CutPlane,
     TetMesh,
     generate_box_mesh,
@@ -170,6 +177,39 @@ def test_generated_connectivity_is_pinned(name):
     assert digests == CONNECTIVITY_SHA256[name]
 
 
+@pytest.mark.parametrize("resolution", [0, 1, 2, 3])
+def test_layer_tiled_pipe_equals_split_of_the_whole_prism_stack(resolution):
+    """Tiling one split layer by whole-layer vertex offsets gives the tets
+    of splitting every prism of the pipe, then orienting them."""
+    pipe = generate_pipe_mesh(RADIUS, LENGTH, resolution)
+    arcs, rings, layers = (k * 2 ** resolution for k in (16, 2, 5))
+    disk, tris = _disk_triangulation(arcs, rings, WALL_GRADING)
+    bottom = np.repeat(np.arange(layers) * len(disk), len(tris))[:, None]
+    tri_tiled = np.tile(tris, (layers, 1))
+    prisms = np.concatenate([tri_tiled + bottom,
+                             tri_tiled + bottom + len(disk)], axis=1)
+    want = _split_prisms(prisms)
+    _fix_orientation(pipe.vertices, want)
+    assert np.array_equal(pipe.tets, want)
+
+
+def test_pipe_generation_memory_is_a_small_multiple_of_the_mesh():
+    # the 57,600-tet pipe (2.1 MB): a stack of every prism, whole-mesh
+    # edges and the (3, T, 4) sorted face ids once took its generation
+    # to 6.6 times the mesh (14.1 MB traced); the layer-tiled split, the
+    # chunked volumes and one int64 key per face take about 3.5 times
+    tracemalloc.start()
+    try:
+        pipe = generate_pipe_mesh(RADIUS, LENGTH, resolution=2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    held = sum(a.nbytes for a in (pipe.vertices, pipe.tets,
+                                  pipe.boundary_faces, pipe.boundary_labels))
+    assert peak < 5.0 * held, \
+        f"traced peak {peak / 2**20:.1f} MB for a {held / 2**20:.1f} MB mesh"
+
+
 @pytest.mark.parametrize("n", [2, 1000, 2**21 - 1, 2**21, 2**40])
 def test_face_key_order_equals_lexsort(n):
     """One int64 key per sorted face where n**3 fits, the three-key
@@ -186,6 +226,20 @@ def test_boundary_of_tets_keeps_its_faces_under_wide_vertex_ids():
     spread = 2**40 // mesh.n_vertices          # ids beyond the int64 key
     wide_faces = _boundary_of_tets(mesh.tets * spread)
     assert np.array_equal(wide_faces, faces * spread)
+
+
+def test_boundary_key_and_lexsort_fallback_give_the_same_faces():
+    # ids relabeled in order to sparse values above 2**21, where the
+    # int64 key (hi n + mid) n + lo would overflow: the lexsort fallback
+    # must find the same faces in the same order as the key
+    mesh = generate_pipe_mesh(RADIUS, LENGTH, resolution=1)
+    gaps = np.random.default_rng(21).integers(1, 1000, mesh.n_vertices)
+    relabel = 2**21 + np.cumsum(gaps)
+    assert (int(relabel.max()) + 1) ** 3 >= 2**63
+    faces = _boundary_of_tets(mesh.tets)
+    assert np.array_equal(_boundary_of_tets(relabel[mesh.tets]),
+                          relabel[faces])
+    assert np.array_equal(faces, mesh.boundary_faces)
 
 
 def cross_product_volumes(mesh):
@@ -217,6 +271,25 @@ def test_volumes_equal_cross_product_reference(name):
     want = np.zeros(mesh.n_vertices)
     np.add.at(want, mesh.tets.ravel(), np.repeat(vol / 4.0, 4))
     assert np.array_equal(nodal_volumes(mesh), want)
+
+
+def test_chunked_geometry_equals_the_whole_mesh_reference():
+    """Edges, crosses and volumes formed a chunk at a time equal those of
+    whole-mesh (3, 3, T) edges, on a bent pipe of several full chunks and
+    a partial one, whose oblique edges give every product three terms."""
+    mesh, _ = make_u_bend(resolution=2)
+    n_chunks, rest = divmod(mesh.n_tets, _TET_CHUNK)
+    assert n_chunks >= 2 and rest > 0
+    x = mesh.vertices[mesh.tets]                         # (T, 4, 3)
+    edges = [x[:, k] - x[:, 0] for k in (1, 2, 3)]
+    crosses = np.stack([np.cross(edges[a], edges[b]).T
+                        for a, b in ((1, 2), (2, 0), (0, 1))])
+    vol6 = (edges[0].T[0] * crosses[0, 0] + edges[0].T[1] * crosses[0, 1]
+            + edges[0].T[2] * crosses[0, 2])
+    got_crosses, got_vol6 = _tet_geometry(mesh.vertices, mesh.tets)
+    assert np.array_equal(got_crosses, crosses)
+    assert np.array_equal(got_vol6, vol6)
+    assert np.array_equal(_tet_vol6(mesh.vertices, mesh.tets), vol6)
 
 
 def test_fix_orientation_flips_back_inverted_tets():
@@ -484,6 +557,15 @@ def test_wall_normals_equal_add_at_reference():
         assert np.array_equal(idx, np.unique(faces))
         assert np.array_equal(normals,
                               sums / np.linalg.norm(sums, axis=1)[:, None])
+
+
+def test_degenerate_wall_normals_are_named():
+    # two wall faces on one triangle, wound both ways: every normal sum is
+    # zero, so the mean scale is zero too, and each vertex is named
+    mesh = TetMesh(np.eye(4, 3), np.array([[0, 1, 2, 3]]),
+                   np.array([[0, 1, 2], [0, 2, 1]]), np.array([0, 0]))
+    with pytest.raises(MeshError, match=re.escape("vertices [0, 1, 2]")):
+        wall_normals(mesh)
 
 
 def test_wall_vertices_subset():
