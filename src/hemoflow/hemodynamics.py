@@ -12,8 +12,10 @@ loss. Every quantity takes a power-law model evaluated at the local
 shear rate, so model comparisons share identical velocity gradients;
 ``frame_biomarkers`` computes a frame's strain terms once for all
 models and returns each model's WSS, energy loss and viscosity, so a
-caller can take the cycle one frame at a time. A Newtonian viscosity
-mu (Pa s) is the power law ``PowerLawParams(m=mu, n=1)``.
+caller can take the cycle one frame at a time. The strain and the
+deviator are each formed in one (N, 3, 3) buffer, in place, in the
+operation order of their expressions. A Newtonian viscosity mu (Pa s)
+is the power law ``PowerLawParams(m=mu, n=1)``.
 """
 
 from __future__ import annotations
@@ -72,10 +74,11 @@ class GradientOperator:
     numbers per tet) and the nodal volumes; building it holds little
     more, since ``_tet_geometry`` forms the edges a chunk of tets at a
     time.
-    Each ``apply`` call makes six per-tet buffers (u_0, the three
-    differences, the share and one product term) and gathers, subtracts
-    and sums into them in place, in the order of the expression above,
-    so its peak is its result plus those buffers.
+    Each ``apply`` call makes five per-tet buffers (u_0, the three
+    differences and the share) and gathers, subtracts and sums into them
+    in place, in the order of the expression above; once the differences
+    are taken, the product terms are formed in u_0's buffer. So its peak
+    is its result plus those buffers.
     """
 
     def __init__(self, mesh: TetMesh):
@@ -97,7 +100,7 @@ class GradientOperator:
         out = np.empty((len(frames), n, 3, 3))
         u0 = np.empty(mesh.n_tets)
         d = np.empty((3, mesh.n_tets))
-        share, term = np.empty_like(u0), np.empty_like(u0)
+        share = np.empty_like(u0)
         for f, frame in enumerate(frames):
             for i, u in enumerate(np.ascontiguousarray(frame.T)):
                 # TetMesh checks the corners index its vertices, so "clip"
@@ -106,10 +109,12 @@ class GradientOperator:
                 for dk, c in zip(d, corners):
                     u.take(c, out=dk, mode="clip")
                     dk -= u0
+                # u0 is spent once the differences are taken: the product
+                # terms are formed in its buffer
                 for j in range(3):
                     np.multiply(d[0], w1[j], out=share)
-                    share += np.multiply(d[1], w2[j], out=term)
-                    share += np.multiply(d[2], w3[j], out=term)
+                    share += np.multiply(d[1], w2[j], out=u0)
+                    share += np.multiply(d[2], w3[j], out=u0)
                     accum = np.bincount(corner0, share, minlength=n)
                     for c in corners:
                         accum += np.bincount(c, share, minlength=n)
@@ -135,8 +140,11 @@ def recover_gradients(mesh: TetMesh, velocities: np.ndarray,
 
 
 def _strain(gradients: np.ndarray) -> np.ndarray:
-    """Strain-rate tensors eps = (G + G^T)/2 of gradients (..., 3, 3)."""
-    return 0.5 * (gradients + np.swapaxes(gradients, -1, -2))
+    """Strain-rate tensors eps = (G + G^T)/2 of gradients (..., 3, 3),
+    halved in the sum's buffer."""
+    strain = gradients + np.swapaxes(gradients, -1, -2)
+    strain *= 0.5
+    return strain
 
 
 def _shear_rate(strain: np.ndarray) -> np.ndarray:
@@ -145,9 +153,16 @@ def _shear_rate(strain: np.ndarray) -> np.ndarray:
 
 def _deviator_contraction(gradients: np.ndarray,
                           strain: np.ndarray) -> np.ndarray:
-    """d:d of the deviator d = eps - 2/3 (div u) I."""
-    div = np.einsum("...ii->...", gradients)
-    deviator = strain - (2.0 / 3.0) * div[..., None, None] * np.eye(3)
+    """d:d of the deviator d = eps - 2/3 (div u) I.
+
+    The deviator is a copy of eps with 2/3 div u taken off its diagonal
+    in place; for finite gradients d:d equals that of
+    ``strain - 2/3 div[..., None, None] * I`` bit for bit.
+    """
+    shift = (2.0 / 3.0) * np.einsum("...ii->...", gradients)
+    deviator = strain.copy()
+    for i in range(3):
+        deviator[..., i, i] -= shift
     return np.einsum("...ij,...ij->...", deviator, deviator)
 
 
@@ -466,13 +481,19 @@ _COMPARISON_COLUMNS = ("segment", "frame", "param", "reference_model",
                        "alternative_model", *_DIFFERENCE_COLUMNS)
 
 
+def _float_cell(value: float) -> str:
+    """A float as the tables hold it: ``%.10g``."""
+    return f"{value:.10g}"
+
+
 def _write_table(path: str | Path, columns: Sequence[str], rows) -> None:
     """Write ``rows``, values in ``columns`` order, as CSV under a header:
-    None blank, a float (numpy float64 too) as ``%.10g``, else as it is."""
+    None blank, a float (numpy float64 too) as ``_float_cell``, else as
+    it is."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(columns)
-        writer.writerows(["" if value is None else f"{value:.10g}"
+        writer.writerows(["" if value is None else _float_cell(value)
                           if isinstance(value, float) else value
                           for value in row] for row in rows)
 

@@ -17,11 +17,12 @@ gives, but built by array operations on blocks of rows (``_format_rows``).
 
 Memory follows the mesh, not its intermediates: edges, cross products and
 volumes are formed ``_TET_CHUNK`` tets at a time into the (T,) and
-(3, 3, T) results, the boundary is found from one int64 key per tet face
-(``_triple_order``), and the generated pipe splits one layer of prisms
-and tiles it along the axis. So generating the resolution-2 pipe peaks
-at about 3.5 times the mesh it returns (traced allocation), and
-validating it at under 3 times.
+(3, 3, T) results, nodal volumes and wall normals are summed to the
+corners a chunk of rows at a time (``_corner_sums``), the boundary is
+found from one int64 key per tet face (``_triple_order``), and the
+generated pipe splits one layer of prisms and tiles it along the axis.
+So generating the resolution-2 pipe peaks at about 3.5 times the mesh it
+returns (traced allocation), and validating it at under 3 times.
 """
 
 from __future__ import annotations
@@ -211,13 +212,31 @@ def tet_volumes(mesh: TetMesh) -> np.ndarray:
     return _tet_vol6(mesh.vertices, mesh.tets) / 6.0
 
 
+def _corner_sums(corners: np.ndarray, values: np.ndarray,
+                 n: int) -> np.ndarray:
+    """Per vertex, the sum of ``values[r]`` over the rows r of ``corners``
+    (M, k) that name it, (n,).
+
+    Adds a chunk of ``_TET_CHUNK`` rows at a time with a 1-D
+    ``np.add.at`` over the raveled corner ids, in the order
+    ``np.bincount(corners.ravel(), np.repeat(values, k))`` adds them, so
+    it equals that bit for bit without the whole-mesh repeated weights.
+    """
+    out = np.zeros(n)
+    for start in range(0, len(corners), _TET_CHUNK):
+        chunk = slice(start, start + _TET_CHUNK)
+        np.add.at(out, corners[chunk].ravel(),
+                  np.repeat(values[chunk], corners.shape[1]))
+    return out
+
+
 def _lumped_volumes(mesh: TetMesh, vol6: np.ndarray) -> np.ndarray:
     """Quarter of each tet per corner, from six times the tet volumes."""
-    vol = vol6 / 6.0
-    if np.any(vol <= 0):
+    quarter = vol6 / 6.0
+    if np.any(quarter <= 0):
         raise MeshError("nodal volumes require positively oriented tetrahedra")
-    return np.bincount(mesh.tets.ravel(), weights=np.repeat(vol / 4.0, 4),
-                       minlength=mesh.n_vertices)
+    quarter /= 4.0
+    return _corner_sums(mesh.tets, quarter, mesh.n_vertices)
 
 
 def nodal_volumes(mesh: TetMesh) -> np.ndarray:
@@ -388,10 +407,9 @@ def wall_normals(mesh: TetMesh) -> tuple[np.ndarray, np.ndarray]:
     # Inward-oriented winding: the cross product is inward with twice the
     # triangle area as magnitude, so plain accumulation is area weighting.
     area_normal = 0.5 * np.cross(tri[:, 1] - tri[:, 0], tri[:, 2] - tri[:, 0])
-    corners = faces.ravel()
     accum = np.column_stack([
-        np.bincount(corners, weights=np.repeat(area_normal[:, c], 3),
-                    minlength=mesh.n_vertices) for c in range(3)])
+        _corner_sums(faces, area_normal[:, c], mesh.n_vertices)
+        for c in range(3)])
     indices = np.unique(faces)
     sums = accum[indices]
     norms = np.linalg.norm(sums, axis=1)

@@ -20,7 +20,7 @@ import contextlib
 import hashlib
 import json
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -30,10 +30,10 @@ from .errors import HemoflowError, MeshError, ValidationError
 from .flowfields import FlowWaveform, flow_rate, poiseuille_power_law, \
     pulsatile_scale
 from .hemodynamics import _COMPARISON_COLUMNS, _DIFFERENCE_COLUMNS, \
-    _STATS_COLUMNS, GradientOperator, SegmentStats, _read_table, \
-    _write_table, check_coverage, compare_models, export_fields_vtk, \
-    frame_biomarkers, interpolate_to_mesh, osi, recover_gradients, \
-    segment_stats, write_comparison_csv, write_stats_csv
+    _STATS_COLUMNS, GradientOperator, SegmentStats, _float_cell, \
+    _read_table, _write_table, check_coverage, compare_models, \
+    export_fields_vtk, frame_biomarkers, interpolate_to_mesh, osi, \
+    recover_gradients, segment_stats, write_comparison_csv, write_stats_csv
 from .mesh import CutPlane, generate_pipe_mesh, load_mesh, segment_labels, \
     segment_names, wall_normals
 from .mri import SequenceParams, _tet_rule, add_noise, load_images, \
@@ -495,10 +495,13 @@ def stage_estimate(cfg: RunConfig, fitted: dict, mesh, images: list[Path],
     The decoded images are released once they reach the mesh. The
     phases then pass one at a time through one ``GradientOperator``,
     released after the last, and each phase's WSS and energy-loss
-    statistics are made at once. Per phase only every model's wall
-    traction (OSI needs the whole cycle) and the reference model's
-    traction, magnitude, energy loss and viscosity (the systolic
-    fields) are kept.
+    statistics are made at once. Across the phases only every model's
+    wall traction (OSI needs the whole cycle) and one phase's reference
+    traction, magnitude, energy loss and viscosity (the systolic fields)
+    are kept: a phase's fields replace the kept ones when
+    ``systolic_frame``, given the WSS means as ``stats.csv`` holds them
+    for the phases so far, picks it, so the last kept are those of the
+    frame ``read_stats`` picks from the written file.
     """
     decoded = sorted((phase_to_velocity(load_images(path)) for path in images),
                      key=lambda d: d.frame_time)
@@ -525,20 +528,28 @@ def stage_estimate(cfg: RunConfig, fitted: dict, mesh, images: list[Path],
     operator = GradientOperator(mesh)
     blocks: dict[str, list[SegmentStats]] = {name: [] for name in models}
     tractions: dict[str, list] = {name: [] for name in models}
-    at_reference = []
+    wss_means: dict[int, float] = {}
     for frame, velocity in enumerate(vertex_speeds):
         results = frame_biomarkers(
             recover_gradients(mesh, velocity, operator), wall_idx, wall_norm,
             operator.nodal_volumes, models)
-        for name, (traction, mag, el, _) in results.items():
+        for name, (traction, mag, el, mu) in results.items():
             blocks[name] += (
                 segment_stats(mag, wall_labels, names,
                               parameter=f"wss:{name}", frame=frame),
                 segment_stats(el, labels, names,
                               parameter=f"el_rate:{name}", frame=frame))
             tractions[name].append(traction)
-        at_reference.append(results[reference])
+        # this frame's wss block of the reference model
+        mean = _written_cross_mean(blocks[reference][-2])
+        if mean is not None:
+            wss_means[frame] = mean
+            if systolic_frame(wss_means, reference) == frame:
+                at_systole = results[reference]
+        # the fields not kept are released before the next phase
+        del results, mag, el, mu
     del operator
+    systolic = systolic_frame(wss_means, reference)
 
     ordered: list[SegmentStats] = []
     osis: dict[str, np.ndarray] = {}
@@ -550,9 +561,8 @@ def stage_estimate(cfg: RunConfig, fitted: dict, mesh, images: list[Path],
     out.mkdir(parents=True, exist_ok=True)
     write_stats_csv(ordered, out / "stats.csv")
 
-    _, systolic = read_stats(out / "stats.csv", reference)
     log.info("systolic frame %d (t = %.3f s)", systolic, times[systolic])
-    traction, mag, el, mu = at_reference[systolic]
+    traction, mag, el, mu = at_systole
     full_traction = np.zeros((mesh.n_vertices, 3))
     full_traction[wall_idx] = traction
     full_mag = np.zeros(mesh.n_vertices)
@@ -567,6 +577,24 @@ def stage_estimate(cfg: RunConfig, fitted: dict, mesh, images: list[Path],
         "el_rate": el,
         "mu_apparent": mu,
     }, out / "fields_systole.vtk")
+
+
+def _written_cross_mean(block: SegmentStats) -> float | None:
+    """``block.cross_mean`` of its segment means as ``write_stats_csv``
+    writes them, so as ``read_stats`` reads them back."""
+    return replace(block, means=[
+        None if m is None else float(_float_cell(m))
+        for m in block.means]).cross_mean
+
+
+def systolic_frame(wss_means: dict[int, float], reference: str) -> int:
+    """The systolic frame of the cross-segment mean ``wss:<reference>``
+    keyed by frame: the frame of the highest mean, the first in the
+    mapping's order of equal ones."""
+    if not wss_means:
+        raise ValidationError(
+            f"stats contain no per-frame wss:{reference} rows")
+    return max(wss_means, key=wss_means.get)
 
 
 def _number(path: str | Path, row: dict, column: str, kind=float):
@@ -598,14 +626,10 @@ def read_stats(path: str | Path, reference: str,
     if not blocks:
         raise ValidationError(f"{path}: no statistics rows found")
     if frame is None:
-        wss_means = {at: block.cross_mean
-                     for (param, at), block in blocks.items()
-                     if param == f"wss:{reference}" and at is not None
-                     and block.cross_mean is not None}
-        if not wss_means:
-            raise ValidationError(
-                f"stats contain no per-frame wss:{reference} rows")
-        frame = max(wss_means, key=wss_means.get)
+        frame = systolic_frame({
+            at: block.cross_mean for (param, at), block in blocks.items()
+            if param == f"wss:{reference}" and at is not None
+            and block.cross_mean is not None}, reference)
     elif not any(at == frame for _, at in blocks):
         raise ValidationError(f"{path}: no rows at frame {frame}")
     return blocks, frame

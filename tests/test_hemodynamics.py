@@ -19,6 +19,8 @@ from hemoflow.errors import ValidationError
 from hemoflow.hemodynamics import (
     GradientOperator,
     SegmentStats,
+    _deviator_contraction,
+    _strain,
     compare_models,
     energy_loss_rate,
     export_fields_vtk,
@@ -47,7 +49,8 @@ from hemoflow.mesh import (
     wall_normals,
 )
 from hemoflow.mri import ReconstructedVelocity, SequenceParams
-from hemoflow.pipeline import fit_models, load_config, stage_estimate
+from hemoflow.pipeline import fit_models, load_config, read_stats, \
+    stage_estimate, systolic_frame, _written_cross_mean
 from hemoflow.rheology import PowerLawParams, apparent_viscosity
 
 RADIUS, LENGTH, DROP = 0.01, 0.1, 100.0
@@ -239,13 +242,14 @@ def test_gradient_operator_build_memory_follows_what_it_keeps():
 
 def test_gradient_apply_memory_is_its_result_and_buffers():
     # on the 57,600-tet pipe apply's temporaries once took 4.6 MB for a
-    # 0.74 MB result; it now fills six per-tet buffers in place, and the
-    # transposed frame and one column's bincount sums add under 0.75 MB
+    # 0.74 MB result; it now fills five per-tet buffers in place (the
+    # product terms reuse u_0's), and the transposed frame and one
+    # column's bincount sums add under 0.75 MB
     pipe = generate_pipe_mesh(RADIUS, LENGTH, resolution=2)
     operator = GradientOperator(pipe)
     u = np.random.default_rng(9).normal(size=(pipe.n_vertices, 3))
     gradients, peak = traced_peak(lambda: operator.apply(u))
-    buffers = 6 * pipe.n_tets * 8
+    buffers = 5 * pipe.n_tets * 8
     bound = gradients.nbytes + buffers + 0.75 * 2**20
     assert peak < bound, (
         f"apply peak {peak / 2**20:.2f} MB for a {gradients.nbytes / 2**20:.2f}"
@@ -562,6 +566,27 @@ def test_frame_biomarkers_equal_wss_and_energy_loss_calls():
             assert np.array_equal(mu, viscosity_at(model, G))
 
 
+def test_in_place_strain_terms_equal_the_expressions():
+    """``_strain`` halves G + G^T in its buffer and
+    ``_deviator_contraction`` takes 2/3 div u off a copy's diagonal: bit
+    for bit the expressions they replace, on noisy frames."""
+    mesh = generate_pipe_mesh(RADIUS, LENGTH, resolution=1)
+    rng = np.random.default_rng(22)
+    steady = poiseuille_power_law(mesh, HCT45, DROP).values[0]
+    frames = np.stack([scale * steady + rng.normal(scale=0.01,
+                                                   size=steady.shape)
+                       for scale in (0.2, 1.0)])
+    for G in recover_gradients(mesh, frames):
+        want = 0.5 * (G + np.swapaxes(G, -1, -2))
+        strain = _strain(G)
+        assert np.array_equal(strain, want)
+        div = np.einsum("...ii->...", G)
+        deviator = want - (2.0 / 3.0) * div[..., None, None] * np.eye(3)
+        assert np.array_equal(
+            _deviator_contraction(G, strain),
+            np.einsum("...ij,...ij->...", deviator, deviator))
+
+
 def test_frame_biomarkers_input_validation():
     mesh = generate_box_mesh((0.02,) * 3, (2, 2, 2))
     idx, normals = wall_normals(mesh)
@@ -832,6 +857,36 @@ def test_estimate_memory_does_not_grow_with_the_phases(default_images,
         f"is {tensor / 2 ** 20:.2f} MB")
 
 
+def test_estimate_keeps_per_phase_only_the_wall_tractions(default_images,
+                                                          tmp_path):
+    # across the phases stage estimate keeps every model's wall traction
+    # (for OSI) beside the vertex velocities of every phase; the
+    # reference model's systolic fields are held for one phase, not for
+    # each. Keeping them per phase took 0.53 MB a phase on this pipe
+    cfg = load_config()
+    fitted = fit_models(cfg)
+    pipe = generate_pipe_mesh(RADIUS, LENGTH, resolution=2)
+    stage_estimate(cfg, fitted, pipe, default_images[:2], tmp_path / "warm")
+    peaks = {}
+    for count in (2, 8):
+        tracemalloc.start()
+        try:
+            stage_estimate(cfg, fitted, pipe, default_images[:count],
+                           tmp_path / f"phases{count}")
+            peaks[count] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    tractions = 3 * len(wall_normals(pipe)[0]) * 3 * 8
+    velocities = pipe.n_vertices * 3 * 8
+    # the per-phase statistics blocks and small lists
+    margin = 32 * 2 ** 10
+    per_phase = (peaks[8] - peaks[2]) / 6
+    assert per_phase < tractions + velocities + margin, (
+        f"traced peak grew {per_phase / 2 ** 10:.0f} KB a phase; the wall "
+        f"tractions are {tractions / 2 ** 10:.0f} KB and the vertex "
+        f"velocities {velocities / 2 ** 10:.0f} KB")
+
+
 def test_interpolation_rejects_vertices_outside_grid():
     params, _ = fake_voxels()
     velocity = np.zeros(params.matrix + (3,))
@@ -867,6 +922,35 @@ def test_field_export_rejects_bad_shapes(tmp_path):
     mesh = generate_box_mesh((0.01,) * 3, (1, 1, 1))
     with pytest.raises(ValidationError):
         export_fields_vtk(mesh, {"bad": np.zeros(3)}, tmp_path / "x.vtk")
+
+
+@pytest.mark.parametrize("second, third, want", [
+    # equal once written with 10 significant digits: the first wins,
+    # though the unrounded mean of the second is higher
+    (1.0 + 1e-12, 0.5, 0),
+    # an exact tie: the first wins
+    (1.0, 0.5, 0),
+    # a later phase that is higher replaces the kept one
+    (1.0 + 1e-12, 1.5, 2),
+])
+def test_running_systolic_choice_equals_read_stats(tmp_path, second,
+                                                   third, want):
+    """The systolic phase chosen as the phases pass, from the WSS means
+    as written, is the one ``read_stats`` picks from the written CSV."""
+    labels = np.array([0, 1])
+    blocks = [segment_stats(np.array([mean, 2.0]), labels, ["a", "b"],
+                            parameter="wss:power_law", frame=frame)
+              for frame, mean in enumerate((1.0, second, third))]
+    path = tmp_path / "stats.csv"
+    write_stats_csv(blocks, path)
+    assert read_stats(path, "power_law")[1] == want
+    means, kept = {}, None
+    for block in blocks:
+        means[block.frame] = _written_cross_mean(block)
+        if systolic_frame(means, "power_law") == block.frame:
+            kept = block.frame
+    assert kept == want
+    assert systolic_frame(means, "power_law") == want
 
 
 def test_stats_and_comparison_csv_files(tmp_path):

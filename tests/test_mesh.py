@@ -19,6 +19,7 @@ from hemoflow.mesh import (
     _boundary_of_tets,
     _disk_triangulation,
     _fix_orientation,
+    _lumped_volumes,
     _row_order,
     _split_prisms,
     _tet_geometry,
@@ -122,6 +123,44 @@ def test_nodal_volumes_equal_add_at_reference():
         want = np.zeros(mesh.n_vertices)
         np.add.at(want, mesh.tets.ravel(), np.repeat(tet_volumes(mesh) / 4, 4))
         assert np.array_equal(nodal_volumes(mesh), want)
+
+
+@pytest.mark.parametrize("resolution", [0, 1, 2, 3])
+def test_chunked_corner_sums_equal_the_whole_mesh_bincount(resolution):
+    """Nodal volumes and wall normals, summed a chunk of rows at a time,
+    equal the whole-mesh bincount of the repeated weights bit for bit."""
+    mesh = generate_pipe_mesh(RADIUS, LENGTH, resolution)
+    n = mesh.n_vertices
+    want = np.bincount(mesh.tets.ravel(),
+                       np.repeat(tet_volumes(mesh) / 4.0, 4), minlength=n)
+    assert np.array_equal(nodal_volumes(mesh), want)
+    faces = mesh.boundary_faces[mesh.boundary_labels == 0]
+    tri = mesh.vertices[faces]
+    area_normal = 0.5 * np.cross(tri[:, 1] - tri[:, 0], tri[:, 2] - tri[:, 0])
+    sums = np.column_stack([
+        np.bincount(faces.ravel(), np.repeat(area_normal[:, c], 3),
+                    minlength=n) for c in range(3)])[np.unique(faces)]
+    _, normals = wall_normals(mesh)
+    assert np.array_equal(normals,
+                          sums / np.linalg.norm(sums, axis=1)[:, None])
+
+
+def test_lumped_volumes_memory_is_one_per_tet_array():
+    # on the 57,600-tet pipe the whole-mesh repeated weights np.repeat(vol
+    # / 4, 4) beside vol and vol / 4 once took the lumped volumes to a
+    # 2.6 MB traced peak, six floats per tet; now they hold the quarter
+    # volumes, the result and one chunk's repeated weights
+    pipe = generate_pipe_mesh(RADIUS, LENGTH, resolution=2)
+    vol6 = _tet_vol6(pipe.vertices, pipe.tets)
+    tracemalloc.start()
+    try:
+        volumes = _lumped_volumes(pipe, vol6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    bound = vol6.nbytes + volumes.nbytes + 2 * 4 * _TET_CHUNK * 8
+    assert peak < bound, (f"lumped volumes peak {peak / 2**20:.2f} MB, "
+                          f"bound {bound / 2**20:.2f} MB")
 
 
 def test_box_volume_is_exact():
