@@ -63,13 +63,11 @@ class FlowWaveform:
 class VelocityField:
     """Per-vertex velocities over one or more frame times.
 
-    ``values`` has shape (frames, vertices, 3) in m/s. ``period`` is the
-    cardiac period for cyclic fields and None for steady ones.
+    ``values`` has shape (frames, vertices, 3) in m/s.
     """
 
     times: np.ndarray
     values: np.ndarray
-    period: float | None = None
 
     def __post_init__(self):
         self.times = np.asarray(self.times, dtype=np.float64)
@@ -146,8 +144,7 @@ def pulsatile_scale(profile: VelocityField,
         raise ValidationError("profile has zero peak velocity")
     shape = profile.values[0] / peak
     values = waveform.values[:, None, None] * shape[None, :, :]
-    return VelocityField(times=waveform.times.copy(), values=values,
-                         period=waveform.period)
+    return VelocityField(times=waveform.times.copy(), values=values)
 
 
 # =========================================================================

@@ -89,47 +89,43 @@ class GradientOperator:
         self._corners = tuple(np.ascontiguousarray(c) for c in mesh.tets.T)
 
     def apply(self, velocities: np.ndarray) -> np.ndarray:
-        """Gradients of one frame (N, 3) or of stacked frames (F, N, 3)."""
+        """Gradients (N, 3, 3) of one frame of velocities (N, 3)."""
         mesh = self.mesh
         velocities = np.asarray(velocities, dtype=float)
-        frames = velocities if velocities.ndim == 3 else velocities[None]
-        if frames.shape[1:] != (mesh.n_vertices, 3):
+        if velocities.shape != (mesh.n_vertices, 3):
             raise ValidationError("one velocity vector per mesh vertex required")
         n, (w1, w2, w3) = mesh.n_vertices, self.weights
         corner0, corners = self._corners[0], self._corners[1:]
-        out = np.empty((len(frames), n, 3, 3))
+        out = np.empty((n, 3, 3))
         u0 = np.empty(mesh.n_tets)
         d = np.empty((3, mesh.n_tets))
         share = np.empty_like(u0)
-        for f, frame in enumerate(frames):
-            for i, u in enumerate(np.ascontiguousarray(frame.T)):
-                # TetMesh checks the corners index its vertices, so "clip"
-                # clips nothing and spares take's buffered copy of out
-                u.take(corner0, out=u0, mode="clip")
-                for dk, c in zip(d, corners):
-                    u.take(c, out=dk, mode="clip")
-                    dk -= u0
-                # u0 is spent once the differences are taken: the product
-                # terms are formed in its buffer
-                for j in range(3):
-                    np.multiply(d[0], w1[j], out=share)
-                    share += np.multiply(d[1], w2[j], out=u0)
-                    share += np.multiply(d[2], w3[j], out=u0)
-                    accum = np.bincount(corner0, share, minlength=n)
-                    for c in corners:
-                        accum += np.bincount(c, share, minlength=n)
-                    np.divide(accum, self.nodal_volumes, out=out[f, :, i, j])
-        return out if velocities.ndim == 3 else out[0]
+        for i, u in enumerate(np.ascontiguousarray(velocities.T)):
+            # TetMesh checks the corners index its vertices, so "clip"
+            # clips nothing and spares take's buffered copy of out
+            u.take(corner0, out=u0, mode="clip")
+            for dk, c in zip(d, corners):
+                u.take(c, out=dk, mode="clip")
+                dk -= u0
+            # u0 is spent once the differences are taken: the product
+            # terms are formed in its buffer
+            for j in range(3):
+                np.multiply(d[0], w1[j], out=share)
+                share += np.multiply(d[1], w2[j], out=u0)
+                share += np.multiply(d[2], w3[j], out=u0)
+                accum = np.bincount(corner0, share, minlength=n)
+                for c in corners:
+                    accum += np.bincount(c, share, minlength=n)
+                np.divide(accum, self.nodal_volumes, out=out[:, i, j])
+        return out
 
 
 def recover_gradients(mesh: TetMesh, velocities: np.ndarray,
                       operator: GradientOperator | None = None) -> np.ndarray:
     """Per-vertex velocity-gradient tensors, 1/s.
 
-    ``velocities`` is one frame (n_vertices, 3) or a stack of frames
-    (n_frames, n_vertices, 3); the result has shape (n_vertices, 3, 3)
-    or (n_frames, n_vertices, 3, 3) with entry [..., v, i, j] holding
-    du_i/dx_j. ``operator`` is the mesh's :class:`GradientOperator`, for
+    ``velocities`` is one frame (n_vertices, 3); the result has shape
+    (n_vertices, 3, 3) with entry [v, i, j] holding du_i/dx_j. ``operator`` is the mesh's :class:`GradientOperator`, for
     callers that also need its nodal volumes; it is built here if absent.
     """
     if operator is None:

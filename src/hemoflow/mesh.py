@@ -304,7 +304,7 @@ def _boundary_of_tets(tets: np.ndarray) -> np.ndarray:
     ``_TET_FACES[j]``, so on positively oriented tets every boundary face
     comes out wound inward. A face is on the boundary when no other face
     has its vertex set; the boundary comes in the stable order of the
-    sorted vertex triples.
+    sorted vertex triples, which is their ``_row_order``.
     """
     order, repeats = _triple_order(tets, _TET_FACES)
     if np.any(repeats[1:] & repeats[:-1]):
@@ -330,16 +330,15 @@ def _check_boundary(mesh: TetMesh, faces: np.ndarray) -> TetMesh:
     """Check the stored boundary against the derived one and label it.
 
     ``faces`` is the tetrahedral boundary from ``_boundary_of_tets`` of
-    positively oriented tets, so wound inward by ``_TET_FACES``. The
-    stored triangles must match them one to one (as vertex sets); the
-    derived faces replace the stored ones, and each keeps the label of
-    its stored twin.
+    positively oriented tets, so wound inward by ``_TET_FACES`` and in
+    the ``_row_order`` order of their sorted vertex triples. The stored
+    triangles must match them one to one (as vertex sets); the derived
+    faces replace the stored ones, and each keeps the label of its
+    stored twin.
     """
-    derived = np.sort(faces, axis=1)
     stored = np.sort(mesh.boundary_faces, axis=1)
-    d_order = _row_order(derived)
     s_order = _row_order(stored)
-    if not np.array_equal(stored[s_order], derived[d_order]):
+    if not np.array_equal(stored[s_order], np.sort(faces, axis=1)):
         raise MeshError("stored boundary triangles do not match the "
                         "tetrahedral boundary")
 
@@ -354,10 +353,8 @@ def _check_boundary(mesh: TetMesh, faces: np.ndarray) -> TetMesh:
     if np.any(mesh.boundary_labels < 0):
         raise MeshError("boundary labels must be nonnegative")
 
-    labels = np.empty(len(faces), dtype=np.int64)
-    labels[d_order] = mesh.boundary_labels[s_order]
     mesh.boundary_faces = faces
-    mesh.boundary_labels = labels
+    mesh.boundary_labels = mesh.boundary_labels[s_order]
     return mesh
 
 

@@ -13,15 +13,16 @@ along their frame velocity during the readout. Echo time and sample
 times come from shortest-duration trapezoidal gradients on a fixed
 raster under slew and amplitude limits.
 
-The sum is evaluated in one pass for all requested encodes:
+The sum is evaluated in one pass for the four encodes:
 
 1. Shared operand. For each readout sample, one phase-encode operand
-   L is built once for every encode, in ``_partition_sums``, and handed
-   to the partition step (4 or 6), which contracts it in one batched
-   matrix product. L is encode-minor, (n_pe, n, n_enc): row 0 is amp * A
-   (the readout/T2* factor times each point's encode amplitudes) and
-   each later row the one before times s_y, one contiguous product per
-   row. L carries no partition phase; the partition step owns that axis.
+   L is built once for the four encodes, in ``_partition_sums``, and
+   handed to the partition step (4 or 6), which contracts it in one
+   batched matrix product. L is encode-minor, (n_pe, n, 4): row 0 is
+   amp * A (the readout/T2* factor times each point's encode
+   amplitudes) and each later row the one before times s_y, one
+   contiguous product per row. L carries no partition phase; the
+   partition step owns that axis.
 2. Recurrence in k. The k axes are evenly spaced, so each ramp row is
    the previous one times e^{-2 pi i c dk}: one complex product per
    table entry instead of one exponential.
@@ -685,8 +686,8 @@ def _spread_rows(mesh: TetMesh, velocities, times, per_block: int,
 
 
 def _partition_sums(mesh: TetMesh, m0, velocities, rule,
-                    params: SequenceParams, times, encodes) -> np.ndarray:
-    """k-space grids (n_enc, n_ro, n_pe, n_pz) of ``encodes``.
+                    params: SequenceParams, times) -> np.ndarray:
+    """k-space grids (4, n_ro, n_pe, n_pz) of the encodes ``ENCODE_AXES``.
 
     The quadrature points are made one block of tets at a time; each
     sample's encode-minor operand (step 1) goes to the partition step,
@@ -694,7 +695,7 @@ def _partition_sums(mesh: TetMesh, m0, velocities, rule,
     NUFFT (step 6); both own the partition axis and are called alike.
     """
     k_ro, k_pe, k_pz = params.k_axes()
-    n_enc, n_pe, n_pz = len(encodes), k_pe.size, k_pz.size
+    n_enc, n_pe, n_pz = len(ENCODE_AXES), k_pe.size, k_pz.size
     # whole tets per block; a rule with more points than _BLOCK takes one
     per_block = max(1, _BLOCK // len(rule[1]))
     n_max = per_block * len(rule[1])
@@ -714,11 +715,9 @@ def _partition_sums(mesh: TetMesh, m0, velocities, rule,
                                    m0, velocities, rule)
         n = wm.size
         amp = amp_buf[:n * n_enc].reshape(n, n_enc)
-        for col, encode in enumerate(encodes):
-            amp[:, col] = wm
-            if encode != "ref":
-                amp[:, col] *= np.exp(-1j * np.pi * vel[:, "xyz".index(encode)]
-                                      / params.venc)
+        amp[:, 0] = wm
+        np.multiply(wm[:, None], np.exp(-1j * np.pi * vel / params.venc),
+                    out=amp[:, 1:])
         left = left_buf[:n_pe * n * n_enc].reshape(n_pe, n, n_enc)
         step = step_buf[:n * n_enc].reshape(n, n_enc)
         partitions.block(pos, vel)
@@ -733,10 +732,15 @@ def _partition_sums(mesh: TetMesh, m0, velocities, rule,
     return partitions.grids()
 
 
-def _synthesize(mesh: TetMesh, m0: np.ndarray, field: VelocityField,
-                params: SequenceParams, encodes: tuple[str, ...],
-                frame: int, quadrature: int) -> KSpaceData:
-    """k-space grids of ``encodes`` for one frame, all in one pass."""
+def synthesize_frame(mesh: TetMesh, m0: np.ndarray, field: VelocityField,
+                     params: SequenceParams, frame: int = 0,
+                     quadrature: int = 4) -> KSpaceData:
+    """All four encodes (reference + x, y, z) for one cardiac phase, in
+    one pass.
+
+    ``frame`` picks the velocity frame; spins move ballistically along
+    that frame's velocity during the acquisition of each line.
+    """
     rule = _tet_rule(quadrature)
     if not 0 <= frame < field.n_frames:
         raise ValidationError(f"frame {frame} outside 0..{field.n_frames - 1}")
@@ -750,8 +754,8 @@ def _synthesize(mesh: TetMesh, m0: np.ndarray, field: VelocityField,
 
     timings = sequence_timings(params)
     grids = _partition_sums(mesh, m0, field.values[frame], rule, params,
-                            timings.sample_times, encodes)
-    return KSpaceData(signals=dict(zip(encodes, grids)),
+                            timings.sample_times)
+    return KSpaceData(signals=dict(zip(ENCODE_AXES, grids)),
                       sample_times=timings.sample_times, params=params,
                       frame_time=float(field.times[frame]))
 
@@ -759,24 +763,16 @@ def _synthesize(mesh: TetMesh, m0: np.ndarray, field: VelocityField,
 def synthesize_signal(mesh: TetMesh, m0: np.ndarray, field: VelocityField,
                       params: SequenceParams, encode: str = "ref",
                       frame: int = 0, quadrature: int = 4) -> KSpaceData:
-    """Evaluate one encode's k-space grid from the mesh field.
+    """One encode's k-space grid: that encode of ``synthesize_frame``.
 
     ``encode`` is 'ref' for the velocity-compensated reference or one of
     'x', 'y', 'z' for a velocity-sensitized acquisition along that axis.
-    ``frame`` picks the velocity frame; spins move ballistically along
-    that frame's velocity during the acquisition of each line.
     """
     if encode not in ENCODE_AXES:
         raise ValidationError(f"encode must be one of {ENCODE_AXES}")
-    return _synthesize(mesh, m0, field, params, (encode,), frame, quadrature)
-
-
-def synthesize_frame(mesh: TetMesh, m0: np.ndarray, field: VelocityField,
-                     params: SequenceParams, frame: int = 0,
-                     quadrature: int = 4) -> KSpaceData:
-    """All four encodes (reference + x, y, z) for one cardiac phase."""
-    return _synthesize(mesh, m0, field, params, ENCODE_AXES, frame,
-                       quadrature)
+    k = synthesize_frame(mesh, m0, field, params, frame, quadrature)
+    k.signals = {encode: k.signals[encode]}
+    return k
 
 
 def add_noise(k: KSpaceData, sigma_fraction: float,

@@ -224,16 +224,31 @@ def _typed_config(merged: dict) -> RunConfig:
     if mesh_path is not None and not mesh_path.is_file():
         raise ValidationError(f"mesh file {mesh_path} does not exist")
 
-    def number(section: str, key: str) -> float:
-        return _floats(merged, section, key, 1)[0]
+    def number(section: str, key: str, above: float | None = None,
+               minimum: float | None = None) -> float:
+        value = _floats(merged, section, key, 1)[0]
+        if above is not None and not value > above:
+            raise ValidationError(f"[{section}] {key} {value:g} must be > "
+                                  f"{above:g}")
+        if minimum is not None and value < minimum:
+            raise ValidationError(f"[{section}] {key} {value:g} must be >= "
+                                  f"{minimum:g}")
+        return value
 
-    def integer(section: str, key: str, minimum: int | None = None) -> int:
+    def integers(section: str, key: str, count: int = 1) -> list[int]:
         text = merged[section][key]
         try:
-            value = int(text)
+            values = [int(part) for part in text.split(",")]
+            if len(values) != count:
+                raise ValueError
         except ValueError:
-            raise ValidationError(f"[{section}] {key}: {text!r} is not an "
-                                  "integer") from None
+            what = "an integer" if count == 1 else f"{count} integers"
+            raise ValidationError(f"[{section}] {key}: {text!r} is not "
+                                  f"{what}") from None
+        return values
+
+    def integer(section: str, key: str, minimum: int | None = None) -> int:
+        value = integers(section, key)[0]
         if minimum is not None and value < minimum:
             raise ValidationError(f"[{section}] {key} {value} must be >= "
                                   f"{minimum}")
@@ -242,7 +257,7 @@ def _typed_config(merged: dict) -> RunConfig:
     seq = "sequence"
     sequence = SequenceParams(
         venc=number(seq, "venc_m_s"),
-        matrix=tuple(int(v) for v in _floats(merged, seq, "matrix", 3)),
+        matrix=tuple(integers(seq, "matrix", 3)),
         voxel=tuple(v * 1e-3 for v in _floats(merged, seq, "voxel_mm", 3)),
         oversampling=integer(seq, "oversampling"),
         t2_star=number(seq, "t2_star_ms") * 1e-3,
@@ -287,12 +302,12 @@ def _typed_config(merged: dict) -> RunConfig:
         hct=number("rheology", "hct"),
         fit1_range=tuple(_floats(merged, "rheology", "fit1_range", 2)),
         fit2_range=tuple(_floats(merged, "rheology", "fit2_range", 2)),
-        pressure_drop=number("flow", "pressure_drop_pa"),
-        period=number("flow", "cardiac_period_s"),
+        pressure_drop=number("flow", "pressure_drop_pa", above=0.0),
+        period=number("flow", "cardiac_period_s", above=0.0),
         phases=integer("flow", "cardiac_phases", 2),
         sequence=sequence,
         quadrature=quadrature,
-        sigma_fraction=number("noise", "sigma_fraction"),
+        sigma_fraction=number("noise", "sigma_fraction", minimum=0.0),
         seed=integer("noise", "seed", 0),
         cuts=cuts,
         windkessel=wk_params,

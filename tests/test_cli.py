@@ -709,6 +709,26 @@ def test_config_integers_and_seed_are_refused_by_key(tmp_path, capsys):
         assert not out.exists()
 
 
+OUT_OF_RANGE = [("flow", "pressure_drop_pa", "-1"),
+                ("flow", "cardiac_period_s", "-0.5"),
+                ("noise", "sigma_fraction", "-0.1"),
+                ("sequence", "matrix", "11.5, 11, 36")]
+
+
+@pytest.mark.parametrize("command", ["run", "synth-mri"])
+@pytest.mark.parametrize("section, key, value", OUT_OF_RANGE,
+                         ids=[f"{s}.{k}" for s, k, _ in OUT_OF_RANGE])
+def test_out_of_range_config_values_are_refused_at_load(
+        tmp_path, capsys, command, section, key, value):
+    # a stage would refuse these only after earlier stages wrote files
+    # (or, for a fractional matrix entry, truncate it silently)
+    config = config_file(tmp_path, f"[{section}]\n{key} = {value}\n")
+    out = tmp_path / "out"
+    assert main([command, "--config", config, "--out", str(out)]) == 2
+    assert f"[{section}] {key}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_partial_outputs_retained_on_stage_failure(tmp_path):
     config = tmp_path / "hot.ini"
     config.write_text("[sequence]\nadc_bandwidth_khz = 2000\n"

@@ -105,20 +105,22 @@ def test_affine_fields_are_exact_on_affinely_mapped_boxes(seed, divisions):
     b = rng.normal(size=(4, 3))
     frames = np.einsum("fij,vj->fvi", A, mesh.vertices) + b[:, None]
     scale = np.abs(A).max()
-    single = recover_gradients(mesh, frames[0])
-    assert single.shape == (mesh.n_vertices, 3, 3)
-    assert np.abs(single - A[0]).max() <= 1e-10 * scale
-    stacked = recover_gradients(mesh, frames)
-    assert stacked.shape == (4, mesh.n_vertices, 3, 3)
-    assert np.abs(stacked - A[:, None]).max() <= 1e-10 * scale
+    for frame, a in zip(frames, A):
+        gradients = recover_gradients(mesh, frame)
+        assert gradients.shape == (mesh.n_vertices, 3, 3)
+        assert np.abs(gradients - a).max() <= 1e-10 * scale
 
 
-def test_stacked_gradients_equal_per_frame_calls():
-    mesh = generate_pipe_mesh(RADIUS, LENGTH, resolution=1)
+def test_stacked_frames_are_refused():
+    """Gradient recovery takes one frame (N, 3) per call."""
+    mesh = generate_pipe_mesh(RADIUS, LENGTH, resolution=0)
+    operator = GradientOperator(mesh)
     frames = np.random.default_rng(3).normal(size=(3, mesh.n_vertices, 3))
-    stacked = recover_gradients(mesh, frames)
-    assert np.array_equal(stacked, np.stack([recover_gradients(mesh, u)
-                                             for u in frames]))
+    for stack in (frames, frames[:1]):
+        with pytest.raises(ValidationError):
+            recover_gradients(mesh, stack)
+        with pytest.raises(ValidationError):
+            operator.apply(stack)
 
 
 def test_uniform_field_has_exactly_zero_gradient():
@@ -163,9 +165,9 @@ def test_operator_volumes_equal_nodal_volumes():
     mesh = generate_pipe_mesh(RADIUS, LENGTH, resolution=1)
     operator = GradientOperator(mesh)
     assert np.array_equal(operator.nodal_volumes, nodal_volumes(mesh))
-    u = np.random.default_rng(5).normal(size=(2, mesh.n_vertices, 3))
-    assert np.array_equal(recover_gradients(mesh, u, operator),
-                          recover_gradients(mesh, u))
+    for u in np.random.default_rng(5).normal(size=(2, mesh.n_vertices, 3)):
+        assert np.array_equal(recover_gradients(mesh, u, operator),
+                              recover_gradients(mesh, u))
 
 
 @pytest.mark.parametrize("name", ["pipe0", "pipe1", "pipe2", "box3",
@@ -199,14 +201,14 @@ def test_operator_equals_cross_product_reference(name):
 
 def test_apply_equals_the_difference_form_expression():
     """The in-place gathers and sums keep the operation order of
-    sum_k (u_k - u_0) W_k: bit for bit, on stacked frames."""
+    sum_k (u_k - u_0) W_k: bit for bit, frame by frame."""
     mesh = generate_pipe_mesh(RADIUS, LENGTH, resolution=1)
     operator = GradientOperator(mesh)
     frames = np.random.default_rng(8).normal(size=(2, mesh.n_vertices, 3))
     w1, w2, w3 = operator.weights
     t0, t1, t2, t3 = mesh.tets.T
-    want = np.empty((2, mesh.n_vertices, 3, 3))
-    for f, frame in enumerate(frames):
+    for frame in frames:
+        want = np.empty((mesh.n_vertices, 3, 3))
         for i, u in enumerate(frame.T):
             d1, d2, d3 = u[t1] - u[t0], u[t2] - u[t0], u[t3] - u[t0]
             for j in range(3):
@@ -214,8 +216,8 @@ def test_apply_equals_the_difference_form_expression():
                 accum = np.bincount(t0, share, minlength=mesh.n_vertices)
                 for t in (t1, t2, t3):
                     accum += np.bincount(t, share, minlength=mesh.n_vertices)
-                want[f, :, i, j] = accum / operator.nodal_volumes
-    assert np.array_equal(operator.apply(frames), want)
+                want[:, i, j] = accum / operator.nodal_volumes
+        assert np.array_equal(operator.apply(frame), want)
 
 
 def traced_peak(call):
@@ -554,7 +556,8 @@ def test_frame_biomarkers_equal_wss_and_energy_loss_calls():
     volumes = nodal_volumes(mesh)
     models = {"power_law": HCT45, "newtonian": NEWT,
               "thinning": PowerLawParams(m=5.4e-2, n=0.63)}
-    for G in recover_gradients(mesh, frames):
+    for frame in frames:
+        G = recover_gradients(mesh, frame)
         shared = frame_biomarkers(G, idx, normals, volumes, models)
         assert list(shared) == list(models)
         for name, model in models.items():
@@ -576,7 +579,8 @@ def test_in_place_strain_terms_equal_the_expressions():
     frames = np.stack([scale * steady + rng.normal(scale=0.01,
                                                    size=steady.shape)
                        for scale in (0.2, 1.0)])
-    for G in recover_gradients(mesh, frames):
+    for frame in frames:
+        G = recover_gradients(mesh, frame)
         want = 0.5 * (G + np.swapaxes(G, -1, -2))
         strain = _strain(G)
         assert np.array_equal(strain, want)

@@ -281,6 +281,16 @@ def test_boundary_key_and_lexsort_fallback_give_the_same_faces():
     assert np.array_equal(faces, mesh.boundary_faces)
 
 
+@pytest.mark.parametrize("name", ["pipe0", "pipe1", "pipe2", "pipe3",
+                                  "box3"])
+def test_derived_faces_come_in_row_order(name):
+    """The boundary of the tets comes in the ``_row_order`` of its sorted
+    vertex triples, which ``_check_boundary`` relies on to label it."""
+    faces = _boundary_of_tets(generated(name).tets)
+    order = _row_order(np.sort(faces, axis=1))
+    assert np.array_equal(order, np.arange(len(faces)))
+
+
 def cross_product_volumes(mesh):
     """Six signed volumes e1 . (e2 x e3) from (T, 3) rows and np.cross,
     the dot product summed x, y, z in turn."""
