@@ -1,21 +1,20 @@
 """Viscosity-dependent hemodynamic biomarkers on tetrahedral meshes.
 
-Decoded voxel velocities of every cardiac phase reach the mesh in one
-trilinear pass (``interpolate_to_mesh``), whose voxel indices and
-weights are built once per mesh and image grid. From the per-vertex
-field this module recovers velocity gradients (lumped L2 projection of
-the element gradients, in the difference form sum_k (u_k - u_0) W_k, so
-a uniform field has exactly zero gradient), evaluates wall shear stress
-as the viscous traction 2 mu eps n at wall vertices, the oscillatory
-shear index over a cardiac cycle, and the nodal rate of viscous energy
-loss. Every quantity takes a power-law model evaluated at the local
-shear rate, so model comparisons share identical velocity gradients;
-``frame_biomarkers`` computes a frame's strain terms once for all
-models and returns each model's WSS, energy loss and viscosity, so a
-caller can take the cycle one frame at a time. The strain and the
-deviator are each formed in one (N, 3, 3) buffer, in place, in the
-operation order of their expressions. A Newtonian viscosity mu (Pa s)
-is the power law ``PowerLawParams(m=mu, n=1)``.
+Decoded voxel velocities reach the mesh one cardiac phase per
+``interpolate_to_mesh`` call, by trilinear interpolation. From each
+phase's vertex velocities this module recovers velocity gradients
+(lumped L2 projection of the element gradients, in the difference form
+sum_k (u_k - u_0) W_k, so a uniform field has exactly zero gradient),
+evaluates wall shear stress as the viscous traction 2 mu eps n at wall
+vertices, the oscillatory shear index over a cardiac cycle, and the
+nodal rate of viscous energy loss. Every quantity takes a power-law
+model evaluated at the local shear rate, so model comparisons share
+identical velocity gradients; ``frame_biomarkers`` computes a frame's
+strain terms once for all models and returns each model's WSS, energy
+loss and viscosity, so a caller can take the cycle one frame at a time.
+The strain and the deviator are each formed in one (N, 3, 3) buffer, in
+place, in the operation order of their expressions. A Newtonian
+viscosity mu (Pa s) is the power law ``PowerLawParams(m=mu, n=1)``.
 """
 
 from __future__ import annotations
@@ -29,7 +28,6 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ValidationError
-from .flowfields import VelocityField
 from .mesh import TetMesh, _lumped_volumes, _tet_geometry, _write_vtk
 from .mri import SequenceParams
 from .rheology import PowerLawParams, apparent_viscosity
@@ -403,55 +401,48 @@ def check_coverage(mesh: TetMesh, params: SequenceParams) -> None:
                 f"[{ax[0]:.4g}, {ax[-1]:.4g}] along axis {dim}")
 
 
-def interpolate_to_mesh(frames: Sequence, mesh: TetMesh) -> VelocityField:
-    """Trilinear interpolation of decoded voxel velocities to vertices.
+def interpolate_to_mesh(frame, mesh: TetMesh) -> np.ndarray:
+    """Trilinear interpolation of one phase's decoded voxel velocities to
+    the mesh vertices, (n_vertices, 3).
 
-    ``frames`` are ReconstructedVelocity objects (or anything with
-    ``velocity``, ``params`` and ``frame_time`` attributes) on one image
-    grid, in increasing frame time; the field has one frame per entry.
-    The 8 voxel indices and weights per vertex are built once for the
-    mesh and grid and applied to every frame, so a stacked call equals
-    one call per frame bit for bit. No smoothing is applied.
+    ``frame`` is a ReconstructedVelocity (or anything with ``velocity``
+    (nx, ny, nz, 3) and ``params`` attributes). The 8 voxel indices and
+    weights per vertex are built on each call. No smoothing is applied.
 
     Raises
     ------
     ValidationError
-        No frames, frames on different grids, or a mesh vertex outside
+        Velocities not on the grid of ``params``, or a mesh vertex outside
         the voxel grid (see ``check_coverage``).
     """
-    if not frames:
-        raise ValidationError("need at least one decoded frame")
-    axes = frames[0].params.axis_coordinates()
+    axes = frame.params.axis_coordinates()
     shape = tuple(len(ax) for ax in axes)
-    for frame in frames:
-        if frame.velocity.shape != shape + (3,) or not all(
-                np.array_equal(a, b) for a, b in
-                zip(axes, frame.params.axis_coordinates())):
-            raise ValidationError("decoded frames must share one image grid")
-    check_coverage(mesh, frames[0].params)
+    if frame.velocity.shape != shape + (3,):
+        raise ValidationError("decoded velocities must lie on their image "
+                              "grid")
+    check_coverage(mesh, frame.params)
     # Trilinear weights, summed corner by corner in the order
     # scipy.interpolate.RegularGridInterpolator(method="linear") uses, so
     # the result equals it bit for bit. Vertices just outside the grid
-    # (within the tolerance above) extrapolate from the edge cell.
-    lower, upper = [], []
-    for dim, ax in enumerate(axes):
-        x = mesh.vertices[:, dim]
+    # (within the tolerance above) extrapolate from the edge cell. A
+    # corner's flat voxel index is the lower corner's plus stride offsets.
+    base, corners = 0, []
+    for dim, stride in enumerate((shape[1] * shape[2], shape[2], 1)):
+        ax, x = axes[dim], mesh.vertices[:, dim]
         i = np.clip(np.searchsorted(ax, x, side="right") - 1, 0, len(ax) - 2)
         t = (x - ax[i]) / (ax[i + 1] - ax[i])
-        lower.append((i, 1 - t))
-        upper.append((i + 1, t))
-    table = []
-    for corner in itertools.product(*zip(lower, upper)):
-        index, (w0, w1, w2) = zip(*corner)
-        table.append((np.ravel_multi_index(index, shape),
-                      (w0 * w1 * w2)[:, None]))
-    values = np.zeros((len(frames), mesh.n_vertices, 3))
-    for total, frame in zip(values, frames):
-        voxels = frame.velocity.reshape(-1, 3)
-        for flat, weight in table:
-            total += voxels.take(flat, axis=0) * weight
-    return VelocityField(times=[frame.frame_time for frame in frames],
-                         values=values)
+        base = base + i * stride
+        corners.append(((0, 1 - t), (stride, t)))
+    voxels = np.asarray(frame.velocity, dtype=float).reshape(-1, 3)
+    out = np.zeros((mesh.n_vertices, 3))
+    term = np.empty_like(out)
+    for (d0, w0), (d1, w1), (d2, w2) in itertools.product(*corners):
+        # the indices lie in the grid, so "clip" clips nothing and spares
+        # take's buffered copy of out
+        voxels.take(base + (d0 + d1 + d2), axis=0, out=term, mode="clip")
+        term *= (w0 * w1 * w2)[:, None]
+        out += term
+    return out
 
 
 # =========================================================================

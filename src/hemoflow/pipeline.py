@@ -224,18 +224,25 @@ def _typed_config(merged: dict) -> RunConfig:
     if mesh_path is not None and not mesh_path.is_file():
         raise ValidationError(f"mesh file {mesh_path} does not exist")
 
+    def numbers(section: str, key: str, count: int = 1,
+                above: float | None = None,
+                minimum: float | None = None) -> list[float]:
+        values = _floats(merged, section, key, count)
+        for value in values:
+            if above is not None and not value > above:
+                raise ValidationError(f"[{section}] {key} {value:g} must be "
+                                      f"> {above:g}")
+            if minimum is not None and value < minimum:
+                raise ValidationError(f"[{section}] {key} {value:g} must be "
+                                      f">= {minimum:g}")
+        return values
+
     def number(section: str, key: str, above: float | None = None,
                minimum: float | None = None) -> float:
-        value = _floats(merged, section, key, 1)[0]
-        if above is not None and not value > above:
-            raise ValidationError(f"[{section}] {key} {value:g} must be > "
-                                  f"{above:g}")
-        if minimum is not None and value < minimum:
-            raise ValidationError(f"[{section}] {key} {value:g} must be >= "
-                                  f"{minimum:g}")
-        return value
+        return numbers(section, key, 1, above, minimum)[0]
 
-    def integers(section: str, key: str, count: int = 1) -> list[int]:
+    def integers(section: str, key: str, count: int = 1,
+                 minimum: int | None = None) -> list[int]:
         text = merged[section][key]
         try:
             values = [int(part) for part in text.split(",")]
@@ -245,34 +252,35 @@ def _typed_config(merged: dict) -> RunConfig:
             what = "an integer" if count == 1 else f"{count} integers"
             raise ValidationError(f"[{section}] {key}: {text!r} is not "
                                   f"{what}") from None
+        for value in values:
+            if minimum is not None and value < minimum:
+                raise ValidationError(f"[{section}] {key} {value} must be "
+                                      f">= {minimum}")
         return values
 
     def integer(section: str, key: str, minimum: int | None = None) -> int:
-        value = integers(section, key)[0]
-        if minimum is not None and value < minimum:
-            raise ValidationError(f"[{section}] {key} {value} must be >= "
-                                  f"{minimum}")
-        return value
+        return integers(section, key, 1, minimum)[0]
 
     seq = "sequence"
     sequence = SequenceParams(
-        venc=number(seq, "venc_m_s"),
-        matrix=tuple(integers(seq, "matrix", 3)),
-        voxel=tuple(v * 1e-3 for v in _floats(merged, seq, "voxel_mm", 3)),
-        oversampling=integer(seq, "oversampling"),
-        t2_star=number(seq, "t2_star_ms") * 1e-3,
-        adc_bandwidth=number(seq, "adc_bandwidth_khz") * 1e3,
-        slew_rate=number(seq, "slew_rate_t_m_s"),
-        max_gradient=number(seq, "max_gradient_mt_m") * 1e-3,
+        venc=number(seq, "venc_m_s", above=0.0),
+        matrix=tuple(integers(seq, "matrix", 3, minimum=2)),
+        voxel=tuple(v * 1e-3 for v in numbers(seq, "voxel_mm", 3, above=0.0)),
+        oversampling=integer(seq, "oversampling", 1),
+        t2_star=number(seq, "t2_star_ms", above=0.0) * 1e-3,
+        adc_bandwidth=number(seq, "adc_bandwidth_khz", above=0.0) * 1e3,
+        slew_rate=number(seq, "slew_rate_t_m_s", above=0.0),
+        max_gradient=number(seq, "max_gradient_mt_m", above=0.0) * 1e-3,
         fov_center=tuple(v * 1e-3 for v in
                          _floats(merged, seq, "fov_center_mm", 3)),
     )
 
     wk = "windkessel"
     wk_params = WindkesselParams(
-        proximal_resistance=number(wk, "proximal_resistance_cgs"),
-        distal_resistance=number(wk, "distal_resistance_cgs"),
-        compliance=number(wk, "compliance_cgs"),
+        proximal_resistance=number(wk, "proximal_resistance_cgs",
+                                   minimum=0.0),
+        distal_resistance=number(wk, "distal_resistance_cgs", above=0.0),
+        compliance=number(wk, "compliance_cgs", above=0.0),
         initial_distal_pressure=number(wk, "initial_pressure_mmhg") * MMHG,
     )
 
@@ -507,24 +515,26 @@ def stage_estimate(cfg: RunConfig, fitted: dict, mesh, images: list[Path],
     frame of the statistics as written; ``out`` is made only once every
     image is decoded and the biomarkers are computed.
 
-    The decoded images are released once they reach the mesh. The
-    phases then pass one at a time through one ``GradientOperator``,
-    released after the last, and each phase's WSS and energy-loss
-    statistics are made at once. Across the phases only every model's
-    wall traction (OSI needs the whole cycle) and one phase's reference
-    traction, magnitude, energy loss and viscosity (the systolic fields)
-    are kept: a phase's fields replace the kept ones when
-    ``systolic_frame``, given the WSS means as ``stats.csv`` holds them
-    for the phases so far, picks it, so the last kept are those of the
-    frame ``read_stats`` picks from the written file.
+    The images must be distinct phases on one image grid. They pass one
+    at a time, in time order: each decoded phase is interpolated to the
+    mesh and released, its gradients recovered with one
+    ``GradientOperator`` and its WSS and energy-loss statistics made at
+    once. Across the phases only every model's wall traction (OSI needs
+    the whole cycle) and one phase's vertex velocity and reference-model
+    fields (the systolic fields) are kept: a phase's fields replace the
+    kept ones when ``systolic_frame``, given the WSS means as
+    ``stats.csv`` holds them for the phases so far, picks it, so the
+    last kept are those of the frame ``read_stats`` picks.
     """
     decoded = sorted((phase_to_velocity(load_images(path)) for path in images),
                      key=lambda d: d.frame_time)
     times = np.array([d.frame_time for d in decoded])
     if times.size < 2 or np.any(np.diff(times) <= 0):
         raise ValidationError("need at least two distinct cardiac phases")
-    vertex_speeds = interpolate_to_mesh(decoded, mesh).values
-    del decoded
+    grid = decoded[0].params.axis_coordinates()
+    if not all(all(map(np.array_equal, grid, d.params.axis_coordinates()))
+               for d in decoded[1:]):
+        raise ValidationError("the images must share one image grid")
 
     planes = [CutPlane(point=(0.0, 0.0, z), normal=(0.0, 0.0, 1.0))
               for z in cfg.cuts]
@@ -537,14 +547,15 @@ def stage_estimate(cfg: RunConfig, fitted: dict, mesh, images: list[Path],
                                          *cfg.alternative_models])}
     reference = cfg.reference_model
 
-    # one phase at a time through one operator, so no stack of gradients
-    # is held; the blocks are written model by model, frame by frame,
-    # then OSI
+    # one phase at a time through one operator, so no stack of vertex
+    # velocities or gradients is held; the blocks are written model by
+    # model, frame by frame, then OSI
     operator = GradientOperator(mesh)
     blocks: dict[str, list[SegmentStats]] = {name: [] for name in models}
     tractions: dict[str, list] = {name: [] for name in models}
     wss_means: dict[int, float] = {}
-    for frame, velocity in enumerate(vertex_speeds):
+    for frame in range(times.size):
+        velocity = interpolate_to_mesh(decoded.pop(0), mesh)
         results = frame_biomarkers(
             recover_gradients(mesh, velocity, operator), wall_idx, wall_norm,
             operator.nodal_volumes, models)
@@ -560,7 +571,7 @@ def stage_estimate(cfg: RunConfig, fitted: dict, mesh, images: list[Path],
         if mean is not None:
             wss_means[frame] = mean
             if systolic_frame(wss_means, reference) == frame:
-                at_systole = results[reference]
+                at_systole = (velocity, *results[reference])
         # the fields not kept are released before the next phase
         del results, mag, el, mu
     del operator
@@ -577,7 +588,7 @@ def stage_estimate(cfg: RunConfig, fitted: dict, mesh, images: list[Path],
     write_stats_csv(ordered, out / "stats.csv")
 
     log.info("systolic frame %d (t = %.3f s)", systolic, times[systolic])
-    traction, mag, el, mu = at_systole
+    velocity, traction, mag, el, mu = at_systole
     full_traction = np.zeros((mesh.n_vertices, 3))
     full_traction[wall_idx] = traction
     full_mag = np.zeros(mesh.n_vertices)
@@ -585,7 +596,7 @@ def stage_estimate(cfg: RunConfig, fitted: dict, mesh, images: list[Path],
     full_osi = np.zeros(mesh.n_vertices)
     full_osi[wall_idx] = osis[reference]
     export_fields_vtk(mesh, {
-        "velocity": vertex_speeds[systolic],
+        "velocity": velocity,
         "wss_vector": full_traction,
         "wss_mag": full_mag,
         "osi": full_osi,
@@ -656,7 +667,8 @@ def stage_compare(stats: str | Path, reference: str, alternatives: list,
     """Model differences of a stats CSV as written; writes ``out``.
 
     Per-frame quantities are compared at the systolic frame (see
-    ``read_stats``), OSI over the cycle. Returns the rows written.
+    ``read_stats``), OSI over the cycle; an alternative named twice is
+    compared once, in first-seen order. Returns the rows written.
     """
     blocks, systolic = read_stats(stats, reference, frame)
     rows = []
@@ -665,7 +677,7 @@ def stage_compare(stats: str | Path, reference: str, alternatives: list,
         ref_key = (f"{quantity}:{reference}", at)
         if ref_key not in blocks:
             raise ValidationError(f"stats lack {ref_key[0]} at frame {at}")
-        for alt_name in alternatives:
+        for alt_name in dict.fromkeys(alternatives):
             alt_key = (f"{quantity}:{alt_name}", at)
             if alt_key not in blocks:
                 raise ValidationError(f"stats lack {alt_key[0]} at frame {at}")

@@ -217,6 +217,28 @@ def test_compare_matches_the_run_comparison(demo, tmp_path):
     assert table.read_bytes() == (out / "comparison.csv").read_bytes()
 
 
+def test_a_model_named_twice_is_compared_once(demo, tmp_path):
+    # [comparison] models and compare's --alternative take each model
+    # once: naming one twice repeats no comparison row
+    _, run = demo
+    outs = {}
+    for name, models in (("once", "newtonian_fit1"),
+                         ("twice", "newtonian_fit1, newtonian_fit1")):
+        config = tmp_path / f"{name}.ini"
+        config.write_text(f"[comparison]\nmodels = {models}\n")
+        outs[name] = tmp_path / name
+        assert main(["estimate", "--images", str(run), "--config",
+                     str(config), "--out", str(outs[name])]) == 0
+    for artifact in ("stats.csv", "comparison.csv"):
+        assert (outs["twice"] / artifact).read_bytes() == \
+            (outs["once"] / artifact).read_bytes(), artifact
+    table = tmp_path / "twice.csv"
+    assert main(["compare", "--stats", str(outs["once"] / "stats.csv"),
+                 "--alternative", "newtonian_fit1",
+                 "--alternative", "newtonian_fit1", "--out", str(table)]) == 0
+    assert table.read_bytes() == (outs["once"] / "comparison.csv").read_bytes()
+
+
 def test_subcommand_chain_reproduces_run_byte_for_byte(tmp_path):
     """synth-mri -> reconstruct -> estimate -> compare -> report, each on
     the files the step before wrote, gives the files of one run."""
@@ -652,6 +674,29 @@ def test_refused_input_names_one_stage_and_writes_nothing(
         assert (out / "flow.csv").is_file(), "pre-failure artifacts remain"
 
 
+def test_estimate_refuses_images_on_two_grids(tmp_path, capsys):
+    # phase 0 of a 2-phase acquisition beside phase 1 of one whose field
+    # of view is moved 1 mm along the pipe: both grids cover the pipe,
+    # but the phases must share one grid
+    two = config_file(tmp_path, "[flow]\ncardiac_phases = 2\n")
+    moved = tmp_path / "moved.ini"
+    moved.write_text("[flow]\ncardiac_phases = 2\n"
+                     "[sequence]\nfov_center_mm = 0, 0, 51\n")
+    for config, out in ((two, "synth"), (str(moved), "moved")):
+        assert main(["synth-mri", "--config", config, "--out",
+                     str(tmp_path / out)]) == 0
+    images = tmp_path / "mixed"
+    copy_phases(tmp_path / "synth", "images", [0], images)
+    for path in (tmp_path / "moved").glob("images_phase001.*"):
+        shutil.copyfile(path, images / path.name)
+    out = tmp_path / "estimate"
+    assert main(["estimate", "--images", str(images), "--config", two,
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "[stage estimate] " in err and "one image grid" in err, err
+    assert not out.exists()
+
+
 FLOAT_KEYS = [
     ("pipe", "radius_m"), ("pipe", "length_m"), ("rheology", "hct"),
     ("rheology", "fit1_range"), ("rheology", "fit2_range"),
@@ -712,16 +757,38 @@ def test_config_integers_and_seed_are_refused_by_key(tmp_path, capsys):
 OUT_OF_RANGE = [("flow", "pressure_drop_pa", "-1"),
                 ("flow", "cardiac_period_s", "-0.5"),
                 ("noise", "sigma_fraction", "-0.1"),
-                ("sequence", "matrix", "11.5, 11, 36")]
+                ("sequence", "matrix", "11.5, 11, 36"),
+                ("sequence", "venc_m_s", "-1"),
+                ("sequence", "t2_star_ms", "0"),
+                ("sequence", "adc_bandwidth_khz", "-64"),
+                ("sequence", "slew_rate_t_m_s", "0"),
+                ("sequence", "max_gradient_mt_m", "-30"),
+                ("sequence", "oversampling", "0"),
+                ("sequence", "matrix", "11, 1, 36"),
+                ("sequence", "voxel_mm", "3, 0, 3"),
+                ("windkessel", "proximal_resistance_cgs", "-1"),
+                ("windkessel", "distal_resistance_cgs", "0"),
+                ("windkessel", "compliance_cgs", "-5.08e-4")]
+
+
+def case_ids(cases):
+    """``section.key`` per case; a key that comes again adds its value."""
+    ids = []
+    for section, key, value in cases:
+        name = f"{section}.{key}"
+        ids.append(f"{name}={value.replace(' ', '')}" if name in ids else name)
+    return ids
 
 
 @pytest.mark.parametrize("command", ["run", "synth-mri"])
 @pytest.mark.parametrize("section, key, value", OUT_OF_RANGE,
-                         ids=[f"{s}.{k}" for s, k, _ in OUT_OF_RANGE])
+                         ids=case_ids(OUT_OF_RANGE))
 def test_out_of_range_config_values_are_refused_at_load(
         tmp_path, capsys, command, section, key, value):
     # a stage would refuse these only after earlier stages wrote files
-    # (or, for a fractional matrix entry, truncate it silently)
+    # (or, for a fractional matrix entry, truncate it silently); the
+    # acquisition and windkessel parameters refuse them too, but without
+    # naming the key
     config = config_file(tmp_path, f"[{section}]\n{key} = {value}\n")
     out = tmp_path / "out"
     assert main([command, "--config", config, "--out", str(out)]) == 2
