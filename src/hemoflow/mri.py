@@ -73,11 +73,10 @@ is T/m/s (195 T/m/s is a typical whole-body gradient system).
 
 from __future__ import annotations
 
-import hashlib
 import json
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, fields
-from math import ceil, sqrt
+from math import ceil, isfinite, prod, sqrt
 from pathlib import Path
 from typing import Mapping
 
@@ -292,11 +291,6 @@ def _params_dict(params: SequenceParams) -> dict:
     for key in ("matrix", "voxel", "fov_center"):
         d[key] = list(d[key])
     return d
-
-
-def _params_hash(params: SequenceParams) -> str:
-    canon = json.dumps(_params_dict(params), sort_keys=True)
-    return hashlib.sha256(canon.encode()).hexdigest()
 
 
 def _check_encodes(grids: dict, shape: tuple, kind: str, values: str):
@@ -862,8 +856,7 @@ _RETIRED_PARAMS = ("cardiac_phases", "time_spacing")
 def _save_container(fmt, grids, params, frame_time, path, extra):
     path = Path(path)
     encodes = sorted(grids)
-    data_path = path.with_suffix(".bin")
-    with open(data_path, "wb") as fh:
+    with open(path.with_suffix(".bin"), "wb") as fh:
         for name in encodes:
             grids[name].astype(np.complex64).tofile(fh)
     sidecar = {
@@ -872,8 +865,6 @@ def _save_container(fmt, grids, params, frame_time, path, extra):
         "dims": list(grids[encodes[0]].shape),
         "frame_time": frame_time,
         "params": _params_dict(params),
-        "params_hash": _params_hash(params),
-        "data_file": data_path.name,
     }
     sidecar.update(extra)
     path.write_text(json.dumps(sidecar, indent=2) + "\n")
@@ -891,47 +882,80 @@ def _sidecar_entries(path):
         raise ValidationError(f"{path}: malformed sidecar: {exc!r}") from exc
 
 
-def _load_container(fmt, path):
-    path = Path(path)
+def _read_sidecar(fmt, path):
+    """The sidecar at ``path``, every entry it reads checked, and its
+    sequence parameters; inside the caller's ``_sidecar_entries(path)``.
+    Other entries, such as the two more that earlier versions wrote, are
+    ignored."""
     try:
-        sidecar = json.loads(path.read_text())
+        sidecar = json.loads(Path(path).read_text())
     except (OSError, json.JSONDecodeError) as exc:
-        raise ValidationError(f"cannot read sidecar {path}: {exc}") from exc
-    if sidecar.get("format") != fmt:
-        raise ValidationError(f"{path}: not a {fmt} sidecar")
-    with _sidecar_entries(path):
-        pdict = {key: value for key, value in sidecar["params"].items()
-                 if key not in _RETIRED_PARAMS}
-        missing = {f.name for f in fields(SequenceParams)} - set(pdict)
-        if missing:
-            raise KeyError(", ".join(sorted(missing)))
-        for key in ("matrix", "voxel", "fov_center"):
-            pdict[key] = tuple(pdict[key])
-        params = SequenceParams(**pdict)
-        dims = tuple(sidecar["dims"])
-        encodes = sidecar["encodes"]
-        data_file = path.parent / sidecar["data_file"]
-    raw = np.fromfile(data_file, dtype=np.complex64)
-    per_encode = int(np.prod(dims))
-    if raw.size != per_encode * len(encodes):
+        raise ValidationError(f"cannot read sidecar: {exc}") from exc
+    if not isinstance(sidecar, dict) or sidecar.get("format") != fmt:
+        raise ValidationError(f"not a {fmt} sidecar")
+    pdict = {key: value for key, value in sidecar["params"].items()
+             if key not in _RETIRED_PARAMS}
+    missing = {f.name for f in fields(SequenceParams)} - set(pdict)
+    if missing:
+        raise KeyError(", ".join(sorted(missing)))
+    for key in ("matrix", "voxel", "fov_center"):
+        pdict[key] = tuple(pdict[key])
+    params = SequenceParams(**pdict)
+    # before the payload is sized: negative entries can still multiply
+    # to its size
+    if not all(type(n) is int and n > 0 for n in sidecar["dims"]):
+        raise ValidationError(f"dims {sidecar['dims']!r} are not positive "
+                              "integers")
+    if len(set(sidecar["encodes"])) != len(sidecar["encodes"]):
+        raise ValidationError(f"encodes {sidecar['encodes']!r} repeat a "
+                              "name")
+    frame_time = sidecar["frame_time"]
+    if type(frame_time) not in (int, float) or not isfinite(frame_time):
+        raise ValidationError(f"frame_time {frame_time!r} is not a finite "
+                              "number")
+    return sidecar, params
+
+
+def _load_container(fmt, path):
+    """The grids, sequence parameters and sidecar of a container, whose
+    payload is the ``.bin`` beside the sidecar; inside the caller's
+    ``_sidecar_entries(path)``."""
+    sidecar, params = _read_sidecar(fmt, path)
+    dims, encodes = tuple(sidecar["dims"]), sidecar["encodes"]
+    per_encode = prod(dims)
+    data = Path(path).with_suffix(".bin")
+    # sized before it is read, so a file of another length is not read
+    if data.stat().st_size != 8 * per_encode * len(encodes):
         raise ValidationError(
-            f"{path}: data holds {raw.size} samples, sidecar implies "
-            f"{per_encode * len(encodes)}")
+            f"data holds {data.stat().st_size} bytes, sidecar implies "
+            f"{per_encode * len(encodes)} complex64 samples")
+    raw = np.fromfile(data, dtype=np.complex64)
     grids = {name: raw[i * per_encode:(i + 1) * per_encode]
              .reshape(dims).astype(complex)
              for i, name in enumerate(encodes)}
     return grids, params, sidecar
 
 
+def _image_sidecar(path):
+    """The frame time and sequence parameters of an image container, from
+    its checked sidecar alone."""
+    with _sidecar_entries(path):
+        sidecar, params = _read_sidecar(_IMAGE_FORMAT, path)
+    return sidecar["frame_time"], params
+
+
 def save_kspace(k: KSpaceData, path: str | Path) -> None:
-    """Write k-space to ``path`` (JSON sidecar) plus a ``.bin`` payload."""
+    """Write k-space to ``path`` (JSON sidecar) plus its payload, the
+    ``.bin`` beside it."""
     _save_container(_KSPACE_FORMAT, k.signals, k.params, k.frame_time, path,
                     {"sample_times": k.sample_times.tolist(), "seed": k.seed})
 
 
 def load_kspace(path: str | Path) -> KSpaceData:
-    grids, params, sidecar = _load_container(_KSPACE_FORMAT, path)
+    """K-space of the sidecar at ``path`` and the ``.bin`` beside it; a
+    bad entry or payload is a ValidationError naming the sidecar."""
     with _sidecar_entries(path):
+        grids, params, sidecar = _load_container(_KSPACE_FORMAT, path)
         return KSpaceData(signals=grids,
                           sample_times=np.asarray(sidecar["sample_times"]),
                           params=params, frame_time=sidecar["frame_time"],
@@ -945,7 +969,8 @@ def save_images(img: ImageVolume, path: str | Path) -> None:
 
 
 def load_images(path: str | Path) -> ImageVolume:
-    grids, params, sidecar = _load_container(_IMAGE_FORMAT, path)
+    """Volumes of the sidecar at ``path``, read as ``load_kspace`` reads."""
     with _sidecar_entries(path):
+        grids, params, sidecar = _load_container(_IMAGE_FORMAT, path)
         return ImageVolume(volumes=grids, params=params,
                            frame_time=sidecar["frame_time"])

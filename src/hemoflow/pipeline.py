@@ -36,9 +36,9 @@ from .hemodynamics import _COMPARISON_COLUMNS, _DIFFERENCE_COLUMNS, \
     recover_gradients, segment_stats, write_comparison_csv, write_stats_csv
 from .mesh import CutPlane, generate_pipe_mesh, load_mesh, segment_labels, \
     segment_names, wall_normals
-from .mri import SequenceParams, _tet_rule, add_noise, load_images, \
-    load_kspace, phase_to_velocity, reconstruct, save_images, save_kspace, \
-    sequence_timings, synthesize_frame
+from .mri import SequenceParams, _image_sidecar, _tet_rule, add_noise, \
+    load_images, load_kspace, phase_to_velocity, reconstruct, save_images, \
+    save_kspace, sequence_timings, synthesize_frame
 from .phantoms import MMHG, inlet_waveform
 from .report import QUANTITIES, write_report
 from .rheology import LITERATURE_NEWTONIAN, PowerLawParams, fit_for_hct, \
@@ -515,9 +515,11 @@ def stage_estimate(cfg: RunConfig, fitted: dict, mesh, images: list[Path],
     frame of the statistics as written; ``out`` is made only once every
     image is decoded and the biomarkers are computed.
 
-    The images must be distinct phases on one image grid. They pass one
-    at a time, in time order: each decoded phase is interpolated to the
-    mesh and released, its gradients recovered with one
+    The images must be distinct phases on one image grid, which their
+    sidecars alone show, so they are ordered and checked before any
+    payload is read. They pass one at a time, in time order: each phase
+    is read, decoded, interpolated to the mesh and released (one decoded
+    phase is held at a time), its gradients recovered with one
     ``GradientOperator`` and its WSS and energy-loss statistics made at
     once. Across the phases only every model's wall traction (OSI needs
     the whole cycle) and one phase's vertex velocity and reference-model
@@ -526,14 +528,14 @@ def stage_estimate(cfg: RunConfig, fitted: dict, mesh, images: list[Path],
     ``stats.csv`` holds them for the phases so far, picks it, so the
     last kept are those of the frame ``read_stats`` picks.
     """
-    decoded = sorted((phase_to_velocity(load_images(path)) for path in images),
-                     key=lambda d: d.frame_time)
-    times = np.array([d.frame_time for d in decoded])
+    phases = sorted(((*_image_sidecar(path), path) for path in images),
+                    key=lambda phase: phase[0])
+    times = np.array([time for time, _, _ in phases])
     if times.size < 2 or np.any(np.diff(times) <= 0):
         raise ValidationError("need at least two distinct cardiac phases")
-    grid = decoded[0].params.axis_coordinates()
-    if not all(all(map(np.array_equal, grid, d.params.axis_coordinates()))
-               for d in decoded[1:]):
+    grid = phases[0][1].axis_coordinates()
+    if not all(all(map(np.array_equal, grid, params.axis_coordinates()))
+               for _, params, _ in phases[1:]):
         raise ValidationError("the images must share one image grid")
 
     planes = [CutPlane(point=(0.0, 0.0, z), normal=(0.0, 0.0, 1.0))
@@ -554,8 +556,9 @@ def stage_estimate(cfg: RunConfig, fitted: dict, mesh, images: list[Path],
     blocks: dict[str, list[SegmentStats]] = {name: [] for name in models}
     tractions: dict[str, list] = {name: [] for name in models}
     wss_means: dict[int, float] = {}
-    for frame in range(times.size):
-        velocity = interpolate_to_mesh(decoded.pop(0), mesh)
+    for frame, (_, _, path) in enumerate(phases):
+        velocity = interpolate_to_mesh(phase_to_velocity(load_images(path)),
+                                       mesh)
         results = frame_biomarkers(
             recover_gradients(mesh, velocity, operator), wall_idx, wall_norm,
             operator.nodal_volumes, models)

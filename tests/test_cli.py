@@ -674,6 +674,40 @@ def test_refused_input_names_one_stage_and_writes_nothing(
         assert (out / "flow.csv").is_file(), "pre-failure artifacts remain"
 
 
+# a bad entry in the sidecar of phase 1 of 4 -> (command, container,
+# the edited sidecar)
+BAD_SIDECARS = {
+    "dims a string": ("reconstruct", "kspace",
+                      lambda sidecar: {**sidecar, "dims": "abc"}),
+    "encodes a number": ("reconstruct", "kspace",
+                         lambda sidecar: {**sidecar, "encodes": 3}),
+    "a list": ("reconstruct", "kspace", lambda sidecar: [1, 2]),
+    "frame_time a string": ("estimate", "images",
+                            lambda sidecar: {**sidecar, "frame_time": "abc"}),
+    "frame_time NaN": ("estimate", "images",
+                       lambda sidecar: {**sidecar, "frame_time": np.nan}),
+}
+
+
+@pytest.mark.parametrize("case", list(BAD_SIDECARS))
+def test_bad_sidecar_entry_exits_2_naming_the_file(demo, tmp_path, capsys,
+                                                   case):
+    command, kind, edit = BAD_SIDECARS[case]
+    config, run = demo
+    source = tmp_path / kind
+    copy_phases(run, kind, range(4), source)
+    sidecar = source / f"{kind}_phase001.json"
+    sidecar.write_text(json.dumps(edit(json.loads(sidecar.read_text()))))
+    out = tmp_path / "out"
+    argv = [command, f"--{kind}", str(source), "--out", str(out)]
+    if command == "estimate":
+        argv += ["--config", str(config)]
+    assert main(argv) == 2, f"{command} took a sidecar with {case}"
+    err = capsys.readouterr().err
+    assert f"[stage {command}] {sidecar}: " in err, err
+    assert not out.exists(), f"{command} made {out.name}"
+
+
 def test_estimate_refuses_images_on_two_grids(tmp_path, capsys):
     # phase 0 of a 2-phase acquisition beside phase 1 of one whose field
     # of view is moved 1 mm along the pipe: both grids cover the pipe,

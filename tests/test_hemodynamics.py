@@ -796,28 +796,36 @@ def default_images(tmp_path_factory):
     return images
 
 
-def test_estimate_memory_does_not_grow_with_the_phases(default_images,
-                                                       tmp_path):
-    # stage estimate on the 57,600-tet pipe takes one phase at a time.
-    # Per phase it keeps the vertex velocities, every model's wall
-    # traction and the reference model's magnitude, energy loss and
-    # viscosity: about 0.52 MB here, under the 0.74 MB of one (N, 3, 3)
-    # gradient tensor that a stack of the phases' gradients would hold
+@pytest.fixture(scope="module")
+def estimate_peaks(default_images, tmp_path_factory):
+    """The resolution-2 pipe and the traced peaks of stage estimate on
+    its first 2 and all 8 default phases."""
+    out = tmp_path_factory.mktemp("estimate")
     cfg = load_config()
     fitted = fit_models(cfg)
     pipe = generate_pipe_mesh(RADIUS, LENGTH, resolution=2)
     # an untraced call first, so one-off allocations such as lazy
     # imports fall in neither traced call
-    stage_estimate(cfg, fitted, pipe, default_images[:2], tmp_path / "warm")
+    stage_estimate(cfg, fitted, pipe, default_images[:2], out / "warm")
     peaks = {}
     for count in (2, 8):
         tracemalloc.start()
         try:
             stage_estimate(cfg, fitted, pipe, default_images[:count],
-                           tmp_path / f"phases{count}")
+                           out / f"phases{count}")
             peaks[count] = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+    return pipe, peaks
+
+
+def test_estimate_memory_does_not_grow_with_the_phases(estimate_peaks):
+    # stage estimate on the 57,600-tet pipe takes one phase at a time.
+    # Per phase it keeps the vertex velocities, every model's wall
+    # traction and the reference model's magnitude, energy loss and
+    # viscosity: about 0.52 MB here, under the 0.74 MB of one (N, 3, 3)
+    # gradient tensor that a stack of the phases' gradients would hold
+    pipe, peaks = estimate_peaks
     tensor = pipe.n_vertices * 9 * 8
     assert peaks[8] - peaks[2] < 6 * tensor, (
         f"traced peak grew from {peaks[2] / 2 ** 20:.2f} to "
@@ -825,34 +833,19 @@ def test_estimate_memory_does_not_grow_with_the_phases(default_images,
         f"is {tensor / 2 ** 20:.2f} MB")
 
 
-def test_estimate_keeps_per_phase_only_the_wall_tractions(default_images,
-                                                          tmp_path):
+def test_estimate_keeps_per_phase_only_the_wall_tractions(estimate_peaks):
     # across the phases stage estimate keeps every model's wall traction
     # (for OSI); the vertex velocities and the reference model's systolic
-    # fields are held for one phase, not for each, and each decoded phase
-    # is released once it reaches the mesh. Keeping the systolic fields
-    # per phase took 0.53 MB a phase on this pipe, and the vertex
-    # velocities of every phase 252 KB a phase more
-    cfg = load_config()
-    fitted = fit_models(cfg)
-    pipe = generate_pipe_mesh(RADIUS, LENGTH, resolution=2)
-    stage_estimate(cfg, fitted, pipe, default_images[:2], tmp_path / "warm")
-    peaks = {}
-    for count in (2, 8):
-        tracemalloc.start()
-        try:
-            stage_estimate(cfg, fitted, pipe, default_images[:count],
-                           tmp_path / f"phases{count}")
-            peaks[count] = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+    # fields are held for one phase, not for each, and each image is
+    # read and decoded in its turn of the loop. Decoding every image
+    # before the loop grew the peak 137 KB a phase on this pipe, against
+    # 94.5 KB of tractions; one decoded phase at a time, about 101 KB
+    pipe, peaks = estimate_peaks
     tractions = 3 * len(wall_normals(pipe)[0]) * 3 * 8
-    velocities = pipe.n_vertices * 3 * 8
     per_phase = (peaks[8] - peaks[2]) / 6
-    assert per_phase < velocities, (
+    assert per_phase < 1.25 * tractions, (
         f"traced peak grew {per_phase / 2 ** 10:.0f} KB a phase; the wall "
-        f"tractions are {tractions / 2 ** 10:.0f} KB and the vertex "
-        f"velocities {velocities / 2 ** 10:.0f} KB")
+        f"tractions are {tractions / 2 ** 10:.0f} KB")
 
 
 def test_interpolation_rejects_velocities_off_their_grid():

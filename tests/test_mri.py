@@ -920,6 +920,80 @@ def test_sidecar_with_retired_sequence_keys_loads(tmp_path):
                           k.signals["ref"].astype(np.complex64))
 
 
+def test_written_sidecars_hold_exactly_their_entries(tmp_path):
+    k, path = _saved_kspace(tmp_path)
+    assert list(json.loads(path.read_text())) == [
+        "format", "encodes", "dims", "frame_time", "params",
+        "sample_times", "seed"]
+    images = tmp_path / "img00.json"
+    save_images(reconstruct(k), images)
+    assert list(json.loads(images.read_text())) == [
+        "format", "encodes", "dims", "frame_time", "params"]
+
+
+def test_payload_is_the_bin_beside_the_sidecar(tmp_path):
+    # an entry naming another file, even by absolute path, is not read
+    k, path = _saved_kspace(tmp_path)
+    other = tmp_path / "other.bin"
+    other.write_bytes(bytes(path.with_suffix(".bin").stat().st_size))
+    sidecar = json.loads(path.read_text())
+    sidecar["data_file"] = str(other.resolve())
+    path.write_text(json.dumps(sidecar))
+    loaded = load_kspace(path)
+    for name, grid in k.signals.items():
+        assert np.array_equal(loaded.signals[name],
+                              grid.astype(np.complex64))
+
+
+def test_sidecar_of_an_earlier_version_loads(tmp_path):
+    # earlier versions wrote a parameter hash and the payload's name too
+    k, path = _saved_kspace(tmp_path)
+    images = tmp_path / "img00.json"
+    save_images(reconstruct(k), images)
+    for sidecar_path, load, grids in (
+            (path, load_kspace, lambda c: c.signals),
+            (images, load_images, lambda c: c.volumes)):
+        before = load(sidecar_path)
+        sidecar = json.loads(sidecar_path.read_text())
+        sidecar["params_hash"] = "0" * 64
+        sidecar["data_file"] = sidecar_path.with_suffix(".bin").name
+        sidecar_path.write_text(json.dumps(sidecar, indent=2) + "\n")
+        after = load(sidecar_path)
+        assert after.params == before.params
+        assert grids(after).keys() == grids(before).keys()
+        for name, grid in grids(before).items():
+            assert np.array_equal(grids(after)[name], grid)
+
+
+def test_payload_of_another_length_is_refused(tmp_path):
+    _, path = _saved_kspace(tmp_path)
+    payload = path.with_suffix(".bin")
+    data = payload.read_bytes()
+    for wrong in (data + bytes(8), data[:-8]):
+        payload.write_bytes(wrong)
+        with pytest.raises(ValidationError,
+                           match="phase00.json: data holds"):
+            load_kspace(path)
+
+
+@pytest.mark.parametrize("entry, value", [
+    ("dims", [-16, -8, 8]), ("dims", [16, 8, 8.0]),
+    ("encodes", ["ref", "ref", "y", "z"]),
+    ("frame_time", float("nan")), ("frame_time", True)])
+def test_bad_sidecar_entries_are_refused_before_the_payload(
+        tmp_path, entry, value):
+    # with the payload gone, only the sidecar step can refuse. Negative
+    # dims can multiply to the payload's size, and a repeated encode
+    # would take another encode's samples
+    _, path = _saved_kspace(tmp_path)
+    path.with_suffix(".bin").unlink()
+    sidecar = json.loads(path.read_text())
+    sidecar[entry] = value
+    path.write_text(json.dumps(sidecar))
+    with pytest.raises(ValidationError, match=f"phase00.json: {entry} "):
+        load_kspace(path)
+
+
 def test_malformed_sidecar_names_the_file(tmp_path):
     _, path = _saved_kspace(tmp_path)
     _edit_params(path, bogus=1)
