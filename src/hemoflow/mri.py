@@ -17,8 +17,8 @@ The sum is evaluated in one pass for the four encodes:
 
 1. Shared operand. For each readout sample, one phase-encode operand
    L is built once for the four encodes, in ``_partition_sums``, and
-   handed to the partition step (4 or 6), which contracts it in one
-   batched matrix product. L is encode-minor, (n_pe, n, 4): row 0 is
+   handed to the partition step (4 or 6), which contracts it in batched
+   matrix products. L is encode-minor, (n_pe, n, 4): row 0 is
    amp * A (the readout/T2* factor times each point's encode
    amplitudes) and each later row the one before times s_y, one
    contiguous product per row. L carries no partition phase; the
@@ -56,13 +56,18 @@ The sum is evaluated in one pass for the four encodes:
    sample. Each point's drifted z spreads onto the 12 nearest cells of a
    periodic grid of 2 n_pz cells per partition field of view, with the
    exponential-of-semicircle kernel (Barnett, Magland & af Klinteberg,
-   SIAM J. Sci. Comput. 2019), evaluated in place. One batched real
-   product of the block's kernel table with the operand L of step 1 is
-   added into the sample's grid, wrapping at the grid's end.
-   Once per frame each sample's grid is Fourier transformed, divided by
-   the kernel's transform and freed before the output is stacked. It is
-   taken when the largest block's table (its footprint in cells over the
-   readout, plus the kernel width) has at most a third of the real
+   SIAM J. Sci. Comput. 2019). Per sample the block's points are grouped
+   by their first cell, whose offset from the block's lowest is a small
+   integer: a stable sort on it orders the points so that each group is
+   a contiguous run, their 12 kernel values are evaluated in that order,
+   and the operand L of step 1 is built in that order from the gathered
+   per-point factors. Each group takes one real product of its 12 kernel
+   rows with its run of L's columns, added into the sample's grid from
+   the group's first cell, wrapping at the grid's end; no product row is
+   zero. Once per frame each sample's grid is Fourier transformed,
+   divided by the kernel's transform and freed before the output is
+   stacked. It is taken when the largest block's footprint in cells over
+   the readout, plus the kernel width, is at most a third of the real
    table's 2c+1 rows: the paper-scale slab (113 rows against 24) takes
    it, the default config (37 against 67) does not. It agrees with the
    direct sum to about 1e-11 relative L2.
@@ -117,6 +122,11 @@ GRADIENT_RASTER = 10e-6
 ENCODE_AXES = ("ref", "x", "y", "z")
 
 
+def _is_integer(n) -> bool:
+    """A Python or numpy integer; a bool or a whole float is not one."""
+    return isinstance(n, (int, np.integer)) and not isinstance(n, bool)
+
+
 @dataclass(frozen=True)
 class SequenceParams:
     """Acquisition settings, SI units.
@@ -137,11 +147,14 @@ class SequenceParams:
     fov_center: tuple[float, float, float] = (0.0, 0.0, 0.0)
 
     def __post_init__(self):
-        if len(self.matrix) != 3 or any(int(n) != n or n < 2
-                                        for n in self.matrix):
+        if len(self.matrix) != 3 or not all(_is_integer(n) and n >= 2
+                                            for n in self.matrix):
             raise ValidationError("matrix must be 3 integers >= 2")
-        if len(self.voxel) != 3 or any(v <= 0 for v in self.voxel):
-            raise ValidationError("voxel sizes must be positive")
+        if len(self.voxel) != 3 or not all(v > 0 and isfinite(v)
+                                           for v in self.voxel):
+            raise ValidationError("voxel sizes must be positive and finite")
+        if not _is_integer(self.oversampling):
+            raise ValidationError("oversampling must be an integer")
         positive = {"venc": self.venc, "oversampling": self.oversampling,
                     "t2_star": self.t2_star,
                     "adc_bandwidth": self.adc_bandwidth,
@@ -150,8 +163,9 @@ class SequenceParams:
         for name, value in positive.items():
             if not value > 0:
                 raise ValidationError(f"{name} must be positive")
-        if len(self.fov_center) != 3:
-            raise ValidationError("fov_center must have 3 components")
+        if len(self.fov_center) != 3 or not all(map(isfinite,
+                                                    self.fov_center)):
+            raise ValidationError("fov_center must have 3 finite components")
 
     @property
     def fov(self) -> tuple[float, float, float]:
@@ -428,13 +442,14 @@ _ES_WIDTH = 12
 _ES_BETA = 2.30 * _ES_WIDTH
 _ES_GRID = 2
 
-# the NUFFT is taken when its largest block table has at most this share
-# of the real table's 2c+1 rows. Measured per frame with one BLAS thread
-# on a 2-CPU Xeon: the slab (113 partitions, resolution-2 pipe), 113 real
-# against 24 spread rows (about 18 used per sample), 1.03 s real, 0.55 s
-# spread; the resolution-2 pipe with the default 36 partitions, 37
-# against 20, 2.65 s real, 2.95 s spread; the default config, 37 against
-# 67, 0.046 s real, 0.073 s spread
+# the NUFFT is taken when its largest block footprint plus the kernel
+# width is at most this share of the real table's 2c+1 rows. Measured
+# per frame with one BLAS thread on a 2-CPU Xeon: the slab (113
+# partitions, resolution-2 pipe), 113 real rows against 24 spread (5.2
+# groups of 12 per sample), 1.63 s real, 0.33 s spread; the resolution-2
+# pipe with the default 36 partitions, 37 against 20 (4.1 groups),
+# 1.62 s real, 1.36 s spread; the default config, 37 against 67 (26.4
+# groups), 0.020 s real, 0.028 s spread
 _SPREAD_SHARE = 1 / 3
 
 
@@ -529,6 +544,10 @@ class _FoldedTable:
         self.table = self.table_buf[:(2 * self.c + 1) * n].reshape(-1, n)
         self.table[0] = 1.0
 
+    def order(self, i):
+        """The real table takes the points as they come."""
+        return None
+
     def add(self, i, left):
         c, pz, table, s_z = self.c, self.pz, self.table, self.s_z
         _ramp(s_z, s_z, pz)
@@ -588,61 +607,71 @@ class _SpreadGrid:
     """Partition step 6: a 1D type-1 NUFFT along the partition axis.
 
     The grid has N = ``_ES_GRID`` n_pz cells per partition field of view
-    and wraps at z = 0. Per sample, a kernel table K (span x n) holds each
-    point's ``_ES_WIDTH`` kernel values at the rows of its nearest cells,
-    and the batched product K L (n_pe, span, n_enc) with the encode-minor
-    operand L (n_pe, n, n_enc) is added into that sample's grid from the
-    block's first cell on, wrapping at the grid's end. Partition
-    m = j - n_pz // 2 is frequency m mod N of the grid's DFT divided by
-    the kernel's transform at m / N.
+    and wraps at z = 0. Per sample, ``order`` groups the block's points by
+    their first kernel cell: it returns the stable permutation that makes
+    each group a contiguous run of columns, and fills a (``_ES_WIDTH``, n)
+    table with each point's kernel values in that order. ``add`` takes the
+    encode-minor operand L (n_pe, n, n_enc) built in the same order and
+    adds each group's product (n_pe, ``_ES_WIDTH``, n_enc) of its table
+    and operand columns into that sample's grid from the group's first
+    cell on, wrapping at the grid's end. Partition m = j - n_pz // 2 is
+    frequency m mod N of the grid's DFT divided by the kernel's transform
+    at m / N.
     """
 
     def __init__(self, times: np.ndarray, n_pz: int, per_metre: float,
-                 n_enc: int, n_pe: int, n_max: int, rows: int):
-        self.n_pz, self.n_enc = n_pz, n_enc
+                 n_enc: int, n_pe: int, n_max: int):
+        self.n_pz = n_pz
         self.cells = cells = _ES_GRID * n_pz
         self.per_metre = per_metre
         self.times = times
         self.acc = [np.zeros((n_pe, cells, n_enc), dtype=complex)
                     for _ in times]
-        # sized for a full block and the largest table, allocated once per
-        # frame; a block or a sample uses contiguous prefixes of them
-        self.prod_buf = np.empty(n_pe * rows * n_enc, dtype=complex)
-        self.kernel_buf = np.empty(rows * n_max)
+        # sized for a full block, allocated once per frame; a block uses
+        # a contiguous prefix of the table
         self.values_buf = np.empty((_ES_WIDTH, n_max))
-        self.taps = np.arange(_ES_WIDTH)[:, None]
+        self.group = np.empty((n_pe, _ES_WIDTH, n_enc), dtype=complex)
         # the taps in kernel units, where the kernel spans [-1, 1]
-        self.scaled_taps = self.taps * (2.0 / _ES_WIDTH)
+        self.scaled_taps = np.arange(_ES_WIDTH)[:, None] * (2.0 / _ES_WIDTH)
 
     def block(self, pos, vel):
-        n = len(pos)
         self.z = pos[:, 2] * self.per_metre
         self.uz = vel[:, 2] * self.per_metre
-        self.points = np.arange(n)
-        self.values = self.values_buf[:, :n]
+        self.values = self.values_buf[:, :len(pos)]
 
-    def add(self, i, left):
-        n = len(self.points)
+    def order(self, i):
         u = self.z + self.uz * self.times[i]
         first = np.ceil(u - _ES_WIDTH / 2)
         low = first.min()
-        span = int(first.max() - low) + _ES_WIDTH
-        kernel = self.kernel_buf[:span * n].reshape(span, n)
-        kernel.fill(0.0)
+        offset = (first - low).astype(np.intp)
+        order = np.argsort(offset, kind="stable")
+        # group o, the points whose first cell is low + o, is the next
+        # run of columns; offsets that no point takes make no group
+        self.groups, end = [], 0
+        for o, count in enumerate(np.bincount(offset).tolist()):
+            if count:
+                self.groups.append(
+                    ((int(low) + o) % self.cells, end, end + count))
+                end += count
         # tap j of a point sits j - (u - first) cells from it, in [-W/2, W/2)
-        values = self.values
-        np.add(self.scaled_taps, (first - u) * (2.0 / _ES_WIDTH), out=values)
-        kernel[(first - low).astype(int) + self.taps, self.points] = \
-            _es_kernel(values, out=values)
-        prod = self.prod_buf[:len(left) * span * self.n_enc].reshape(
-            len(left), span, self.n_enc)
-        np.matmul(kernel, left.view(float), out=prod.view(float))
-        # a footprint is shorter than the grid (the table has at most a
-        # third of the real table's 2c+1 rows), so it wraps at most once
-        acc, start = self.acc[i], int(low) % self.cells
-        head = min(span, self.cells - start)
-        acc[:, start:start + head] += prod[:, :head]
-        acc[:, :span - head] += prod[:, head:]
+        np.subtract(first, u, out=u)
+        u *= 2.0 / _ES_WIDTH
+        np.add(self.scaled_taps, u.take(order), out=self.values)
+        _es_kernel(self.values, out=self.values)
+        return order
+
+    def add(self, i, left):
+        acc, cells, group = self.acc[i], self.cells, self.group
+        operand = left.view(float)
+        for start, a, b in self.groups:
+            np.matmul(self.values[:, a:b], operand[:, a:b],
+                      out=group.view(float))
+            # a group's rows are fewer than the grid's cells (a footprint
+            # has at most a third of the real table's 2c+1 rows), so it
+            # wraps at most once
+            head = min(_ES_WIDTH, cells - start)
+            acc[:, start:start + head] += group[:, :head]
+            acc[:, :_ES_WIDTH - head] += group[:, head:]
 
     def grids(self) -> np.ndarray:
         cells, n_pz = self.cells, self.n_pz
@@ -660,7 +689,7 @@ class _SpreadGrid:
 
 def _spread_rows(mesh: TetMesh, velocities, times, per_block: int,
                  per_metre: float) -> int:
-    """Rows of the largest block table of the partition NUFFT: the widest
+    """Rows the partition NUFFT spreads a block onto, at most: the widest
     block footprint in grid cells at any sample, plus the kernel width.
 
     A quadrature point is a convex combination of its tet's corners, and
@@ -685,8 +714,11 @@ def _partition_sums(mesh: TetMesh, m0, velocities, rule,
 
     The quadrature points are made one block of tets at a time; each
     sample's encode-minor operand (step 1) goes to the partition step,
-    the real table (step 4) or, when its table is much the smaller, the
-    NUFFT (step 6); both own the partition axis and are called alike.
+    the real table (step 4) or, when a block's footprint is much smaller
+    than that table, the NUFFT (step 6); both own the partition axis and
+    are called alike. Each sample first asks the step for the order of
+    the points it takes (the NUFFT's groups, or None for the real table)
+    and builds the operand in that order.
     """
     k_ro, k_pe, k_pz = params.k_axes()
     n_enc, n_pe, n_pz = len(ENCODE_AXES), k_pe.size, k_pz.size
@@ -696,8 +728,7 @@ def _partition_sums(mesh: TetMesh, m0, velocities, rule,
     per_metre = _ES_GRID * n_pz / params.fov[2]
     spread = _spread_rows(mesh, velocities, times, per_block, per_metre)
     if spread <= _SPREAD_SHARE * (2 * (n_pz // 2) + 1):
-        partitions = _SpreadGrid(times, n_pz, per_metre, n_enc, n_pe, n_max,
-                                 spread)
+        partitions = _SpreadGrid(times, n_pz, per_metre, n_enc, n_pe, n_max)
     else:
         partitions = _FoldedTable(times, n_pz, _spacing(k_pz), n_enc, n_pe,
                                   n_max)
@@ -717,8 +748,13 @@ def _partition_sums(mesh: TetMesh, m0, velocities, rule,
         partitions.block(pos, vel)
         samples = _sample_factors(pos, vel, times, k_ro, k_pe, params.t2_star)
         for i, (a, s_y) in enumerate(samples):
-            # the encode-minor operand L of step 1
-            np.multiply(amp, a[:, None], out=left[0])
+            # the encode-minor operand L of step 1, its points in the order
+            # the partition step takes them
+            order, point_amp = partitions.order(i), amp
+            if order is not None:
+                point_amp, a, s_y = (f.take(order, axis=0)
+                                     for f in (amp, a, s_y))
+            np.multiply(point_amp, a[:, None], out=left[0])
             np.copyto(step, s_y[:, None])
             for p in range(1, n_pe):
                 np.multiply(left[p - 1], step, out=left[p])

@@ -674,6 +674,12 @@ def test_refused_input_names_one_stage_and_writes_nothing(
         assert (out / "flow.csv").is_file(), "pre-failure artifacts remain"
 
 
+def with_param(key, value):
+    """A sidecar edit that sets one of its sequence parameters."""
+    return lambda sidecar: {**sidecar,
+                            "params": {**sidecar["params"], key: value}}
+
+
 # a bad entry in the sidecar of phase 1 of 4 -> (command, container,
 # the edited sidecar)
 BAD_SIDECARS = {
@@ -686,6 +692,12 @@ BAD_SIDECARS = {
                             lambda sidecar: {**sidecar, "frame_time": "abc"}),
     "frame_time NaN": ("estimate", "images",
                        lambda sidecar: {**sidecar, "frame_time": np.nan}),
+    "matrix 11.0": ("reconstruct", "kspace",
+                    with_param("matrix", [11.0, 11, 36])),
+    "voxel NaN": ("reconstruct", "kspace",
+                  with_param("voxel", [np.nan, 0.003, 0.003])),
+    "fov_center inf": ("reconstruct", "kspace",
+                       with_param("fov_center", [0.0, 0.0, np.inf])),
 }
 
 

@@ -12,12 +12,13 @@ from hemoflow import mri
 from hemoflow.errors import SequenceError, ValidationError
 from hemoflow.flowfields import VelocityField
 from hemoflow.mesh import generate_box_mesh, generate_pipe_mesh, tet_volumes
-from hemoflow.mri import (_BLOCK, _TET_RULES, ENCODE_AXES, ImageVolume,
-                          KSpaceData, SequenceParams, _quadrature, _ramp,
-                          _sample_factors, _spacing, add_noise, load_images,
-                          load_kspace, phase_to_velocity, reconstruct,
-                          save_images, save_kspace, sequence_timings,
-                          synthesize_frame, synthesize_signal)
+from hemoflow.mri import (_BLOCK, _ES_WIDTH, _TET_RULES, ENCODE_AXES,
+                          ImageVolume, KSpaceData, SequenceParams,
+                          _quadrature, _ramp, _sample_factors, _spacing,
+                          add_noise, load_images, load_kspace,
+                          phase_to_velocity, reconstruct, save_images,
+                          save_kspace, sequence_timings, synthesize_frame,
+                          synthesize_signal)
 from hemoflow.pipeline import load_config
 
 PROTOCOL_DEFAULTS = SequenceParams()
@@ -99,6 +100,24 @@ def test_parameter_validation():
         SequenceParams(matrix=(56, 30))
     with pytest.raises(ValidationError):
         SequenceParams(voxel=(0.002, -0.002, 0.002))
+    # counts are integers, numpy's included; a whole float or a bool is not
+    # one, and a fractional oversampling would make a fractional readout
+    for matrix in ((56.0, 30, 113), (56, True, 113)):
+        with pytest.raises(ValidationError, match="matrix"):
+            SequenceParams(matrix=matrix)
+    for oversampling in (1.5, 2.0, True):
+        with pytest.raises(ValidationError, match="oversampling"):
+            SequenceParams(oversampling=oversampling)
+    counts = SequenceParams(matrix=tuple(np.array([56, 30, 113])),
+                            oversampling=np.int32(2))
+    assert counts.acquired_readout == 112
+    # geometry is finite: NaN is not a positive voxel size
+    for voxel in ((np.nan, 0.002, 0.002), (0.002, np.inf, 0.002)):
+        with pytest.raises(ValidationError, match="voxel"):
+            SequenceParams(voxel=voxel)
+    for center in ((0.0, 0.0, np.inf), (np.nan, 0.0, 0.0)):
+        with pytest.raises(ValidationError, match="fov_center"):
+            SequenceParams(fov_center=center)
 
 
 # =========================================================================
@@ -398,6 +417,49 @@ def paths_taken(monkeypatch):
     return taken
 
 
+@pytest.fixture
+def spread_products(monkeypatch):
+    """The ``np.matmul`` calls of the NUFFT path: per readout sample of
+    each block, the block's point count n and, per product, the rows of
+    its kernel table and the columns of the operand L it contracts, read
+    from where the operand sits in L."""
+    samples, current = [], []
+    add, matmul = mri._SpreadGrid.add, np.matmul
+
+    def recording_add(self, i, left):
+        products = []
+        current[:] = left, products
+        try:
+            add(self, i, left)
+        finally:
+            current.clear()
+        samples.append((left.shape[1], products))
+
+    def recording_matmul(table, operand, *args, **kwargs):
+        if current:
+            left, products = current
+            a = (operand.ctypes.data - left.ctypes.data) // left.strides[1]
+            products.append((table.shape[0], a, a + operand.shape[-2]))
+        return matmul(table, operand, *args, **kwargs)
+
+    monkeypatch.setattr(mri._SpreadGrid, "add", recording_add)
+    monkeypatch.setattr(np, "matmul", recording_matmul)
+    return samples
+
+
+def assert_groups_cover_points(samples, n_samples):
+    """Every product of the NUFFT has exactly ``_ES_WIDTH`` rows, and the
+    groups of each sample take every column of L once."""
+    assert len(samples) == n_samples
+    for n, products in samples:
+        assert {rows for rows, _, _ in products} == {_ES_WIDTH}, \
+            f"kernel tables of {[rows for rows, _, _ in products]} rows"
+        assert all(b > a for _, a, b in products), "an empty group"
+        covered = [j for _, a, b in products for j in range(a, b)]
+        assert covered == list(range(n)), \
+            f"groups {[(a, b) for _, a, b in products]} over {n} points"
+
+
 def pipe_swirl(pipe):
     x, y, _ = pipe.vertices.T
     r2 = (x * x + y * y) / 0.01 ** 2
@@ -408,10 +470,10 @@ def pipe_swirl(pipe):
 
 @pytest.mark.parametrize("quadrature", [4, 11])
 def test_spread_partitions_over_several_blocks_match_direct_sum(
-        paths_taken, quadrature):
+        paths_taken, spread_products, quadrature):
     # 72 partitions of 4 mm: each block's footprint is at most 10 of the
-    # grid's 144 cells, so its spread table has 23 rows against the real
-    # table's 73
+    # grid's 144 cells, 23 rows with the kernel against the real table's
+    # 73
     pipe = generate_pipe_mesh(0.01, 0.1, resolution=1)
     per_block = _BLOCK // quadrature
     assert pipe.n_tets > per_block and pipe.n_tets % per_block, \
@@ -423,6 +485,9 @@ def test_spread_partitions_over_several_blocks_match_direct_sum(
     assert_matches_direct_sum(pipe, 1.0 + 0.5 * r2, field, params,
                               quadrature)
     assert paths_taken == ["_SpreadGrid"]
+    n_blocks = -(-pipe.n_tets // per_block)
+    assert_groups_cover_points(spread_products,
+                               params.acquired_readout * n_blocks)
 
 
 def test_spread_footprint_wrapping_the_grid_matches_direct_sum(paths_taken):
@@ -443,7 +508,8 @@ def test_spread_footprint_wrapping_the_grid_matches_direct_sum(paths_taken):
     assert paths_taken == ["_SpreadGrid"]
 
 
-def test_spread_long_readout_with_fast_drift_matches_direct_sum(paths_taken):
+def test_spread_long_readout_with_fast_drift_matches_direct_sum(
+        paths_taken, spread_products):
     # 128 samples over 4 ms at 2 to 2.4 m/s: spins drift about 9 of the
     # grid's 1 mm cells during the readout, so each sample spreads onto
     # its own cells, and the faster spins stretch the footprint by 2
@@ -452,13 +518,27 @@ def test_spread_long_readout_with_fast_drift_matches_direct_sum(paths_taken):
                             adc_bandwidth=32e3, t2_star=5e-3)
     assert params.acquired_readout >= 128
     mesh = small_box((3, 3, 3))
+    assert mesh.n_tets <= _BLOCK // 4, "the box must be one block"
     field = box_swirl(mesh, 2.0)
     times = sequence_timings(params).sample_times
     drift = np.abs(field.values[0][:, 2]).max() * (times[-1] - times[0])
     assert drift > 5 * params.voxel[2] / 2, "spins must cross several cells"
+    # some point changes its first kernel cell against the block's lowest
+    # one between samples, so the NUFFT regroups the points
+    pos, _, vel = _quadrature(mesh.vertices, mesh.tets,
+                              np.ones(mesh.n_vertices), field.values[0],
+                              _TET_RULES[4])
+    per_metre = mri._ES_GRID * params.matrix[2] / params.fov[2]
+    first = np.ceil((pos[:, 2] + vel[:, 2] * times[:, None]) * per_metre
+                    - _ES_WIDTH / 2)
+    offset = first - first.min(axis=1, keepdims=True)
+    assert np.any(offset != offset[0]), "no point changes its group"
     assert_matches_direct_sum(mesh, np.linspace(0.5, 1.5, mesh.n_vertices),
                               field, params)
     assert paths_taken == ["_SpreadGrid"]
+    assert_groups_cover_points(spread_products, times.size)
+    groupings = {tuple(products) for _, products in spread_products}
+    assert len(groupings) > 1, "every sample grouped the points alike"
 
 
 def test_spread_single_encodes_with_odd_phase_encodes_match_direct_sum(
