@@ -195,6 +195,9 @@ CONNECTIVITY_SHA256 = {
     "pipe2": ("8f7c98e8e9bd36399dcc4897c6876b6f063316e694a546d3c7135f96ea39f5b1",
               "ec91f75f12f01ec077d70b35c8ddc36ad7ab3c8d4663039a740fd459c4f1c65f",
               "18888e95403f7e618daeca8654a315fb5d7c83485b1da73a312e15a427c7c1b2"),
+    "pipe3": ("09f841069bf2a878d986337287d870a2f33c197523a495e8629de7aaa0eb94e8",
+              "c4c32a56ad8e80016b9426c273e1410f3eb21f8b2a7704906d071e36b14ece7f",
+              "ffcb654b187544ffb3c47e0070aedaa4c61bf41978f9eaa4cac07fbab6c97c61"),
     "box3": ("a853fafc90c9199fad70cc7b5711fdbc4dc6f03c62931fec9ded6c682e59cdad",
              "07a0efce5dfe2d5c24b33cd9dd6664affd0c3e7291ff82f51607b4210b326959",
              "0ed9e26c3f1435e498beb2369bdf5a04a7fe4f0e302068ef2c308e1ff872b5f7"),
@@ -219,7 +222,9 @@ def test_generated_connectivity_is_pinned(name):
 @pytest.mark.parametrize("resolution", [0, 1, 2, 3])
 def test_layer_tiled_pipe_equals_split_of_the_whole_prism_stack(resolution):
     """Tiling one split layer by whole-layer vertex offsets gives the tets
-    of splitting every prism of the pipe, then orienting them."""
+    of splitting every prism of the pipe, then orienting them, and the
+    boundary built from that layer's discs and side band is the boundary
+    of all those tets, face for face and winding for winding."""
     pipe = generate_pipe_mesh(RADIUS, LENGTH, resolution)
     arcs, rings, layers = (k * 2 ** resolution for k in (16, 2, 5))
     disk, tris = _disk_triangulation(arcs, rings, WALL_GRADING)
@@ -230,23 +235,28 @@ def test_layer_tiled_pipe_equals_split_of_the_whole_prism_stack(resolution):
     want = _split_prisms(prisms)
     _fix_orientation(pipe.vertices, want)
     assert np.array_equal(pipe.tets, want)
+    assert np.array_equal(pipe.boundary_faces, _boundary_of_tets(want))
 
 
 def test_pipe_generation_memory_is_a_small_multiple_of_the_mesh():
     # the 57,600-tet pipe (2.1 MB): a stack of every prism, whole-mesh
     # edges and the (3, T, 4) sorted face ids once took its generation
-    # to 6.6 times the mesh (14.1 MB traced); the layer-tiled split, the
-    # chunked volumes and one int64 key per face take about 3.5 times
-    tracemalloc.start()
-    try:
-        pipe = generate_pipe_mesh(RADIUS, LENGTH, resolution=2)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    held = sum(a.nbytes for a in (pipe.vertices, pipe.tets,
-                                  pipe.boundary_faces, pipe.boundary_labels))
-    assert peak < 5.0 * held, \
-        f"traced peak {peak / 2**20:.1f} MB for a {held / 2**20:.1f} MB mesh"
+    # to 6.6 times the mesh (14.1 MB traced), and orienting and bounding
+    # all tiled tets to 3.5 times (3.6 at resolution 3); orienting and
+    # bounding one layer before tiling it takes about 1.4 and 1.2 times
+    for resolution in (2, 3):
+        tracemalloc.start()
+        try:
+            pipe = generate_pipe_mesh(RADIUS, LENGTH, resolution=resolution)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        held = sum(a.nbytes for a in (pipe.vertices, pipe.tets,
+                                      pipe.boundary_faces,
+                                      pipe.boundary_labels))
+        assert peak < 2.0 * held, \
+            (f"resolution {resolution}: traced peak {peak / 2**20:.1f} MB "
+             f"for a {held / 2**20:.1f} MB mesh")
 
 
 @pytest.mark.parametrize("n", [2, 1000, 2**21 - 1, 2**21, 2**40])

@@ -7,11 +7,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from hemoflow import mri
 from hemoflow.errors import SequenceError, ValidationError
 from hemoflow.flowfields import VelocityField
-from hemoflow.mesh import generate_box_mesh, generate_pipe_mesh, tet_volumes
+from hemoflow.mesh import (TetMesh, generate_box_mesh, generate_pipe_mesh,
+                           tet_volumes)
 from hemoflow.mri import (_BLOCK, _ES_WIDTH, _TET_RULES, ENCODE_AXES,
                           ImageVolume, KSpaceData, SequenceParams,
                           _quadrature, _ramp, _sample_factors, _spacing,
@@ -685,6 +687,48 @@ def test_partition_steps_agree(monkeypatch, paths_taken):
         err = relative_l2(frames[1].signals[encode], frames[0].signals[encode])
         assert err <= 2e-11, \
             f"encode {encode}: the steps differ by {err:.2e} relative L2"
+
+
+def synthesize_through(step, mesh, m0, field, params):
+    """synthesize_frame with every block forced through one partition
+    step: "table" (the real table) or "nufft" (the partition NUFFT)."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(mri, "_SPREAD_SHARE", 0.0 if step == "table" else 1e9)
+        return synthesize_frame(mesh, m0, field, params)
+
+
+@settings(max_examples=20, deadline=None)
+@given(data=st.data(),
+       divisions=st.tuples(*[st.integers(1, 2)] * 3),
+       n_pz=st.integers(16, 40))
+def test_synthesis_is_additive_over_tets(data, divisions, n_pz):
+    # split a box's tets into two meshes on the same vertices: the k-space
+    # of the whole (real table) is the sum of the halves', one through
+    # the real table and one through the NUFFT, on random M0, velocities
+    # and split, so the two steps are checked against each other
+    mesh = small_box(divisions)
+    n_v, n_t = mesh.n_vertices, mesh.n_tets
+    m0 = data.draw(hnp.arrays(float, n_v, elements=st.floats(0.1, 2.0)))
+    velocity = data.draw(hnp.arrays(float, (n_v, 3),
+                                    elements=st.floats(-1.0, 1.0)))
+    field = VelocityField(times=np.array([0.0]), values=velocity[None])
+    order = np.array(data.draw(st.permutations(range(n_t))))
+    cut = data.draw(st.integers(1, n_t - 1))
+    halves = [TetMesh(mesh.vertices, mesh.tets[np.sort(part)],
+                      np.empty((0, 3), dtype=np.int64),
+                      np.empty(0, dtype=np.int64))
+              for part in (order[:cut], order[cut:])]
+    params = SequenceParams(venc=0.8, matrix=(4, 4, n_pz),
+                            voxel=(0.004, 0.004, 0.016 / n_pz),
+                            adc_bandwidth=32e3)
+    whole = synthesize_through("table", mesh, m0, field, params)
+    table = synthesize_through("table", halves[0], m0, field, params)
+    nufft = synthesize_through("nufft", halves[1], m0, field, params)
+    for encode in ENCODE_AXES:
+        err = relative_l2(table.signals[encode] + nufft.signals[encode],
+                          whole.signals[encode])
+        assert err <= 1e-10, \
+            f"encode {encode}: the halves' sum is {err:.2e} from the whole"
 
 
 @settings(max_examples=200, deadline=None)
