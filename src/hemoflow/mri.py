@@ -89,7 +89,7 @@ import numpy as np
 
 from .errors import SequenceError, ValidationError
 from .flowfields import VelocityField
-from .mesh import TetMesh, _tet_vol6
+from .mesh import TetMesh, _is_integer, _tet_vol6
 
 __all__ = [
     "GYROMAGNETIC_RATIO",
@@ -120,11 +120,6 @@ GRADIENT_RASTER = 10e-6
 
 # encode order: velocity-compensated reference, then one axis at a time
 ENCODE_AXES = ("ref", "x", "y", "z")
-
-
-def _is_integer(n) -> bool:
-    """A Python or numpy integer; a bool or a whole float is not one."""
-    return isinstance(n, (int, np.integer)) and not isinstance(n, bool)
 
 
 @dataclass(frozen=True)

@@ -11,12 +11,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import hemoflow.mesh as mesh_module
 from hemoflow.errors import LabelingError, MeshError, ValidationError
 from hemoflow.mesh import (
     _TET_CHUNK,
     _TET_FACES,
     WALL_GRADING,
     _boundary_of_tets,
+    _check_surface,
     _disk_triangulation,
     _fix_orientation,
     _lumped_volumes,
@@ -414,6 +416,103 @@ def test_generator_argument_validation():
         generate_pipe_mesh(0.01, 0.1, resolution=9)
     with pytest.raises(ValidationError):
         generate_box_mesh((1, 1, 0), (2, 2, 2))
+
+
+def test_pipe_refuses_a_fractional_resolution():
+    with pytest.raises(ValidationError, match="resolution must be an integer"):
+        generate_pipe_mesh(RADIUS, LENGTH, resolution=1.5)
+
+
+def test_pipe_refuses_a_bool_resolution():
+    # True == 1, but a flag is not a count
+    with pytest.raises(ValidationError, match="resolution must be an integer"):
+        generate_pipe_mesh(RADIUS, LENGTH, resolution=True)
+
+
+def test_box_refuses_fractional_divisions():
+    with pytest.raises(ValidationError, match="divisions must be integers"):
+        generate_box_mesh((0.02, 0.016, 0.008), (10.5, 8, 4))
+
+
+def test_generators_take_numpy_integer_counts():
+    pipe = generate_pipe_mesh(RADIUS, LENGTH, resolution=np.int64(0))
+    assert np.array_equal(pipe.tets, generate_pipe_mesh(RADIUS, LENGTH, 0).tets)
+    box = generate_box_mesh((1.0, 1.0, 1.0), np.array([3, 3, 3]))
+    assert np.array_equal(box.tets, generated("box3").tets)
+
+
+def loop_disk_triangulation(arcs, rings, grading):
+    """The disk as a loop over rings and triangles, the reference for
+    ``_disk_triangulation``'s index arithmetic."""
+    x = np.arange(1, rings + 1) / rings
+    radii = (1.0 + grading) * x - grading * x ** 2
+    theta = 2.0 * np.pi * np.arange(arcs) / arcs
+    pts = [np.zeros((1, 2))]
+    for r in radii:
+        pts.append(np.column_stack([r * np.cos(theta), r * np.sin(theta)]))
+    points = np.vstack(pts)
+
+    def ring_index(j, k):
+        return 1 + (j - 1) * arcs + (k % arcs)
+
+    tris = []
+    for k in range(arcs):
+        tris.append([0, ring_index(1, k), ring_index(1, k + 1)])
+    for j in range(1, rings):
+        for k in range(arcs):
+            a0, a1 = ring_index(j, k), ring_index(j, k + 1)
+            b0, b1 = ring_index(j + 1, k), ring_index(j + 1, k + 1)
+            tris.append([a0, a1, b1])
+            tris.append([a0, b1, b0])
+    return points, np.array(tris, dtype=np.int64)
+
+
+@pytest.mark.parametrize("arcs, rings", [
+    *((16 * 2 ** r, 2 * 2 ** r) for r in range(5)), (3, 1), (5, 2)])
+def test_disk_triangulation_equals_the_loop_bit_for_bit(arcs, rings):
+    # float coordinates are not hash-pinned across platforms, so this is
+    # what pins the generated pipes' vertices
+    points, tris = _disk_triangulation(arcs, rings, WALL_GRADING)
+    want_points, want_tris = loop_disk_triangulation(arcs, rings,
+                                                     WALL_GRADING)
+    assert points.shape == want_points.shape
+    assert np.array_equal(points.view(np.int64), want_points.view(np.int64))
+    assert tris.dtype == want_tris.dtype
+    assert np.array_equal(tris, want_tris)
+
+
+TET_SURFACE = [[1, 3, 2], [0, 2, 3], [0, 3, 1], [0, 1, 2]]
+
+
+@pytest.mark.parametrize("faces, closed", [
+    (TET_SURFACE, True),
+    (TET_SURFACE + [[4, 6, 5], [4, 5, 7], [4, 7, 6], [5, 6, 7]], True),
+    ([], True),
+    ([[0, 1, 2]], False),                         # every edge once
+    ([[0, 1, 2], [3, 4, 5]], False),              # an even count of them
+    ([[0, 1, 2], [0, 2, 3]], False),              # an open quad
+    ([[0, 1, 2], [0, 2, 3], [0, 3, 4]], False),   # an odd count of edges
+    # two tet surfaces sharing the edge (0, 1): four faces border it
+    (TET_SURFACE + [[0, 1, 4], [0, 5, 1], [0, 4, 5], [1, 5, 4]], False),
+])
+def test_surface_check_counts_two_faces_per_edge(faces, closed):
+    faces = np.array(faces, dtype=np.int64).reshape(-1, 3)
+    labels = np.zeros(len(faces), dtype=np.int64)
+    if closed:
+        _check_surface(faces, labels, 8)
+    else:
+        with pytest.raises(MeshError, match="closed manifold"):
+            _check_surface(faces, labels, 8)
+
+
+def test_generated_boundary_must_be_a_closed_surface(monkeypatch):
+    """The generator derives its boundary itself, but still requires it
+    closed: a face lost on the way is refused, not written."""
+    derive = mesh_module._boundary_of_tets
+    monkeypatch.setattr(mesh_module, "_boundary_of_tets",
+                        lambda tets: derive(tets)[1:])
+    with pytest.raises(MeshError, match="closed manifold"):
+        generate_pipe_mesh(RADIUS, LENGTH, resolution=0)
 
 
 # =========================================================================
