@@ -591,8 +591,9 @@ def generate_pipe_mesh(radius: float, length: float,
     boundary is its inlet disc, its wall band in every layer and its
     top disc moved to the outlet (``_finalize_generated``).
     """
-    if radius <= 0 or length <= 0:
-        raise ValidationError("pipe radius and length must be positive")
+    if not (0 < radius < np.inf and 0 < length < np.inf):
+        raise ValidationError("pipe radius and length must be finite and "
+                              f"positive, got {radius!r} and {length!r}")
     if not _is_integer(resolution) or not 0 <= resolution <= 6:
         raise ValidationError(
             f"pipe resolution must be an integer in [0, 6], got {resolution!r}")
@@ -639,8 +640,13 @@ def generate_box_mesh(size: Sequence[float], divisions: Sequence[int],
     size = np.asarray(size, dtype=float)
     divisions = np.asarray(divisions, dtype=int)
     center = np.asarray(center, dtype=float)
-    if np.any(size <= 0) or np.any(divisions < 1):
-        raise ValidationError("box size must be positive, divisions >= 1")
+    if not size.shape == divisions.shape == center.shape == (3,):
+        raise ValidationError("box size, divisions and center must have 3 "
+                              "entries each")
+    if not (np.all((size > 0) & (size < np.inf)) and np.all(divisions >= 1)
+            and np.all(np.isfinite(center))):
+        raise ValidationError("box size must be finite and positive, "
+                              "divisions >= 1 and center finite")
     nx, ny, nz = divisions
     axes = [np.linspace(-s / 2, s / 2, d + 1) + c
             for s, d, c in zip(size, divisions, center)]

@@ -6,7 +6,10 @@ estimation, model comparison, reporting) from one INI config file.
 Sequence parameters appear in the config in scanner units (mm, ms, kHz,
 mT/m) and are converted to SI internally; the slew rate is given in
 T/m/s. Every key has a baked-in default, so an empty config performs
-the full pipe-phantom demo.
+the full pipe-phantom demo. The table ``_KEYS`` is the one place a key
+is declared: its default text, the kind and count of its values, their
+bound and check; ``DEFAULTS`` and the reader ``_read_key``, which names
+``[section] key`` in every error, both come from it.
 
 From the MR stage on, each stage reads the artifacts the stage before
 it wrote and writes its own, so the subcommands that run the stages one
@@ -20,8 +23,10 @@ import contextlib
 import hashlib
 import json
 import logging
+import math
 from dataclasses import dataclass, replace
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -47,77 +52,138 @@ from .windkessel import WindkesselParams, simulate_windkessel
 
 log = logging.getLogger("hemoflow")
 
-# Effective configuration: every key below has a default, so any subset
-# may appear in the file. Unknown sections or keys are rejected by name.
-DEFAULTS = {
+
+def _check_mesh_file(text: str) -> None:
+    if text and not Path(text).is_file():
+        raise ValidationError(f"mesh file {text} does not exist")
+
+
+def _check_model_name(name: str) -> None:
+    if name in ("power_law", "newtonian_fit1", "newtonian_fit2"):
+        return
+    if name.startswith("literature_"):
+        try:
+            mu = float(name[len("literature_"):])
+        except ValueError:
+            pass
+        else:
+            if np.isfinite(mu) and mu > 0:
+                return
+            raise ValidationError(
+                f"viscosity model {name!r}: the literature viscosity must "
+                "be finite and positive")
+    raise ValidationError(
+        f"unknown viscosity model {name!r}; use power_law, newtonian_fit1, "
+        "newtonian_fit2, or literature_<viscosity in Pa s>")
+
+
+class _Key(NamedTuple):
+    """One config key: its default text; the kind of its values (a
+    ``str`` key holds its whole text or, with ``count=None``, a list of
+    names); how many comma-separated values it holds (None: any); the
+    bound each must meet; and a ``check`` each must pass."""
+
+    default: str
+    kind: type = float
+    count: int | None = 1
+    above: float | None = None
+    minimum: float | None = None
+    check: Callable | None = None
+
+
+# The one declaration of every key. Every key has a default, so any
+# subset may appear in the file; unknown sections or keys are refused
+# by name.
+_KEYS = {
     "paths": {
-        "output_dir": "hemoflow_out",
-        "mesh": "",
+        "output_dir": _Key("hemoflow_out", str),
+        "mesh": _Key("", str, check=_check_mesh_file),
     },
     "pipe": {
-        "radius_m": "0.01",
-        "length_m": "0.1",
-        "resolution": "0",
+        "radius_m": _Key("0.01"),
+        "length_m": _Key("0.1"),
+        "resolution": _Key("0", int),
     },
     "rheology": {
-        "hct": "45",
-        "fit1_range": "12, 123",
-        "fit2_range": "0, 2800",
+        "hct": _Key("45"),
+        "fit1_range": _Key("12, 123", count=2),
+        "fit2_range": _Key("0, 2800", count=2),
     },
     "flow": {
-        "pressure_drop_pa": "15.8",
-        "cardiac_period_s": "0.937",
-        "cardiac_phases": "8",
+        "pressure_drop_pa": _Key("15.8", above=0.0),
+        "cardiac_period_s": _Key("0.937", above=0.0),
+        "cardiac_phases": _Key("8", int, minimum=2),
     },
     "sequence": {
-        "venc_m_s": "0.8",
-        "matrix": "11, 11, 36",
-        "voxel_mm": "3, 3, 3",
-        "oversampling": "2",
-        "t2_star_ms": "254.0",
-        "adc_bandwidth_khz": "64.0",
-        "slew_rate_t_m_s": "195.0",
-        "max_gradient_mt_m": "30.0",
-        "fov_center_mm": "0, 0, 50",
-        "quadrature": "4",
+        "venc_m_s": _Key("0.8", above=0.0),
+        "matrix": _Key("11, 11, 36", int, count=3, minimum=2),
+        "voxel_mm": _Key("3, 3, 3", count=3, above=0.0),
+        "oversampling": _Key("2", int, minimum=1),
+        "t2_star_ms": _Key("254.0", above=0.0),
+        "adc_bandwidth_khz": _Key("64.0", above=0.0),
+        "slew_rate_t_m_s": _Key("195.0", above=0.0),
+        "max_gradient_mt_m": _Key("30.0", above=0.0),
+        "fov_center_mm": _Key("0, 0, 50", count=3),
+        "quadrature": _Key("4", int, check=_tet_rule),
     },
     "noise": {
-        "sigma_fraction": "0.002",
-        "seed": "1234",
+        "sigma_fraction": _Key("0.002", minimum=0.0),
+        "seed": _Key("1234", int, minimum=0),
     },
     "segments": {
-        "cuts_m": "0.025, 0.05, 0.075",
+        "cuts_m": _Key("0.025, 0.05, 0.075", count=None),
     },
     "windkessel": {
-        "proximal_resistance_cgs": "274.0",
-        "distal_resistance_cgs": "5675.0",
-        "compliance_cgs": "5.08e-4",
-        "initial_pressure_mmhg": "80.5",
-        "cycles": "10",
-        "steps_per_cycle": "1000",
+        "proximal_resistance_cgs": _Key("274.0", minimum=0.0),
+        "distal_resistance_cgs": _Key("5675.0", above=0.0),
+        "compliance_cgs": _Key("5.08e-4", above=0.0),
+        "initial_pressure_mmhg": _Key("80.5"),
+        "cycles": _Key("10", int, minimum=1),
+        "steps_per_cycle": _Key("1000", int, minimum=4),
     },
     "comparison": {
-        "reference": "power_law",
-        "models": "newtonian_fit1, literature_3.5e-03",
+        "reference": _Key("power_law", str, check=_check_model_name),
+        "models": _Key("newtonian_fit1, literature_3.5e-03", str,
+                       count=None, check=_check_model_name),
     },
 }
 
+DEFAULTS = {section: {key: spec.default for key, spec in keys.items()}
+            for section, keys in _KEYS.items()}
 
-def _floats(merged: dict, section: str, key: str,
-            count: int | None = None) -> list[float]:
-    """``[section] key`` as finite numbers; an error names the key."""
-    text = merged[section][key]
-    try:
-        values = [float(part) for part in text.split(",")]
-    except ValueError:
-        raise ValidationError(f"[{section}] {key}: cannot parse {text!r} "
-                              "as numbers") from None
-    if not all(np.isfinite(values)):
-        raise ValidationError(f"[{section}] {key}: {text!r} is not finite")
-    if count is not None and len(values) != count:
-        raise ValidationError(f"[{section}] {key}: expected {count} "
-                              f"value(s), got {text!r}")
-    return values
+
+def _read_key(section: str, key: str, text: str):
+    """``[section] key``'s text as its value, a list unless the key holds
+    one value; every error, a check's included, names the key."""
+    spec = _KEYS[section][key]
+    where = f"[{section}] {key}"
+    if spec.kind is str:
+        values = [text] if spec.count == 1 else [
+            name.strip() for name in text.split(",") if name.strip()]
+    else:
+        noun = "integer" if spec.kind is int else "number"
+        what = f"one {noun}" if spec.count == 1 else \
+            f"{spec.count or 'a list of'} {noun}s"
+        try:
+            values = [spec.kind(part) for part in text.split(",")]
+            if spec.count not in (None, len(values)):
+                raise ValueError
+        except ValueError:
+            raise ValidationError(f"{where}: {text!r} is not {what}") from None
+        if spec.kind is float and not all(map(math.isfinite, values)):
+            raise ValidationError(f"{where}: {text!r} is not finite")
+    for value in values:
+        if spec.above is not None and not value > spec.above:
+            raise ValidationError(f"{where} {value} must be > {spec.above}")
+        if spec.minimum is not None and value < spec.minimum:
+            raise ValidationError(f"{where} {value} must be >= "
+                                  f"{spec.minimum}")
+        if spec.check is not None:
+            try:
+                spec.check(value)
+            except ValidationError as exc:
+                raise ValidationError(f"{where}: {exc}") from None
+    return values[0] if spec.count == 1 else values
 
 
 @dataclass
@@ -168,25 +234,6 @@ def render_config(values: dict, with_output_dir: bool = True) -> str:
     return "\n".join(lines)
 
 
-def _check_model_name(name: str) -> None:
-    if name in ("power_law", "newtonian_fit1", "newtonian_fit2"):
-        return
-    if name.startswith("literature_"):
-        try:
-            mu = float(name[len("literature_"):])
-        except ValueError:
-            pass
-        else:
-            if np.isfinite(mu) and mu > 0:
-                return
-            raise ValidationError(
-                f"viscosity model {name!r}: the literature viscosity must "
-                "be finite and positive")
-    raise ValidationError(
-        f"unknown viscosity model {name!r}; use power_law, newtonian_fit1, "
-        "newtonian_fit2, or literature_<viscosity in Pa s>")
-
-
 def load_config(path: str | Path | None = None,
                 overrides: dict | None = None) -> RunConfig:
     """Merge a config file over the defaults and validate it strictly."""
@@ -214,115 +261,61 @@ def load_config(path: str | Path | None = None,
 
 def _check_cuts(cuts: list[float], low: float, high: float) -> None:
     if not all(low < z < high for z in cuts):
-        raise ValidationError(f"segment cuts_m {cuts} must lie inside the "
-                              f"pipe, between z = {low:g} and {high:g} m")
+        raise ValidationError(f"[segments] cuts_m {cuts} must lie inside "
+                              f"the pipe, between z = {low:g} and {high:g} m")
 
 
 def _typed_config(merged: dict) -> RunConfig:
-    mesh_value = merged["paths"]["mesh"].strip()
-    mesh_path = Path(mesh_value) if mesh_value else None
-    if mesh_path is not None and not mesh_path.is_file():
-        raise ValidationError(f"mesh file {mesh_path} does not exist")
-
-    def numbers(section: str, key: str, count: int = 1,
-                above: float | None = None,
-                minimum: float | None = None) -> list[float]:
-        values = _floats(merged, section, key, count)
-        for value in values:
-            if above is not None and not value > above:
-                raise ValidationError(f"[{section}] {key} {value:g} must be "
-                                      f"> {above:g}")
-            if minimum is not None and value < minimum:
-                raise ValidationError(f"[{section}] {key} {value:g} must be "
-                                      f">= {minimum:g}")
-        return values
-
-    def number(section: str, key: str, above: float | None = None,
-               minimum: float | None = None) -> float:
-        return numbers(section, key, 1, above, minimum)[0]
-
-    def integers(section: str, key: str, count: int = 1,
-                 minimum: int | None = None) -> list[int]:
-        text = merged[section][key]
-        try:
-            values = [int(part) for part in text.split(",")]
-            if len(values) != count:
-                raise ValueError
-        except ValueError:
-            what = "an integer" if count == 1 else f"{count} integers"
-            raise ValidationError(f"[{section}] {key}: {text!r} is not "
-                                  f"{what}") from None
-        for value in values:
-            if minimum is not None and value < minimum:
-                raise ValidationError(f"[{section}] {key} {value} must be "
-                                      f">= {minimum}")
-        return values
-
-    def integer(section: str, key: str, minimum: int | None = None) -> int:
-        return integers(section, key, 1, minimum)[0]
-
-    seq = "sequence"
-    sequence = SequenceParams(
-        venc=number(seq, "venc_m_s", above=0.0),
-        matrix=tuple(integers(seq, "matrix", 3, minimum=2)),
-        voxel=tuple(v * 1e-3 for v in numbers(seq, "voxel_mm", 3, above=0.0)),
-        oversampling=integer(seq, "oversampling", 1),
-        t2_star=number(seq, "t2_star_ms", above=0.0) * 1e-3,
-        adc_bandwidth=number(seq, "adc_bandwidth_khz", above=0.0) * 1e3,
-        slew_rate=number(seq, "slew_rate_t_m_s", above=0.0),
-        max_gradient=number(seq, "max_gradient_mt_m", above=0.0) * 1e-3,
-        fov_center=tuple(v * 1e-3 for v in
-                         _floats(merged, seq, "fov_center_mm", 3)),
-    )
-
-    wk = "windkessel"
-    wk_params = WindkesselParams(
-        proximal_resistance=number(wk, "proximal_resistance_cgs",
-                                   minimum=0.0),
-        distal_resistance=number(wk, "distal_resistance_cgs", above=0.0),
-        compliance=number(wk, "compliance_cgs", above=0.0),
-        initial_distal_pressure=number(wk, "initial_pressure_mmhg") * MMHG,
-    )
-
-    reference = merged["comparison"]["reference"].strip()
-    alternatives = [m.strip() for m in
-                    merged["comparison"]["models"].split(",") if m.strip()]
-    for name in [reference, *alternatives]:
-        _check_model_name(name)
-
-    cuts = _floats(merged, "segments", "cuts_m")
+    """The ``RunConfig`` of the merged key texts, each read by
+    ``_read_key``; the cuts must increase and, for a generated pipe, lie
+    inside it."""
+    # merged holds the table's sections in the table's order
+    paths, pipe, rheology, flow, seq, noise, segments, wk, comparison = (
+        {key: _read_key(section, key, text) for key, text in keys.items()}
+        for section, keys in merged.items())
+    cuts = segments["cuts_m"]
     if any(b <= a for a, b in zip(cuts, cuts[1:])):
-        raise ValidationError(f"segment cuts_m {cuts} must increase strictly "
-                              "along the axis")
-    length = number("pipe", "length_m")
-    if mesh_path is None:
-        _check_cuts(cuts, 0.0, length)
-    quadrature = integer(seq, "quadrature")
-    _tet_rule(quadrature)
+        raise ValidationError(f"[segments] cuts_m {cuts} must increase "
+                              "strictly along the axis")
+    if not paths["mesh"]:
+        _check_cuts(cuts, 0.0, pipe["length_m"])
 
     return RunConfig(
         text=render_config(merged, with_output_dir=False),
-        output_dir=Path(merged["paths"]["output_dir"]),
-        mesh_path=mesh_path,
-        pipe_radius=number("pipe", "radius_m"),
-        pipe_length=length,
-        pipe_resolution=integer("pipe", "resolution"),
-        hct=number("rheology", "hct"),
-        fit1_range=tuple(_floats(merged, "rheology", "fit1_range", 2)),
-        fit2_range=tuple(_floats(merged, "rheology", "fit2_range", 2)),
-        pressure_drop=number("flow", "pressure_drop_pa", above=0.0),
-        period=number("flow", "cardiac_period_s", above=0.0),
-        phases=integer("flow", "cardiac_phases", 2),
-        sequence=sequence,
-        quadrature=quadrature,
-        sigma_fraction=number("noise", "sigma_fraction", minimum=0.0),
-        seed=integer("noise", "seed", 0),
+        output_dir=Path(paths["output_dir"]),
+        mesh_path=Path(paths["mesh"]) if paths["mesh"] else None,
+        pipe_radius=pipe["radius_m"],
+        pipe_length=pipe["length_m"],
+        pipe_resolution=pipe["resolution"],
+        hct=rheology["hct"],
+        fit1_range=tuple(rheology["fit1_range"]),
+        fit2_range=tuple(rheology["fit2_range"]),
+        pressure_drop=flow["pressure_drop_pa"],
+        period=flow["cardiac_period_s"],
+        phases=flow["cardiac_phases"],
+        sequence=SequenceParams(
+            venc=seq["venc_m_s"],
+            matrix=tuple(seq["matrix"]),
+            voxel=tuple(v * 1e-3 for v in seq["voxel_mm"]),
+            oversampling=seq["oversampling"],
+            t2_star=seq["t2_star_ms"] * 1e-3,
+            adc_bandwidth=seq["adc_bandwidth_khz"] * 1e3,
+            slew_rate=seq["slew_rate_t_m_s"],
+            max_gradient=seq["max_gradient_mt_m"] * 1e-3,
+            fov_center=tuple(v * 1e-3 for v in seq["fov_center_mm"])),
+        quadrature=seq["quadrature"],
+        sigma_fraction=noise["sigma_fraction"],
+        seed=noise["seed"],
         cuts=cuts,
-        windkessel=wk_params,
-        wk_cycles=integer(wk, "cycles", 1),
-        wk_steps=integer(wk, "steps_per_cycle", 4),
-        reference_model=reference,
-        alternative_models=alternatives,
+        windkessel=WindkesselParams(
+            proximal_resistance=wk["proximal_resistance_cgs"],
+            distal_resistance=wk["distal_resistance_cgs"],
+            compliance=wk["compliance_cgs"],
+            initial_distal_pressure=wk["initial_pressure_mmhg"] * MMHG),
+        wk_cycles=wk["cycles"],
+        wk_steps=wk["steps_per_cycle"],
+        reference_model=comparison["reference"],
+        alternative_models=comparison["models"],
     )
 
 

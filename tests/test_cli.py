@@ -842,6 +842,27 @@ def test_out_of_range_config_values_are_refused_at_load(
     assert not out.exists()
 
 
+# refused by a rule table, the model names, a rule across values or the
+# file system rather than by a bound
+LOAD_REFUSALS = [("sequence", "quadrature", "7"),
+                 ("comparison", "models", "casson"),
+                 ("comparison", "reference", "literature_0"),
+                 ("segments", "cuts_m", "0.05, 0.025"),
+                 ("segments", "cuts_m", "0.025, 0.05, 0.2"),
+                 ("paths", "mesh", "/no/such.vtk")]
+
+
+@pytest.mark.parametrize("section, key, value", LOAD_REFUSALS,
+                         ids=case_ids(LOAD_REFUSALS))
+def test_every_refusal_at_config_load_names_its_key(
+        tmp_path, capsys, section, key, value):
+    config = config_file(tmp_path, f"[{section}]\n{key} = {value}\n")
+    out = tmp_path / "out"
+    assert main(["run", "--config", config, "--out", str(out)]) == 2
+    assert f"[{section}] {key}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_partial_outputs_retained_on_stage_failure(tmp_path):
     config = tmp_path / "hot.ini"
     config.write_text("[sequence]\nadc_bandwidth_khz = 2000\n"

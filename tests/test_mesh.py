@@ -418,6 +418,31 @@ def test_generator_argument_validation():
         generate_box_mesh((1, 1, 0), (2, 2, 2))
 
 
+@pytest.mark.parametrize("radius, length", [(np.nan, 0.1), (0.01, np.inf)],
+                         ids=["nan-radius", "inf-length"])
+def test_pipe_refuses_non_finite_geometry(radius, length):
+    # NaN compares false with every bound, and an infinite length spaces
+    # its layers by inf
+    with pytest.raises(ValidationError, match="finite and positive"):
+        generate_pipe_mesh(radius, length, 0)
+
+
+@pytest.mark.parametrize("size, center", [
+    ((1.0, 1.0, np.nan), (0.0, 0.0, 0.0)),
+    ((1.0, 1.0, 1.0), (0.0, np.inf, 0.0))], ids=["nan-size", "inf-center"])
+def test_box_refuses_non_finite_geometry(size, center):
+    with pytest.raises(ValidationError, match="finite"):
+        generate_box_mesh(size, (2, 2, 2), center=center)
+
+
+@pytest.mark.parametrize("size, divisions", [
+    ((1.0, 1.0), (2, 2, 2)), ((1.0, 1.0, 1.0), (2, 2))],
+    ids=["two-sizes", "two-divisions"])
+def test_box_refuses_other_than_three_entries(size, divisions):
+    with pytest.raises(ValidationError, match="3 entries"):
+        generate_box_mesh(size, divisions)
+
+
 def test_pipe_refuses_a_fractional_resolution():
     with pytest.raises(ValidationError, match="resolution must be an integer"):
         generate_pipe_mesh(RADIUS, LENGTH, resolution=1.5)
