@@ -451,7 +451,8 @@ def interpolate_to_mesh(frame, mesh: TetMesh) -> np.ndarray:
 
 def export_fields_vtk(mesh: TetMesh, point_data: dict,
                       path: str | Path) -> None:
-    """Write the mesh plus named per-vertex fields as legacy VTK.
+    """Write the mesh plus named per-vertex fields as legacy BINARY VTK
+    (``mesh`` module docstring).
 
     Scalars have shape (n_vertices,), vectors (n_vertices, 3). Wall-only
     quantities must be scattered to full length by the caller (zeros off

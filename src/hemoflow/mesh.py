@@ -5,15 +5,17 @@ triangles carry integer labels: 0 is the vessel wall, 1 the inlet, and
 2 and above are outlets. Boundary triangles are stored oriented so the
 right-hand-rule normal points into the fluid.
 
-File format is VTK legacy ASCII unstructured grids: the POINTS, then the
+File format is VTK legacy BINARY unstructured grids: the POINTS, then the
 CELLS and CELL_TYPES, tetrahedra first and boundary triangles after, then
-a ``boundary_label`` integer cell-data array (-1 on tetrahedra).
-``load_mesh`` reads this layout alone and stops after that array, so the
-point data of an exported field file is skipped. Package metadata (for
-example the generated pipe geometry) rides in the 256-character VTK
-title line as JSON and survives a save/load round trip. Numbers are
-written as ``%.17g`` and ``%d`` text, byte for byte what Python's ``%``
-gives, but built by array operations on blocks of rows (``_format_rows``).
+a ``boundary_label`` integer cell-data array (-1 on tetrahedra). Each
+section is its header lines as text, then its values as raw big-endian
+doubles (points and point data) or int32 (cells, cell types, labels)
+and a newline, so every double is stored bit for bit. ``load_mesh``
+reads this layout alone and stops after the label array, so the point
+data of an exported field file is skipped; the same layout in ASCII,
+as earlier versions wrote it, loads too. Package metadata (for example
+the generated pipe geometry) rides in the 256-character VTK title line
+as JSON and survives a save/load round trip.
 
 Memory follows the mesh, not its intermediates: edges, cross products and
 volumes are formed ``_TET_CHUNK`` tets at a time into the (T,) and
@@ -682,284 +684,52 @@ def generate_box_mesh(size: Sequence[float], divisions: Sequence[int],
 
 
 # =========================================================================
-# VTK legacy ASCII I/O
+# VTK legacy I/O
 # =========================================================================
 
-# Rows formatted per write call; bounds the text and the temporaries held
-# in memory at once.
-_ROW_CHUNK = 8192
-
-# A finite float with _FAST_LOW < |x| < _FAST_HIGH has its decimal exponent
-# d in [-11, 15], so its 17 digits are x 10**k rounded, k = 16 - d in
-# [1, 27]: for x = M 2**E that is M 5**k shifted right by 1 to 62 bits, and
-# 5**27 < 2**63. The double nearest 1e-11 lies below 10**-11, so the bound
-# itself is left out. Zeros are written directly; other values go to `%`.
-_FAST_LOW, _FAST_HIGH = 1e-11, 2.0 ** 50
-_POW5 = np.array([5 ** k for k in range(28)], dtype=np.uint64)
-_POW5_HI, _POW5_LO = _POW5 >> 32, _POW5 & 0xFFFFFFFF
-# ASCII of the 4 digits of each 4-digit group, as one little-endian word,
-# and the rank of each digit after the lead one
-_GROUP = np.arange(10000, dtype=np.uint16)
-_GROUP_CHARS = (np.stack([_GROUP // 1000, _GROUP // 100 % 10,
-                          _GROUP // 10 % 10, _GROUP % 10], axis=1)
-                + 48).astype(np.uint8).view("<u4").ravel()
-_DIGIT_RANK = np.arange(1, 17, dtype=np.int8)[:, None]
-# Classes the values are sorted by: decimal exponent d + 11 (0-26), the
-# values written by `%`, and zeros, last, so that every text column but the
-# first leaves them out. Per class: the zeros written before the digits
-# (fixed form, d < 0), the characters before the point, and the length of
-# the exponent suffix (e-XX for d < -4).
-_SLOW, _ZERO = 27, 28
-_CLASS_D = np.arange(_ZERO + 1) - 11
-_LEAD_ZEROS = np.where((_CLASS_D < 0) & (_CLASS_D >= -4), -_CLASS_D, 0) \
-    .astype(np.int8)
-_POINT = np.maximum(_CLASS_D + 1, 1).astype(np.int8)
-_SUFFIX = np.where(_CLASS_D < -4, 4, 0).astype(np.int8)
-_LEAD_ZEROS[_SLOW:] = _POINT[_SLOW:] = 0
-_N_EXP = 7                              # classes of d = -11 to -5
-# Room past both ends of a chunk for the padding of its text columns.
-_MARGIN = 32
-
-
-def _round_scaled(mant, k, s):
-    """floor(mant 5**k / 2**s) and whether round-half-even raises it by one.
-
-    ``mant`` < 2**53, 5**k < 2**63 and 1 <= s <= 62. The product of up to
-    116 bits is formed from 32-bit halves as a high and a low uint64 word;
-    the remainder is compared with one half at the top of a word.
-    """
-    p_hi, p_lo = _POW5_HI[k], _POW5_LO[k]
-    m_hi = mant >> 32
-    m_lo = mant & 0xFFFFFFFF
-    lo = m_lo * p_lo
-    m_lo *= p_hi
-    p_lo *= m_hi
-    m_lo += p_lo                        # middle word, < 2**64
-    m_hi *= p_hi
-    np.left_shift(m_lo, 32, out=p_lo)
-    p_lo += lo                          # low word of the product
-    carry = p_lo < lo
-    m_lo >>= 32
-    m_hi += m_lo
-    m_hi += carry                       # high word of the product
-    s = s.astype(np.uint64)
-    np.subtract(64, s, out=p_hi)
-    m_hi <<= p_hi
-    np.right_shift(p_lo, s, out=lo)
-    m_hi |= lo                          # the floor
-    p_lo <<= p_hi                       # the remainder, at the top
-    np.bitwise_and(m_hi, 1, out=lo)
-    p_lo += lo
-    return m_hi, p_lo > 2 ** 63
-
-
-def _float_text(x):
-    """``"%.17g" % v`` for every v of x as left-aligned text columns.
-
-    Returns the length of each text without its sign, whether it takes a
-    minus sign, the order of the values in the columns, and the columns.
-    The columns hold the values sorted by class, so each class has one
-    layout and is filled by slice copies; zeros come last and are left
-    out of every column but the first. Past its length, a column holds
-    padding.
-    """
-    n = len(x)
-    mag = np.abs(x)
-    sign = np.signbit(x)
-    fast = mag > _FAST_LOW
-    fast &= mag < _FAST_HIGH
-    zero = mag == 0.0
-    mag[~fast] = 1.0         # a stand-in, so log10 and the product stay finite
-    frac, exp2 = np.frexp(mag)
-    frac *= 2.0 ** 53
-    mant = frac.astype(np.int64).view(np.uint64)
-    dec = np.log10(mag)
-    np.floor(dec, out=dec)
-    np.maximum(dec, -11, out=dec)
-    np.minimum(dec, 15, out=dec)
-    dec = dec.astype(np.int64)
-    # x 10**(16 - d) = mant 5**(16 - d) / 2**(37 - exp2 + d)
-    digits, up = _round_scaled(mant, 16 - dec, 37 - exp2 + dec)
-    # log10 may miss d by one; the floor has 17 digits only for the right
-    # d. At 17 digits no double in the window rounds up to a power of ten:
-    # the largest double below each one lies more than 2e-17 below it.
-    bad = digits - 10 ** 16 >= 9 * 10 ** 16
-    if bad.any():
-        fix = np.flatnonzero(bad)
-        dec[fix] += np.where(digits[fix] < 10 ** 16, -1, 1)
-        digits[fix], up[fix] = _round_scaled(mant[fix], 16 - dec[fix],
-                                             37 - exp2[fix] + dec[fix])
-    digits += up
-
-    code = (dec + 11).astype(np.int8)
-    code[zero] = _ZERO
-    slow = np.flatnonzero(~(fast | zero))
-    code[slow] = _SLOW
-    order = np.argsort(code, kind="stable")
-    counts = np.bincount(code, minlength=_ZERO + 1)
-    bounds = np.cumsum(counts)
-    digits = digits[order]
-
-    # the lead digit, then four groups of 4 digits
-    groups = np.empty((5, n), dtype=np.uint32)
-    groups[0] = digits // 10 ** 16
-    digits -= groups[0] * np.uint64(10 ** 16)
-    high = digits // 10 ** 8
-    digits -= high * np.uint64(10 ** 8)
-    groups[2] = high
-    groups[1] = groups[2] // 10 ** 4
-    groups[2] -= groups[1] * 10 ** 4
-    groups[4] = digits
-    groups[3] = groups[4] // 10 ** 4
-    groups[4] -= groups[3] * 10 ** 4
-    # four zeros, for the leading zeros of fixed forms, then the 17 digits
-    chars = np.empty((21, n), dtype=np.uint8)
-    chars[:4] = 48
-    np.add(groups[0], 48, out=chars[4], casting="unsafe")
-    chars[5:].reshape(4, 4, n)[...] = \
-        _GROUP_CHARS[groups[1:].astype(np.intp)].view(np.uint8) \
-        .reshape(4, n, 4).transpose(0, 2, 1)
-    # digits up to the last nonzero one; the lead digit is never zero
-    n_digits = 1 + ((chars[5:] != 48) * _DIGIT_RANK).max(axis=0)
-
-    # %g: fixed form for -4 <= d < 17, else d.ddde-XX; trailing zeros go.
-    # A fixed form with d < 0 is its digits after -d zeros, the point after
-    # the first character; with d >= 0 the point follows d + 1 digits.
-    shown = n_digits + np.repeat(_LEAD_ZEROS, counts)
-    point = np.repeat(_POINT, counts)
-    size = np.maximum(shown, point)
-    size += shown > point
-    size += np.repeat(_SUFFIX, counts)
-    wide = int(bounds[_SLOW])
-    size[wide:] = 1
-    if slow.size:
-        texts = ("%.17g " * slow.size % tuple(x[slow].tolist())).split()
-        size[wide - slow.size:wide] = [len(t) for t in texts]
-        sign[slow] = False
-
-    width = int(size.max())
-    cols = np.empty((max(width, 22), n), dtype=np.uint8)
-    for c in counts.nonzero()[0]:
-        hi = int(bounds[c])
-        lo = hi - int(counts[c])
-        if c == _ZERO:
-            cols[0, lo:hi] = 48
-        elif c == _SLOW:
-            text = np.array(texts, dtype=bytes)
-            cols[:text.itemsize, lo:hi] = \
-                text.view(np.uint8).reshape(hi - lo, -1).T
-        else:
-            first, at = 4 - _LEAD_ZEROS[c], _POINT[c]
-            cols[:at, lo:hi] = chars[first:first + at, lo:hi]
-            cols[at, lo:hi] = 46
-            cols[at + 1:22 - first, lo:hi] = chars[first + at:, lo:hi]
-    n_exp = int(bounds[_N_EXP - 1])
-    if n_exp:
-        nd = n_digits[:n_exp].astype(np.intp)
-        flat = cols.reshape(-1)
-        at = (nd + (nd > 1)) * n + np.arange(n_exp)
-        exponent = np.repeat(-_CLASS_D[:_N_EXP], counts[:_N_EXP])
-        flat[at] = ord("e")
-        flat[at + n] = ord("-")
-        flat[at + 2 * n] = 48 + exponent // 10
-        flat[at + 3 * n] = 48 + exponent % 10
-    unsorted = np.empty_like(size)
-    unsorted[order] = size
-    return unsorted, sign, order, [cols[0]] + list(cols[1:width, :wide])
-
-
-def _int_text(v):
-    """``"%d" % v`` for every v of v as right-aligned digit columns.
-
-    Returns the number of digits of each value, whether it takes a minus
-    sign, None for the order (the columns keep the values' order) and the
-    columns, most significant first, zero-padded.
-    """
-    sign = v < 0
-    mag = np.abs(v).view(np.uint64)                 # -2**63 stays 2**63
-    top = int(mag.max())
-    if top < 2 ** 32:
-        mag = mag.astype(np.uint32)
-    width = len(str(top))
-    cols = np.empty((width, len(v)), dtype=np.uint8)
-    for j in range(width - 1):
-        power = 10 ** (width - 1 - j)
-        digit = mag // power
-        cols[j] = digit
-        mag -= digit * power
-    cols[width - 1] = mag
-    # digits from the first nonzero one; zero has one digit
-    rank = np.arange(width, 0, -1, dtype=np.int8)[:, None]
-    size = np.maximum(((cols != 0) * rank).max(axis=0), 1)
-    cols += 48
-    return size, sign, None, list(cols)
-
-
-def _format_rows(rows: np.ndarray, prefix: str = "") -> str:
-    """The text of ``row_format % tuple(row)`` for every row of (R, C) rows.
-
-    ``row_format`` is ``prefix`` and then C conversions, ``%.17g`` for a
-    float array and ``%d`` for an integer one, separated by spaces and
-    ended by a newline. Each value's text is laid out as fixed-width
-    character columns, each covering the values that reach it. Each column
-    is scattered at every value's running offset in one array operation,
-    in descending order for left-aligned text and ascending for
-    right-aligned, so a column's padding is always overwritten by a later
-    one. Signs go next, a space in front of an unsigned value, then
-    separators and prefixes over those spaces.
-    """
-    n_cols = rows.shape[1]
-    values = rows.ravel()
-    left = rows.dtype.kind == "f"
-    if left:
-        layout = _float_text(values.astype(np.float64, copy=False))
-    else:
-        layout = _int_text(values.astype(np.int64, copy=False))
-    size, sign, order, cols = layout
-    slot = size + sign + 1
-    if prefix:
-        slot[::n_cols] += len(prefix)
-    end = np.cumsum(slot) + _MARGIN
-    start = end - 1 - size
-    buf = np.empty(int(end[-1]) + _MARGIN, dtype=np.uint8)
-    width = len(cols)
-    base = start if left else start + size - width
-    if order is not None:
-        base = base[order]
-    for j in range(width - 1, -1, -1) if left else range(width):
-        buf[j:][base[:len(cols[j])]] = cols[j]
-    if sign.any():
-        buf[start - 1] = sign.view(np.uint8) * 13 + 32     # "-" or " "
-    buf[end - 1] = ord(" ")
-    buf[end[n_cols - 1::n_cols] - 1] = ord("\n")
-    row_start = end[::n_cols] - slot[::n_cols]
-    for j, char in enumerate(prefix.encode("ascii")):
-        buf[row_start + j] = char
-    return buf[_MARGIN:end[-1]].tobytes().decode("ascii")
-
-
-def _write_rows(fh, rows: np.ndarray, prefix: str = "") -> None:
-    """Write the rows as ``_format_rows`` lays them out, a chunk at a time."""
-    rows = np.asarray(rows).reshape(len(rows), -1)
-    for start in range(0, len(rows), _ROW_CHUNK):
-        fh.write(_format_rows(rows[start:start + _ROW_CHUNK], prefix))
+def _vtk_ints(values: np.ndarray) -> np.ndarray:
+    """``values`` as the big-endian int32 of a VTK integer block."""
+    ints = values.astype(">i4")
+    if not np.array_equal(ints, values):
+        raise ValidationError("mesh integers must fit 32-bit VTK integers")
+    return ints
 
 
 def _write_vtk(path: str | Path, mesh: TetMesh,
                point_data: dict | None = None) -> None:
-    """Stream the mesh, then its point data, as legacy ASCII VTK.
+    """Write the mesh, then its point data, as legacy BINARY VTK.
 
     ``point_data`` maps names to per-vertex scalars (n_vertices,) or
     vectors (n_vertices, 3), written after a ``POINT_DATA`` line; None
-    writes the mesh alone. Everything is checked before the file opens.
+    writes the mesh alone. Each block is written after its header lines
+    as big-endian values, doubles or int32, and a newline. Everything is
+    checked and converted before the file opens.
     """
     title = "hemoflow " + json.dumps(mesh.metadata, separators=(",", ":"),
                                      sort_keys=True)
     if len(title) > 255:
         raise ValidationError("mesh metadata too large for the VTK title line")
-    blocks = []
+    n_tets, n_faces = mesh.n_tets, len(mesh.boundary_faces)
+    n_cells = n_tets + n_faces
+    cells = np.concatenate([
+        np.column_stack([np.full(n_tets, 4), mesh.tets]).ravel(),
+        np.column_stack([np.full(n_faces, 3), mesh.boundary_faces]).ravel()])
+    blocks = [
+        (f"# vtk DataFile Version 3.0\n{title}\nBINARY\n"
+         f"DATASET UNSTRUCTURED_GRID\nPOINTS {mesh.n_vertices} double\n",
+         mesh.vertices.astype(">f8")),
+        (f"CELLS {n_cells} {len(cells)}\n", _vtk_ints(cells)),
+        (f"CELL_TYPES {n_cells}\n",
+         _vtk_ints(np.repeat([10, 5], [n_tets, n_faces]))),
+        (f"CELL_DATA {n_cells}\nSCALARS boundary_label int 1\n"
+         "LOOKUP_TABLE default\n",
+         _vtk_ints(np.concatenate([np.full(n_tets, -1),
+                                   mesh.boundary_labels]))),
+    ]
+    if point_data is not None:
+        blocks.append((f"POINT_DATA {mesh.n_vertices}\n", None))
     for name, data in (point_data or {}).items():
-        data = np.asarray(data, dtype=float)
+        data = np.ascontiguousarray(data, dtype=">f8")
         if data.shape == (mesh.n_vertices,):
             blocks.append((f"SCALARS {name} double 1\nLOOKUP_TABLE default\n",
                            data))
@@ -969,89 +739,108 @@ def _write_vtk(path: str | Path, mesh: TetMesh,
             raise ValidationError(
                 f"field {name!r} has shape {data.shape}; expected "
                 f"({mesh.n_vertices},) or ({mesh.n_vertices}, 3)")
-    n_faces = len(mesh.boundary_faces)
-    n_cells = mesh.n_tets + n_faces
-    with open(path, "w") as fh:
-        fh.write(f"# vtk DataFile Version 3.0\n{title}\nASCII\n"
-                 f"DATASET UNSTRUCTURED_GRID\n"
-                 f"POINTS {mesh.n_vertices} double\n")
-        _write_rows(fh, mesh.vertices)
-        fh.write(f"CELLS {n_cells} {5 * mesh.n_tets + 4 * n_faces}\n")
-        _write_rows(fh, mesh.tets, "4 ")
-        _write_rows(fh, mesh.boundary_faces, "3 ")
-        fh.write(f"CELL_TYPES {n_cells}\n")
-        fh.write("10\n" * mesh.n_tets + "5\n" * n_faces)
-        fh.write(f"CELL_DATA {n_cells}\nSCALARS boundary_label int 1\n"
-                 "LOOKUP_TABLE default\n")
-        fh.write("-1\n" * mesh.n_tets)
-        _write_rows(fh, mesh.boundary_labels)
-        if point_data is not None:
-            fh.write(f"POINT_DATA {mesh.n_vertices}\n")
-            for header, rows in blocks:
-                fh.write(header)
-                _write_rows(fh, rows)
+    with open(path, "wb") as fh:
+        for header, values in blocks:
+            fh.write(header.encode())
+            if values is not None:
+                fh.write(values)
+                fh.write(b"\n")
 
 
 def save_mesh(mesh: TetMesh, path: str | Path) -> None:
-    """Write a VTK legacy ASCII unstructured grid (see module docstring)."""
+    """Write a VTK legacy BINARY unstructured grid (see module docstring)."""
     _write_vtk(path, mesh)
 
 
 def load_mesh(path: str | Path) -> TetMesh:
     """Read a mesh in the layout ``save_mesh`` writes (module docstring).
 
-    Cells may come in any order. The mesh is validated on load
-    (``validate_mesh``), which repairs inverted tetrahedra with a warning.
-    Every failure is a ``MeshError`` naming the file.
+    The header lines are text; each data block is read as the file's
+    format line says: n big-endian values and a newline in a BINARY file,
+    n tokens in an ASCII one. Cells may come in any order. The mesh is
+    validated on load (``validate_mesh``), which repairs inverted
+    tetrahedra with a warning. Every failure is a ``MeshError`` naming the
+    file.
     """
     path = Path(path)
     try:
-        text = path.read_text()
+        lines = path.read_bytes().split(b"\n", 3)
+        head = [line.decode() for line in lines[:3]]
+        if len(lines) < 4:
+            raise MeshError(f"{path}: unexpected end of file")
+        fmt = head[2].strip().upper()
+        binary = fmt == "BINARY"
+        # a BINARY body is decoded one character per byte, so its blocks
+        # encode back to their bytes
+        body = lines[3].decode("latin-1" if binary else "utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise MeshError(f"cannot read mesh file {path}: {exc}") from exc
-    title, _, rest = text.partition("\n")[2].partition("\n")
+    title, pos = head[1], 0
 
-    def take(n: int) -> list[str]:
-        """The next n tokens; the text after them is left unsplit."""
-        nonlocal rest
-        tokens = rest.split(None, n)
-        if len(tokens) < n:
-            raise MeshError(f"{path}: unexpected end of file")
-        rest = tokens.pop() if len(tokens) > n else ""
-        return tokens
+    def section(word: str, n: int) -> list[str]:
+        """The n words after ``word`` on the next line that is not blank."""
+        nonlocal pos
+        words = []
+        while not words:
+            if pos >= len(body):
+                raise MeshError(f"{path}: unexpected end of file")
+            end = body.find("\n", pos)
+            end = len(body) if end < 0 else end
+            words, pos = body[pos:end].split(), end + 1
+        if words[0].upper() != word:
+            raise MeshError(f"{path}: expected {word}, found {words[0]}")
+        if len(words) <= n:
+            raise MeshError(f"{path}: {word} needs {n} values, found "
+                            f"{' '.join(words[1:])!r}")
+        return words[1:n + 1]
 
-    def expect(*words: str) -> None:
-        for word, token in zip(words, take(len(words))):
-            if token.upper() != word:
-                raise MeshError(f"{path}: expected {word}, found {token}")
-
-    def numbers(n: int, dtype) -> np.ndarray:
+    def count(word: str) -> int:
         try:
-            return np.array(take(n), dtype=dtype)
+            return int(np.array([word], dtype=np.uint64)[0])
         except (ValueError, OverflowError) as exc:
             raise MeshError(f"{path}: {exc}") from None
 
-    def count() -> int:
-        return int(numbers(1, np.uint64)[0])
+    def block(word: str, n: int, dtype: str) -> np.ndarray:
+        """The n values of the ``word`` block."""
+        nonlocal pos
+        if binary:
+            end = pos + n * np.dtype(dtype).itemsize
+            if end >= len(body):
+                raise MeshError(f"{path}: unexpected end of file")
+            if body[end] != "\n":
+                raise MeshError(f"{path}: the {word} block is not followed "
+                                "by a newline")
+            values, pos = np.frombuffer(body[pos:end].encode("latin-1"),
+                                        dtype), end + 1
+            return values
+        tokens = body[pos:].split(None, n)
+        if len(tokens) < n:
+            raise MeshError(f"{path}: unexpected end of file")
+        pos = len(body) - len(tokens.pop()) if len(tokens) > n else len(body)
+        try:
+            return np.array(tokens, dtype=dtype)
+        except (ValueError, OverflowError) as exc:
+            raise MeshError(f"{path}: {exc}") from None
 
     try:
         metadata = json.loads(title[len("hemoflow "):]) \
             if title.startswith("hemoflow {") else {}
     except json.JSONDecodeError as exc:
         raise MeshError(f"{path}: bad title metadata: {exc}") from None
-    expect("ASCII", "DATASET", "UNSTRUCTURED_GRID", "POINTS")
-    n_points = count()
-    take(1)                                     # coordinate type
-    vertices = numbers(3 * n_points, np.float64).reshape(-1, 3)
+    if fmt not in ("ASCII", "BINARY"):
+        raise MeshError(f"{path}: expected ASCII or BINARY, found {head[2]}")
+    dataset = section("DATASET", 1)[0]
+    if dataset.upper() != "UNSTRUCTURED_GRID":
+        raise MeshError(f"{path}: expected UNSTRUCTURED_GRID, found {dataset}")
+    n_points = count(section("POINTS", 2)[0])     # then the coordinate type
+    vertices = block("POINTS", 3 * n_points, ">f8").reshape(-1, 3)
     if not np.isfinite(vertices).all():
         raise MeshError(f"{path}: non-finite vertex coordinates")
-    expect("CELLS")
-    n_cells, total = count(), count()
-    cells = numbers(total, np.int64)
-    expect("CELL_TYPES")
-    if count() != n_cells:
+    n_cells, total = map(count, section("CELLS", 2))
+    cells = block("CELLS", total, ">i4")
+    if count(section("CELL_TYPES", 1)[0]) != n_cells:
         raise MeshError(f"{path}: CELL_TYPES count mismatch")
-    types = numbers(n_cells, np.int64)
+    types = block("CELL_TYPES", n_cells, ">i4")
 
     # each cell is its node count, then as many nodes as its type has
     nodes = np.select([types == 10, types == 5], [4, 3])
@@ -1069,19 +858,16 @@ def load_mesh(path: str | Path) -> TetMesh:
     tets = cells[start[nodes == 4, None] + np.arange(4)]
     faces = cells[start[nodes == 3, None] + np.arange(3)]
 
-    if not rest.strip():
+    if not body[pos:].strip():
         raise MeshError(f"{path}: missing boundary_label cell data")
-    expect("CELL_DATA")
-    if count() != n_cells:
+    if count(section("CELL_DATA", 1)[0]) != n_cells:
         raise MeshError(f"{path}: CELL_DATA count mismatch")
-    expect("SCALARS")
-    name = take(3)[0]                           # then type and components
+    name = section("SCALARS", 2)[0]             # then type and components
     if name != "boundary_label":
         raise MeshError(f"{path}: the first cell data is {name}, not "
                         "boundary_label")
-    expect("LOOKUP_TABLE")
-    take(1)                                     # table name
-    labels = numbers(n_cells, np.int64)[nodes == 3]
+    section("LOOKUP_TABLE", 1)                  # the table name
+    labels = block("LOOKUP_TABLE", n_cells, ">i4")[nodes == 3]
     try:
         return validate_mesh(TetMesh(vertices, tets, faces, labels, metadata))
     except MeshError as exc:

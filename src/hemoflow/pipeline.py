@@ -46,8 +46,8 @@ from .mri import SequenceParams, _image_sidecar, _tet_rule, add_noise, \
     save_kspace, sequence_timings, synthesize_frame
 from .phantoms import MMHG, inlet_waveform
 from .report import QUANTITIES, write_report
-from .rheology import LITERATURE_NEWTONIAN, PowerLawParams, fit_for_hct, \
-    newtonian_equivalent
+from .rheology import BASE_CURVES, LITERATURE_NEWTONIAN, PowerLawParams, \
+    fit_for_hct, newtonian_equivalent
 from .windkessel import WindkesselParams, simulate_windkessel
 
 log = logging.getLogger("hemoflow")
@@ -56,6 +56,18 @@ log = logging.getLogger("hemoflow")
 def _check_mesh_file(text: str) -> None:
     if text and not Path(text).is_file():
         raise ValidationError(f"mesh file {text} does not exist")
+
+
+def _check_resolution(level: int) -> None:
+    if not 0 <= level <= 6:
+        raise ValidationError(f"pipe resolution {level} outside [0, 6]")
+
+
+def _check_hct(hct: float) -> None:
+    low, high = min(BASE_CURVES), max(BASE_CURVES)
+    if not low <= hct <= high:
+        raise ValidationError(f"hematocrit {hct} outside the base curves' "
+                              f"range [{low}, {high}]")
 
 
 def _check_model_name(name: str) -> None:
@@ -100,14 +112,14 @@ _KEYS = {
         "mesh": _Key("", str, check=_check_mesh_file),
     },
     "pipe": {
-        "radius_m": _Key("0.01"),
-        "length_m": _Key("0.1"),
-        "resolution": _Key("0", int),
+        "radius_m": _Key("0.01", above=0.0),
+        "length_m": _Key("0.1", above=0.0),
+        "resolution": _Key("0", int, check=_check_resolution),
     },
     "rheology": {
-        "hct": _Key("45"),
-        "fit1_range": _Key("12, 123", count=2),
-        "fit2_range": _Key("0, 2800", count=2),
+        "hct": _Key("45", check=_check_hct),
+        "fit1_range": _Key("12, 123", count=2, minimum=0.0),
+        "fit2_range": _Key("0, 2800", count=2, minimum=0.0),
     },
     "flow": {
         "pressure_drop_pa": _Key("15.8", above=0.0),
@@ -267,16 +279,18 @@ def _check_cuts(cuts: list[float], low: float, high: float) -> None:
 
 def _typed_config(merged: dict) -> RunConfig:
     """The ``RunConfig`` of the merged key texts, each read by
-    ``_read_key``; the cuts must increase and, for a generated pipe, lie
-    inside it."""
+    ``_read_key``; the cuts and both shear ranges must increase strictly,
+    and the cuts, for a generated pipe, lie inside it."""
     # merged holds the table's sections in the table's order
     paths, pipe, rheology, flow, seq, noise, segments, wk, comparison = (
         {key: _read_key(section, key, text) for key, text in keys.items()}
         for section, keys in merged.items())
     cuts = segments["cuts_m"]
-    if any(b <= a for a, b in zip(cuts, cuts[1:])):
-        raise ValidationError(f"[segments] cuts_m {cuts} must increase "
-                              "strictly along the axis")
+    for where, values in (("[segments] cuts_m", cuts),
+                          ("[rheology] fit1_range", rheology["fit1_range"]),
+                          ("[rheology] fit2_range", rheology["fit2_range"])):
+        if any(b <= a for a, b in zip(values, values[1:])):
+            raise ValidationError(f"{where} {values} must increase strictly")
     if not paths["mesh"]:
         _check_cuts(cuts, 0.0, pipe["length_m"])
 

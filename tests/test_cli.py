@@ -15,9 +15,10 @@ from hypothesis import strategies as st
 from hemoflow.cli import load_config, main
 from hemoflow.errors import ValidationError
 from hemoflow.mesh import generate_box_mesh, generate_pipe_mesh, \
-    save_mesh
+    load_mesh, save_mesh
 from hemoflow.pipeline import DEFAULTS, render_config
 from test_mesh import MALFORMED, malformed_pipe
+from test_vtk_text import assert_mesh_sections, decode_binary_vtk
 
 FAST_CONFIG = """\
 [flow]
@@ -566,6 +567,28 @@ def test_mesh_without_pipe_geometry_exits_2_before_synthesis(demo, tmp_path,
                  str(config), "--out", str(tmp_path / "estimate")]) == 0
 
 
+def test_fields_systole_decodes_with_numpy_alone(demo):
+    # the run's field file is the generated pipe, then the six fields of
+    # stage estimate, each a block of finite big-endian doubles; it loads
+    # as that pipe
+    _, run = demo
+    pipe = generate_pipe_mesh(0.01, 0.1, resolution=0)
+    data = (run / "fields_systole.vtk").read_bytes()
+    sections = decode_binary_vtk(data)
+    assert_mesh_sections(sections, pipe)
+    fields = {name: sections[name] for name in list(sections)[5:]}
+    assert list(fields) == ["velocity", "wss_vector", "wss_mag", "osi",
+                            "el_rate", "mu_apparent"]
+    for name, values in fields.items():
+        width = (3,) if name in ("velocity", "wss_vector") else ()
+        assert values.shape == (pipe.n_vertices, *width), name
+        assert np.isfinite(values).all(), name
+    assert (fields["wss_mag"] > 0).any() and (fields["mu_apparent"] > 0).all()
+    loaded = load_mesh(run / "fields_systole.vtk")
+    assert np.array_equal(loaded.vertices, pipe.vertices)
+    assert np.array_equal(loaded.tets, pipe.tets)
+
+
 def test_out_of_range_hematocrit_exits_2(tmp_path, capsys):
     # the base curves span 20-70 % hematocrit: a target outside them is
     # bad input (exit 2), not a numerical failure (exit 3)
@@ -629,13 +652,14 @@ HOT_SEQUENCE = "[sequence]\nadc_bandwidth_khz = 2000\n" \
 HCT_80 = "[rheology]\nhct = 80\n[flow]\ncardiac_phases = 2\n"
 
 # command, refused input -> (exit code, failing stage, arguments before
-# --out, built from the demo run and a scratch directory)
+# --out, built from the demo run and a scratch directory); no stage is a
+# config error, named by its key
 REFUSED_INPUT = {
     ("synth-mri", "long pipe"): (2, "mesh", lambda run, tmp: [
         "--config", config_file(tmp, LONG_PIPE)]),
-    ("synth-mri", "hct 80"): (2, "rheology", lambda run, tmp: [
+    ("synth-mri", "hct 80"): (2, None, lambda run, tmp: [
         "--config", config_file(tmp, HCT_80)]),
-    ("estimate", "hct 80"): (2, "rheology", lambda run, tmp: [
+    ("estimate", "hct 80"): (2, None, lambda run, tmp: [
         "--images", str(run), "--config", config_file(tmp, HCT_80)]),
     ("estimate", "long pipe"): (2, "estimate", lambda run, tmp: [
         "--images", str(run), "--config", config_file(tmp, LONG_PIPE)]),
@@ -656,9 +680,10 @@ REFUSED_INPUT = {
                          ids=[" / ".join(key) for key in REFUSED_INPUT])
 def test_refused_input_names_one_stage_and_writes_nothing(
         demo, tmp_path, capsys, command, case):
-    # every command labels a failure with its stage, once; bad input
-    # (exit 2) leaves no output directory, while a numerical failure
-    # (exit 3) keeps what the stages before it wrote
+    # every command labels a failure with its stage, once, and a config
+    # error with its key alone; bad input (exit 2) leaves no output
+    # directory, while a numerical failure (exit 3) keeps what the stages
+    # before it wrote
     code, stage, arguments = REFUSED_INPUT[command, case]
     _, run = demo
     out = tmp_path / "out"
@@ -667,7 +692,10 @@ def test_refused_input_names_one_stage_and_writes_nothing(
     argv = [command, *arguments(run, tmp_path), "--out", str(target)]
     assert main(argv) == code, f"{command} on {case}: wrong exit code"
     err = capsys.readouterr().err
-    assert err.count("[stage ") == 1 and f"[stage {stage}] " in err, err
+    if stage is None:
+        assert "[stage " not in err and "[rheology] hct" in err, err
+    else:
+        assert err.count("[stage ") == 1 and f"[stage {stage}] " in err, err
     if code == 2:
         assert not out.exists(), f"{command} on {case} made {out.name}"
     else:
@@ -842,14 +870,21 @@ def test_out_of_range_config_values_are_refused_at_load(
     assert not out.exists()
 
 
-# refused by a rule table, the model names, a rule across values or the
-# file system rather than by a bound
+# refused by a rule table, the model names, a rule across values, the
+# file system or the bound of a key whose stage refuses it too
 LOAD_REFUSALS = [("sequence", "quadrature", "7"),
                  ("comparison", "models", "casson"),
                  ("comparison", "reference", "literature_0"),
                  ("segments", "cuts_m", "0.05, 0.025"),
                  ("segments", "cuts_m", "0.025, 0.05, 0.2"),
-                 ("paths", "mesh", "/no/such.vtk")]
+                 ("paths", "mesh", "/no/such.vtk"),
+                 ("pipe", "radius_m", "-1"),
+                 ("pipe", "length_m", "0"),
+                 ("pipe", "resolution", "9"),
+                 ("pipe", "resolution", "-1"),
+                 ("rheology", "hct", "10"),
+                 ("rheology", "fit1_range", "123, 12"),
+                 ("rheology", "fit2_range", "-5, 10")]
 
 
 @pytest.mark.parametrize("section, key, value", LOAD_REFUSALS,

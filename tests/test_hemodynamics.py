@@ -886,8 +886,8 @@ def test_field_export_round_trips_as_mesh(tmp_path):
     again = load_mesh(path)
     assert np.allclose(again.vertices, mesh.vertices)
     assert np.array_equal(again.tets, mesh.tets)
-    text = path.read_text()
-    assert "VECTORS wss_vector" in text and "SCALARS wss_mag" in text
+    data = path.read_bytes()
+    assert b"VECTORS wss_vector" in data and b"SCALARS wss_mag" in data
 
 
 def test_field_export_rejects_bad_shapes(tmp_path):

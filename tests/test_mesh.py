@@ -40,6 +40,7 @@ from hemoflow.mesh import (
     wall_normals,
     wall_vertices,
 )
+from test_vtk_text import write_ascii_vtk
 
 RADIUS, LENGTH = 0.01, 0.1
 
@@ -839,9 +840,8 @@ def test_load_requires_boundary_labels(tmp_path):
     mesh = generate_pipe_mesh(RADIUS, LENGTH, 0)
     path = tmp_path / "m.vtk"
     save_mesh(mesh, path)
-    text = path.read_text()
-    head, _, _ = text.partition("CELL_DATA")
-    path.write_text(head)
+    head, _, _ = path.read_bytes().partition(b"CELL_DATA")
+    path.write_bytes(head)
     with pytest.raises(MeshError, match="boundary_label"):
         load_mesh(path)
 
@@ -875,34 +875,63 @@ def test_load_file_ending_after_scalars_type(tmp_path):
     token for the optional component count."""
     path = tmp_path / "cut.vtk"
     save_mesh(generate_pipe_mesh(RADIUS, LENGTH, 0), path)
-    text = path.read_text()
-    header = "SCALARS boundary_label int"
-    path.write_text(text[:text.index(header) + len(header)])
+    data = path.read_bytes()
+    header = b"SCALARS boundary_label int"
+    path.write_bytes(data[:data.index(header) + len(header)])
     with pytest.raises(MeshError, match="end of file"):
         load_mesh(path)
 
 
 def saved_pipe_lines(path):
-    """Save the resolution-0 pipe to ``path``: the mesh, the file's lines,
-    and the index of the line after each section keyword's line."""
+    """Save the resolution-0 pipe to ``path`` in ASCII, as earlier versions
+    did: the mesh, the file's lines, and the index of the line after each
+    section keyword's line."""
     mesh = generate_pipe_mesh(RADIUS, LENGTH, 0)
-    save_mesh(mesh, path)
+    write_ascii_vtk(path, mesh)
     lines = path.read_text().split("\n")
     after = {line.split()[0]: i + 1 for i, line in enumerate(lines)
              if line[:1].isupper()}
     return mesh, lines, after
 
 
-# each case breaks one rule of the layout save_mesh writes
+# each case breaks one rule of the layout save_mesh writes, in ASCII or,
+# for the last three, in BINARY
 MALFORMED = ("title metadata", "non-numeric coordinate",
              "non-finite coordinate", "negative count",
              "type-10 cell with 3 nodes", "cell sizes against cell types",
-             "first cell data", "truncated cells", "not text")
+             "first cell data", "truncated cells", "not text",
+             "binary truncated block", "binary block without newline",
+             "binary NaN coordinate")
+
+
+def malformed_binary_pipe(path, case):
+    """Save the pipe to ``path`` as ``save_mesh`` does, broken as the
+    binary ``case`` says; returns the message ``load_mesh`` gives."""
+    mesh = generate_pipe_mesh(RADIUS, LENGTH, 0)
+    save_mesh(mesh, path)
+    data = bytearray(path.read_bytes())
+    header = f"POINTS {mesh.n_vertices} double\n".encode()
+    points = data.index(header) + len(header)
+    end = points + 24 * mesh.n_vertices         # the newline after them
+    if case == "binary truncated block":
+        del data[end - 8:]
+        message = "unexpected end of file"
+    elif case == "binary block without newline":
+        del data[end]
+        message = "the POINTS block is not followed by a newline"
+    else:
+        data[points + 24 * 5:points + 24 * 5 + 8] = \
+            np.array(np.nan, dtype=">f8").tobytes()
+        message = "non-finite vertex coordinates"
+    path.write_bytes(data)
+    return message
 
 
 def malformed_pipe(path, case):
     """Save the pipe to ``path`` broken as ``case`` says; returns the
     message ``load_mesh`` gives for it."""
+    if case.startswith("binary"):
+        return malformed_binary_pipe(path, case)
     mesh, lines, at = saved_pipe_lines(path)
     n_tets, n_cells = mesh.n_tets, mesh.n_tets + len(mesh.boundary_faces)
     row = at["POINTS"] + 5                      # a vertex: "x y z"
@@ -951,7 +980,7 @@ def test_load_names_the_file_and_the_broken_rule(tmp_path, case):
 def test_load_takes_cells_in_any_order(tmp_path):
     # the tets keep their order, the triangles are shuffled, the two are
     # interleaved, and each cell's type and label move with it: the mesh
-    # loads as saved, so saving it again gives the original bytes
+    # loads as saved, so saving it gives the bytes save_mesh gives
     path = tmp_path / "pipe.vtk"
     mesh, lines, at = saved_pipe_lines(path)
     n_tets, n_cells = mesh.n_tets, mesh.n_tets + len(mesh.boundary_faces)
@@ -967,4 +996,5 @@ def test_load_takes_cells_in_any_order(tmp_path):
     shuffled, again = tmp_path / "shuffled.vtk", tmp_path / "again.vtk"
     shuffled.write_text("\n".join(lines))
     save_mesh(load_mesh(shuffled), again)
+    save_mesh(mesh, path)
     assert again.read_bytes() == path.read_bytes()
