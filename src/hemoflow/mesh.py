@@ -55,6 +55,7 @@ __all__ = [
     "segment_labels",
     "segment_names",
     "generate_pipe_mesh",
+    "pipe_layers",
     "generate_box_mesh",
 ]
 
@@ -630,6 +631,36 @@ def generate_pipe_mesh(radius: float, length: float,
                                metadata)
 
 
+def pipe_layers(mesh: TetMesh, *per_vertex):
+    """(layers, tets per layer, vertices per ring, z_l) of a pipe tiled
+    along z, or None. The count comes from ``metadata["pipe"]``; the checks
+    decide: layer l's tets are layer 0's plus l rings, ring l holds ring
+    0's x, y and ``per_vertex`` rows bit for bit at one z, and the rings
+    are evenly spaced within 4 ulps. z_l is ring l's z minus ring 0's.
+    """
+    pipe = mesh.metadata.get("pipe")
+    res = pipe.get("resolution") if isinstance(pipe, dict) else None
+    if not (_is_integer(res) and 0 <= res <= 6):
+        return None
+    layers = 5 * 2 ** res
+    per_ring, extra = divmod(mesh.n_vertices, layers + 1)
+    if extra or not per_ring or mesh.n_tets % layers:
+        return None
+    tets = mesh.tets.reshape(layers, -1, 4)
+    rings = mesh.vertices.reshape(layers + 1, per_ring, 3)
+    z = rings[:, 0, 2]
+    repeats = [rings[:, :, :2]] + [np.reshape(a, (layers + 1, per_ring, -1))
+                                   for a in per_vertex]
+    if not (all(np.array_equal(tets[l], tets[0] + l * per_ring)
+                for l in range(layers))
+            and all((r == r[0]).all() for r in repeats)
+            and (rings[:, :, 2] == z[:, None]).all()
+            and np.abs(np.diff(z) - z[1] + z[0]).max()
+            <= 4 * np.spacing(np.abs(z).max())):
+        return None
+    return layers, tets.shape[1], per_ring, z[:-1] - z[0]
+
+
 def generate_box_mesh(size: Sequence[float], divisions: Sequence[int],
                       center: Sequence[float] = (0.0, 0.0, 0.0)) -> TetMesh:
     """Structured tetrahedral box, six tets per hexahedral cell.
@@ -832,7 +863,11 @@ def load_mesh(path: str | Path) -> TetMesh:
     dataset = section("DATASET", 1)[0]
     if dataset.upper() != "UNSTRUCTURED_GRID":
         raise MeshError(f"{path}: expected UNSTRUCTURED_GRID, found {dataset}")
-    n_points = count(section("POINTS", 2)[0])     # then the coordinate type
+    n_points, kind = section("POINTS", 2)
+    if binary and kind.lower() != "double":
+        raise MeshError(f"{path}: BINARY POINTS of type {kind} are not read; "
+                        "only double is")
+    n_points = count(n_points)
     vertices = block("POINTS", 3 * n_points, ">f8").reshape(-1, 3)
     if not np.isfinite(vertices).all():
         raise MeshError(f"{path}: non-finite vertex coordinates")

@@ -39,8 +39,8 @@ from .hemodynamics import _COMPARISON_COLUMNS, _DIFFERENCE_COLUMNS, \
     _read_table, _write_table, check_coverage, compare_models, \
     export_fields_vtk, frame_biomarkers, interpolate_to_mesh, osi, \
     recover_gradients, segment_stats, write_comparison_csv, write_stats_csv
-from .mesh import CutPlane, generate_pipe_mesh, load_mesh, segment_labels, \
-    segment_names, wall_normals
+from .mesh import CutPlane, generate_pipe_mesh, load_mesh, pipe_layers, \
+    segment_labels, segment_names, wall_normals
 from .mri import SequenceParams, _image_sidecar, _tet_rule, add_noise, \
     load_images, load_kspace, phase_to_velocity, reconstruct, save_images, \
     save_kspace, sequence_timings, synthesize_frame
@@ -482,6 +482,9 @@ def stage_mri(cfg: RunConfig, mesh, field, out: Path) -> list[Path]:
     timings = sequence_timings(cfg.sequence)
     log.info("sequence: TE %.3f ms, readout gradient %.2f mT/m",
              timings.echo_time * 1e3, timings.readout_gradient * 1e3)
+    layers = pipe_layers(mesh, m0, *field.values)
+    log.info("synthesis: %s", "whole-mesh path" if layers is None
+             else f"layer path over {layers[0]} layers")
     paths = []
     for frame in range(field.n_frames):
         k = synthesize_frame(mesh, m0, field, cfg.sequence, frame=frame,

@@ -32,6 +32,7 @@ from hemoflow.mesh import (
     generate_pipe_mesh,
     load_mesh,
     nodal_volumes,
+    pipe_layers,
     save_mesh,
     segment_labels,
     segment_names,
@@ -239,6 +240,55 @@ def test_layer_tiled_pipe_equals_split_of_the_whole_prism_stack(resolution):
     _fix_orientation(pipe.vertices, want)
     assert np.array_equal(pipe.tets, want)
     assert np.array_equal(pipe.boundary_faces, _boundary_of_tets(want))
+
+
+@pytest.mark.parametrize("resolution", [0, 1, 2, 3])
+def test_pipe_layers_are_the_generated_layers(resolution):
+    pipe = generate_pipe_mesh(RADIUS, LENGTH, resolution)
+    m0 = np.ones(pipe.n_vertices)
+    layers, per_layer, per_ring, z = pipe_layers(pipe, m0)
+    arcs, rings = 16 * 2 ** resolution, 2 * 2 ** resolution
+    assert layers == 5 * 2 ** resolution
+    assert per_layer * layers == pipe.n_tets
+    assert per_ring == 1 + arcs * rings
+    # each ring's own z, not l times the spacing
+    assert np.array_equal(z, np.linspace(0.0, LENGTH, layers + 1)[:-1])
+
+
+def relabelled(pipe, vertices=None, tets=None, metadata=None):
+    return TetMesh(pipe.vertices if vertices is None else vertices,
+                   pipe.tets if tets is None else tets, pipe.boundary_faces,
+                   pipe.boundary_labels,
+                   pipe.metadata if metadata is None else metadata)
+
+
+def test_pipe_layers_refuse_what_is_not_tiled():
+    pipe = generate_pipe_mesh(RADIUS, LENGTH, 1)
+    per_ring = pipe.n_vertices // 11
+    # rings evenly spaced but one whole ring moved along z by a micrometre
+    uneven = pipe.vertices.copy()
+    uneven[4 * per_ring:5 * per_ring, 2] += 1e-6
+    # two tets of the last layer trade places
+    swapped = pipe.tets.copy()
+    swapped[[-1, -2]] = swapped[[-2, -1]]
+    varying = np.ones(pipe.n_vertices)
+    varying[-1] = 2.0
+    cases = {
+        "no metadata": relabelled(pipe, metadata={"box": {}}),
+        "pipe metadata not a dict": relabelled(pipe, metadata={"pipe": 1}),
+        "another resolution": relabelled(
+            pipe, metadata={"pipe": {"resolution": 2}}),
+        "resolution as text": relabelled(
+            pipe, metadata={"pipe": {"resolution": "1"}}),
+        "resolution as bool": relabelled(
+            pipe, metadata={"pipe": {"resolution": True}}),
+        "uneven rings": relabelled(pipe, vertices=uneven),
+        "tets out of order": relabelled(pipe, tets=swapped),
+    }
+    for name, mesh in cases.items():
+        assert pipe_layers(mesh) is None, name
+    assert pipe_layers(pipe, varying) is None
+    assert pipe_layers(pipe, np.ones((pipe.n_vertices, 3))) is not None
 
 
 def test_pipe_generation_memory_is_a_small_multiple_of_the_mesh():
@@ -895,13 +945,13 @@ def saved_pipe_lines(path):
 
 
 # each case breaks one rule of the layout save_mesh writes, in ASCII or,
-# for the last three, in BINARY
+# for the last four, in BINARY
 MALFORMED = ("title metadata", "non-numeric coordinate",
              "non-finite coordinate", "negative count",
              "type-10 cell with 3 nodes", "cell sizes against cell types",
              "first cell data", "truncated cells", "not text",
              "binary truncated block", "binary block without newline",
-             "binary NaN coordinate")
+             "binary NaN coordinate", "binary float coordinates")
 
 
 def malformed_binary_pipe(path, case):
@@ -919,6 +969,12 @@ def malformed_binary_pipe(path, case):
     elif case == "binary block without newline":
         del data[end]
         message = "the POINTS block is not followed by a newline"
+    elif case == "binary float coordinates":
+        # the doubles stay: the type word alone is refused, by name,
+        # before the block would be read as 4-byte floats
+        data[points - len(header):points] = \
+            f"POINTS {mesh.n_vertices} float\n".encode()
+        message = "BINARY POINTS of type float are not read; only double is"
     else:
         data[points + 24 * 5:points + 24 * 5 + 8] = \
             np.array(np.nan, dtype=">f8").tobytes()

@@ -13,7 +13,7 @@ from hemoflow import mri
 from hemoflow.errors import SequenceError, ValidationError
 from hemoflow.flowfields import VelocityField
 from hemoflow.mesh import (TetMesh, generate_box_mesh, generate_pipe_mesh,
-                           tet_volumes)
+                           load_mesh, pipe_layers, save_mesh, tet_volumes)
 from hemoflow.mri import (_BLOCK, _ES_WIDTH, _TET_RULES, ENCODE_AXES,
                           ImageVolume, KSpaceData, SequenceParams,
                           _quadrature, _ramp, _sample_factors, _spacing,
@@ -312,22 +312,27 @@ def test_synthesis_memory_does_not_grow_with_the_mesh():
     # the paper-scale slab's sequence (2 readout samples, 30 x 113 plane)
     # on the 6,720- and 57,600-tet pipes: points are made one block of
     # tets at a time, so the traced peak is the block tables' on both.
-    # Whole-mesh point arrays would add about 14 MB here
+    # Whole-mesh point arrays would add about 14 MB here. A uniform M0
+    # repeats from layer to layer, so synthesis takes the first layer; one
+    # that grows along z takes the whole mesh
     params = SequenceParams(matrix=(2, 30, 113), voxel=(0.056, 0.002, 0.002),
                             oversampling=1, fov_center=(0.0, 0.0, 0.05))
-    peaks = []
+    peaks = {"layer": [], "whole mesh": []}
     for resolution in (1, 2):
         pipe = generate_pipe_mesh(0.01, 0.1, resolution=resolution)
         field = uniform_field(pipe, (0.1, -0.2, 0.7))
-        m0 = np.ones(pipe.n_vertices)
-        tracemalloc.start()
-        try:
-            synthesize_frame(pipe, m0, field, params)
-            peaks.append(tracemalloc.get_traced_memory()[1] / 2 ** 20)
-        finally:
-            tracemalloc.stop()
-    assert peaks[1] - peaks[0] < 1.0, \
-        f"traced peak grew from {peaks[0]:.1f} to {peaks[1]:.1f} MB"
+        for path, m0 in zip(peaks, (np.ones(pipe.n_vertices),
+                                    1.0 + pipe.vertices[:, 2])):
+            tracemalloc.start()
+            try:
+                synthesize_frame(pipe, m0, field, params)
+                peaks[path].append(tracemalloc.get_traced_memory()[1]
+                                   / 2 ** 20)
+            finally:
+                tracemalloc.stop()
+    for path, (low, high) in peaks.items():
+        assert high - low < 1.0, \
+            f"{path}: traced peak grew from {low:.1f} to {high:.1f} MB"
 
 
 def test_single_encode_matches_its_frame_grid():
@@ -470,26 +475,51 @@ def pipe_swirl(pipe):
     return VelocityField(times=np.array([0.0]), values=velocity[None]), r2
 
 
+# 72 partitions of 4 mm on the resolution-1 pipe: each block's footprint
+# is at most 10 of the grid's 144 cells, 23 rows with the kernel against
+# the real table's 73
+SPREAD_72 = SequenceParams(venc=0.8, matrix=(2, 4, 72),
+                           voxel=(0.016, 0.004, 0.004), oversampling=1,
+                           adc_bandwidth=32e3, fov_center=(0.0, 0.0, 0.05))
+
+
 @pytest.mark.parametrize("quadrature", [4, 11])
 def test_spread_partitions_over_several_blocks_match_direct_sum(
         paths_taken, spread_products, quadrature):
-    # 72 partitions of 4 mm: each block's footprint is at most 10 of the
-    # grid's 144 cells, 23 rows with the kernel against the real table's
-    # 73
+    # an M0 that grows along z does not repeat from layer to layer, so the
+    # whole pipe is synthesized
     pipe = generate_pipe_mesh(0.01, 0.1, resolution=1)
     per_block = _BLOCK // quadrature
     assert pipe.n_tets > per_block and pipe.n_tets % per_block, \
         "the pipe must span several tet blocks, the last one partial"
     field, r2 = pipe_swirl(pipe)
-    params = SequenceParams(venc=0.8, matrix=(2, 4, 72),
-                            voxel=(0.016, 0.004, 0.004), oversampling=1,
-                            adc_bandwidth=32e3, fov_center=(0.0, 0.0, 0.05))
-    assert_matches_direct_sum(pipe, 1.0 + 0.5 * r2, field, params,
-                              quadrature)
+    m0 = 1.0 + 0.5 * r2 + 4.0 * pipe.vertices[:, 2]
+    assert pipe_layers(pipe, m0, field.values[0]) is None
+    assert_matches_direct_sum(pipe, m0, field, SPREAD_72, quadrature)
     assert paths_taken == ["_SpreadGrid"]
     n_blocks = -(-pipe.n_tets // per_block)
     assert_groups_cover_points(spread_products,
-                               params.acquired_readout * n_blocks)
+                               SPREAD_72.acquired_readout * n_blocks)
+
+
+@pytest.mark.parametrize("quadrature", [4, 11])
+def test_spread_partitions_of_one_layer_match_direct_sum(
+        paths_taken, spread_products, quadrature):
+    # the same pipe with an M0 that repeats from layer to layer: the NUFFT
+    # takes the first of its 10 layers, still over several blocks, and the
+    # layer sum makes the whole pipe's grids
+    pipe = generate_pipe_mesh(0.01, 0.1, resolution=1)
+    field, r2 = pipe_swirl(pipe)
+    layers, per_layer, _, _ = pipe_layers(pipe, 1.0 + 0.5 * r2,
+                                          field.values[0])
+    per_block = _BLOCK // quadrature
+    assert layers == 10 and per_layer > per_block and per_layer % per_block
+    assert_matches_direct_sum(pipe, 1.0 + 0.5 * r2, field, SPREAD_72,
+                              quadrature)
+    assert paths_taken == ["_SpreadGrid"]
+    n_blocks = -(-per_layer // per_block)
+    assert_groups_cover_points(spread_products,
+                               SPREAD_72.acquired_readout * n_blocks)
 
 
 def test_spread_footprint_wrapping_the_grid_matches_direct_sum(paths_taken):
@@ -697,6 +727,23 @@ def synthesize_through(step, mesh, m0, field, params):
         return synthesize_frame(mesh, m0, field, params)
 
 
+def drawn_box(data, divisions):
+    """A box of at most 48 tets with drawn M0 and vertex velocities."""
+    mesh = small_box(divisions)
+    m0 = data.draw(hnp.arrays(float, mesh.n_vertices,
+                              elements=st.floats(0.1, 2.0)))
+    velocity = data.draw(hnp.arrays(float, (mesh.n_vertices, 3),
+                                    elements=st.floats(-1.0, 1.0)))
+    field = VelocityField(times=np.array([0.0]), values=velocity[None])
+    return mesh, m0, field
+
+
+def property_params(n_pz):
+    return SequenceParams(venc=0.8, matrix=(4, 4, n_pz),
+                          voxel=(0.004, 0.004, 0.016 / n_pz),
+                          adc_bandwidth=32e3)
+
+
 @settings(max_examples=20, deadline=None)
 @given(data=st.data(),
        divisions=st.tuples(*[st.integers(1, 2)] * 3),
@@ -706,21 +753,15 @@ def test_synthesis_is_additive_over_tets(data, divisions, n_pz):
     # of the whole (real table) is the sum of the halves', one through
     # the real table and one through the NUFFT, on random M0, velocities
     # and split, so the two steps are checked against each other
-    mesh = small_box(divisions)
-    n_v, n_t = mesh.n_vertices, mesh.n_tets
-    m0 = data.draw(hnp.arrays(float, n_v, elements=st.floats(0.1, 2.0)))
-    velocity = data.draw(hnp.arrays(float, (n_v, 3),
-                                    elements=st.floats(-1.0, 1.0)))
-    field = VelocityField(times=np.array([0.0]), values=velocity[None])
+    mesh, m0, field = drawn_box(data, divisions)
+    n_t = mesh.n_tets
     order = np.array(data.draw(st.permutations(range(n_t))))
     cut = data.draw(st.integers(1, n_t - 1))
     halves = [TetMesh(mesh.vertices, mesh.tets[np.sort(part)],
                       np.empty((0, 3), dtype=np.int64),
                       np.empty(0, dtype=np.int64))
               for part in (order[:cut], order[cut:])]
-    params = SequenceParams(venc=0.8, matrix=(4, 4, n_pz),
-                            voxel=(0.004, 0.004, 0.016 / n_pz),
-                            adc_bandwidth=32e3)
+    params = property_params(n_pz)
     whole = synthesize_through("table", mesh, m0, field, params)
     table = synthesize_through("table", halves[0], m0, field, params)
     nufft = synthesize_through("nufft", halves[1], m0, field, params)
@@ -729,6 +770,176 @@ def test_synthesis_is_additive_over_tets(data, divisions, n_pz):
                           whole.signals[encode])
         assert err <= 1e-10, \
             f"encode {encode}: the halves' sum is {err:.2e} from the whole"
+
+
+def k_phase(params, d):
+    """e^{-2 pi i k . d} over the k-space grid, d one vector per sample
+    (n_ro, 3) or one for all."""
+    k_ro, k_pe, k_pz = params.k_axes()
+    d = np.broadcast_to(d, (k_ro.size, 3))
+    return np.exp(-2j * np.pi * ((k_ro * d[:, 0])[:, None, None]
+                                 + np.outer(d[:, 1], k_pe)[:, :, None]
+                                 + d[:, None, 2:] * k_pz))
+
+
+@settings(max_examples=20, deadline=None)
+@given(data=st.data(),
+       divisions=st.tuples(*[st.integers(1, 2)] * 3),
+       n_pz=st.integers(16, 40),
+       shift=st.tuples(*[st.floats(-0.004, 0.004)] * 3),
+       step=st.sampled_from(["table", "nufft"]))
+def test_translation_multiplies_samples_by_the_shift_phase(
+        data, divisions, n_pz, shift, step):
+    # the shift theorem: moving the object by d, the field of view kept,
+    # multiplies every sample by e^{-2 pi i k . d}; synthesis of a tiled
+    # pipe's first layer, times the sum over the layers, rests on it
+    mesh, m0, field = drawn_box(data, divisions)
+    moved = TetMesh(mesh.vertices + shift, mesh.tets, mesh.boundary_faces,
+                    mesh.boundary_labels)
+    params = property_params(n_pz)
+    here = synthesize_through(step, mesh, m0, field, params)
+    there = synthesize_through(step, moved, m0, field, params)
+    phase = k_phase(params, shift)
+    for encode in ENCODE_AXES:
+        err = relative_l2(there.signals[encode], here.signals[encode] * phase)
+        assert err <= 1e-10, \
+            f"encode {encode}: the moved object is {err:.2e} from the shift"
+
+
+@settings(max_examples=20, deadline=None)
+@given(data=st.data(),
+       divisions=st.tuples(*[st.integers(1, 2)] * 3),
+       n_pz=st.integers(16, 40),
+       u=st.tuples(*[st.floats(-1.0, 1.0)] * 3),
+       step=st.sampled_from(["table", "nufft"]))
+def test_uniform_velocity_is_a_drift_and_an_encode_phase(
+        data, divisions, n_pz, u, step):
+    # spins that all move at u sit at r + u t_i at sample i: the object at
+    # rest moved by u t_i, times e^{-i pi u_a / VENC} for encode a
+    mesh, m0, _ = drawn_box(data, divisions)
+    params = property_params(n_pz)
+    frames = [synthesize_through(step, mesh, m0, uniform_field(mesh, v),
+                                 params) for v in ((0.0, 0.0, 0.0), u)]
+    times = sequence_timings(params).sample_times
+    drift = k_phase(params, np.outer(times, u))
+    for encode in ENCODE_AXES:
+        phase = drift if encode == "ref" else drift * np.exp(
+            -1j * np.pi * u["xyz".index(encode)] / params.venc)
+        err = relative_l2(frames[1].signals[encode],
+                          frames[0].signals[encode] * phase)
+        assert err <= 1e-10, \
+            f"encode {encode}: uniform drift is {err:.2e} from its phase"
+
+
+# =========================================================================
+# Layers of a tiled pipe
+# =========================================================================
+
+@pytest.fixture
+def tets_synthesized(monkeypatch):
+    """The tet counts the syntheses of a test hand to the partition sums."""
+    counts, partition_sums = [], mri._partition_sums
+
+    def counting(vertices, tets, *args):
+        counts.append(len(tets))
+        return partition_sums(vertices, tets, *args)
+
+    monkeypatch.setattr(mri, "_partition_sums", counting)
+    return counts
+
+
+def swirling_frames(pipe, scales):
+    """A frame per scale of a field that varies over the cross-section,
+    the same in every ring, as the pipeline's flow is."""
+    field, _ = pipe_swirl(pipe)
+    return VelocityField(times=np.arange(len(scales), dtype=float),
+                         values=np.multiply.outer(scales, field.values[0]))
+
+
+# covers the 0.1 m pipe: 6 partitions of 20 mm centred on it
+LAYER_PARAMS = SequenceParams(venc=0.8, matrix=(4, 6, 6),
+                              voxel=(0.01, 0.004, 0.02), adc_bandwidth=32e3,
+                              fov_center=(0.0, 0.0, 0.05))
+
+
+def assert_layers_match_whole_mesh(monkeypatch, tets_synthesized, pipe, m0,
+                                   field, params):
+    layers, per_layer, _, _ = pipe_layers(pipe, m0, *field.values)
+    for frame in range(field.n_frames):
+        tiled = synthesize_frame(pipe, m0, field, params, frame=frame)
+        with monkeypatch.context() as m:
+            m.setattr(mri, "pipe_layers", lambda *args: None)
+            whole = synthesize_frame(pipe, m0, field, params, frame=frame)
+        for encode in ENCODE_AXES:
+            err = relative_l2(tiled.signals[encode], whole.signals[encode])
+            assert err <= 1e-12, \
+                f"frame {frame}, encode {encode}: {layers} layers are " \
+                f"{err:.2e} from the whole mesh"
+    assert tets_synthesized == [per_layer, pipe.n_tets] * field.n_frames
+
+
+@pytest.mark.parametrize("resolution, n_pz", [(0, 36), (1, 6), (2, 6)])
+def test_layer_path_matches_the_whole_mesh(monkeypatch, tets_synthesized,
+                                           resolution, n_pz):
+    # the default config's 36 partitions on its pipe, and 6 on the finer
+    # ones to keep the whole-mesh sums short; all take the real table
+    pipe = generate_pipe_mesh(0.01, 0.1, resolution=resolution)
+    params = SequenceParams(venc=0.8, matrix=(4, 6, n_pz),
+                            voxel=(0.01, 0.004, 0.12 / n_pz),
+                            adc_bandwidth=32e3, fov_center=(0.0, 0.0, 0.05))
+    field = swirling_frames(pipe, [1.0, -0.4, 0.7])
+    _, r2 = pipe_swirl(pipe)
+    assert_layers_match_whole_mesh(monkeypatch, tets_synthesized, pipe,
+                                   1.0 + 0.5 * r2, field, params)
+
+
+def test_layer_path_matches_the_whole_mesh_on_a_reloaded_pipe(
+        monkeypatch, tets_synthesized, tmp_path):
+    # load_mesh keeps the pipe metadata and the tets in their order, and
+    # the NUFFT takes the layer of this reloaded pipe
+    save_mesh(generate_pipe_mesh(0.01, 0.1, resolution=1), tmp_path / "p.vtk")
+    pipe = load_mesh(tmp_path / "p.vtk")
+    field = swirling_frames(pipe, [0.3, 1.0])
+    assert_layers_match_whole_mesh(monkeypatch, tets_synthesized, pipe,
+                                   np.ones(pipe.n_vertices), field, SPREAD_72)
+
+
+def nudged(pipe, vertex, axis):
+    """The pipe with one coordinate of one vertex moved by one ulp."""
+    vertices = pipe.vertices.copy()
+    vertices[vertex, axis] = np.nextafter(vertices[vertex, axis], np.inf)
+    return TetMesh(vertices, pipe.tets, pipe.boundary_faces,
+                   pipe.boundary_labels, pipe.metadata)
+
+
+def whole_mesh_cases():
+    """(name, mesh, m0, field) of inputs that do not repeat per layer."""
+    pipe = generate_pipe_mesh(0.01, 0.1, resolution=0)
+    per_ring = pipe.n_vertices // 6
+    field = swirling_frames(pipe, [1.0])
+    m0 = np.ones(pipe.n_vertices)
+    changed = field.values.copy()
+    changed[0, 2 * per_ring:3 * per_ring, 2] *= 1.0 + 1e-3
+    box = generate_box_mesh((0.008, 0.008, 0.08), (2, 2, 5),
+                            center=(0.0, 0.0, 0.05))
+    return [
+        ("x moved", nudged(pipe, 3 * per_ring + 7, 0), m0, field),
+        ("z moved", nudged(pipe, 4 * per_ring + 2, 2), m0, field),
+        ("one layer's velocity", pipe, m0,
+         VelocityField(times=field.times, values=changed)),
+        ("m0 along z", pipe, 1.0 + pipe.vertices[:, 2], field),
+        ("box", box, np.ones(box.n_vertices),
+         uniform_field(box, (0.1, 0.0, 0.5))),
+    ]
+
+
+@pytest.mark.parametrize("case", range(5))
+def test_inputs_that_do_not_repeat_per_layer_take_the_whole_mesh(
+        tets_synthesized, case):
+    name, mesh, m0, field = whole_mesh_cases()[case]
+    assert pipe_layers(mesh, m0, *field.values) is None, name
+    assert_matches_direct_sum(mesh, m0, field, LAYER_PARAMS)
+    assert tets_synthesized == [mesh.n_tets], name
 
 
 @settings(max_examples=200, deadline=None)
