@@ -92,6 +92,7 @@ from __future__ import annotations
 import json
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, fields
+from functools import cache
 from math import ceil, isfinite, prod, sqrt
 from pathlib import Path
 from typing import Mapping
@@ -330,27 +331,18 @@ class KSpaceData:
     """Cartesian k-space samples for one cardiac phase.
 
     ``signals`` maps encode name ('ref', 'x', 'y', 'z') to a complex
-    grid of shape (readout * oversampling, phase, partition). Sample
-    times vary along the readout only and are shared by every line.
+    grid of shape (readout * oversampling, phase, partition), read out
+    at ``sequence_timings(params).sample_times`` on every line.
     """
 
     signals: dict
-    sample_times: np.ndarray
     params: SequenceParams
     frame_time: float = 0.0
     seed: int | None = None
 
     def __post_init__(self):
-        shape = (self.params.acquired_readout, self.params.matrix[1],
-                 self.params.matrix[2])
-        _check_encodes(self.signals, shape, "grid", "k-space samples")
-        self.sample_times = np.asarray(self.sample_times, dtype=float)
-        if self.sample_times.shape != (shape[0],):
-            raise ValidationError("one acquisition time per readout sample "
-                                  "required")
-        if not np.all(np.isfinite(self.sample_times)) \
-                or np.any(self.sample_times < 0):
-            raise ValidationError("sample times must be finite and >= 0")
+        _check_encodes(self.signals, _grid_shape(_KSPACE_FORMAT, self.params),
+                       "grid", "k-space samples")
 
     def max_amplitude(self) -> float:
         return max(np.abs(grid).max() for grid in self.signals.values())
@@ -365,8 +357,8 @@ class ImageVolume:
     frame_time: float = 0.0
 
     def __post_init__(self):
-        _check_encodes(self.volumes, tuple(self.params.matrix), "volume",
-                       "voxels")
+        _check_encodes(self.volumes, _grid_shape(_IMAGE_FORMAT, self.params),
+                       "volume", "voxels")
 
 
 @dataclass
@@ -449,13 +441,13 @@ _ES_BETA = 2.30 * _ES_WIDTH
 _ES_GRID = 2
 
 # the NUFFT is taken when its largest block footprint plus the kernel
-# width is at most this share of the real table's 2c+1 rows. Measured
-# per frame with one BLAS thread on a 2-CPU Xeon: the slab (113
-# partitions, resolution-2 pipe), 113 real rows against 24 spread (5.2
-# groups of 12 per sample), 1.63 s real, 0.33 s spread; the resolution-2
-# pipe with the default 36 partitions, 37 against 20 (4.1 groups),
-# 1.62 s real, 1.36 s spread; the default config, 37 against 67 (26.4
-# groups), 0.020 s real, 0.028 s spread
+# width is at most this share of the real table's 2c+1 rows, on the one
+# layer that step 7 synthesizes. CPU time per frame on that layer, one
+# BLAS thread, 2-CPU Xeon: the default config, 37 real rows against 27
+# spread, 6 ms real, 8 ms spread; the slab (113 partitions,
+# resolution-2 pipe), 113 against 19, 85 ms real, 20 ms spread; the
+# resolution-2 pipe with the default 36 partitions, 37 against 17,
+# keeps the table at 80 ms where the NUFFT takes 73 ms
 _SPREAD_SHARE = 1 / 3
 
 
@@ -599,14 +591,20 @@ def _es_kernel(x, out=None):
     return np.exp(out, out=out)
 
 
+@cache
+def _es_quadrature():
+    """Nodes of ``_es_transform`` and its weights times the kernel there,
+    made once, on first use: the real table never needs them."""
+    nodes, weights = np.polynomial.legendre.leggauss(4 * _ES_WIDTH)
+    return nodes, _ES_WIDTH / 2 * (weights * _es_kernel(nodes))
+
+
 def _es_transform(freq: np.ndarray) -> np.ndarray:
     """Fourier transform of the kernel spread over ``_ES_WIDTH`` cells, at
     ``freq`` cycles per cell, by Gauss-Legendre quadrature; the kernel is
     even, so the transform is its cosine transform."""
-    nodes, weights = np.polynomial.legendre.leggauss(4 * _ES_WIDTH)
-    half = _ES_WIDTH / 2
-    return half * (weights * _es_kernel(nodes)) @ np.cos(
-        2 * np.pi * half * np.outer(nodes, freq))
+    nodes, weighted = _es_quadrature()
+    return weighted @ np.cos(np.pi * _ES_WIDTH * np.outer(nodes, freq))
 
 
 class _SpreadGrid:
@@ -792,15 +790,13 @@ def synthesize_frame(mesh: TetMesh, m0: np.ndarray, field: VelocityField,
     velocities = field.values[frame]
     layers = pipe_layers(mesh, m0, velocities)
     tets = mesh.tets if layers is None else mesh.tets[:layers[1]]
-    timings = sequence_timings(params)
     grids = _partition_sums(mesh.vertices, tets, m0, velocities, rule, params,
-                            timings.sample_times)
+                            sequence_timings(params).sample_times)
     if layers is not None:
         # step 7: the first layer's grids times sum_l e^{-2 pi i k_z z_l}
         k_pz = params.k_axes()[2]
         grids *= np.exp(-2j * np.pi * np.outer(k_pz, layers[3])).sum(axis=1)
-    return KSpaceData(signals=dict(zip(ENCODE_AXES, grids)),
-                      sample_times=timings.sample_times, params=params,
+    return KSpaceData(signals=dict(zip(ENCODE_AXES, grids)), params=params,
                       frame_time=float(field.times[frame]))
 
 
@@ -831,8 +827,7 @@ def add_noise(k: KSpaceData, sigma_fraction: float,
         raise ValidationError("sigma_fraction must be >= 0")
     if sigma_fraction == 0:
         return KSpaceData(signals={n: g.copy() for n, g in k.signals.items()},
-                          sample_times=k.sample_times.copy(), params=k.params,
-                          frame_time=k.frame_time, seed=seed)
+                          params=k.params, frame_time=k.frame_time, seed=seed)
     sigma = sigma_fraction * k.max_amplitude()
     rng = np.random.default_rng(seed)
     noisy = {}
@@ -840,8 +835,8 @@ def add_noise(k: KSpaceData, sigma_fraction: float,
         grid = k.signals[name]
         noise = rng.normal(0.0, sigma, size=grid.shape + (2,))
         noisy[name] = grid + noise.view(complex)[..., 0]
-    return KSpaceData(signals=noisy, sample_times=k.sample_times.copy(),
-                      params=k.params, frame_time=k.frame_time, seed=seed)
+    return KSpaceData(signals=noisy, params=k.params, frame_time=k.frame_time,
+                      seed=seed)
 
 
 # =========================================================================
@@ -899,6 +894,15 @@ def phase_to_velocity(img: ImageVolume) -> ReconstructedVelocity:
 _KSPACE_FORMAT = "hemoflow-kspace"
 _IMAGE_FORMAT = "hemoflow-images"
 
+
+def _grid_shape(fmt: str, params: SequenceParams) -> tuple:
+    """The shape of each grid of a container of format ``fmt``: the
+    acquired k-space, or the image matrix with the readout cropped."""
+    if fmt == _KSPACE_FORMAT:
+        return (params.acquired_readout, *params.matrix[1:])
+    return tuple(params.matrix)
+
+
 # sequence parameters that sidecars carried before they were removed
 _RETIRED_PARAMS = ("cardiac_phases", "time_spacing")
 
@@ -912,7 +916,6 @@ def _save_container(fmt, grids, params, frame_time, path, extra):
     sidecar = {
         "format": fmt,
         "encodes": encodes,
-        "dims": list(grids[encodes[0]].shape),
         "frame_time": frame_time,
         "params": _params_dict(params),
     }
@@ -935,8 +938,8 @@ def _sidecar_entries(path):
 def _read_sidecar(fmt, path):
     """The sidecar at ``path``, every entry it reads checked, and its
     sequence parameters; inside the caller's ``_sidecar_entries(path)``.
-    Other entries, such as the two more that earlier versions wrote, are
-    ignored."""
+    Other entries, such as ``params_hash``, ``data_file``, ``dims`` and
+    ``sample_times`` that earlier versions wrote, are ignored."""
     try:
         sidecar = json.loads(Path(path).read_text())
     except (OSError, json.JSONDecodeError) as exc:
@@ -951,14 +954,11 @@ def _read_sidecar(fmt, path):
     for key in ("matrix", "voxel", "fov_center"):
         pdict[key] = tuple(pdict[key])
     params = SequenceParams(**pdict)
-    # before the payload is sized: negative entries can still multiply
-    # to its size
-    if not all(type(n) is int and n > 0 for n in sidecar["dims"]):
-        raise ValidationError(f"dims {sidecar['dims']!r} are not positive "
-                              "integers")
-    if len(set(sidecar["encodes"])) != len(sidecar["encodes"]):
-        raise ValidationError(f"encodes {sidecar['encodes']!r} repeat a "
-                              "name")
+    encodes = sidecar["encodes"]
+    if len(encodes) == 0:
+        raise ValidationError(f"encodes {encodes!r} name no encode")
+    if len(set(encodes)) != len(encodes):
+        raise ValidationError(f"encodes {encodes!r} repeat a name")
     frame_time = sidecar["frame_time"]
     if type(frame_time) not in (int, float) or not isfinite(frame_time):
         raise ValidationError(f"frame_time {frame_time!r} is not a finite "
@@ -971,8 +971,8 @@ def _load_container(fmt, path):
     payload is the ``.bin`` beside the sidecar; inside the caller's
     ``_sidecar_entries(path)``."""
     sidecar, params = _read_sidecar(fmt, path)
-    dims, encodes = tuple(sidecar["dims"]), sidecar["encodes"]
-    per_encode = prod(dims)
+    shape, encodes = _grid_shape(fmt, params), sidecar["encodes"]
+    per_encode = prod(shape)
     data = Path(path).with_suffix(".bin")
     # sized before it is read, so a file of another length is not read
     if data.stat().st_size != 8 * per_encode * len(encodes):
@@ -981,7 +981,7 @@ def _load_container(fmt, path):
             f"{per_encode * len(encodes)} complex64 samples")
     raw = np.fromfile(data, dtype=np.complex64)
     grids = {name: raw[i * per_encode:(i + 1) * per_encode]
-             .reshape(dims).astype(complex)
+             .reshape(shape).astype(complex)
              for i, name in enumerate(encodes)}
     return grids, params, sidecar
 
@@ -998,7 +998,7 @@ def save_kspace(k: KSpaceData, path: str | Path) -> None:
     """Write k-space to ``path`` (JSON sidecar) plus its payload, the
     ``.bin`` beside it."""
     _save_container(_KSPACE_FORMAT, k.signals, k.params, k.frame_time, path,
-                    {"sample_times": k.sample_times.tolist(), "seed": k.seed})
+                    {"seed": k.seed})
 
 
 def load_kspace(path: str | Path) -> KSpaceData:
@@ -1006,9 +1006,8 @@ def load_kspace(path: str | Path) -> KSpaceData:
     bad entry or payload is a ValidationError naming the sidecar."""
     with _sidecar_entries(path):
         grids, params, sidecar = _load_container(_KSPACE_FORMAT, path)
-        return KSpaceData(signals=grids,
-                          sample_times=np.asarray(sidecar["sample_times"]),
-                          params=params, frame_time=sidecar["frame_time"],
+        return KSpaceData(signals=grids, params=params,
+                          frame_time=sidecar["frame_time"],
                           seed=sidecar.get("seed"))
 
 

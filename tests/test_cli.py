@@ -16,6 +16,7 @@ from hemoflow.cli import load_config, main
 from hemoflow.errors import ValidationError
 from hemoflow.mesh import generate_box_mesh, generate_pipe_mesh, \
     load_mesh, save_mesh
+from hemoflow.mri import load_kspace, sequence_timings
 from hemoflow.pipeline import DEFAULTS, render_config
 from test_mesh import MALFORMED, malformed_pipe
 from test_vtk_text import assert_mesh_sections, decode_binary_vtk
@@ -711,8 +712,8 @@ def with_param(key, value):
 # a bad entry in the sidecar of phase 1 of 4 -> (command, container,
 # the edited sidecar)
 BAD_SIDECARS = {
-    "dims a string": ("reconstruct", "kspace",
-                      lambda sidecar: {**sidecar, "dims": "abc"}),
+    "encodes empty": ("reconstruct", "kspace",
+                      lambda sidecar: {**sidecar, "encodes": []}),
     "encodes a number": ("reconstruct", "kspace",
                          lambda sidecar: {**sidecar, "encodes": 3}),
     "a list": ("reconstruct", "kspace", lambda sidecar: [1, 2]),
@@ -746,6 +747,64 @@ def test_bad_sidecar_entry_exits_2_naming_the_file(demo, tmp_path, capsys,
     err = capsys.readouterr().err
     assert f"[stage {command}] {sidecar}: " in err, err
     assert not out.exists(), f"{command} made {out.name}"
+
+
+def test_kspace_naming_no_encode_exits_2_and_writes_nothing(demo, tmp_path,
+                                                            capsys):
+    # an empty payload is the size that no encode implies, so only the
+    # sidecar step can refuse it, before any image is written
+    _, run = demo
+    source = tmp_path / "kspace"
+    copy_phases(run, "kspace", range(4), source)
+    sidecar = source / "kspace_phase000.json"
+    sidecar.write_text(json.dumps({**json.loads(sidecar.read_text()),
+                                   "encodes": []}))
+    sidecar.with_suffix(".bin").write_bytes(b"")
+    out = tmp_path / "out"
+    assert main(["reconstruct", "--kspace", str(source), "--out",
+                 str(out)]) == 2
+    assert f"[stage reconstruct] {sidecar}: encodes [] name no encode" \
+        in capsys.readouterr().err
+    assert not out.exists(), "reconstruct made its output directory"
+
+
+def add_entries(sidecar_path, after, **entries):
+    """Put ``entries`` into a sidecar right after its entry ``after``."""
+    sidecar, written = json.loads(sidecar_path.read_text()), {}
+    for key, value in sidecar.items():
+        written[key] = value
+        if key == after:
+            written.update(entries)
+    sidecar_path.write_text(json.dumps(written, indent=2) + "\n")
+
+
+def test_sidecars_of_the_earlier_format_give_the_same_images_and_stats(
+        demo, tmp_path):
+    # earlier versions also wrote each grid's shape, and k-space its
+    # sample times; both follow from the sequence parameters, are
+    # ignored, and the chain's bytes hold
+    config, run = demo
+    kspace, recon = tmp_path / "kspace", tmp_path / "recon"
+    copy_phases(run, "kspace", range(4), kspace)
+    for path in kspace.glob("*.json"):
+        params = load_kspace(path).params
+        add_entries(path, "encodes", dims=[params.acquired_readout,
+                                           *params.matrix[1:]])
+        add_entries(path, "params", sample_times=sequence_timings(
+            params).sample_times.tolist())
+    assert main(["reconstruct", "--kspace", str(kspace), "--out",
+                 str(recon)]) == 0
+    for path in recon.glob("*.json"):
+        add_entries(path, "encodes",
+                    dims=json.loads(path.read_text())["params"]["matrix"])
+    out = tmp_path / "estimate"
+    assert main(["estimate", "--images", str(recon), "--config", str(config),
+                 "--out", str(out)]) == 0
+    assert len(list(recon.glob("*.bin"))) == 4
+    for path in recon.glob("*.bin"):
+        assert path.read_bytes() == (run / path.name).read_bytes(), path.name
+    for name in ("stats.csv", "fields_systole.vtk"):
+        assert (out / name).read_bytes() == (run / name).read_bytes(), name
 
 
 def test_estimate_refuses_images_on_two_grids(tmp_path, capsys):
