@@ -13,16 +13,16 @@ along their frame velocity during the readout. Echo time and sample
 times come from shortest-duration trapezoidal gradients on a fixed
 raster under slew and amplitude limits.
 
-The sum is evaluated in one pass for the four encodes:
+The sum is evaluated in one pass for the encodes that can differ:
 
 1. Shared operand. For each readout sample, one phase-encode operand
-   L is built once for the four encodes, in ``_partition_sums``, and
-   handed to the partition step (4 or 6), which contracts it in batched
-   matrix products. L is encode-minor, (n_pe, n, 4): row 0 is
-   amp * A (the readout/T2* factor times each point's encode
-   amplitudes) and each later row the one before times s_y, one
-   contiguous product per row. L carries no partition phase; the
-   partition step owns that axis.
+   L is built once for the n_enc distinct encodes (step 8), in
+   ``_partition_sums``, and handed to the partition step (4 or 6),
+   which contracts it in batched matrix products. L is encode-minor,
+   (n_pe, n, n_enc): row 0 is amp * A (the readout/T2* factor times
+   each point's encode amplitudes) and each later row the one before
+   times s_y, one contiguous product per row. L carries no partition
+   phase; the partition step owns that axis.
 2. Recurrence in k. The k axes are evenly spaced, so each ramp row is
    the previous one times e^{-2 pi i c dk}: one complex product per
    table entry instead of one exponential.
@@ -82,6 +82,11 @@ The sum is evaluated in one pass for the four encodes:
    the rest costs one sum over the layers per partition. It agrees with
    the whole mesh to about 1e-14 relative L2. Any other input takes the
    whole mesh.
+8. Still axes. An encode differs from the reference only by its
+   amplitude e^{-i pi u_a/VENC}, exactly 1 at every point (each a convex
+   combination of its tet's corners) when no vertex moves along a, as
+   in the pipe's axial flow. Steps 1-7 take only the reference and the
+   moving axes; each still axis gets its own copy of the reference.
 
 All quantities are SI: meters, seconds, tesla. Note the slew rate unit
 is T/m/s (195 T/m/s is a typical whole-body gradient system).
@@ -315,7 +320,9 @@ def _params_dict(params: SequenceParams) -> dict:
 
 
 def _check_encodes(grids: dict, shape: tuple, kind: str, values: str):
-    """Refuse unknown encodes, grids of another shape and non-finite ones."""
+    """Refuse none, unknown encodes, misshapen grids and non-finite ones."""
+    if not grids:
+        raise ValidationError(f"no encode {kind} is named")
     for name, grid in grids.items():
         if name not in ENCODE_AXES:
             raise ValidationError(f"unknown encode {name!r}")
@@ -442,12 +449,12 @@ _ES_GRID = 2
 
 # the NUFFT is taken when its largest block footprint plus the kernel
 # width is at most this share of the real table's 2c+1 rows, on the one
-# layer that step 7 synthesizes. CPU time per frame on that layer, one
-# BLAS thread, 2-CPU Xeon: the default config, 37 real rows against 27
-# spread, 6 ms real, 8 ms spread; the slab (113 partitions,
-# resolution-2 pipe), 113 against 19, 85 ms real, 20 ms spread; the
-# resolution-2 pipe with the default 36 partitions, 37 against 17,
-# keeps the table at 80 ms where the NUFFT takes 73 ms
+# layer that step 7 synthesizes. CPU time per frame of the axial flow's
+# two encodes (step 8) on that layer, one BLAS thread, 2-CPU Xeon: the
+# default config, 37 real rows against 27 spread, 5 ms real, 10 ms
+# spread; the slab (113 partitions, resolution-2 pipe), 113 against 19,
+# 31 ms real, 13 ms spread; the resolution-2 pipe with the default 36
+# partitions, 37 against 17, keeps the table at 75 ms; the NUFFT, 49 ms
 _SPREAD_SHARE = 1 / 3
 
 
@@ -713,8 +720,8 @@ def _spread_rows(vertices, tets, velocities, times, per_block: int,
 
 
 def _partition_sums(vertices, tets, m0, velocities, rule,
-                    params: SequenceParams, times) -> np.ndarray:
-    """k-space grids (4, n_ro, n_pe, n_pz) of the encodes ``ENCODE_AXES``.
+                    params: SequenceParams, times, axes) -> np.ndarray:
+    """k-space grids (1 + len(axes), n_ro, n_pe, n_pz): ref, then ``axes``.
 
     The quadrature points are made one block of tets at a time; each
     sample's encode-minor operand (step 1) goes to the partition step,
@@ -725,7 +732,7 @@ def _partition_sums(vertices, tets, m0, velocities, rule,
     and builds the operand in that order.
     """
     k_ro, k_pe, k_pz = params.k_axes()
-    n_enc, n_pe, n_pz = len(ENCODE_AXES), k_pe.size, k_pz.size
+    n_enc, n_pe, n_pz = 1 + len(axes), k_pe.size, k_pz.size
     # whole tets per block; a rule with more points than _BLOCK takes one
     per_block = max(1, _BLOCK // len(rule[1]))
     n_max = per_block * len(rule[1])
@@ -746,7 +753,8 @@ def _partition_sums(vertices, tets, m0, velocities, rule,
         n = wm.size
         amp = amp_buf[:n * n_enc].reshape(n, n_enc)
         amp[:, 0] = wm
-        np.multiply(wm[:, None], np.exp(-1j * np.pi * vel / params.venc),
+        np.multiply(wm[:, None],
+                    np.exp(-1j * np.pi * vel[:, axes] / params.venc),
                     out=amp[:, 1:])
         left = left_buf[:n_pe * n * n_enc].reshape(n_pe, n, n_enc)
         step = step_buf[:n * n_enc].reshape(n, n_enc)
@@ -770,8 +778,8 @@ def _partition_sums(vertices, tets, m0, velocities, rule,
 def synthesize_frame(mesh: TetMesh, m0: np.ndarray, field: VelocityField,
                      params: SequenceParams, frame: int = 0,
                      quadrature: int = 4) -> KSpaceData:
-    """All four encodes (reference + x, y, z) for one cardiac phase, in
-    one pass.
+    """All four encodes (reference + x, y, z) for one cardiac phase; the
+    distinct ones in one pass (module docstring, step 8).
 
     ``frame`` picks the velocity frame; spins move ballistically along
     that frame's velocity during the acquisition of each line.
@@ -788,14 +796,19 @@ def synthesize_frame(mesh: TetMesh, m0: np.ndarray, field: VelocityField,
         raise ValidationError("m0 must be finite and nonnegative")
 
     velocities = field.values[frame]
+    moving = velocities.any(axis=0)
     layers = pipe_layers(mesh, m0, velocities)
     tets = mesh.tets if layers is None else mesh.tets[:layers[1]]
     grids = _partition_sums(mesh.vertices, tets, m0, velocities, rule, params,
-                            sequence_timings(params).sample_times)
+                            sequence_timings(params).sample_times,
+                            np.flatnonzero(moving))
     if layers is not None:
         # step 7: the first layer's grids times sum_l e^{-2 pi i k_z z_l}
         k_pz = params.k_axes()[2]
         grids *= np.exp(-2j * np.pi * np.outer(k_pz, layers[3])).sum(axis=1)
+    if not moving.all():
+        # step 8: the grids in encode order, a still axis's a copy of row 0
+        grids = grids[np.r_[0, np.where(moving, np.cumsum(moving), 0)]]
     return KSpaceData(signals=dict(zip(ENCODE_AXES, grids)), params=params,
                       frame_time=float(field.times[frame]))
 

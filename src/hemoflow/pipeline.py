@@ -485,6 +485,12 @@ def stage_mri(cfg: RunConfig, mesh, field, out: Path) -> list[Path]:
     layers = pipe_layers(mesh, m0, *field.values)
     log.info("synthesis: %s", "whole-mesh path" if layers is None
              else f"layer path over {layers[0]} layers")
+    # an axis no vertex moves along in any frame takes the reference's grid
+    # in every frame (mri docstring, step 8)
+    moving = [a for a, m in zip("xyz", field.values.any(axis=(0, 1))) if m]
+    still = ", ".join(sorted(set("xyz") - set(moving)))
+    log.info("synthesis: encodes %s%s", ", ".join(["ref", *moving]),
+             still and f"; the reference's grid serves {still}")
     paths = []
     for frame in range(field.n_frames):
         k = synthesize_frame(mesh, m0, field, cfg.sequence, frame=frame,

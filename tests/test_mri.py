@@ -854,6 +854,64 @@ def test_uniform_velocity_is_a_drift_and_an_encode_phase(
             f"encode {encode}: uniform drift is {err:.2e} from its phase"
 
 
+@settings(max_examples=20, deadline=None)
+@given(data=st.data(),
+       divisions=st.tuples(*[st.integers(1, 2)] * 3),
+       n_pz=st.integers(16, 40),
+       still=st.sets(st.integers(0, 2)))
+def test_encodes_along_still_axes_copy_the_reference(data, divisions, n_pz,
+                                                     still):
+    # an encode differs from the reference only by e^{-i pi u_a / VENC},
+    # exactly 1 where no vertex moves along axis a: synthesis gives that
+    # encode its own copy of the reference's grid, through either step
+    mesh, m0, field = drawn_box(data, divisions)
+    field.values[0][:, sorted(still)] = 0.0
+    params = property_params(n_pz)
+    for step in ("table", "nufft"):
+        k = synthesize_through(step, mesh, m0, field, params)
+        for encode in ENCODE_AXES:
+            err = relative_l2(k.signals[encode],
+                              direct_sum(mesh, m0, field, params, encode))
+            assert err <= 1e-10, \
+                f"{step}, encode {encode}: {err:.2e} from the direct sum"
+        ref = k.signals["ref"]
+        for axis in still:
+            grid = k.signals["xyz"[axis]]
+            assert np.array_equal(grid, ref), f"{step}, axis {axis}"
+            assert not np.shares_memory(grid, ref), f"{step}, axis {axis}"
+
+
+@pytest.mark.parametrize("u_x", [5e-324, 1e-6])
+def test_one_vertex_moving_along_an_axis_synthesizes_its_encode(
+        monkeypatch, u_x):
+    # an axial pipe flow synthesizes ref and z; one vertex moving along x,
+    # by the least subnormal or by 1 um/s, makes the x encode its own.
+    # At 5e-324 its amplitude differs from the reference's below the sums'
+    # round-off, so the grids may agree; at 1e-6 they differ
+    pipe = generate_pipe_mesh(0.01, 0.1, resolution=0)
+    m0 = np.ones(pipe.n_vertices)
+    field, _ = pipe_swirl(pipe)
+    field.values[0][:, :2] = 0.0
+    synthesized, partition_sums = [], mri._partition_sums
+
+    def recording(*args):
+        synthesized.append(list(args[-1]))
+        return partition_sums(*args)
+
+    monkeypatch.setattr(mri, "_partition_sums", recording)
+    synthesize_frame(pipe, m0, field, LAYER_PARAMS)
+    field.values[0][7, 0] = u_x
+    k = synthesize_frame(pipe, m0, field, LAYER_PARAMS)
+    assert synthesized == [[2], [0, 2]]
+    for encode in ENCODE_AXES:
+        err = relative_l2(k.signals[encode],
+                          direct_sum(pipe, m0, field, LAYER_PARAMS, encode))
+        assert err <= 1e-10, f"encode {encode}: {err:.2e} from the direct sum"
+    if u_x > 5e-324:
+        assert not np.array_equal(k.signals["x"], k.signals["ref"])
+    assert np.array_equal(k.signals["y"], k.signals["ref"])
+
+
 # =========================================================================
 # Layers of a tiled pipe
 # =========================================================================
@@ -1387,9 +1445,12 @@ def test_non_finite_payload_names_the_sidecar(tmp_path):
 
 
 def test_kspace_validation():
-    # each refusal names the encode and what is wrong with its grid
+    # each refusal names the encode and what is wrong with its grid, or
+    # that no encode is named: add_noise found no largest sample in one
     grid = np.zeros((16, 8, 8), complex)
     cases = (
+        (KSpaceData, "signals", {}, "no encode grid is named"),
+        (ImageVolume, "volumes", {}, "no encode volume is named"),
         (KSpaceData, "signals", {"bogus": grid}, "unknown encode 'bogus'"),
         (KSpaceData, "signals", {"x": grid[:4]},
          "encode 'x' grid is (4, 8, 8), expected (16, 8, 8)"),
