@@ -67,6 +67,9 @@ FIRST_OUTLET_LABEL = 2
 # (1 + g) x - g x^2, so rings crowd toward the wall
 WALL_GRADING = 0.5
 
+# the generated pipe's resolutions and its layers of prisms along z at each
+PIPE_LAYER_COUNTS = {r: 5 * 2 ** r for r in range(7)}
+
 # Local vertex triples of the four faces of a positively oriented
 # tetrahedron, face j opposite corner j, wound so the right-hand-rule
 # normal points into the tet: the boundary windings come from this table.
@@ -597,12 +600,12 @@ def generate_pipe_mesh(radius: float, length: float,
     if not (0 < radius < np.inf and 0 < length < np.inf):
         raise ValidationError("pipe radius and length must be finite and "
                               f"positive, got {radius!r} and {length!r}")
-    if not _is_integer(resolution) or not 0 <= resolution <= 6:
-        raise ValidationError(
-            f"pipe resolution must be an integer in [0, 6], got {resolution!r}")
+    if not _is_integer(resolution) or resolution not in PIPE_LAYER_COUNTS:
+        raise ValidationError("pipe resolution must be an integer in [0, "
+                              f"{max(PIPE_LAYER_COUNTS)}], got {resolution!r}")
     arcs = 16 * 2 ** resolution
     rings = 2 * 2 ** resolution
-    layers = 5 * 2 ** resolution
+    layers = PIPE_LAYER_COUNTS[resolution]
 
     disk, tris = _disk_triangulation(arcs, rings, WALL_GRADING)
     per_layer = len(disk)
@@ -640,9 +643,9 @@ def pipe_layers(mesh: TetMesh, *per_vertex):
     """
     pipe = mesh.metadata.get("pipe")
     res = pipe.get("resolution") if isinstance(pipe, dict) else None
-    if not (_is_integer(res) and 0 <= res <= 6):
+    if not (_is_integer(res) and res in PIPE_LAYER_COUNTS):
         return None
-    layers = 5 * 2 ** res
+    layers = PIPE_LAYER_COUNTS[res]
     per_ring, extra = divmod(mesh.n_vertices, layers + 1)
     if extra or not per_ring or mesh.n_tets % layers:
         return None

@@ -95,6 +95,7 @@ is T/m/s (195 T/m/s is a typical whole-body gradient system).
 from __future__ import annotations
 
 import json
+import logging
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, fields
 from functools import cache
@@ -107,6 +108,8 @@ import numpy as np
 from .errors import SequenceError, ValidationError
 from .flowfields import VelocityField
 from .mesh import TetMesh, _is_integer, _tet_vol6, pipe_layers
+
+log = logging.getLogger("hemoflow")
 
 __all__ = [
     "GYROMAGNETIC_RATIO",
@@ -449,12 +452,7 @@ _ES_GRID = 2
 
 # the NUFFT is taken when its largest block footprint plus the kernel
 # width is at most this share of the real table's 2c+1 rows, on the one
-# layer that step 7 synthesizes. CPU time per frame of the axial flow's
-# two encodes (step 8) on that layer, one BLAS thread, 2-CPU Xeon: the
-# default config, 37 real rows against 27 spread, 5 ms real, 10 ms
-# spread; the slab (113 partitions, resolution-2 pipe), 113 against 19,
-# 31 ms real, 13 ms spread; the resolution-2 pipe with the default 36
-# partitions, 37 against 17, keeps the table at 75 ms; the NUFFT, 49 ms
+# layer that step 7 synthesizes; the README gives the times that set it
 _SPREAD_SHARE = 1 / 3
 
 
@@ -739,11 +737,13 @@ def _partition_sums(vertices, tets, m0, velocities, rule,
     per_metre = _ES_GRID * n_pz / params.fov[2]
     spread = _spread_rows(vertices, tets, velocities, times, per_block,
                           per_metre)
-    if spread <= _SPREAD_SHARE * (2 * (n_pz // 2) + 1):
-        partitions = _SpreadGrid(times, n_pz, per_metre, n_enc, n_pe, n_max)
-    else:
-        partitions = _FoldedTable(times, n_pz, _spacing(k_pz), n_enc, n_pe,
-                                  n_max)
+    rows = 2 * (n_pz // 2) + 1
+    nufft = spread <= _SPREAD_SHARE * rows
+    log.info("synthesis: %s, %d rows against %d spread", "partition NUFFT"
+             if nufft else "real partition table", rows, spread)
+    partitions = (_SpreadGrid(times, n_pz, per_metre, n_enc, n_pe, n_max)
+                  if nufft else _FoldedTable(times, n_pz, _spacing(k_pz),
+                                             n_enc, n_pe, n_max))
     amp_buf = np.empty(n_enc * n_max, dtype=complex)
     left_buf = np.empty(n_pe * n_max * n_enc, dtype=complex)
     step_buf = np.empty(n_max * n_enc, dtype=complex)
@@ -778,11 +778,10 @@ def _partition_sums(vertices, tets, m0, velocities, rule,
 def synthesize_frame(mesh: TetMesh, m0: np.ndarray, field: VelocityField,
                      params: SequenceParams, frame: int = 0,
                      quadrature: int = 4) -> KSpaceData:
-    """All four encodes (reference + x, y, z) for one cardiac phase; the
-    distinct ones in one pass (module docstring, step 8).
-
-    ``frame`` picks the velocity frame; spins move ballistically along
-    that frame's velocity during the acquisition of each line.
+    """All four encodes (reference + x, y, z) for one cardiac phase, the
+    distinct ones in one pass (step 8); logs its layer path, encodes and
+    partition step at INFO. ``frame`` picks the velocity frame; spins move
+    ballistically along its velocity during the acquisition of each line.
     """
     rule = _tet_rule(quadrature)
     if not 0 <= frame < field.n_frames:
@@ -799,6 +798,12 @@ def synthesize_frame(mesh: TetMesh, m0: np.ndarray, field: VelocityField,
     moving = velocities.any(axis=0)
     layers = pipe_layers(mesh, m0, velocities)
     tets = mesh.tets if layers is None else mesh.tets[:layers[1]]
+    log.info("synthesis: %s", "whole-mesh path" if layers is None
+             else f"layer path over {layers[0]} layers")
+    still = ", ".join(a for a, m in zip("xyz", moving) if not m)
+    log.info("synthesis: encodes %s%s", ", ".join(
+        a for a, m in zip(ENCODE_AXES, [True, *moving]) if m),
+        still and f"; the reference's grid serves {still}")
     grids = _partition_sums(mesh.vertices, tets, m0, velocities, rule, params,
                             sequence_timings(params).sample_times,
                             np.flatnonzero(moving))

@@ -39,8 +39,8 @@ from .hemodynamics import _COMPARISON_COLUMNS, _DIFFERENCE_COLUMNS, \
     _read_table, _write_table, check_coverage, compare_models, \
     export_fields_vtk, frame_biomarkers, interpolate_to_mesh, osi, \
     recover_gradients, segment_stats, write_comparison_csv, write_stats_csv
-from .mesh import CutPlane, generate_pipe_mesh, load_mesh, pipe_layers, \
-    segment_labels, segment_names, wall_normals
+from .mesh import PIPE_LAYER_COUNTS, CutPlane, generate_pipe_mesh, \
+    load_mesh, segment_labels, segment_names, wall_normals
 from .mri import SequenceParams, _image_sidecar, _tet_rule, add_noise, \
     load_images, load_kspace, phase_to_velocity, reconstruct, save_images, \
     save_kspace, sequence_timings, synthesize_frame
@@ -59,8 +59,9 @@ def _check_mesh_file(text: str) -> None:
 
 
 def _check_resolution(level: int) -> None:
-    if not 0 <= level <= 6:
-        raise ValidationError(f"pipe resolution {level} outside [0, 6]")
+    if level not in PIPE_LAYER_COUNTS:
+        raise ValidationError(
+            f"pipe resolution {level} outside [0, {max(PIPE_LAYER_COUNTS)}]")
 
 
 def _check_hct(hct: float) -> None:
@@ -482,15 +483,6 @@ def stage_mri(cfg: RunConfig, mesh, field, out: Path) -> list[Path]:
     timings = sequence_timings(cfg.sequence)
     log.info("sequence: TE %.3f ms, readout gradient %.2f mT/m",
              timings.echo_time * 1e3, timings.readout_gradient * 1e3)
-    layers = pipe_layers(mesh, m0, *field.values)
-    log.info("synthesis: %s", "whole-mesh path" if layers is None
-             else f"layer path over {layers[0]} layers")
-    # an axis no vertex moves along in any frame takes the reference's grid
-    # in every frame (mri docstring, step 8)
-    moving = [a for a, m in zip("xyz", field.values.any(axis=(0, 1))) if m]
-    still = ", ".join(sorted(set("xyz") - set(moving)))
-    log.info("synthesis: encodes %s%s", ", ".join(["ref", *moving]),
-             still and f"; the reference's grid serves {still}")
     paths = []
     for frame in range(field.n_frames):
         k = synthesize_frame(mesh, m0, field, cfg.sequence, frame=frame,
@@ -547,7 +539,7 @@ def stage_estimate(cfg: RunConfig, fitted: dict, mesh, images: list[Path],
     phases = sorted(((*_image_sidecar(path), path) for path in images),
                     key=lambda phase: phase[0])
     times = np.array([time for time, _, _ in phases])
-    if times.size < 2 or np.any(np.diff(times) <= 0):
+    if times.size < 2 or np.diff(times).min() <= 0:
         raise ValidationError("need at least two distinct cardiac phases")
     grid = phases[0][1].axis_coordinates()
     if not all(all(map(np.array_equal, grid, params.axis_coordinates()))

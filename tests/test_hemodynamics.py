@@ -50,7 +50,8 @@ from hemoflow.mesh import (
 )
 from hemoflow.mri import ReconstructedVelocity, SequenceParams
 from hemoflow.pipeline import fit_models, load_config, read_stats, \
-    stage_estimate, systolic_frame, _written_cross_mean
+    stage_estimate, stage_flow, stage_mesh, systolic_frame, \
+    _written_cross_mean
 from hemoflow.rheology import PowerLawParams, apparent_viscosity
 
 RADIUS, LENGTH, DROP = 0.01, 0.1, 100.0
@@ -459,6 +460,32 @@ def test_osi_input_validation():
         osi(frames, good_t[::-1], 0.8)
     with pytest.raises(ValidationError):
         osi(frames, good_t, 0.5)  # frames span a full period
+
+
+@pytest.mark.parametrize("resolution", [0, 1])
+def test_pipeline_flow_has_zero_osi(tmp_path, resolution):
+    # stage flow's field is a positive waveform times one steady axial
+    # profile, so no wall traction ever turns: through the estimator of
+    # stage estimate its OSI is exactly 0 at every wall vertex for every
+    # fitted model, and any OSI a run reports comes from the acquisition
+    cfg = load_config(overrides={("pipe", "resolution"): resolution})
+    fitted = fit_models(cfg)
+    mesh = stage_mesh(cfg)
+    field, _ = stage_flow(cfg, mesh, fitted["power_law"], tmp_path)
+    wall, normals = wall_normals(mesh)
+    operator = GradientOperator(mesh)
+    tractions = {name: [] for name in fitted}
+    for velocity in field.values:
+        results = frame_biomarkers(
+            recover_gradients(mesh, velocity, operator), wall, normals,
+            operator.nodal_volumes, fitted)
+        for name, (traction, *_) in results.items():
+            tractions[name].append(traction)
+    for name, history in tractions.items():
+        values = osi(np.stack(history), field.times, cfg.period)
+        assert values.shape == wall.shape
+        assert np.all(values == 0.0), \
+            f"{name}: OSI up to {values.max():.2e} on a flow that never turns"
 
 
 # =========================================================================

@@ -1,6 +1,7 @@
 """Tests for sequence timing, signal synthesis, reconstruction, decoding."""
 
 import json
+import logging
 import tracemalloc
 
 import numpy as np
@@ -21,7 +22,7 @@ from hemoflow.mri import (_BLOCK, _ES_WIDTH, _TET_RULES, ENCODE_AXES,
                           phase_to_velocity, reconstruct, save_images,
                           save_kspace, sequence_timings, synthesize_frame,
                           synthesize_signal)
-from hemoflow.pipeline import load_config
+from hemoflow.pipeline import fit_models, load_config, stage_flow, stage_mesh
 
 PROTOCOL_DEFAULTS = SequenceParams()
 
@@ -1012,6 +1013,59 @@ def whole_mesh_cases():
         ("box", box, np.ones(box.n_vertices),
          uniform_field(box, (0.1, 0.0, 0.5))),
     ]
+
+
+def pipeline_input(out, overrides=None):
+    """The mesh, M0, stage flow's field (its flow.csv written to ``out``)
+    and the sequence of a run of the default config with ``overrides``."""
+    cfg = load_config(overrides=overrides)
+    mesh = stage_mesh(cfg)
+    field, _ = stage_flow(cfg, mesh, fit_models(cfg)["power_law"], out)
+    return mesh, np.ones(mesh.n_vertices), field, cfg.sequence
+
+
+def swirl_with_m0_along_z(out):
+    # an M0 that grows along z does not repeat per layer, and the swirl
+    # moves along every axis
+    pipe = generate_pipe_mesh(0.01, 0.1, resolution=0)
+    field, _ = pipe_swirl(pipe)
+    return pipe, 1.0 + 4.0 * pipe.vertices[:, 2], field, LAYER_PARAMS
+
+
+def still_box(out):
+    box = small_box()
+    return box, np.ones(box.n_vertices), uniform_field(box, (0, 0, 0)), SMALL
+
+
+@pytest.mark.parametrize("make, frame, expected", [
+    pytest.param(pipeline_input, 1, [
+        "layer path over 5 layers",
+        "encodes ref, z; the reference's grid serves x, y",
+        "real partition table, 37 rows against 27 spread"], id="default"),
+    # the CI's spread.ini: 2 phases, the resolution-1 pipe, 96 partitions
+    pytest.param(lambda out: pipeline_input(out, {
+        ("flow", "cardiac_phases"): 2, ("pipe", "resolution"): 1,
+        ("sequence", "matrix"): "11, 11, 96"}), 1, [
+        "layer path over 10 layers",
+        "encodes ref, z; the reference's grid serves x, y",
+        "partition NUFFT, 97 rows against 20 spread"], id="96-partitions"),
+    pytest.param(swirl_with_m0_along_z, 0, [
+        "whole-mesh path", "encodes ref, x, y, z",
+        "real partition table, 7 rows against 22 spread"], id="swirl"),
+    pytest.param(still_box, 0, [
+        "whole-mesh path", "encodes ref; the reference's grid serves x, y, z",
+        "real partition table, 9 rows against 21 spread"], id="still-box"),
+])
+def test_synthesis_logs_the_choices_it_makes(caplog, tmp_path, make, frame,
+                                             expected):
+    # the layer path, the encodes synthesized and the partition step with
+    # both inputs of its rule, once per frame, where each choice is made
+    mesh, m0, field, params = make(tmp_path)
+    caplog.clear()
+    with caplog.at_level(logging.INFO, logger="hemoflow"):
+        synthesize_frame(mesh, m0, field, params, frame=frame)
+    assert [r.getMessage() for r in caplog.records] == [
+        f"synthesis: {line}" for line in expected]
 
 
 @pytest.mark.parametrize("case", range(5))
