@@ -62,16 +62,17 @@ The sum is evaluated in one pass for the encodes that can differ:
    a contiguous run, their 12 kernel values are evaluated in that order,
    and the operand L of step 1 is built in that order from the gathered
    per-point factors. Each group takes one real product of its 12 kernel
-   rows with its run of L's columns, added into the sample's grid from
-   the group's first cell, wrapping at the grid's end; no product row is
-   zero. Once per frame each sample's grid is Fourier transformed,
+   rows with its run of L's columns, added as one slice into the sample's
+   grid from the group's first cell, past its end into 12 guard cells; no
+   product row is zero. Once per frame each sample's guard cells are
+   folded onto the grid's start, and the grid is Fourier transformed,
    divided by the kernel's transform and freed before the output is
    stacked. It is taken when the largest block's footprint in cells over
    the readout, plus the kernel width, is at most a third of the real
    table's 2c+1 rows: the paper-scale slab (113 rows against 24, 19 on
    one layer of step 7) takes it, the default config (37 against 67, 27
    on one layer) does not. It agrees with the direct sum to about 1e-11
-   relative L2.
+   relative L2 at any partition count.
 7. Layers. A generated pipe is one layer of prisms tiled along z
    (``mesh.pipe_layers``). When its M0 and the frame's velocities also
    repeat from ring to ring bit for bit, spin q of layer l is spin q of
@@ -549,7 +550,7 @@ class _FoldedTable:
 
     def order(self, i):
         """The real table takes the points as they come."""
-        return None
+        return slice(None)
 
     def add(self, i, left):
         c, pz, table, s_z = self.c, self.pz, self.table, self.s_z
@@ -615,17 +616,17 @@ def _es_transform(freq: np.ndarray) -> np.ndarray:
 class _SpreadGrid:
     """Partition step 6: a 1D type-1 NUFFT along the partition axis.
 
-    The grid has N = ``_ES_GRID`` n_pz cells per partition field of view
-    and wraps at z = 0. Per sample, ``order`` groups the block's points by
-    their first kernel cell: it returns the stable permutation that makes
+    The grid has N = ``_ES_GRID`` n_pz cells per partition field of view and
+    wraps at z = 0. Per sample, ``order`` groups the block's points by their
+    first kernel cell, in [0, N): it returns the stable permutation that makes
     each group a contiguous run of columns, and fills a (``_ES_WIDTH``, n)
     table with each point's kernel values in that order. ``add`` takes the
-    encode-minor operand L (n_pe, n, n_enc) built in the same order and
-    adds each group's product (n_pe, ``_ES_WIDTH``, n_enc) of its table
-    and operand columns into that sample's grid from the group's first
-    cell on, wrapping at the grid's end. Partition m = j - n_pz // 2 is
-    frequency m mod N of the grid's DFT divided by the kernel's transform
-    at m / N.
+    encode-minor operand L (n_pe, n, n_enc) built in the same order and adds
+    each group's product (n_pe, ``_ES_WIDTH``, n_enc) of its table and operand
+    columns into that sample's grid as one slice from the group's first cell,
+    into ``_ES_WIDTH`` guard cells past N that ``grids`` folds onto the start
+    one period N at a time. Partition m = j - n_pz // 2 is frequency m mod N
+    of the grid's DFT divided by the kernel's transform at m / N.
     """
 
     def __init__(self, times: np.ndarray, n_pz: int, per_metre: float,
@@ -634,7 +635,7 @@ class _SpreadGrid:
         self.cells = cells = _ES_GRID * n_pz
         self.per_metre = per_metre
         self.times = times
-        self.acc = [np.zeros((n_pe, cells, n_enc), dtype=complex)
+        self.acc = [np.zeros((n_pe, cells + _ES_WIDTH, n_enc), dtype=complex)
                     for _ in times]
         # sized for a full block, allocated once per frame; a block uses
         # a contiguous prefix of the table
@@ -670,17 +671,12 @@ class _SpreadGrid:
         return order
 
     def add(self, i, left):
-        acc, cells, group = self.acc[i], self.cells, self.group
+        acc, group = self.acc[i], self.group
         operand = left.view(float)
         for start, a, b in self.groups:
             np.matmul(self.values[:, a:b], operand[:, a:b],
                       out=group.view(float))
-            # a group's rows are fewer than the grid's cells (a footprint
-            # has at most a third of the real table's 2c+1 rows), so it
-            # wraps at most once
-            head = min(_ES_WIDTH, cells - start)
-            acc[:, start:start + head] += group[:, :head]
-            acc[:, :_ES_WIDTH - head] += group[:, head:]
+            acc[:, start:start + _ES_WIDTH] += group
 
     def grids(self) -> np.ndarray:
         cells, n_pz = self.cells, self.n_pz
@@ -690,7 +686,12 @@ class _SpreadGrid:
         # the stacked output are never all held together
         samples = []
         while self.acc:
-            spectrum = np.fft.fft(self.acc.pop(0), axis=1)[:, m % cells]
+            acc = self.acc.pop(0)
+            # fold the guard cells onto the grid's start, a period at a time
+            for lo in range(cells, cells + _ES_WIDTH, cells):
+                guard = acc[:, lo:lo + cells]
+                acc[:, :guard.shape[1]] += guard
+            spectrum = np.fft.fft(acc[:, :cells], axis=1)[:, m % cells]
             spectrum *= deconvolve
             samples.append(spectrum.transpose(2, 0, 1))
         return np.stack(samples, axis=1)
@@ -722,12 +723,12 @@ def _partition_sums(vertices, tets, m0, velocities, rule,
     """k-space grids (1 + len(axes), n_ro, n_pe, n_pz): ref, then ``axes``.
 
     The quadrature points are made one block of tets at a time; each
-    sample's encode-minor operand (step 1) goes to the partition step,
-    the real table (step 4) or, when a block's footprint is much smaller
-    than that table, the NUFFT (step 6); both own the partition axis and
-    are called alike. Each sample first asks the step for the order of
-    the points it takes (the NUFFT's groups, or None for the real table)
-    and builds the operand in that order.
+    sample's encode-minor operand (step 1) goes to the partition step, the
+    real table (step 4) or, when a block's footprint is much smaller than
+    that table, the NUFFT (step 6); both own the partition axis, take any
+    partition count and are called alike. Each sample first asks the step
+    for the order of the points it takes (the NUFFT's groups, the table's
+    identity ``slice(None)``) and builds the operand in that order.
     """
     k_ro, k_pe, k_pz = params.k_axes()
     n_enc, n_pe, n_pz = 1 + len(axes), k_pe.size, k_pz.size
@@ -763,12 +764,9 @@ def _partition_sums(vertices, tets, m0, velocities, rule,
         for i, (a, s_y) in enumerate(samples):
             # the encode-minor operand L of step 1, its points in the order
             # the partition step takes them
-            order, point_amp = partitions.order(i), amp
-            if order is not None:
-                point_amp, a, s_y = (f.take(order, axis=0)
-                                     for f in (amp, a, s_y))
-            np.multiply(point_amp, a[:, None], out=left[0])
-            np.copyto(step, s_y[:, None])
+            order = partitions.order(i)
+            np.multiply(amp[order], a[order][:, None], out=left[0])
+            np.copyto(step, s_y[order][:, None])
             for p in range(1, n_pe):
                 np.multiply(left[p - 1], step, out=left[p])
             partitions.add(i, left)
