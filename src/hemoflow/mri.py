@@ -33,9 +33,9 @@ The sum is evaluated in one pass for the encodes that can differ:
    a step factor, and the readout step is itself advanced by a
    constant. The readout and phase-encode factors take five
    exponentials per block of points whatever the readout length; the
-   real table of step 4 makes its own partition factor, two more. The
-   readout-sample loop only multiplies; the NUFFT evaluates its real
-   kernel once per sample.
+   real table of step 4 makes its own partition factor, two more, and
+   the Chebyshev step (6) one shift. The readout-sample loop only
+   multiplies and adds.
 4. Real partition table. The partition axis is centred, k = m dk for
    m = -c..c (c = n//2; an even count has no +c), so partition m takes
    s_z^m with s_z = e^{-2 pi i dk z} of modulus 1, and s_z^-m is the
@@ -51,28 +51,21 @@ The sum is evaluated in one pass for the encodes that can differ:
    point-major encode amplitudes w_q vol M0 e^{-i pi u_a/VENC} from
    those. The block's products accumulate into per-sample sums, so
    neither the tables nor the points grow with the mesh.
-6. Partition NUFFT. The blocks are local in z, so where the real table
-   is large the partition axis is instead a 1D type-1 NUFFT per readout
-   sample. Each point's drifted z spreads onto the 12 nearest cells of a
-   periodic grid of 2 n_pz cells per partition field of view, with the
-   exponential-of-semicircle kernel (Barnett, Magland & af Klinteberg,
-   SIAM J. Sci. Comput. 2019). Per sample the block's points are grouped
-   by their first cell, whose offset from the block's lowest is a small
-   integer: a stable sort on it orders the points so that each group is
-   a contiguous run, their 12 kernel values are evaluated in that order,
-   and the operand L of step 1 is built in that order from the gathered
-   per-point factors. Each group takes one real product of its 12 kernel
-   rows with its run of L's columns, added as one slice into the sample's
-   grid from the group's first cell, past its end into 12 guard cells; no
-   product row is zero. Once per frame each sample's guard cells are
-   folded onto the grid's start, and the grid is Fourier transformed,
-   divided by the kernel's transform and freed before the output is
-   stacked. It is taken when the largest block's footprint in cells over
-   the readout, plus the kernel width, is at most a third of the real
-   table's 2c+1 rows: the paper-scale slab (113 rows against 24, 19 on
-   one layer of step 7) takes it, the default config (37 against 67, 27
-   on one layer) does not. It agrees with the direct sum to about 1e-11
-   relative L2 at any partition count.
+6. Chebyshev partition step. Where the real table is large, the
+   partition phase is expanded about each block's centre c_b instead.
+   Every drifted z of a block lies within h of c_b, h half the widest
+   block's range over the readout; with x = (z - c_b)/h and a = 2 pi k h,
+   e^{-2 pi i k z} = e^{-2 pi i k c_b} sum_r (2 - delta_r0) (-i)^r J_r(a)
+   T_r(x) (Jacobi-Anger; a low-rank nonuniform FFT after Ruiz-Antolin &
+   Townsend, SIAM J. Sci. Comput. 40, A529, 2018). Its R terms drop only
+   coefficients below 1e-13 at the largest |a|. Per sample, one batched
+   real product of T_0..T_{R-1} (three-term recurrence) with the operand
+   L of step 1 gives R moments; per block, the coefficients times
+   e^{-2 pi i k c_b} map them to the partitions in one product. It is
+   exact to round-off, and taken when R is at most two thirds of the
+   real table's rows: the paper-scale slab (113 rows against 22 on one
+   layer of step 7) and the resolution-2 pipe with the default sequence
+   (37 against 19) take it, the default config (37 against 34) does not.
 7. Layers. A generated pipe is one layer of prisms tiled along z
    (``mesh.pipe_layers``). When its M0 and the frame's velocities also
    repeat from ring to ring bit for bit, spin q of layer l is spin q of
@@ -99,7 +92,6 @@ import json
 import logging
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, fields
-from functools import cache
 from math import ceil, isfinite, prod, sqrt
 from pathlib import Path
 from typing import Mapping
@@ -443,18 +435,14 @@ def _quadrature(vertices: np.ndarray, tets: np.ndarray, m0: np.ndarray,
 # to a few MB whatever the mesh size
 _BLOCK = 2048
 
-# partition NUFFT (step 6): exponential-of-semicircle kernel over _ES_WIDTH
-# cells with shape _ES_BETA, on a grid of _ES_GRID cells per partition;
-# measured 6e-12 relative L2 from the direct sum on the resolution-1 pipe
-# (a width of 10 gives 3e-10, 14 gives 6e-14)
-_ES_WIDTH = 12
-_ES_BETA = 2.30 * _ES_WIDTH
-_ES_GRID = 2
+# the Chebyshev step (step 6) drops only coefficients below this: far above
+# their round-off, while 1e-15 costs the paper's slab 3 rows and up to 9%
+_CHEBYSHEV_TAIL = 1e-13
 
-# the NUFFT is taken when its largest block footprint plus the kernel
-# width is at most this share of the real table's 2c+1 rows, on the one
-# layer that step 7 synthesizes; the README gives the times that set it
-_SPREAD_SHARE = 1 / 3
+# the Chebyshev step is taken when its rows are at most this share of the
+# real table's 2c+1 rows, on the one layer that step 7 synthesizes; the
+# README gives the four inputs' times that set it
+_CHEBYSHEV_SHARE = 2 / 3
 
 
 def _ramp(first, step: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -484,7 +472,7 @@ def _sample_factors(pos, vel, times, k_ro, k_pe, t2_star):
         s_y = e^{-2 pi i dk_pe y(t_i)}
 
     Neither carries a partition phase: the partition step makes its own
-    (step 4) or needs none (step 6). ``times`` and the k axes are evenly
+    (steps 4 and 6). ``times`` and the k axes are evenly
     spaced, so the phase of A_i is quadratic in i and that of s_y
     linear: A_{i+1} = A_i G_i with G_{i+1} = G_i H, s_{i+1} = s_i D.
     Five exponentials per block (A_0, G_0, H, s_y, D_y) serve every
@@ -548,10 +536,6 @@ class _FoldedTable:
         self.table = self.table_buf[:(2 * self.c + 1) * n].reshape(-1, n)
         self.table[0] = 1.0
 
-    def order(self, i):
-        """The real table takes the points as they come."""
-        return slice(None)
-
     def add(self, i, left):
         c, pz, table, s_z = self.c, self.pz, self.table, self.s_z
         _ramp(s_z, s_z, pz)
@@ -584,138 +568,96 @@ def _unfold(folded, n_pz):
     return out
 
 
-def _es_kernel(x, out=None):
-    """Exponential of semicircle on [-1, 1], 1 at 0 and e^-beta at the ends
-    (Barnett, Magland & af Klinteberg, SIAM J. Sci. Comput. 2019); made in
-    ``out`` when given, which may be ``x``."""
-    out = np.multiply(x, x, out=out)
-    np.subtract(1.0, out, out=out)
-    np.maximum(out, 0.0, out=out)
-    np.sqrt(out, out=out)
-    out -= 1.0
-    out *= _ES_BETA
-    return np.exp(out, out=out)
+def _jacobi_anger(a: np.ndarray) -> np.ndarray:
+    """Chebyshev coefficients (2 - delta_r0) (-i)^r J_r(a) of e^{-i a x},
+    (len(a), m/2): by Jacobi-Anger, the DFT of e^{-i a cos theta} on m
+    points, doubled for r > 0. With m a power of two above 3|a| + 80, the
+    J_r(a) past m/2 that alias onto them are below round-off (2 (|a| + 40)
+    left 3e-13 at |a| = 87.5)."""
+    m = 1 << int(3 * np.abs(a).max() + 80).bit_length()
+    theta = 2 * np.pi * np.arange(m) / m
+    coef = np.fft.fft(np.exp(-1j * np.outer(a, np.cos(theta))))[:, :m // 2]
+    coef[:, 1:] *= 2
+    return coef / m
 
 
-@cache
-def _es_quadrature():
-    """Nodes of ``_es_transform`` and its weights times the kernel there,
-    made once, on first use: the real table never needs them."""
-    nodes, weights = np.polynomial.legendre.leggauss(4 * _ES_WIDTH)
-    return nodes, _ES_WIDTH / 2 * (weights * _es_kernel(nodes))
+def _chebyshev_rows(a: float) -> int:
+    """Rows the Chebyshev step keeps for the largest |a|: the fewest whose
+    dropped coefficients are all below ``_CHEBYSHEV_TAIL`` (a smaller |a|
+    drops less), and at least 2, as row 1 holds x."""
+    kept = np.abs(_jacobi_anger(np.array([a]))[0]) >= _CHEBYSHEV_TAIL
+    return max(2, int(np.flatnonzero(kept)[-1]) + 1)
 
 
-def _es_transform(freq: np.ndarray) -> np.ndarray:
-    """Fourier transform of the kernel spread over ``_ES_WIDTH`` cells, at
-    ``freq`` cycles per cell, by Gauss-Legendre quadrature; the kernel is
-    even, so the transform is its cosine transform."""
-    nodes, weighted = _es_quadrature()
-    return weighted @ np.cos(np.pi * _ES_WIDTH * np.outer(nodes, freq))
+def _half_range(vertices, tets, velocities, times, per_block: int) -> float:
+    """Half the widest block's drifted-z range over the readout, in m: a
+    quadrature point is a convex combination of its tet's corners, and
+    every z drifts linearly, so the corners' z at the first and the last
+    sample bound it."""
+    z, uz = vertices[:, 2], velocities[:, 2]
+    ends = [z + uz * t for t in (times[0], times[-1])]
+    low, high = np.minimum(*ends), np.maximum(*ends)
+    blocks = (tets[lo:lo + per_block] for lo in range(0, len(tets), per_block))
+    return max((high[b].max() - low[b].min() for b in blocks), default=0) / 2
 
 
-class _SpreadGrid:
-    """Partition step 6: a 1D type-1 NUFFT along the partition axis.
+class _ChebyshevExpansion:
+    """Partition step 6: Chebyshev moments per sample, mapped once per block.
 
-    The grid has N = ``_ES_GRID`` n_pz cells per partition field of view and
-    wraps at z = 0. Per sample, ``order`` groups the block's points by their
-    first kernel cell, in [0, N): it returns the stable permutation that makes
-    each group a contiguous run of columns, and fills a (``_ES_WIDTH``, n)
-    table with each point's kernel values in that order. ``add`` takes the
-    encode-minor operand L (n_pe, n, n_enc) built in the same order and adds
-    each group's product (n_pe, ``_ES_WIDTH``, n_enc) of its table and operand
-    columns into that sample's grid as one slice from the group's first cell,
-    into ``_ES_WIDTH`` guard cells past N that ``grids`` folds onto the start
-    one period N at a time. Partition m = j - n_pz // 2 is frequency m mod N
-    of the grid's DFT divided by the kernel's transform at m / N.
-    """
+    Each sample advances x = (z - c_b) / h, builds T_0..T_{R-1} in the rows
+    of a real table (R, n), and the batched product of its point-major copy
+    with the operand L (n_pe, n, n_enc) gives its moments (n_pe, R, n_enc).
+    After the block's last sample, the coefficients (n_pz, R) times
+    e^{-2 pi i k_pz c_b} map all its moments in one product."""
 
-    def __init__(self, times: np.ndarray, n_pz: int, per_metre: float,
-                 n_enc: int, n_pe: int, n_max: int):
-        self.n_pz = n_pz
-        self.cells = cells = _ES_GRID * n_pz
-        self.per_metre = per_metre
-        self.times = times
-        self.acc = [np.zeros((n_pe, cells + _ES_WIDTH, n_enc), dtype=complex)
-                    for _ in times]
+    def __init__(self, times: np.ndarray, k_pz: np.ndarray, half: float,
+                 terms: int, n_enc: int, n_pe: int, n_max: int):
+        self.times, self.k_pz, self.terms = times, k_pz, terms
+        # flat tets span no z and weigh nothing: x = 0 keeps them finite
+        self.scale = 1 / half if half else 0.0
+        self.coef = _jacobi_anger(2 * np.pi * half * k_pz)[:, :terms]
+        self.moments = np.empty((times.size, n_pe, terms, n_enc),
+                                dtype=complex)
+        # partition-major, so that one product maps a block's moments
+        self.sums = np.zeros((k_pz.size, times.size, n_pe, n_enc),
+                             dtype=complex)
         # sized for a full block, allocated once per frame; a block uses
-        # a contiguous prefix of the table
-        self.values_buf = np.empty((_ES_WIDTH, n_max))
-        self.group = np.empty((n_pe, _ES_WIDTH, n_enc), dtype=complex)
-        # the taps in kernel units, where the kernel spans [-1, 1]
-        self.scaled_taps = np.arange(_ES_WIDTH)[:, None] * (2.0 / _ES_WIDTH)
+        # contiguous prefixes. The product takes a third less time from a
+        # point-major copy of the table than from the table
+        self.table_buf, self.copy_buf = np.empty((2, terms * n_max))
+        self.two_x_buf = np.empty(n_max)
 
     def block(self, pos, vel):
-        self.z = pos[:, 2] * self.per_metre
-        self.uz = vel[:, 2] * self.per_metre
-        self.values = self.values_buf[:, :len(pos)]
-
-    def order(self, i):
-        u = self.z + self.uz * self.times[i]
-        first = np.ceil(u - _ES_WIDTH / 2)
-        low = first.min()
-        offset = (first - low).astype(np.intp)
-        order = np.argsort(offset, kind="stable")
-        # group o, the points whose first cell is low + o, is the next
-        # run of columns; offsets that no point takes make no group
-        self.groups, end = [], 0
-        for o, count in enumerate(np.bincount(offset).tolist()):
-            if count:
-                self.groups.append(
-                    ((int(low) + o) % self.cells, end, end + count))
-                end += count
-        # tap j of a point sits j - (u - first) cells from it, in [-W/2, W/2)
-        np.subtract(first, u, out=u)
-        u *= 2.0 / _ES_WIDTH
-        np.add(self.scaled_taps, u.take(order), out=self.values)
-        _es_kernel(self.values, out=self.values)
-        return order
+        n = len(pos)
+        z, uz = pos[:, 2], vel[:, 2]
+        ends = [z + uz * t for t in (self.times[0], self.times[-1])]
+        centre = (min(e.min() for e in ends) + max(e.max() for e in ends)) / 2
+        self.shift = np.exp(-2j * np.pi * self.k_pz * centre)
+        self.table = self.table_buf[:self.terms * n].reshape(-1, n)
+        self.copy = self.copy_buf[:n * self.terms].reshape(n, -1)
+        self.two_x = self.two_x_buf[:n]
+        self.table[0] = 1.0
+        np.multiply(ends[0] - centre, self.scale, out=self.table[1])
+        self.dx = uz * (_spacing(self.times) * self.scale)
 
     def add(self, i, left):
-        acc, group = self.acc[i], self.group
-        operand = left.view(float)
-        for start, a, b in self.groups:
-            np.matmul(self.values[:, a:b], operand[:, a:b],
-                      out=group.view(float))
-            acc[:, start:start + _ES_WIDTH] += group
+        table, two_x, terms = self.table, self.two_x, self.terms
+        if i:
+            table[1] += self.dx
+        np.add(table[1], table[1], out=two_x)
+        for r in range(2, terms):
+            np.multiply(two_x, table[r - 1], out=table[r])
+            table[r] -= table[r - 2]
+        np.copyto(self.copy, table.T)
+        np.matmul(self.copy.T, left.view(float),
+                  out=self.moments[i].view(float))
+        if i + 1 == self.times.size:
+            moments = self.moments.transpose(2, 0, 1, 3).reshape(terms, -1)
+            mapped = np.matmul(self.coef * self.shift[:, None], moments)
+            self.sums += mapped.reshape(self.sums.shape)
 
     def grids(self) -> np.ndarray:
-        cells, n_pz = self.cells, self.n_pz
-        m = np.arange(n_pz) - n_pz // 2
-        deconvolve = 1.0 / _es_transform(m / cells)[:, None]
-        # each sample's grid is freed once transformed, so the grids and
-        # the stacked output are never all held together
-        samples = []
-        while self.acc:
-            acc = self.acc.pop(0)
-            # fold the guard cells onto the grid's start, a period at a time
-            for lo in range(cells, cells + _ES_WIDTH, cells):
-                guard = acc[:, lo:lo + cells]
-                acc[:, :guard.shape[1]] += guard
-            spectrum = np.fft.fft(acc[:, :cells], axis=1)[:, m % cells]
-            spectrum *= deconvolve
-            samples.append(spectrum.transpose(2, 0, 1))
-        return np.stack(samples, axis=1)
-
-
-def _spread_rows(vertices, tets, velocities, times, per_block: int,
-                 per_metre: float) -> int:
-    """Rows the partition NUFFT spreads a block onto, at most: the widest
-    block footprint in grid cells at any sample, plus the kernel width.
-
-    A quadrature point is a convex combination of its tet's corners, and
-    every z drifts linearly in time; the spread of a set of linear
-    functions is convex in t, so a block's footprint is widest at the
-    first or the last sample and no wider than its corners' there.
-    """
-    z, uz = vertices[:, 2], velocities[:, 2]
-    ends = [(z + uz * t) * per_metre for t in (times[0], times[-1])]
-    widest = 0.0
-    for lo in range(0, len(tets), per_block):
-        corners = tets[lo:lo + per_block]
-        for end in ends:
-            at = end[corners]
-            widest = max(widest, at.max() - at.min())
-    return ceil(widest) + 1 + _ES_WIDTH
+        return np.ascontiguousarray(self.sums.transpose(3, 1, 2, 0))
 
 
 def _partition_sums(vertices, tets, m0, velocities, rule,
@@ -724,27 +666,26 @@ def _partition_sums(vertices, tets, m0, velocities, rule,
 
     The quadrature points are made one block of tets at a time; each
     sample's encode-minor operand (step 1) goes to the partition step, the
-    real table (step 4) or, when a block's footprint is much smaller than
-    that table, the NUFFT (step 6); both own the partition axis, take any
-    partition count and are called alike. Each sample first asks the step
-    for the order of the points it takes (the NUFFT's groups, the table's
-    identity ``slice(None)``) and builds the operand in that order.
+    real table (step 4) or, when it needs far fewer rows, the Chebyshev
+    step (step 6); both own the partition axis, take any partition count
+    and are called alike.
     """
     k_ro, k_pe, k_pz = params.k_axes()
     n_enc, n_pe, n_pz = 1 + len(axes), k_pe.size, k_pz.size
     # whole tets per block; a rule with more points than _BLOCK takes one
     per_block = max(1, _BLOCK // len(rule[1]))
     n_max = per_block * len(rule[1])
-    per_metre = _ES_GRID * n_pz / params.fov[2]
-    spread = _spread_rows(vertices, tets, velocities, times, per_block,
-                          per_metre)
+    half = _half_range(vertices, tets, velocities, times, per_block)
+    terms = _chebyshev_rows(2 * np.pi * np.abs(k_pz).max() * half)
     rows = 2 * (n_pz // 2) + 1
-    nufft = spread <= _SPREAD_SHARE * rows
-    log.info("synthesis: %s, %d rows against %d spread", "partition NUFFT"
-             if nufft else "real partition table", rows, spread)
-    partitions = (_SpreadGrid(times, n_pz, per_metre, n_enc, n_pe, n_max)
-                  if nufft else _FoldedTable(times, n_pz, _spacing(k_pz),
-                                             n_enc, n_pe, n_max))
+    chebyshev = terms <= _CHEBYSHEV_SHARE * rows
+    log.info("synthesis: %s, %d rows against %d Chebyshev",
+             "Chebyshev partition step" if chebyshev
+             else "real partition table", rows, terms)
+    partitions = (_ChebyshevExpansion(times, k_pz, half, terms, n_enc, n_pe,
+                                      n_max)
+                  if chebyshev else _FoldedTable(times, n_pz, _spacing(k_pz),
+                                                 n_enc, n_pe, n_max))
     amp_buf = np.empty(n_enc * n_max, dtype=complex)
     left_buf = np.empty(n_pe * n_max * n_enc, dtype=complex)
     step_buf = np.empty(n_max * n_enc, dtype=complex)
@@ -762,11 +703,9 @@ def _partition_sums(vertices, tets, m0, velocities, rule,
         partitions.block(pos, vel)
         samples = _sample_factors(pos, vel, times, k_ro, k_pe, params.t2_star)
         for i, (a, s_y) in enumerate(samples):
-            # the encode-minor operand L of step 1, its points in the order
-            # the partition step takes them
-            order = partitions.order(i)
-            np.multiply(amp[order], a[order][:, None], out=left[0])
-            np.copyto(step, s_y[order][:, None])
+            # the encode-minor operand L of step 1
+            np.multiply(amp, a[:, None], out=left[0])
+            np.copyto(step, s_y[:, None])
             for p in range(1, n_pe):
                 np.multiply(left[p - 1], step, out=left[p])
             partitions.add(i, left)

@@ -15,7 +15,7 @@ from hemoflow.errors import SequenceError, ValidationError
 from hemoflow.flowfields import VelocityField
 from hemoflow.mesh import (TetMesh, generate_box_mesh, generate_pipe_mesh,
                            load_mesh, pipe_layers, save_mesh, tet_volumes)
-from hemoflow.mri import (_BLOCK, _ES_WIDTH, _TET_RULES, ENCODE_AXES,
+from hemoflow.mri import (_BLOCK, _TET_RULES, ENCODE_AXES,
                           ImageVolume, KSpaceData, SequenceParams,
                           _quadrature, _ramp, _sample_factors, _spacing,
                           add_noise, load_images, load_kspace,
@@ -268,12 +268,11 @@ def test_frame_matches_direct_sum_over_several_blocks(quadrature):
 
 
 @pytest.mark.parametrize("n_pz", [2, 3, 4, 5])
-@pytest.mark.parametrize("step", ["table", "nufft"])
+@pytest.mark.parametrize("step", ["table", "chebyshev"])
 def test_fewest_partitions_match_direct_sum(n_pz, step):
     # the partition table folds +m onto -m about k = 0: with 2 partitions
     # m = -1 has no +1 partner, with 3 both sides hold one partition. The
-    # NUFFT's grid of 2 n_pz cells is narrower than its 12-cell kernel, so
-    # a point's kernel covers the grid more than once
+    # Chebyshev step maps its moments onto as few partitions as it is given
     params = SequenceParams(matrix=(8, 8, n_pz), voxel=(0.002, 0.002, 0.004),
                             adc_bandwidth=32e3)
     mesh = small_box()
@@ -284,6 +283,19 @@ def test_fewest_partitions_match_direct_sum(n_pz, step):
                           direct_sum(mesh, m0, field, params, encode))
         assert err <= 1e-10, \
             f"{step}, encode {encode}: {err:.2e} from the direct sum"
+
+
+@pytest.mark.parametrize("step", ["table", "chebyshev"])
+def test_flat_tets_synthesize_to_zero(step):
+    # tets flattened onto z = 0 and moving in plane weigh nothing and span
+    # no z, so the Chebyshev step has no range to scale x by
+    box = small_box()
+    flat = TetMesh(box.vertices * (1.0, 1.0, 0.0), box.tets,
+                   box.boundary_faces, box.boundary_labels)
+    k = synthesize_through(step, flat, np.ones(flat.n_vertices),
+                           uniform_field(flat, (0.3, -0.2, 0.0)), SMALL)
+    for encode in ENCODE_AXES:
+        assert not np.any(k.signals[encode]), f"{step}, encode {encode}"
 
 
 def test_odd_partitions_over_several_blocks_match_direct_sum():
@@ -413,7 +425,7 @@ def test_exponential_count_does_not_grow_with_readout(monkeypatch):
 
 
 # =========================================================================
-# Partition NUFFT against the direct sum
+# Chebyshev partition step against the direct sum
 # =========================================================================
 
 @pytest.fixture
@@ -428,52 +440,58 @@ def paths_taken(monkeypatch):
                 super().__init__(*args)
         return Counting
 
-    for cls in (mri._FoldedTable, mri._SpreadGrid):
+    for cls in (mri._FoldedTable, mri._ChebyshevExpansion):
         monkeypatch.setattr(mri, cls.__name__, counting(cls))
     return taken
 
 
 @pytest.fixture
-def spread_products(monkeypatch):
-    """The ``np.matmul`` calls of the NUFFT path: per readout sample of
-    each block, the block's point count n and, per product, the rows of
-    its kernel table and the columns of the operand L it contracts, read
-    from where the operand sits in L."""
+def chebyshev_products(monkeypatch):
+    """The ``np.matmul`` calls of the Chebyshev step: per readout sample of
+    each block, the sample's index, the block's point count n and the
+    operand shapes of each product, in call order."""
     samples, current = [], []
-    add, matmul = mri._SpreadGrid.add, np.matmul
+    add, matmul = mri._ChebyshevExpansion.add, np.matmul
 
     def recording_add(self, i, left):
         products = []
-        current[:] = left, products
+        current[:] = [products]
         try:
             add(self, i, left)
         finally:
             current.clear()
-        samples.append((left.shape[1], products))
+        samples.append((i, left.shape[1], products))
 
-    def recording_matmul(table, operand, *args, **kwargs):
+    def recording_matmul(a, b, *args, **kwargs):
         if current:
-            left, products = current
-            a = (operand.ctypes.data - left.ctypes.data) // left.strides[1]
-            products.append((table.shape[0], a, a + operand.shape[-2]))
-        return matmul(table, operand, *args, **kwargs)
+            current[0].append((a.shape, b.shape))
+        return matmul(a, b, *args, **kwargs)
 
-    monkeypatch.setattr(mri._SpreadGrid, "add", recording_add)
+    monkeypatch.setattr(mri._ChebyshevExpansion, "add", recording_add)
     monkeypatch.setattr(np, "matmul", recording_matmul)
     return samples
 
 
-def assert_groups_cover_points(samples, n_samples):
-    """Every product of the NUFFT has exactly ``_ES_WIDTH`` rows, and the
-    groups of each sample take every column of L once."""
-    assert len(samples) == n_samples
-    for n, products in samples:
-        assert {rows for rows, _, _ in products} == {_ES_WIDTH}, \
-            f"kernel tables of {[rows for rows, _, _ in products]} rows"
-        assert all(b > a for _, a, b in products), "an empty group"
-        covered = [j for _, a, b in products for j in range(a, b)]
-        assert covered == list(range(n)), \
-            f"groups {[(a, b) for _, a, b in products]} over {n} points"
+def assert_moments_mapped_once(samples, n_ro, n_blocks):
+    """Every sample takes one product of the same R table rows with all n
+    columns of the operand L (n_pe, n, 2 n_enc as floats), and each
+    block's last sample one more, which maps the moments of all its
+    samples, R rows of n_ro n_pe n_enc, to the partitions."""
+    assert len(samples) == n_ro * n_blocks
+    terms = {products[0][0][0] for _, _, products in samples}
+    assert len(terms) == 1, f"tables of {sorted(terms)} rows"
+    (rows,) = terms
+    for i, n, products in samples:
+        (table, left), *mapping = products
+        assert table == (rows, n) and left[1] == n, \
+            f"sample {i}: a table of {table} against an operand of {left}"
+        if i + 1 < n_ro:
+            assert not mapping, f"sample {i} of {n_ro} mapped moments"
+        else:
+            (coef, moments), = mapping
+            assert coef[1] == rows and moments == (
+                rows, n_ro * left[0] * left[2] // 2), \
+                f"block end: {coef} against {moments}"
 
 
 def pipe_swirl(pipe):
@@ -484,17 +502,17 @@ def pipe_swirl(pipe):
     return VelocityField(times=np.array([0.0]), values=velocity[None]), r2
 
 
-# 72 partitions of 4 mm on the resolution-1 pipe: each block's footprint
-# is at most 10 of the grid's 144 cells, 23 rows with the kernel against
-# the real table's 73
-SPREAD_72 = SequenceParams(venc=0.8, matrix=(2, 4, 72),
-                           voxel=(0.016, 0.004, 0.004), oversampling=1,
-                           adc_bandwidth=32e3, fov_center=(0.0, 0.0, 0.05))
+# 72 partitions of 4 mm on the resolution-1 pipe: the widest block spans
+# about 10 mm, 26 Chebyshev rows against the real table's 73
+PARTITIONS_72 = SequenceParams(venc=0.8, matrix=(2, 4, 72),
+                               voxel=(0.016, 0.004, 0.004), oversampling=1,
+                               adc_bandwidth=32e3,
+                               fov_center=(0.0, 0.0, 0.05))
 
 
 @pytest.mark.parametrize("quadrature", [4, 11])
 def test_spread_partitions_over_several_blocks_match_direct_sum(
-        paths_taken, spread_products, quadrature):
+        paths_taken, chebyshev_products, quadrature):
     # an M0 that grows along z does not repeat from layer to layer, so the
     # whole pipe is synthesized
     pipe = generate_pipe_mesh(0.01, 0.1, resolution=1)
@@ -504,37 +522,38 @@ def test_spread_partitions_over_several_blocks_match_direct_sum(
     field, r2 = pipe_swirl(pipe)
     m0 = 1.0 + 0.5 * r2 + 4.0 * pipe.vertices[:, 2]
     assert pipe_layers(pipe, m0, field.values[0]) is None
-    assert_matches_direct_sum(pipe, m0, field, SPREAD_72, quadrature)
-    assert paths_taken == ["_SpreadGrid"]
+    assert_matches_direct_sum(pipe, m0, field, PARTITIONS_72, quadrature)
+    assert paths_taken == ["_ChebyshevExpansion"]
     n_blocks = -(-pipe.n_tets // per_block)
-    assert_groups_cover_points(spread_products,
-                               SPREAD_72.acquired_readout * n_blocks)
+    assert_moments_mapped_once(chebyshev_products,
+                               PARTITIONS_72.acquired_readout, n_blocks)
 
 
 @pytest.mark.parametrize("quadrature", [4, 11])
 def test_spread_partitions_of_one_layer_match_direct_sum(
-        paths_taken, spread_products, quadrature):
-    # the same pipe with an M0 that repeats from layer to layer: the NUFFT
-    # takes the first of its 10 layers, still over several blocks, and the
-    # layer sum makes the whole pipe's grids
+        paths_taken, chebyshev_products, quadrature):
+    # the same pipe with an M0 that repeats from layer to layer: the
+    # Chebyshev step takes the first of its 10 layers, still over several
+    # blocks, and the layer sum makes the whole pipe's grids
     pipe = generate_pipe_mesh(0.01, 0.1, resolution=1)
     field, r2 = pipe_swirl(pipe)
     layers, per_layer, _, _ = pipe_layers(pipe, 1.0 + 0.5 * r2,
                                           field.values[0])
     per_block = _BLOCK // quadrature
     assert layers == 10 and per_layer > per_block and per_layer % per_block
-    assert_matches_direct_sum(pipe, 1.0 + 0.5 * r2, field, SPREAD_72,
+    assert_matches_direct_sum(pipe, 1.0 + 0.5 * r2, field, PARTITIONS_72,
                               quadrature)
-    assert paths_taken == ["_SpreadGrid"]
+    assert paths_taken == ["_ChebyshevExpansion"]
     n_blocks = -(-per_layer // per_block)
-    assert_groups_cover_points(spread_products,
-                               SPREAD_72.acquired_readout * n_blocks)
+    assert_moments_mapped_once(chebyshev_products,
+                               PARTITIONS_72.acquired_readout, n_blocks)
 
 
 def test_spread_footprint_wrapping_the_grid_matches_direct_sum(paths_taken):
-    # the periodic grid wraps at every multiple of the partition field of
-    # view, here z = 0.192 m; the box straddles it, as it straddles the
-    # top edge of the image volume set by fov_center
+    # a box that straddles the top edge of the image volume set by
+    # fov_center, z = 0.192 m, where the partition phase wraps: the
+    # Chebyshev step expands e^{-2 pi i k z} about the block's own centre,
+    # with no period of its own
     params = SequenceParams(venc=2.5, matrix=(2, 4, 96),
                             voxel=(0.016, 0.004, 0.002), oversampling=1,
                             adc_bandwidth=32e3,
@@ -546,14 +565,14 @@ def test_spread_footprint_wrapping_the_grid_matches_direct_sum(paths_taken):
     assert z.min() < top < z.max()
     assert_matches_direct_sum(mesh, np.linspace(0.5, 1.5, mesh.n_vertices),
                               box_swirl(mesh, 1.0), params)
-    assert paths_taken == ["_SpreadGrid"]
+    assert paths_taken == ["_ChebyshevExpansion"]
 
 
 def test_spread_long_readout_with_fast_drift_matches_direct_sum(
-        paths_taken, spread_products):
-    # 128 samples over 4 ms at 2 to 2.4 m/s: spins drift about 9 of the
-    # grid's 1 mm cells during the readout, so each sample spreads onto
-    # its own cells, and the faster spins stretch the footprint by 2
+        paths_taken, chebyshev_products):
+    # 128 samples over 4 ms at 2 to 2.4 m/s: spins drift 8 to 9 mm during
+    # the readout, as far as the box is long, so the drift sets half the
+    # block's range, and x takes 127 steps of its own recurrence
     params = SequenceParams(venc=2.5, matrix=(64, 4, 96),
                             voxel=(0.002, 0.004, 0.002), oversampling=2,
                             adc_bandwidth=32e3, t2_star=5e-3)
@@ -562,30 +581,21 @@ def test_spread_long_readout_with_fast_drift_matches_direct_sum(
     assert mesh.n_tets <= _BLOCK // 4, "the box must be one block"
     field = box_swirl(mesh, 2.0)
     times = sequence_timings(params).sample_times
-    drift = np.abs(field.values[0][:, 2]).max() * (times[-1] - times[0])
-    assert drift > 5 * params.voxel[2] / 2, "spins must cross several cells"
-    # some point changes its first kernel cell against the block's lowest
-    # one between samples, so the NUFFT regroups the points
-    pos, _, vel = _quadrature(mesh.vertices, mesh.tets,
-                              np.ones(mesh.n_vertices), field.values[0],
-                              _TET_RULES[4])
-    per_metre = mri._ES_GRID * params.matrix[2] / params.fov[2]
-    first = np.ceil((pos[:, 2] + vel[:, 2] * times[:, None]) * per_metre
-                    - _ES_WIDTH / 2)
-    offset = first - first.min(axis=1, keepdims=True)
-    assert np.any(offset != offset[0]), "no point changes its group"
+    drift = np.abs(field.values[0][:, 2]).min() * (times[-1] - times[0])
+    assert drift > 0.007, "spins must drift about as far as the box is long"
+    half = mri._half_range(mesh.vertices, mesh.tets, field.values[0], times,
+                           _BLOCK // 4)
+    assert half >= (0.008 + drift) / 2
     assert_matches_direct_sum(mesh, np.linspace(0.5, 1.5, mesh.n_vertices),
                               field, params)
-    assert paths_taken == ["_SpreadGrid"]
-    assert_groups_cover_points(spread_products, times.size)
-    groupings = {tuple(products) for _, products in spread_products}
-    assert len(groupings) > 1, "every sample grouped the points alike"
+    assert paths_taken == ["_ChebyshevExpansion"]
+    assert_moments_mapped_once(chebyshev_products, times.size, 1)
 
 
 def test_spread_single_encodes_with_odd_phase_encodes_match_direct_sum(
         paths_taken):
-    # each encode of one NUFFT pass against its own direct sum; 5 phase
-    # encodes put k_pe = 0 in the middle of the phase-encode ramp
+    # each encode of one Chebyshev pass against its own direct sum; 5
+    # phase encodes put k_pe = 0 in the middle of the phase-encode ramp
     params = SequenceParams(venc=2.5, matrix=(4, 5, 96),
                             voxel=(0.004, 0.004, 0.002), adc_bandwidth=32e3)
     mesh = small_box((3, 3, 3))
@@ -597,13 +607,15 @@ def test_spread_single_encodes_with_odd_phase_encodes_match_direct_sum(
                           direct_sum(mesh, m0, field, params, encode))
         assert err <= 1e-10, \
             f"encode {encode}: {err:.2e} relative L2 from the direct sum"
-    assert paths_taken == ["_SpreadGrid"]
+    assert paths_taken == ["_ChebyshevExpansion"]
 
 
 def test_spread_path_makes_no_partition_ramp(monkeypatch, paths_taken):
     # the same mesh and readout through the real table (8 partitions) and
-    # the NUFFT (96 partitions): only the real table makes s_z and its
-    # step, two complex exponentials per block; the NUFFT needs neither
+    # the Chebyshev step (96 partitions): the real table makes s_z and its
+    # step, two complex exponentials per block; the Chebyshev step makes
+    # one, its shift e^{-2 pi i k_pz c_b}, and one more per frame for its
+    # coefficients
     monkeypatch.setattr("hemoflow.mri._BLOCK", 64)
     mesh = small_box()
     per_block = 64 // 4
@@ -628,17 +640,17 @@ def test_spread_path_makes_no_partition_ramp(monkeypatch, paths_taken):
             m.setattr(np, "exp", counting_exp)
             synthesize_frame(mesh, np.ones(mesh.n_vertices), field, params)
         counts.append(len(calls))
-    assert paths_taken == ["_FoldedTable", "_SpreadGrid"]
-    assert counts[0] - counts[1] == 2 * n_blocks, \
+    assert paths_taken == ["_FoldedTable", "_ChebyshevExpansion"]
+    assert counts[0] - counts[1] == n_blocks - 1, \
         f"{counts[0]} complex exponentials on the real table, " \
-        f"{counts[1]} on the NUFFT, over {n_blocks} blocks"
+        f"{counts[1]} on the Chebyshev step, over {n_blocks} blocks"
 
 
 def test_partition_step_follows_the_table_sizes(paths_taken):
-    # the default config (37 real rows against about 65 spread) and the
-    # exponential-count inputs (8 partitions) keep the real table; the
-    # paper-scale slab sequence on the resolution-2 pipe (113 against
-    # about 23) spreads
+    # the default config (37 real rows against 34 Chebyshev) and the
+    # exponential-count inputs (8 partitions) keep the real table; on the
+    # resolution-2 pipe the paper-scale slab sequence (113 against 22) and
+    # the default sequence (37 against 19) take the Chebyshev step
     cfg = load_config()
     pipe = generate_pipe_mesh(cfg.pipe_radius, cfg.pipe_length,
                               resolution=cfg.pipe_resolution)
@@ -656,44 +668,51 @@ def test_partition_step_follows_the_table_sizes(paths_taken):
     pipe = generate_pipe_mesh(0.01, 0.1, resolution=2)
     slab = SequenceParams(matrix=(2, 30, 113), voxel=(0.056, 0.002, 0.002),
                           oversampling=1, fov_center=(0.0, 0.0, 0.05))
-    synthesize_frame(pipe, np.ones(pipe.n_vertices),
-                     uniform_field(pipe, (0.1, -0.2, 0.7)), slab)
-    assert paths_taken == ["_FoldedTable"] * 3 + ["_SpreadGrid"]
+    for params in (slab, cfg.sequence):
+        synthesize_frame(pipe, np.ones(pipe.n_vertices),
+                         uniform_field(pipe, (0.1, -0.2, 0.7)), params)
+    assert paths_taken == ["_FoldedTable"] * 3 + ["_ChebyshevExpansion"] * 2
 
 
 def test_spread_grids_are_freed_before_the_output_is_stacked(paths_taken):
-    # a long readout over a small box: the NUFFT's grids, one of 2 n_pz
-    # cells per readout sample, dwarf the block buffers. Each is freed
-    # once transformed, so the traced peak stays within half the output's
-    # bytes above the grids'; filling the output while every grid is
-    # still held would add all of it
+    # a long readout over a small box: the Chebyshev step's partition sums
+    # and each block's mapped moments are grids the size of the output.
+    # The mapped grid is freed before the output is copied out of the
+    # sums, so the traced peak holds two such grids and the moments twice
+    # (a block's, and their rows-major copy) over the frame's block
+    # buffers; holding the mapped grid to the end would add a third
     params = SequenceParams(venc=2.5, matrix=(128, 8, 96),
                             voxel=(0.002, 0.004, 0.002), adc_bandwidth=32e3)
-    cells = (len(ENCODE_AXES) * params.acquired_readout * params.matrix[1]
-             * params.matrix[2])
-    itemsize = np.dtype(complex).itemsize
-    grid_bytes = mri._ES_GRID * cells * itemsize
-    out_bytes = cells * itemsize
     mesh = small_box()
     field = box_swirl(mesh, 0.5)
+    times = sequence_timings(params).sample_times
+    k_pz = params.k_axes()[2]
+    terms = mri._chebyshev_rows(2 * np.pi * np.abs(k_pz).max() * (
+        mri._half_range(mesh.vertices, mesh.tets, field.values[0], times,
+                        _BLOCK // 4)))
+    n_ro, n_pe, n_pz = params.acquired_readout, *params.matrix[1:]
+    itemsize = np.dtype(complex).itemsize
+    grid_bytes = len(ENCODE_AXES) * n_ro * n_pe * n_pz * itemsize
+    moment_bytes = len(ENCODE_AXES) * n_ro * n_pe * terms * itemsize
     tracemalloc.start()
     try:
         synthesize_frame(mesh, np.ones(mesh.n_vertices), field, params)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert paths_taken == ["_SpreadGrid"]
-    assert peak - grid_bytes <= out_bytes / 2, \
+    assert paths_taken == ["_ChebyshevExpansion"]
+    bound = 2 * grid_bytes + 2 * moment_bytes + 4 * 2 ** 20
+    assert peak <= bound, \
         f"traced peak {peak / 2 ** 20:.1f} MB over grids of " \
-        f"{grid_bytes / 2 ** 20:.1f} MB and an output of " \
-        f"{out_bytes / 2 ** 20:.1f} MB"
+        f"{grid_bytes / 2 ** 20:.1f} MB and moments of " \
+        f"{moment_bytes / 2 ** 20:.1f} MB"
 
 
 @pytest.mark.parametrize("n_pe", [2, 3])
 def test_fewest_phase_encodes_match_direct_sum(paths_taken, n_pe):
     # the shared operand ramps over the phase encodes; with 2 it takes a
     # single step. Both partition steps contract it: 8 partitions keep the
-    # real table, 96 spread
+    # real table, 96 take the Chebyshev step
     mesh = small_box((3, 3, 3))
     m0 = np.linspace(0.5, 1.5, mesh.n_vertices)
     field = box_swirl(mesh, 1.0)
@@ -702,37 +721,59 @@ def test_fewest_phase_encodes_match_direct_sum(paths_taken, n_pe):
                                 voxel=(0.004, 0.004, 0.002),
                                 adc_bandwidth=32e3)
         assert_matches_direct_sum(mesh, m0, field, params)
-    assert paths_taken == ["_FoldedTable", "_SpreadGrid"]
+    assert paths_taken == ["_FoldedTable", "_ChebyshevExpansion"]
 
 
 def test_partition_steps_agree(monkeypatch, paths_taken):
     # one input forced through each partition step; both contract the same
     # encode-minor operand, so a layout slip in either shows here (one
-    # reversed phase-encode axis is 1.5 away). The steps differ by the
-    # NUFFT kernel's own error, 6e-12 at _ES_WIDTH 12, for every encode.
-    # The pipe spans several tet blocks, the last one partial
+    # reversed phase-encode axis is 1.5 away). Both are exact, so they
+    # differ by round-off, for every encode. The pipe spans several tet
+    # blocks, the last one partial
     pipe = generate_pipe_mesh(0.01, 0.1, resolution=1)
     assert pipe.n_tets > _BLOCK // 4 and pipe.n_tets % (_BLOCK // 4)
     field, r2 = pipe_swirl(pipe)
-    params = SequenceParams(venc=0.8, matrix=(2, 4, 72),
-                            voxel=(0.016, 0.004, 0.004), oversampling=1,
-                            adc_bandwidth=32e3, fov_center=(0.0, 0.0, 0.05))
     frames = []
     for share in (0.0, 1e9):
-        monkeypatch.setattr("hemoflow.mri._SPREAD_SHARE", share)
-        frames.append(synthesize_frame(pipe, 1.0 + 0.5 * r2, field, params))
-    assert paths_taken == ["_FoldedTable", "_SpreadGrid"]
+        monkeypatch.setattr("hemoflow.mri._CHEBYSHEV_SHARE", share)
+        frames.append(synthesize_frame(pipe, 1.0 + 0.5 * r2, field,
+                                       PARTITIONS_72))
+    assert paths_taken == ["_FoldedTable", "_ChebyshevExpansion"]
     for encode in ENCODE_AXES:
         err = relative_l2(frames[1].signals[encode], frames[0].signals[encode])
-        assert err <= 2e-11, \
+        assert err <= 1e-13, \
             f"encode {encode}: the steps differ by {err:.2e} relative L2"
+
+
+def test_chebyshev_coefficients_match_bessel_functions():
+    # (2 - delta_r0) (-i)^r J_r(a), from the DFT of e^{-i a cos theta},
+    # against scipy's jv for |a| up to the largest that the rule accepts
+    # at the paper's 113 partitions, a = 0 and a < 0 included. Their
+    # round-off grows with |a|, to 1.2e-14 at 257 partitions' a = 123,
+    # and stays far below the tail
+    jv = pytest.importorskip("scipy.special").jv
+    limit = max(a for a in np.arange(0.0, 60.0, 0.25)
+                if mri._chebyshev_rows(a) <= mri._CHEBYSHEV_SHARE * 113)
+    a = np.linspace(-limit, limit, 41)
+    assert 0.0 in a
+    coef = mri._jacobi_anger(a)
+    r = np.arange(coef.shape[1])
+    expected = (2 - (r == 0)) * (-1j) ** r * jv(r, a[:, None])
+    assert np.abs(coef - expected).max() <= 1e-14
+    # the rows kept for the largest |a| drop less than the tail at every
+    # smaller |a| too
+    terms = mri._chebyshev_rows(limit)
+    assert terms < coef.shape[1]
+    assert np.abs(coef[:, terms:]).max() < mri._CHEBYSHEV_TAIL
+    assert np.abs(coef[:, terms - 1]).max() >= mri._CHEBYSHEV_TAIL
 
 
 def synthesize_through(step, mesh, m0, field, params):
     """synthesize_frame with every block forced through one partition
-    step: "table" (the real table) or "nufft" (the partition NUFFT)."""
+    step: "table" (the real table) or "chebyshev" (the Chebyshev step)."""
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(mri, "_SPREAD_SHARE", 0.0 if step == "table" else 1e9)
+        patch.setattr(mri, "_CHEBYSHEV_SHARE",
+                      0.0 if step == "table" else 1e9)
         return synthesize_frame(mesh, m0, field, params)
 
 
@@ -760,7 +801,8 @@ def property_params(n_pz):
 def test_synthesis_is_additive_over_tets(data, divisions, n_pz):
     # split a box's tets into two meshes on the same vertices: the k-space
     # of the whole (real table) is the sum of the halves', one through
-    # the real table and one through the NUFFT, on random M0, velocities
+    # the real table and one through the Chebyshev step, on random M0,
+    # velocities
     # and split, so the two steps are checked against each other
     mesh, m0, field = drawn_box(data, divisions)
     n_t = mesh.n_tets
@@ -773,9 +815,10 @@ def test_synthesis_is_additive_over_tets(data, divisions, n_pz):
     params = property_params(n_pz)
     whole = synthesize_through("table", mesh, m0, field, params)
     table = synthesize_through("table", halves[0], m0, field, params)
-    nufft = synthesize_through("nufft", halves[1], m0, field, params)
+    chebyshev = synthesize_through("chebyshev", halves[1], m0, field,
+                                   params)
     for encode in ENCODE_AXES:
-        err = relative_l2(table.signals[encode] + nufft.signals[encode],
+        err = relative_l2(table.signals[encode] + chebyshev.signals[encode],
                           whole.signals[encode])
         assert err <= 1e-10, \
             f"encode {encode}: the halves' sum is {err:.2e} from the whole"
@@ -793,7 +836,7 @@ def test_synthesis_is_linear_in_m0(data, divisions, n_pz, a, b):
     m2 = data.draw(hnp.arrays(float, mesh.n_vertices,
                               elements=st.floats(0.1, 2.0)))
     params = property_params(n_pz)
-    for step in ("table", "nufft"):
+    for step in ("table", "chebyshev"):
         mixed, one, two = (synthesize_through(step, mesh, m0, field, params)
                            for m0 in (a * m1 + b * m2, m1, m2))
         for encode in ENCODE_AXES:
@@ -819,7 +862,7 @@ def k_phase(params, d):
        divisions=st.tuples(*[st.integers(1, 2)] * 3),
        n_pz=st.integers(2, 40),
        shift=st.tuples(*[st.floats(-0.004, 0.004)] * 3),
-       step=st.sampled_from(["table", "nufft"]))
+       step=st.sampled_from(["table", "chebyshev"]))
 def test_translation_multiplies_samples_by_the_shift_phase(
         data, divisions, n_pz, shift, step):
     # the shift theorem: moving the object by d, the field of view kept,
@@ -843,7 +886,7 @@ def test_translation_multiplies_samples_by_the_shift_phase(
        divisions=st.tuples(*[st.integers(1, 2)] * 3),
        n_pz=st.integers(2, 40),
        u=st.tuples(*[st.floats(-1.0, 1.0)] * 3),
-       step=st.sampled_from(["table", "nufft"]))
+       step=st.sampled_from(["table", "chebyshev"]))
 def test_uniform_velocity_is_a_drift_and_an_encode_phase(
         data, divisions, n_pz, u, step):
     # spins that all move at u sit at r + u t_i at sample i: the object at
@@ -876,7 +919,7 @@ def test_encodes_along_still_axes_copy_the_reference(data, divisions, n_pz,
     mesh, m0, field = drawn_box(data, divisions)
     field.values[0][:, sorted(still)] = 0.0
     params = property_params(n_pz)
-    for step in ("table", "nufft"):
+    for step in ("table", "chebyshev"):
         k = synthesize_through(step, mesh, m0, field, params)
         for encode in ENCODE_AXES:
             err = relative_l2(k.signals[encode],
@@ -986,12 +1029,13 @@ def test_layer_path_matches_the_whole_mesh(monkeypatch, tets_synthesized,
 def test_layer_path_matches_the_whole_mesh_on_a_reloaded_pipe(
         monkeypatch, tets_synthesized, tmp_path):
     # load_mesh keeps the pipe metadata and the tets in their order, and
-    # the NUFFT takes the layer of this reloaded pipe
+    # the Chebyshev step takes the layer of this reloaded pipe
     save_mesh(generate_pipe_mesh(0.01, 0.1, resolution=1), tmp_path / "p.vtk")
     pipe = load_mesh(tmp_path / "p.vtk")
     field = swirling_frames(pipe, [0.3, 1.0])
     assert_layers_match_whole_mesh(monkeypatch, tets_synthesized, pipe,
-                                   np.ones(pipe.n_vertices), field, SPREAD_72)
+                                   np.ones(pipe.n_vertices), field,
+                                   PARTITIONS_72)
 
 
 def nudged(pipe, vertex, axis):
@@ -1049,20 +1093,21 @@ def still_box(out):
     pytest.param(pipeline_input, 1, [
         "layer path over 5 layers",
         "encodes ref, z; the reference's grid serves x, y",
-        "real partition table, 37 rows against 27 spread"], id="default"),
+        "real partition table, 37 rows against 34 Chebyshev"], id="default"),
     # the CI's spread.ini: 2 phases, the resolution-1 pipe, 96 partitions
     pytest.param(lambda out: pipeline_input(out, {
         ("flow", "cardiac_phases"): 2, ("pipe", "resolution"): 1,
         ("sequence", "matrix"): "11, 11, 96"}), 1, [
         "layer path over 10 layers",
         "encodes ref, z; the reference's grid serves x, y",
-        "partition NUFFT, 97 rows against 20 spread"], id="96-partitions"),
+        "Chebyshev partition step, 97 rows against 24 Chebyshev"],
+        id="96-partitions"),
     pytest.param(swirl_with_m0_along_z, 0, [
         "whole-mesh path", "encodes ref, x, y, z",
-        "real partition table, 7 rows against 22 spread"], id="swirl"),
+        "real partition table, 7 rows against 26 Chebyshev"], id="swirl"),
     pytest.param(still_box, 0, [
         "whole-mesh path", "encodes ref; the reference's grid serves x, y, z",
-        "real partition table, 9 rows against 21 spread"], id="still-box"),
+        "real partition table, 9 rows against 26 Chebyshev"], id="still-box"),
 ])
 def test_synthesis_logs_the_choices_it_makes(caplog, tmp_path, make, frame,
                                              expected):
