@@ -2,7 +2,9 @@
 
 ``run_pipeline`` chains the library stages (rheology fit, mesh, flow
 synthesis, windkessel, MR signal synthesis and reconstruction, biomarker
-estimation, model comparison, reporting) from one INI config file.
+estimation, model comparison, reporting) from one INI config file. The
+biomarkers are the ``Estimator``'s: it takes one phase's vertex velocity
+at a time from any source, and stage estimate reads images into it.
 Sequence parameters appear in the config in scanner units (mm, ms, kHz,
 mT/m) and are converted to SI internally; the slew rate is given in
 T/m/s. Every key has a baked-in default, so an empty config performs
@@ -514,106 +516,110 @@ def stage_reconstruct(kspace: list[Path], out: Path) -> list[Path]:
     return paths
 
 
+class Estimator:
+    """Biomarkers of every model in the comparison matrix, one phase's
+    (N, 3) vertex velocity at a time, in time order, from any source.
+
+    ``add`` keeps every model's wall traction (OSI needs the whole cycle)
+    and the one phase's velocity and reference-model fields that
+    ``systolic_frame``, given the WSS means as ``stats.csv`` holds them
+    for the phases so far, picks: the last kept are those of the frame
+    ``read_stats`` picks. ``write`` writes ``stats.csv``, then
+    ``fields_systole.vtk`` at that frame.
+    """
+
+    def __init__(self, cfg: RunConfig, fitted: dict, mesh):
+        self.mesh, self.period = mesh, cfg.period
+        self.reference = cfg.reference_model
+        self.labels = segment_labels(mesh, [
+            CutPlane(point=(0.0, 0.0, z), normal=(0.0, 0.0, 1.0))
+            for z in cfg.cuts])
+        self.names = list(segment_names(len(cfg.cuts) + 1))
+        self.wall_idx, self.wall_norm = wall_normals(mesh)
+        self.wall_labels = self.labels[self.wall_idx]
+        models = dict.fromkeys([cfg.reference_model, *cfg.alternative_models])
+        self.models = {name: resolve_model(name, fitted) for name in models}
+        self.operator = GradientOperator(mesh)
+        # the blocks are written model by model, frame by frame, then OSI
+        self.blocks = {name: [] for name in self.models}
+        self.tractions = {name: [] for name in self.models}
+        self.wss_means: dict[int, float] = {}
+
+    def add(self, velocity: np.ndarray) -> None:
+        """The next phase's (N, 3) vertex velocity."""
+        frame = len(self.tractions[self.reference])  # phases added so far
+        results = frame_biomarkers(
+            recover_gradients(self.mesh, velocity, self.operator),
+            self.wall_idx, self.wall_norm, self.operator.nodal_volumes,
+            self.models)
+        for name, (traction, mag, el, _) in results.items():
+            self.blocks[name] += (
+                segment_stats(mag, self.wall_labels, self.names,
+                              parameter=f"wss:{name}", frame=frame),
+                segment_stats(el, self.labels, self.names,
+                              parameter=f"el_rate:{name}", frame=frame))
+            self.tractions[name].append(traction)
+        # this frame's wss block of the reference model
+        mean = _written_cross_mean(self.blocks[self.reference][-2])
+        if mean is not None:
+            self.wss_means[frame] = mean
+            if systolic_frame(self.wss_means, self.reference) == frame:
+                self.at_systole = (velocity, *results[self.reference])
+
+    def write(self, times: np.ndarray, out: Path) -> None:
+        """The files of the phases added at ``times``; ``out`` is made here."""
+        del self.operator  # the largest set-up array; no writer needs it
+        systolic = systolic_frame(self.wss_means, self.reference)
+        ordered, osis = [], {}
+        for name, history in self.tractions.items():
+            osis[name] = osi(np.stack(history), times, self.period)
+            ordered += [*self.blocks[name], segment_stats(
+                osis[name], self.wall_labels, self.names,
+                parameter=f"osi:{name}", frame=None)]
+        out.mkdir(parents=True, exist_ok=True)
+        write_stats_csv(ordered, out / "stats.csv")
+        log.info("systolic frame %d (t = %.3f s)", systolic, times[systolic])
+        velocity, traction, mag, el, mu = self.at_systole
+
+        def on_mesh(values):  # wall values, 0 off the wall
+            full = np.zeros((self.mesh.n_vertices, *values.shape[1:]))
+            full[self.wall_idx] = values
+            return full
+        export_fields_vtk(self.mesh, {
+            "velocity": velocity,
+            "wss_vector": on_mesh(traction),
+            "wss_mag": on_mesh(mag),
+            "osi": on_mesh(osis[self.reference]),
+            "el_rate": el,
+            "mu_apparent": mu,
+        }, out / "fields_systole.vtk")
+
+
 @stage("estimate")
 def stage_estimate(cfg: RunConfig, fitted: dict, mesh, images: list[Path],
                    out: Path) -> None:
-    """Biomarkers of image files for every model in the comparison matrix.
-
-    Writes ``stats.csv``, then ``fields_systole.vtk`` at the systolic
-    frame of the statistics as written; ``out`` is made only once every
-    image is decoded and the biomarkers are computed.
-
-    The images must be distinct phases on one image grid, which their
-    sidecars alone show, so they are ordered and checked before any
-    payload is read. They pass one at a time, in time order: each phase
-    is read, decoded, interpolated to the mesh and released (one decoded
-    phase is held at a time), its gradients recovered with one
-    ``GradientOperator`` and its WSS and energy-loss statistics made at
-    once. Across the phases only every model's wall traction (OSI needs
-    the whole cycle) and one phase's vertex velocity and reference-model
-    fields (the systolic fields) are kept: a phase's fields replace the
-    kept ones when ``systolic_frame``, given the WSS means as
-    ``stats.csv`` holds them for the phases so far, picks it, so the
-    last kept are those of the frame ``read_stats`` picks.
+    """``stats.csv`` and ``fields_systole.vtk`` of image files, by the
+    ``Estimator`` one decoded phase at a time. The images must be distinct
+    phases on one grid spanning less than a period, which their sidecars
+    alone show, so they are checked before any payload is read.
     """
     phases = sorted(((*_image_sidecar(path), path) for path in images),
                     key=lambda phase: phase[0])
     times = np.array([time for time, _, _ in phases])
     if times.size < 2 or np.diff(times).min() <= 0:
         raise ValidationError("need at least two distinct cardiac phases")
+    if times[-1] - times[0] >= cfg.period:
+        raise ValidationError("frames must span less than one period")
     grid = phases[0][1].axis_coordinates()
     if not all(all(map(np.array_equal, grid, params.axis_coordinates()))
                for _, params, _ in phases[1:]):
         raise ValidationError("the images must share one image grid")
 
-    planes = [CutPlane(point=(0.0, 0.0, z), normal=(0.0, 0.0, 1.0))
-              for z in cfg.cuts]
-    labels = segment_labels(mesh, planes)
-    names = list(segment_names(len(cfg.cuts) + 1))
-    wall_idx, wall_norm = wall_normals(mesh)
-    wall_labels = labels[wall_idx]
-    models = {name: resolve_model(name, fitted)
-              for name in dict.fromkeys([cfg.reference_model,
-                                         *cfg.alternative_models])}
-    reference = cfg.reference_model
-
-    # one phase at a time through one operator, so no stack of vertex
-    # velocities or gradients is held; the blocks are written model by
-    # model, frame by frame, then OSI
-    operator = GradientOperator(mesh)
-    blocks: dict[str, list[SegmentStats]] = {name: [] for name in models}
-    tractions: dict[str, list] = {name: [] for name in models}
-    wss_means: dict[int, float] = {}
-    for frame, (_, _, path) in enumerate(phases):
-        velocity = interpolate_to_mesh(phase_to_velocity(load_images(path)),
-                                       mesh)
-        results = frame_biomarkers(
-            recover_gradients(mesh, velocity, operator), wall_idx, wall_norm,
-            operator.nodal_volumes, models)
-        for name, (traction, mag, el, mu) in results.items():
-            blocks[name] += (
-                segment_stats(mag, wall_labels, names,
-                              parameter=f"wss:{name}", frame=frame),
-                segment_stats(el, labels, names,
-                              parameter=f"el_rate:{name}", frame=frame))
-            tractions[name].append(traction)
-        # this frame's wss block of the reference model
-        mean = _written_cross_mean(blocks[reference][-2])
-        if mean is not None:
-            wss_means[frame] = mean
-            if systolic_frame(wss_means, reference) == frame:
-                at_systole = (velocity, *results[reference])
-        # the fields not kept are released before the next phase
-        del results, mag, el, mu
-    del operator
-    systolic = systolic_frame(wss_means, reference)
-
-    ordered: list[SegmentStats] = []
-    osis: dict[str, np.ndarray] = {}
-    for name in models:
-        osis[name] = osi(np.stack(tractions[name]), times, cfg.period)
-        ordered += blocks[name]
-        ordered.append(segment_stats(osis[name], wall_labels, names,
-                                     parameter=f"osi:{name}", frame=None))
-    out.mkdir(parents=True, exist_ok=True)
-    write_stats_csv(ordered, out / "stats.csv")
-
-    log.info("systolic frame %d (t = %.3f s)", systolic, times[systolic])
-    velocity, traction, mag, el, mu = at_systole
-    full_traction = np.zeros((mesh.n_vertices, 3))
-    full_traction[wall_idx] = traction
-    full_mag = np.zeros(mesh.n_vertices)
-    full_mag[wall_idx] = mag
-    full_osi = np.zeros(mesh.n_vertices)
-    full_osi[wall_idx] = osis[reference]
-    export_fields_vtk(mesh, {
-        "velocity": velocity,
-        "wss_vector": full_traction,
-        "wss_mag": full_mag,
-        "osi": full_osi,
-        "el_rate": el,
-        "mu_apparent": mu,
-    }, out / "fields_systole.vtk")
+    estimator = Estimator(cfg, fitted, mesh)
+    for _, _, path in phases:
+        estimator.add(interpolate_to_mesh(
+            phase_to_velocity(load_images(path)), mesh))
+    estimator.write(times, out)
 
 
 def _written_cross_mean(block: SegmentStats) -> float | None:

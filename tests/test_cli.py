@@ -830,6 +830,25 @@ def test_estimate_refuses_images_on_two_grids(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_estimate_refuses_a_period_its_frames_span_before_reading_images(
+        demo, tmp_path, capsys, monkeypatch):
+    # the demo's 4 frames span 0.703 s of its 0.937 s period; against a
+    # 0.4 s period they span more than one, which the sidecars' frame
+    # times show before any payload is read
+    _, run = demo
+    reads = []
+    monkeypatch.setattr("hemoflow.pipeline.load_images",
+                        lambda path: reads.append(path))
+    out = tmp_path / "out"
+    assert main(["estimate", "--images", str(run), "--config",
+                 config_file(tmp_path, "[flow]\ncardiac_period_s = 0.4\n"),
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "[stage estimate] frames must span less than one period" in err
+    assert reads == [], "estimate read images it then refused"
+    assert not out.exists()
+
+
 FLOAT_KEYS = [
     ("pipe", "radius_m"), ("pipe", "length_m"), ("rheology", "hct"),
     ("rheology", "fit1_range"), ("rheology", "fit2_range"),

@@ -49,8 +49,8 @@ from hemoflow.mesh import (
     wall_normals,
 )
 from hemoflow.mri import ReconstructedVelocity, SequenceParams
-from hemoflow.pipeline import fit_models, load_config, read_stats, \
-    stage_estimate, stage_flow, stage_mesh, systolic_frame, \
+from hemoflow.pipeline import Estimator, fit_models, load_config, \
+    read_stats, stage_estimate, stage_flow, stage_mesh, systolic_frame, \
     _written_cross_mean
 from hemoflow.rheology import PowerLawParams, apparent_viscosity
 
@@ -465,27 +465,28 @@ def test_osi_input_validation():
 @pytest.mark.parametrize("resolution", [0, 1])
 def test_pipeline_flow_has_zero_osi(tmp_path, resolution):
     # stage flow's field is a positive waveform times one steady axial
-    # profile, so no wall traction ever turns: through the estimator of
-    # stage estimate its OSI is exactly 0 at every wall vertex for every
-    # fitted model, and any OSI a run reports comes from the acquisition
+    # profile, so no wall traction ever turns: fed to the estimator of
+    # stage estimate as arrays, its OSI is exactly 0 at every wall vertex
+    # for every model, and any OSI a run reports comes from the
+    # acquisition. The systole it writes is the waveform's peak, frame 1
     cfg = load_config(overrides={("pipe", "resolution"): resolution})
     fitted = fit_models(cfg)
     mesh = stage_mesh(cfg)
-    field, _ = stage_flow(cfg, mesh, fitted["power_law"], tmp_path)
-    wall, normals = wall_normals(mesh)
-    operator = GradientOperator(mesh)
-    tractions = {name: [] for name in fitted}
+    field, flows = stage_flow(cfg, mesh, fitted["power_law"], tmp_path)
+    estimator = Estimator(cfg, fitted, mesh)
     for velocity in field.values:
-        results = frame_biomarkers(
-            recover_gradients(mesh, velocity, operator), wall, normals,
-            operator.nodal_volumes, fitted)
-        for name, (traction, *_) in results.items():
-            tractions[name].append(traction)
-    for name, history in tractions.items():
+        estimator.add(velocity)
+    estimator.write(field.times, tmp_path)
+    assert len(estimator.tractions) == 3
+    for name, history in estimator.tractions.items():
         values = osi(np.stack(history), field.times, cfg.period)
-        assert values.shape == wall.shape
+        assert values.shape == estimator.wall_idx.shape
         assert np.all(values == 0.0), \
             f"{name}: OSI up to {values.max():.2e} on a flow that never turns"
+    blocks, systolic = read_stats(tmp_path / "stats.csv", cfg.reference_model)
+    assert systolic == np.argmax(flows) == 1
+    for name in estimator.models:
+        assert blocks[f"osi:{name}", None].means == [0.0] * 4, name
 
 
 # =========================================================================

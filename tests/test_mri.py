@@ -511,7 +511,7 @@ PARTITIONS_72 = SequenceParams(venc=0.8, matrix=(2, 4, 72),
 
 
 @pytest.mark.parametrize("quadrature", [4, 11])
-def test_spread_partitions_over_several_blocks_match_direct_sum(
+def test_chebyshev_partitions_over_several_blocks_match_direct_sum(
         paths_taken, chebyshev_products, quadrature):
     # an M0 that grows along z does not repeat from layer to layer, so the
     # whole pipe is synthesized
@@ -530,7 +530,7 @@ def test_spread_partitions_over_several_blocks_match_direct_sum(
 
 
 @pytest.mark.parametrize("quadrature", [4, 11])
-def test_spread_partitions_of_one_layer_match_direct_sum(
+def test_chebyshev_partitions_of_one_layer_match_direct_sum(
         paths_taken, chebyshev_products, quadrature):
     # the same pipe with an M0 that repeats from layer to layer: the
     # Chebyshev step takes the first of its 10 layers, still over several
@@ -549,7 +549,8 @@ def test_spread_partitions_of_one_layer_match_direct_sum(
                                PARTITIONS_72.acquired_readout, n_blocks)
 
 
-def test_spread_footprint_wrapping_the_grid_matches_direct_sum(paths_taken):
+def test_chebyshev_box_across_the_image_volume_edge_matches_direct_sum(
+        paths_taken):
     # a box that straddles the top edge of the image volume set by
     # fov_center, z = 0.192 m, where the partition phase wraps: the
     # Chebyshev step expands e^{-2 pi i k z} about the block's own centre,
@@ -568,7 +569,7 @@ def test_spread_footprint_wrapping_the_grid_matches_direct_sum(paths_taken):
     assert paths_taken == ["_ChebyshevExpansion"]
 
 
-def test_spread_long_readout_with_fast_drift_matches_direct_sum(
+def test_chebyshev_long_readout_with_fast_drift_matches_direct_sum(
         paths_taken, chebyshev_products):
     # 128 samples over 4 ms at 2 to 2.4 m/s: spins drift 8 to 9 mm during
     # the readout, as far as the box is long, so the drift sets half the
@@ -592,7 +593,7 @@ def test_spread_long_readout_with_fast_drift_matches_direct_sum(
     assert_moments_mapped_once(chebyshev_products, times.size, 1)
 
 
-def test_spread_single_encodes_with_odd_phase_encodes_match_direct_sum(
+def test_chebyshev_single_encodes_with_odd_phase_encodes_match_direct_sum(
         paths_taken):
     # each encode of one Chebyshev pass against its own direct sum; 5
     # phase encodes put k_pe = 0 in the middle of the phase-encode ramp
@@ -610,7 +611,8 @@ def test_spread_single_encodes_with_odd_phase_encodes_match_direct_sum(
     assert paths_taken == ["_ChebyshevExpansion"]
 
 
-def test_spread_path_makes_no_partition_ramp(monkeypatch, paths_taken):
+def test_chebyshev_step_makes_one_complex_exponential_per_block(
+        monkeypatch, paths_taken):
     # the same mesh and readout through the real table (8 partitions) and
     # the Chebyshev step (96 partitions): the real table makes s_z and its
     # step, two complex exponentials per block; the Chebyshev step makes
@@ -674,7 +676,8 @@ def test_partition_step_follows_the_table_sizes(paths_taken):
     assert paths_taken == ["_FoldedTable"] * 3 + ["_ChebyshevExpansion"] * 2
 
 
-def test_spread_grids_are_freed_before_the_output_is_stacked(paths_taken):
+def test_chebyshev_mapped_grid_is_freed_before_the_output_is_copied(
+        paths_taken):
     # a long readout over a small box: the Chebyshev step's partition sums
     # and each block's mapped moments are grids the size of the output.
     # The mapped grid is freed before the output is copied out of the
@@ -1094,7 +1097,7 @@ def still_box(out):
         "layer path over 5 layers",
         "encodes ref, z; the reference's grid serves x, y",
         "real partition table, 37 rows against 34 Chebyshev"], id="default"),
-    # the CI's spread.ini: 2 phases, the resolution-1 pipe, 96 partitions
+    # the CI's chebyshev.ini: 2 phases, the resolution-1 pipe, 96 partitions
     pytest.param(lambda out: pipeline_input(out, {
         ("flow", "cardiac_phases"): 2, ("pipe", "resolution"): 1,
         ("sequence", "matrix"): "11, 11, 96"}), 1, [
