@@ -1,7 +1,9 @@
 """Viscosity-dependent hemodynamic biomarkers on tetrahedral meshes.
 
 Decoded voxel velocities reach the mesh one cardiac phase per
-``interpolate_to_mesh`` call, by trilinear interpolation. From each
+``interpolate_to_mesh`` call, by trilinear interpolation through the
+``TrilinearWeights`` of the mesh and the image grid, built once for all
+phases and applied one velocity component at a time. From each
 phase's vertex velocities this module recovers velocity gradients
 (lumped L2 projection of the element gradients, in the difference form
 sum_k (u_k - u_0) W_k, so a uniform field has exactly zero gradient),
@@ -45,6 +47,7 @@ __all__ = [
     "segment_stats",
     "compare_models",
     "check_coverage",
+    "TrilinearWeights",
     "interpolate_to_mesh",
     "export_fields_vtk",
     "write_stats_csv",
@@ -401,48 +404,90 @@ def check_coverage(mesh: TetMesh, params: SequenceParams) -> None:
                 f"[{ax[0]:.4g}, {ax[-1]:.4g}] along axis {dim}")
 
 
-def interpolate_to_mesh(frame, mesh: TetMesh) -> np.ndarray:
+class TrilinearWeights:
+    """The trilinear interpolation of one image grid to one mesh, built
+    once and applied per phase.
+
+    Building it runs ``check_coverage``. Each vertex lies in one grid cell
+    (vertices just outside the grid, within its 1e-12 m slack,
+    extrapolate from the edge cell); the weights keep that cell's lower
+    corner as one flat voxel index per vertex and, for each of its 8
+    corners in the order scipy.interpolate.RegularGridInterpolator
+    (method="linear") sums them, the corner's flat offset from it and the
+    weight product w0 * w1 * w2 per vertex. ``apply`` then equals that
+    interpolator bit for bit.
+    """
+
+    def __init__(self, mesh: TetMesh, params: SequenceParams):
+        check_coverage(mesh, params)
+        self.mesh = mesh
+        self.axes = params.axis_coordinates()
+        self.shape = tuple(len(ax) for ax in self.axes)
+        _, ny, nz = self.shape
+        base, corners = 0, []
+        for dim, stride in enumerate((ny * nz, nz, 1)):
+            ax, x = self.axes[dim], mesh.vertices[:, dim]
+            i = np.clip(np.searchsorted(ax, x, side="right") - 1, 0,
+                        len(ax) - 2)
+            t = (x - ax[i]) / (ax[i + 1] - ax[i])
+            base = base + i * stride
+            corners.append(((0, 1 - t), (stride, t)))
+        self.base = base
+        self.corners = [(d0 + d1 + d2, w0 * w1 * w2) for (d0, w0), (d1, w1),
+                        (d2, w2) in itertools.product(*corners)]
+
+    def apply(self, velocity: np.ndarray) -> np.ndarray:
+        """Vertex velocities (N, 3) of voxel velocities (nx, ny, nz, 3) on
+        the grid the weights were built for, one component at a time."""
+        velocity = np.asarray(velocity, dtype=float)
+        # the corner indices are taken with mode="clip": velocities of
+        # another shape would be read at clipped indices
+        if velocity.shape != self.shape + (3,):
+            raise ValidationError("decoded velocities must lie on their "
+                                  "image grid")
+        columns = np.ascontiguousarray(np.moveaxis(velocity, -1, 0))
+        n = self.mesh.n_vertices
+        out, acc, term = np.empty((n, 3)), np.empty(n), np.empty(n)
+        for i, u in enumerate(columns.reshape(3, -1)):
+            acc.fill(0.0)
+            for offset, weight in self.corners:
+                # u[offset:][base] is u[base + offset], which lies in the
+                # grid, so "clip" clips nothing and spares take's
+                # buffered copy of out
+                u[offset:].take(self.base, out=term, mode="clip")
+                term *= weight
+                acc += term
+            out[:, i] = acc
+        return out
+
+
+def interpolate_to_mesh(frame, mesh: TetMesh,
+                        weights: TrilinearWeights | None = None) -> np.ndarray:
     """Trilinear interpolation of one phase's decoded voxel velocities to
     the mesh vertices, (n_vertices, 3).
 
     ``frame`` is a ReconstructedVelocity (or anything with ``velocity``
-    (nx, ny, nz, 3) and ``params`` attributes). The 8 voxel indices and
-    weights per vertex are built on each call. No smoothing is applied.
+    (nx, ny, nz, 3) and ``params`` attributes). ``weights`` are the
+    :class:`TrilinearWeights` of the mesh and the frame's image grid, for
+    callers that interpolate many phases on one grid; they are built here
+    if absent. No smoothing is applied.
 
     Raises
     ------
     ValidationError
-        Velocities not on the grid of ``params``, or a mesh vertex outside
-        the voxel grid (see ``check_coverage``).
+        Velocities not on the grid of ``params``, a mesh vertex outside
+        the voxel grid (see ``check_coverage``), or weights built for
+        another mesh or image grid.
     """
-    axes = frame.params.axis_coordinates()
-    shape = tuple(len(ax) for ax in axes)
-    if frame.velocity.shape != shape + (3,):
-        raise ValidationError("decoded velocities must lie on their image "
-                              "grid")
-    check_coverage(mesh, frame.params)
-    # Trilinear weights, summed corner by corner in the order
-    # scipy.interpolate.RegularGridInterpolator(method="linear") uses, so
-    # the result equals it bit for bit. Vertices just outside the grid
-    # (within the tolerance above) extrapolate from the edge cell. A
-    # corner's flat voxel index is the lower corner's plus stride offsets.
-    base, corners = 0, []
-    for dim, stride in enumerate((shape[1] * shape[2], shape[2], 1)):
-        ax, x = axes[dim], mesh.vertices[:, dim]
-        i = np.clip(np.searchsorted(ax, x, side="right") - 1, 0, len(ax) - 2)
-        t = (x - ax[i]) / (ax[i + 1] - ax[i])
-        base = base + i * stride
-        corners.append(((0, 1 - t), (stride, t)))
-    voxels = np.asarray(frame.velocity, dtype=float).reshape(-1, 3)
-    out = np.zeros((mesh.n_vertices, 3))
-    term = np.empty_like(out)
-    for (d0, w0), (d1, w1), (d2, w2) in itertools.product(*corners):
-        # the indices lie in the grid, so "clip" clips nothing and spares
-        # take's buffered copy of out
-        voxels.take(base + (d0 + d1 + d2), axis=0, out=term, mode="clip")
-        term *= (w0 * w1 * w2)[:, None]
-        out += term
-    return out
+    if weights is None:
+        weights = TrilinearWeights(mesh, frame.params)
+    elif weights.mesh is not mesh:
+        raise ValidationError("trilinear weights were built for another mesh")
+    elif not all(map(np.array_equal, weights.axes,
+                     frame.params.axis_coordinates())):
+        raise ValidationError("trilinear weights were built for another "
+                              "image grid")
+    return weights.apply(frame.velocity)
 
 
 # =========================================================================

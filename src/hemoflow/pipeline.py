@@ -37,8 +37,8 @@ from .errors import HemoflowError, MeshError, ValidationError
 from .flowfields import FlowWaveform, flow_rate, poiseuille_power_law, \
     pulsatile_scale
 from .hemodynamics import _COMPARISON_COLUMNS, _DIFFERENCE_COLUMNS, \
-    _STATS_COLUMNS, GradientOperator, SegmentStats, _float_cell, \
-    _read_table, _write_table, check_coverage, compare_models, \
+    _STATS_COLUMNS, GradientOperator, SegmentStats, TrilinearWeights, \
+    _float_cell, _read_table, _write_table, check_coverage, compare_models, \
     export_fields_vtk, frame_biomarkers, interpolate_to_mesh, osi, \
     recover_gradients, segment_stats, write_comparison_csv, write_stats_csv
 from .mesh import PIPE_LAYER_COUNTS, CutPlane, generate_pipe_mesh, \
@@ -600,8 +600,11 @@ def stage_estimate(cfg: RunConfig, fitted: dict, mesh, images: list[Path],
                    out: Path) -> None:
     """``stats.csv`` and ``fields_systole.vtk`` of image files, by the
     ``Estimator`` one decoded phase at a time. The images must be distinct
-    phases on one grid spanning less than a period, which their sidecars
-    alone show, so they are checked before any payload is read.
+    phases on one grid spanning less than a period, all ``[flow]
+    cardiac_phases`` of them at the times stage flow gives them, and the
+    grid must cover the mesh; their sidecars alone show this, so it is
+    checked, and the mesh's ``TrilinearWeights`` are built, before any
+    payload is read.
     """
     phases = sorted(((*_image_sidecar(path), path) for path in images),
                     key=lambda phase: phase[0])
@@ -610,15 +613,24 @@ def stage_estimate(cfg: RunConfig, fitted: dict, mesh, images: list[Path],
         raise ValidationError("need at least two distinct cardiac phases")
     if times[-1] - times[0] >= cfg.period:
         raise ValidationError("frames must span less than one period")
+    # a whole acquisition's frames lie where stage flow puts them; a
+    # subset of the phases is not checked
+    flow_times = np.arange(cfg.phases) / cfg.phases * cfg.period
+    if times.size == cfg.phases and \
+            np.abs(times - flow_times).max() > 1e-9 * cfg.period:
+        raise ValidationError(
+            f"the {cfg.phases} frame times are not those of a "
+            f"{cfg.period:g} s period ([flow] cardiac_period_s)")
     grid = phases[0][1].axis_coordinates()
     if not all(all(map(np.array_equal, grid, params.axis_coordinates()))
                for _, params, _ in phases[1:]):
         raise ValidationError("the images must share one image grid")
+    weights = TrilinearWeights(mesh, phases[0][1])
 
     estimator = Estimator(cfg, fitted, mesh)
     for _, _, path in phases:
         estimator.add(interpolate_to_mesh(
-            phase_to_velocity(load_images(path)), mesh))
+            phase_to_velocity(load_images(path)), mesh, weights))
     estimator.write(times, out)
 
 

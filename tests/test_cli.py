@@ -830,23 +830,60 @@ def test_estimate_refuses_images_on_two_grids(tmp_path, capsys):
     assert not out.exists()
 
 
+def assert_estimate_refuses_unread(monkeypatch, capsys, images, config, out,
+                                  message):
+    """``hemoflow estimate`` exits 2 with ``[stage estimate] message``
+    before it reads any image payload, and makes no ``out``."""
+    reads = []
+    monkeypatch.setattr("hemoflow.pipeline.load_images",
+                        lambda path: reads.append(path))
+    assert main(["estimate", "--images", str(images), "--config", config,
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"[stage estimate] {message}" in err, err
+    assert reads == [], "estimate read images it then refused"
+    assert not out.exists()
+
+
 def test_estimate_refuses_a_period_its_frames_span_before_reading_images(
         demo, tmp_path, capsys, monkeypatch):
     # the demo's 4 frames span 0.703 s of its 0.937 s period; against a
     # 0.4 s period they span more than one, which the sidecars' frame
     # times show before any payload is read
     _, run = demo
-    reads = []
-    monkeypatch.setattr("hemoflow.pipeline.load_images",
-                        lambda path: reads.append(path))
-    out = tmp_path / "out"
-    assert main(["estimate", "--images", str(run), "--config",
-                 config_file(tmp_path, "[flow]\ncardiac_period_s = 0.4\n"),
-                 "--out", str(out)]) == 2
-    err = capsys.readouterr().err
-    assert "[stage estimate] frames must span less than one period" in err
-    assert reads == [], "estimate read images it then refused"
-    assert not out.exists()
+    assert_estimate_refuses_unread(
+        monkeypatch, capsys, run,
+        config_file(tmp_path, "[flow]\ncardiac_period_s = 0.4\n"),
+        tmp_path / "out", "frames must span less than one period")
+
+
+def test_estimate_refuses_a_period_its_frame_times_contradict(
+        demo, tmp_path, capsys, monkeypatch):
+    # the demo's 4 frames lie at k/4 of its 0.937 s period. A 1.5 s
+    # period leaves them within one period, but stage flow puts 4 phases
+    # of it elsewhere, and OSI would read the cycle wrong without a word;
+    # a subset of the phases shows no period and is estimated
+    _, run = demo
+    config = config_file(tmp_path, FAST_CONFIG.replace(
+        "[flow]\n", "[flow]\ncardiac_period_s = 1.5\n"))
+    assert_estimate_refuses_unread(
+        monkeypatch, capsys, run, config, tmp_path / "out",
+        "the 4 frame times are not those of a 1.5 s period "
+        "([flow] cardiac_period_s)")
+    monkeypatch.undo()
+    subset = copy_phases(run, "images", range(3), tmp_path / "subset")
+    assert main(["estimate", "--images", subset, "--config", config,
+                 "--out", str(tmp_path / "subset_out")]) == 0
+
+
+def test_estimate_refuses_an_uncovered_mesh_before_reading_images(
+        demo, tmp_path, capsys, monkeypatch):
+    # the trilinear weights are built from the sidecars' grid before the
+    # first phase is read, and building them checks coverage
+    _, run = demo
+    assert_estimate_refuses_unread(
+        monkeypatch, capsys, run, config_file(tmp_path, LONG_PIPE),
+        tmp_path / "out", "mesh extent [0, 0.12] exceeds the voxel grid")
 
 
 FLOAT_KEYS = [

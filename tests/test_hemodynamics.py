@@ -19,6 +19,7 @@ from hemoflow.errors import ValidationError
 from hemoflow.hemodynamics import (
     GradientOperator,
     SegmentStats,
+    TrilinearWeights,
     _deviator_contraction,
     _strain,
     compare_models,
@@ -728,6 +729,15 @@ def fake_voxels(matrix=(8, 8, 8), center=(0.0, 0.0, 0.0)):
     return params, (X, Y, Z)
 
 
+def vertex_mesh(points):
+    """A TetMesh whose vertices are ``points`` (8 or more), for
+    interpolation, which reads nothing but the vertices."""
+    box = generate_box_mesh((0.001,) * 3, (1, 1, 1))
+    return TetMesh(vertices=points, tets=box.tets,
+                   boundary_faces=box.boundary_faces,
+                   boundary_labels=box.boundary_labels)
+
+
 def test_interpolation_reproduces_linear_fields():
     params, (X, Y, Z) = fake_voxels()
     velocity = np.stack([0.5 + 2.0 * X - Y,
@@ -764,10 +774,7 @@ def test_interpolation_equals_regular_grid_interpolator():
                                 points[500:1000])
     points[1000:1100] = hi + 5e-13
     points[1100:1200] = np.array([ax[3] for ax in axes])   # on grid nodes
-    box = generate_box_mesh((0.001,) * 3, (1, 1, 1))
-    mesh = TetMesh(vertices=points, tets=box.tets,
-                   boundary_faces=box.boundary_faces,
-                   boundary_labels=box.boundary_labels)
+    mesh = vertex_mesh(points)
     for frame, velocity in zip(frames, velocities):
         values = interpolate_to_mesh(frame, mesh)
         want = np.column_stack([
@@ -776,6 +783,70 @@ def test_interpolation_equals_regular_grid_interpolator():
                                     fill_value=None)(points)
             for c in range(3)])
         assert np.array_equal(values, want)
+
+
+@settings(max_examples=40, deadline=None)
+@given(matrix=st.tuples(*[st.integers(2, 9)] * 3),
+       voxel=st.tuples(*[st.floats(0.001, 0.004)] * 3),
+       center=st.tuples(*[st.floats(-0.02, 0.02)] * 3),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_prepared_weights_equal_fresh_ones_and_scipy(matrix, voxel, center,
+                                                      seed):
+    """Weights built once interpolate every phase as a call that builds
+    its own and as scipy's linear method, bit for bit: vertices inside
+    the grid, on voxel centres, on its faces and within the 1e-12 m
+    slack past them."""
+    params = SequenceParams(matrix=matrix, voxel=voxel, fov_center=center)
+    axes = params.axis_coordinates()
+    lo = np.array([ax[0] for ax in axes])
+    hi = np.array([ax[-1] for ax in axes])
+    rng = np.random.default_rng(seed)
+    points = rng.uniform(lo, hi, size=(64, 3))
+    nodes = rng.integers(0, matrix, size=(16, 3))
+    points[:16] = [[ax[i] for ax, i in zip(axes, node)] for node in nodes]
+    edge = rng.random((2, 16, 3)) < 0.5
+    points[16:32] = np.where(edge[0], hi + rng.uniform(0, 9e-13, (16, 3)),
+                             points[16:32])
+    points[32:48] = np.where(edge[1], lo - rng.uniform(0, 9e-13, (16, 3)),
+                             points[32:48])
+    mesh = vertex_mesh(points)
+    weights = TrilinearWeights(mesh, params)
+    for velocity in rng.normal(size=(2,) + matrix + (3,)):
+        frame = ReconstructedVelocity(velocity=velocity,
+                                      magnitude=np.ones(matrix),
+                                      params=params)
+        values = interpolate_to_mesh(frame, mesh, weights)
+        assert np.array_equal(values, interpolate_to_mesh(frame, mesh))
+        assert np.array_equal(values, np.column_stack([
+            RegularGridInterpolator(axes, velocity[..., c], method="linear",
+                                    bounds_error=False,
+                                    fill_value=None)(points)
+            for c in range(3)]))
+
+
+@pytest.mark.parametrize("grid", [
+    pytest.param(dict(matrix=(8, 8, 9)), id="shape"),
+    pytest.param(dict(fov_center=(0.0, 0.0, 0.001)), id="fov-centre")])
+def test_weights_of_another_grid_are_refused(grid):
+    params, _ = fake_voxels()
+    other = SequenceParams(**{"matrix": params.matrix, **grid})
+    mesh = generate_box_mesh((0.004,) * 3, (1, 1, 1))
+    frame = ReconstructedVelocity(
+        velocity=np.zeros(other.matrix + (3,)),
+        magnitude=np.ones(other.matrix), params=other)
+    with pytest.raises(ValidationError, match="another image grid"):
+        interpolate_to_mesh(frame, mesh, TrilinearWeights(mesh, params))
+
+
+def test_weights_of_another_mesh_are_refused():
+    params, _ = fake_voxels()
+    frame = ReconstructedVelocity(velocity=np.zeros(params.matrix + (3,)),
+                                  magnitude=np.ones(params.matrix),
+                                  params=params)
+    mesh = generate_box_mesh((0.004,) * 3, (1, 1, 1))
+    twin = generate_box_mesh((0.004,) * 3, (1, 1, 1))
+    with pytest.raises(ValidationError, match="another mesh"):
+        interpolate_to_mesh(frame, twin, TrilinearWeights(mesh, params))
 
 
 def scipy_modules_loaded_after(code: str, *args: str) -> str:

@@ -1387,6 +1387,57 @@ def test_image_noise_scales_with_sigma():
         f"image noise must scale linearly with sigma, ratios {ratios}"
 
 
+NOISE_SEEDS = (1234, 1235, 1236)
+
+
+def image_noise_sd(k, sigma_fraction):
+    """sigma_k / sqrt(N): numpy's inverse FFT scales by 1/N, so white
+    k-space noise of SD sigma_k per component is white image noise of
+    this SD per component, N the acquired samples (oversampling kept)."""
+    return sigma_fraction * k.max_amplitude() / np.sqrt(k.signals["ref"].size)
+
+
+@pytest.mark.parametrize("sigma_fraction", [0.002, 0.02])
+def test_image_noise_sd_is_the_kspace_sd_over_root_n(tmp_path,
+                                                     sigma_fraction):
+    mesh, m0, field, params = pipeline_input(tmp_path)
+    k = synthesize_frame(mesh, m0, field, params, frame=1)
+    clean = reconstruct(k).volumes
+    parts = []
+    for seed in NOISE_SEEDS:
+        noisy = reconstruct(add_noise(k, sigma_fraction, seed)).volumes
+        for name in ENCODE_AXES:
+            difference = noisy[name] - clean[name]
+            parts += [difference.real.ravel(), difference.imag.ravel()]
+    ratio = np.std(np.concatenate(parts)) / image_noise_sd(k, sigma_fraction)
+    assert ratio == pytest.approx(1.0, abs=0.03), ratio
+
+
+def test_lumen_velocity_noise_matches_the_magnitude_snr(tmp_path):
+    # phase-contrast velocity noise is sqrt(2) VENC / (pi SNR) where the
+    # image resolves the lumen (Pelc et al. 1991): here the resolution-2
+    # pipe under the default sequence, over the voxels within 6 mm of
+    # the axis and 10 mm from either end of the pipe
+    mesh, m0, field, params = pipeline_input(
+        tmp_path, {("pipe", "resolution"): 2})
+    sigma_fraction = load_config().sigma_fraction
+    k = synthesize_frame(mesh, m0, field, params, frame=1)
+    clean = reconstruct(k)
+    x, y, z = np.meshgrid(*params.axis_coordinates(), indexing="ij")
+    lumen = (np.hypot(x, y) < 0.006) & (z > 0.01) & (z < 0.09)
+    snr = np.median(np.abs(clean.volumes["ref"][lumen])) \
+        / image_noise_sd(k, sigma_fraction)
+    u_clean = phase_to_velocity(clean).velocity[..., 2][lumen]
+    noise = np.concatenate([
+        phase_to_velocity(reconstruct(add_noise(k, sigma_fraction, seed)))
+        .velocity[..., 2][lumen] - u_clean for seed in NOISE_SEEDS])
+    predicted = np.sqrt(2.0) * params.venc / (np.pi * snr)
+    ratio = np.std(noise) / predicted
+    assert lumen.sum() > 200 and ratio == pytest.approx(1.0, abs=0.1), \
+        f"velocity noise {ratio:.3f} of the prediction at SNR {snr:.1f} " \
+        f"over {lumen.sum()} voxels"
+
+
 # =========================================================================
 # Persistence
 # =========================================================================
